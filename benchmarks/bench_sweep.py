@@ -118,6 +118,12 @@ def _timed_run(cmd, env) -> tuple:
     ``os.times()`` — with ``--jobs N`` it exceeds wall time, which is
     exactly why both are reported: wall is what a user waits for, CPU
     is what an engine actually costs.
+
+    The child CLI's own process counts too, and with ``--jobs N`` that
+    is the pool supervisor.  Until the supervisor blocked on the worker
+    pipes it spun a core for the whole sweep, so the CPU figures in the
+    committed ``BENCH_sweep.json`` overstate the workers' CPU by up to
+    one core times the cold wall.
     """
     t0 = os.times()
     start = time.perf_counter()

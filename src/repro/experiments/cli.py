@@ -957,6 +957,13 @@ def _profile_command(rest, args) -> int:
             print(f"  {region:<14} {seconds:8.2f}s over {count} task(s)")
         print(f"  [heaviest: {heaviest[0]}, {heaviest[1][1]:.2f}s]")
 
+    if profile.sweeps:
+        wall = profile.wall_seconds
+        cpu = profile.supervisor_cpu_seconds
+        share = f" ({100.0 * cpu / wall:.0f}% of wall)" if wall > 0 else ""
+        print(f"\nsweep wall: {wall:.2f}s over {len(profile.sweeps)} "
+              f"batch(es); supervisor CPU: {cpu:.2f}s{share}")
+
     workers = profile.per_worker()
     if len(workers) > 1:
         print("\nper-worker busy time:")

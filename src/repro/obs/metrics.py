@@ -239,6 +239,9 @@ def metrics_from_profile(
         worker_hist.observe(busy)
     reg.gauge(f"{prefix}.workers").set(len(profile.per_worker()))
     reg.gauge(f"{prefix}.wall_seconds").set(profile.wall_seconds)
+    reg.gauge(f"{prefix}.supervisor_cpu_seconds").set(
+        profile.supervisor_cpu_seconds
+    )
     reg.gauge(f"{prefix}.utilization").set(profile.utilization())
     # Supervision telemetry: failed attempts by kind, bounded-retry and
     # terminal-failure totals, and checkpoint-resumed tasks.

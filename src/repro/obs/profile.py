@@ -36,11 +36,18 @@ class TaskRecord:
 
 @dataclass
 class SweepRecord:
-    """One ``run_tasks`` batch."""
+    """One ``run_tasks`` batch.
+
+    ``supervisor_cpu_seconds`` is the driving process's CPU time
+    (``time.process_time()``) across the batch.  Under the pool that is
+    the supervisor alone and should stay a small share of the wall; a
+    serial batch simulates in-process, so there it includes the tasks.
+    """
 
     tasks: int
     jobs: int
     wall_seconds: float
+    supervisor_cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -116,8 +123,13 @@ class SweepProfile:
     ) -> None:
         self.tasks.append(TaskRecord(region, system, seconds, worker, hits, misses))
 
-    def record_sweep(self, tasks: int, jobs: int, wall_seconds: float) -> None:
-        self.sweeps.append(SweepRecord(tasks, jobs, wall_seconds))
+    def record_sweep(
+        self, tasks: int, jobs: int, wall_seconds: float,
+        supervisor_cpu_seconds: float = 0.0,
+    ) -> None:
+        self.sweeps.append(
+            SweepRecord(tasks, jobs, wall_seconds, supervisor_cpu_seconds)
+        )
 
     def record_fault(self, region: str, system: str, kind: str) -> None:
         self.faults.append(FaultRecord(region, system, kind))
@@ -150,6 +162,10 @@ class SweepProfile:
     @property
     def wall_seconds(self) -> float:
         return sum(s.wall_seconds for s in self.sweeps)
+
+    @property
+    def supervisor_cpu_seconds(self) -> float:
+        return sum(s.supervisor_cpu_seconds for s in self.sweeps)
 
     @property
     def task_seconds(self) -> float:

@@ -21,6 +21,11 @@ the parent event loop
   :class:`~repro.runtime.checkpoint.SweepCheckpoint` (if any), so a
   killed sweep resumes instead of restarting.
 
+The loop blocks between events: it always wakes on a worker message or
+the earliest in-flight deadline, and on the earliest backoff expiry only
+while some worker is idle.  So the supervisor sits idle while the
+workers compute instead of taking a CPU from them.
+
 Terminal failures never abort the sweep mid-flight: every other task
 still runs, and the :class:`~repro.runtime.retry.SweepOutcome` carries
 the partial results plus machine-readable
@@ -414,6 +419,7 @@ def _run_serial(tasks: List[SimTask], policy: RetryPolicy) -> SweepOutcome:
     pid = os.getpid()
     profile = sup.profile
     wall0 = time.perf_counter()
+    cpu0 = time.process_time()
     while not sup.sched.finished:
         now = time.monotonic()
         claimed = sup.sched.pop_eligible(now)
@@ -453,7 +459,10 @@ def _run_serial(tasks: List[SimTask], policy: RetryPolicy) -> SweepOutcome:
             time.perf_counter() - t0, pid,
         )
     if profile.enabled:
-        profile.record_sweep(len(tasks), 1, time.perf_counter() - wall0)
+        profile.record_sweep(
+            len(tasks), 1, time.perf_counter() - wall0,
+            time.process_time() - cpu0,
+        )
     return sup.outcome()
 
 
@@ -470,6 +479,7 @@ def _run_pool(
     ctx = _mp_context()
     jobs = min(n, sup.sched.unfinished)
     wall0 = time.perf_counter()
+    cpu0 = time.process_time()
     workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
 
     def on_ok(worker: _Worker, msg: Tuple) -> None:
@@ -522,14 +532,18 @@ def _run_pool(
                 worker.deadline = (
                     now + policy.timeout if policy.timeout else None
                 )
-            # -- wait for results, deadlines, or backoff expiries --------
+            # -- sleep until a result, a deadline, or a usable backoff ---
+            # A backoff expiry only matters when an idle worker can take
+            # the task; with every worker busy the next dispatch follows
+            # a worker message, so waking for it would spin the loop.
             busy = [w for w in workers if w.busy]
             wait_until: List[float] = [
                 w.deadline for w in busy if w.deadline is not None
             ]
-            nxt = sup.sched.next_eligible_time()
-            if nxt is not None:
-                wait_until.append(nxt)
+            if len(busy) < len(workers):
+                nxt = sup.sched.next_eligible_time()
+                if nxt is not None:
+                    wait_until.append(nxt)
             timeout = (
                 max(0.0, min(wait_until) - time.monotonic())
                 if wait_until
@@ -603,7 +617,8 @@ def _run_pool(
                     pass
     if profile.enabled:
         profile.record_sweep(
-            len(tasks), jobs, time.perf_counter() - wall0
+            len(tasks), jobs, time.perf_counter() - wall0,
+            time.process_time() - cpu0,
         )
     return sup.outcome()
 
