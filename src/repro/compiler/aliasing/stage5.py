@@ -180,7 +180,19 @@ def _enumerate_joint(
 
     The domain is the product of every IV's trip range and every bounded
     symbol's declared range.  Returns ``None`` when any symbol is
-    unbounded or the joint domain exceeds *limit*.
+    unbounded or the joint domain exceeds *limit* (checked before any
+    sweeping, so the pairs decided here depend on the size alone).
+
+    The sweep is a branch-and-bound over the dimensions.  Every domain is
+    a non-empty integer range, so the values a subtree can still reach
+    after fixing the first ``k`` dimensions form a set whose least and
+    greatest members are ``acc + rest_lo[k]`` and ``acc + rest_hi[k]``.
+    A subtree whose whole interval misses the window holds only
+    non-overlapping points (``always`` becomes False); one whose whole
+    interval lies inside holds only overlapping points (``can`` becomes
+    True).  Either way the subtree can add nothing else, so skipping it
+    keeps the result exact.  Once ``can and not always`` the answer is
+    MAY whatever remains, and the sweep stops.
     """
     dims = []
     size = 1
@@ -197,20 +209,34 @@ def _enumerate_joint(
         if size > limit:
             return None
 
+    # rest_lo[k] / rest_hi[k]: least / greatest sum dimensions k.. can add.
+    n = len(dims)
+    rest_lo = [0] * (n + 1)
+    rest_hi = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        coeff, domain = dims[k]
+        first = coeff * domain[0]
+        last = coeff * domain[-1]
+        rest_lo[k] = rest_lo[k + 1] + min(first, last)
+        rest_hi[k] = rest_hi[k + 1] + max(first, last)
+
     can = False
     always = True
 
     def rec(k: int, acc: int) -> None:
         nonlocal can, always
-        if k == len(dims):
-            if wlo <= acc <= whi:
-                can = True
-            else:
-                always = False
+        if acc + rest_hi[k] < wlo or acc + rest_lo[k] > whi:
+            always = False  # no point below overlaps
             return
+        if wlo <= acc + rest_lo[k] and acc + rest_hi[k] <= whi:
+            can = True  # every point below overlaps
+            return
+        # Straddles the window, so k < n (a leaf is a single point).
         coeff, domain = dims[k]
         for v in domain:
             rec(k + 1, acc + coeff * v)
+            if can and not always:
+                return
 
     rec(0, diff.const)
     return can, always

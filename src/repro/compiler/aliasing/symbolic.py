@@ -79,8 +79,10 @@ def _gcd_hits_window(diff: AffineExpr, wlo: int, whi: int) -> bool:
     # Window clipped to the reachable interval.
     wlo = max(wlo, lo)
     whi = min(whi, hi)
-    # Does any value == const (mod g) fall in [wlo, whi]?
-    first = diff.const + math.ceil((wlo - diff.const) / g) * g
+    # Does any value == const (mod g) fall in [wlo, whi]?  The first
+    # lattice point >= wlo, in exact integer arithmetic: a float ceil
+    # rounds the wrong way once offsets pass 2**53.
+    first = diff.const - ((diff.const - wlo) // g) * g
     return first <= whi
 
 
@@ -88,6 +90,14 @@ def _enumerate(diff: AffineExpr, wlo: int, whi: int, limit: int) -> Optional[Tup
     """Exact (can_overlap, always_overlaps) by sweeping the joint domain.
 
     Returns ``None`` when the domain is larger than *limit*.
+
+    The sweep skips every subtree it can decide whole.  With the first
+    ``k`` induction variables fixed, the remaining ones add between
+    ``span_lo[k]`` and ``span_hi[k]`` (each trip range is non-empty, so
+    both ends are reached): if that interval misses the window no point
+    below overlaps, if it lies inside every point does.  When one point
+    overlaps and another does not, the answer is settled and the sweep
+    ends.
     """
     ivars = diff.ivars
     size = 1
@@ -95,21 +105,32 @@ def _enumerate(diff: AffineExpr, wlo: int, whi: int, limit: int) -> Optional[Tup
         size *= iv.trip_count
         if size > limit:
             return None
+    terms = diff.iv_terms
+    span_lo = [0] * (len(terms) + 1)
+    span_hi = [0] * (len(terms) + 1)
+    for k in reversed(range(len(terms))):
+        iv, coeff = terms[k]
+        span = coeff * (iv.trip_count - 1)
+        span_lo[k] = span_lo[k + 1] + min(span, 0)
+        span_hi[k] = span_hi[k + 1] + max(span, 0)
     can = False
     always = True
-    values = [0] * len(ivars)
 
     def rec(k: int, acc: int) -> None:
         nonlocal can, always
-        if k == len(ivars):
-            if wlo <= acc <= whi:
-                can = True
-            else:
-                always = False
+        lo = acc + span_lo[k]
+        hi = acc + span_hi[k]
+        if hi < wlo or lo > whi:
+            always = False
             return
-        iv, coeff = diff.iv_terms[k]
+        if wlo <= lo and hi <= whi:
+            can = True
+            return
+        iv, coeff = terms[k]
         for v in iv.domain:
             rec(k + 1, acc + coeff * v)
+            if can and not always:
+                return
 
     rec(0, diff.const)
     return can, always

@@ -208,6 +208,26 @@ class AffineExpr:
     # Arithmetic
     # ------------------------------------------------------------------
     def _combine(self, other: "AffineExpr", sign: int) -> "AffineExpr":
+        if (
+            len(self.iv_terms) == 1 == len(other.iv_terms)
+            and not self.sym_terms
+            and not other.sym_terms
+        ):
+            # The dominant shape (one IV a side, no symbols), built
+            # directly: the same terms the general path below yields,
+            # without its dicts, sort and re-normalisation.
+            ((iv_a, ca),) = self.iv_terms
+            ((iv_b, cb),) = other.iv_terms
+            cb *= sign
+            if iv_a == iv_b:
+                terms: Tuple[Tuple[IVar, int], ...] = ((iv_a, ca + cb),)
+            elif iv_b.name < iv_a.name:
+                terms = ((iv_b, cb), (iv_a, ca))
+            else:
+                terms = ((iv_a, ca), (iv_b, cb))
+            return AffineExpr(
+                tuple(t for t in terms if t[1]), (), self.const + sign * other.const
+            )
         ivs: Dict[IVar, int] = dict(self.iv_terms)
         for iv, c in other.iv_terms:
             ivs[iv] = ivs.get(iv, 0) + sign * c

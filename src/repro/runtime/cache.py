@@ -28,7 +28,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 _MISS = object()
 
@@ -100,6 +100,31 @@ def sweep_stale_tmp(
             except OSError:
                 pass
     return removed
+
+
+#: Roots of the stores this process has swept through
+#: :func:`sweep_stale_tmp_once`.
+_swept_roots: Set[Path] = set()
+
+
+def sweep_stale_tmp_once(root: Path) -> int:
+    """:func:`sweep_stale_tmp` of *root*, the first time this process asks.
+
+    Only a writer that died mid-put leaves an orphan, so one walk per
+    process and root reclaims everything left before it; a caller that
+    kills a writer calls :func:`forget_swept_roots` so the next call
+    walks again.  Returns how many files were removed (0 when skipped).
+    """
+    root = Path(root)
+    if root in _swept_roots:
+        return 0
+    _swept_roots.add(root)
+    return sweep_stale_tmp(root)
+
+
+def forget_swept_roots() -> None:
+    """Make the next :func:`sweep_stale_tmp_once` of every root walk it."""
+    _swept_roots.clear()
 
 
 def default_cache_dir() -> Path:

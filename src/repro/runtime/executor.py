@@ -294,11 +294,14 @@ def _spawn_worker(ctx) -> _Worker:
 
 
 def _kill_worker(worker: _Worker) -> None:
+    from repro.runtime.cache import forget_swept_roots
+
     try:
         worker.proc.kill()
     except (OSError, AttributeError):
         pass
     worker.proc.join(timeout=5)
+    forget_swept_roots()  # it may have died mid-put
     try:
         worker.conn.close()
     except OSError:
@@ -321,13 +324,7 @@ class _Supervision:
         self.policy = policy
         self.checkpoint = checkpoint
         self.profile = get_profile()
-        # Reclaim tmp debris from earlier runs killed mid-put (ours or a
-        # previous process's); live writers are spared by pid check.
-        from repro.runtime.cache import get_cache
-
-        get_cache().sweep_stale()
-        if checkpoint is not None:
-            checkpoint.sweep_stale()
+        self.sweep_stale()
         self.sched = RetryScheduler(len(tasks), policy)
         self.results: List[Optional[Any]] = [None] * len(tasks)
         self.failures: List[TaskFailure] = []
@@ -343,6 +340,17 @@ class _Supervision:
                     self.checkpoint_hits += 1
             if self.profile.enabled and self.checkpoint_hits:
                 self.profile.record_checkpoint_hits(self.checkpoint_hits)
+
+    def sweep_stale(self) -> None:
+        """Reclaim tmp debris from writers killed mid-put (live writers
+        are spared by pid check).  Each store is walked once per process
+        and again after the pool kills a worker, the only way a batch can
+        leave an orphan (see :func:`~repro.runtime.cache.sweep_stale_tmp_once`)."""
+        from repro.runtime.cache import get_cache, sweep_stale_tmp_once
+
+        sweep_stale_tmp_once(get_cache().root)
+        if self.checkpoint is not None:
+            sweep_stale_tmp_once(self.checkpoint.root)
 
     def complete(
         self,
@@ -615,6 +623,7 @@ def _run_pool(
                     worker.conn.close()
                 except OSError:
                     pass
+    sup.sweep_stale()  # walks again only if a worker was killed
     if profile.enabled:
         profile.record_sweep(
             len(tasks), jobs, time.perf_counter() - wall0,

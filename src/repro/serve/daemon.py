@@ -169,16 +169,17 @@ class NachosServeDaemon:
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        from repro.runtime.cache import get_cache
+        from repro.runtime.cache import get_cache, sweep_stale_tmp_once
         from repro.runtime.checkpoint import get_checkpoint
 
         # Reclaim crash debris (tmp files from previously killed
         # writers) before taking traffic — the durability layer is hot
         # 24/7 under this daemon, so boot is the natural sweep point.
-        get_cache().sweep_stale()
+        # Batches then walk a store again only after a worker kill.
+        sweep_stale_tmp_once(get_cache().root)
         checkpoint = get_checkpoint()
         if checkpoint is not None:
-            checkpoint.sweep_stale()
+            sweep_stale_tmp_once(checkpoint.root)
 
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.cgra.placement import place_region
@@ -39,6 +41,30 @@ def _isolated_result_cache(tmp_path_factory):
 
     configure_cache(root=tmp_path_factory.mktemp("nachos-cache"), enabled=True)
     yield
+
+
+@pytest.fixture
+def sweep_calls():
+    """``sweep_calls(fn, *args)``: ``fn(*args)`` plus how many subtree
+    visits (calls of a nested function named ``rec``) it made, i.e. the
+    size of an enumerator's branch-and-bound sweep."""
+
+    def run(fn, *args):
+        calls = 0
+
+        def profiler(frame, event, _arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "rec":
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+        return result, calls
+
+    return run
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Unit tests for symbolic address expressions."""
 
+import random
+
 import pytest
 
 from repro.ir.address import (
@@ -150,6 +152,33 @@ class TestAffineExpr:
     def test_equality_is_structural(self):
         iv = IVar("i", 8)
         assert AffineExpr.of(const=1, ivs={iv: 8}) == AffineExpr.of(const=1, ivs={iv: 8})
+
+    def test_combine_matches_term_merge(self):
+        # Sums and differences equal a dict merge re-normalised by ``of``,
+        # term order included, for every operand shape (the one-IV
+        # shapes take a direct path).
+        rng = random.Random(210)
+        ivs = [IVar("a", 4), IVar("b", 8), IVar("b", 3), IVar("c", 2)]
+        syms = [Sym("s"), Sym("t", lo=0, hi=3)]
+
+        def expr():
+            return AffineExpr.of(
+                const=rng.randint(-9, 9),
+                ivs={rng.choice(ivs): rng.randint(-3, 3) for _ in range(rng.randint(0, 2))},
+                syms={rng.choice(syms): rng.randint(-3, 3) for _ in range(rng.choice((0, 0, 1)))},
+            )
+
+        for _ in range(3000):
+            x, y = expr(), expr()
+            for sign, got in ((1, x + y), (-1, x - y)):
+                merged_ivs = dict(x.iv_terms)
+                for iv, c in y.iv_terms:
+                    merged_ivs[iv] = merged_ivs.get(iv, 0) + sign * c
+                merged_syms = dict(x.sym_terms)
+                for s, c in y.sym_terms:
+                    merged_syms[s] = merged_syms.get(s, 0) + sign * c
+                want = AffineExpr.of(x.const + sign * y.const, merged_ivs, merged_syms)
+                assert got == want and got.iv_terms == want.iv_terms, (x, y, sign)
 
 
 class TestAddressExpr:

@@ -11,12 +11,16 @@ each of those wake-ups plus the absence of a busy-wait.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.obs import metrics_from_profile
 from repro.obs.profile import disable_profiling, enable_profiling, reset_profile
+from repro.runtime import cache as cache_module
 from repro.runtime import executor
 from repro.runtime.chaos import set_chaos
 from repro.runtime.executor import SimTask, run_tasks_detailed
@@ -126,3 +130,43 @@ def test_sweep_record_carries_supervisor_cpu(stub_pool, profiled, jobs):
     registry = metrics_from_profile(profiled)
     gauge = registry.gauge("sweep.supervisor_cpu_seconds")
     assert gauge.value == sweep.supervisor_cpu_seconds
+
+
+def test_stale_tmp_walk_once_per_process_and_after_a_kill(
+    stub_pool, monkeypatch, tmp_path
+):
+    # Walking a store for orphaned ``*.tmp`` files is an rglob over the
+    # whole tree, and only a killed writer leaves one: every batch after
+    # the first skips the walk until the pool kills a worker.
+    walks = []
+    real_sweep = cache_module.sweep_stale_tmp
+
+    def counting_sweep(root, *args, **kwargs):
+        walks.append(Path(root))
+        return real_sweep(root, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "sweep_stale_tmp", counting_sweep)
+    monkeypatch.setattr(cache_module, "_swept_roots", set())
+    root = cache_module.get_cache().root
+    for _ in range(2):
+        outcome = run_tasks_detailed(
+            [_task(sleep=0.01) for _ in range(2)], jobs=2, policy=RetryPolicy()
+        )
+        assert outcome.ok
+    assert walks == [root]
+
+    # An orphan from a dead writer, then a batch whose hung attempt is
+    # SIGKILLed at its deadline: the pool walks the store again.
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    orphan = root / f".put-{proc.pid}-x.tmp"
+    orphan.write_bytes(b"orphan")
+    policy = RetryPolicy(timeout=0.5, max_retries=1, backoff_base=0.01)
+    outcome = run_tasks_detailed(
+        [_task(marker=str(tmp_path / "hang-once"), first="hang"), _task(sleep=0.01)],
+        jobs=2,
+        policy=policy,
+    )
+    assert outcome.ok and outcome.retries == 1
+    assert walks == [root, root]
+    assert not orphan.exists()

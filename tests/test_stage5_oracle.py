@@ -15,6 +15,7 @@ cancellation, TBAA, heaplet separation, and the interval MUST path.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,12 +24,14 @@ from repro.compiler.aliasing.stage5 import (
     OracleVerdict,
     Stage5Stats,
     ValueSet,
+    _enumerate_joint,
     oracle_verdict,
     refine_stage5,
     separation_verdict,
     value_set,
 )
 from repro.compiler.aliasing.stage1 import analyze_stage1
+from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
 from repro.compiler.labels import AliasLabel
 from repro.ir import RegionBuilder
 from repro.ir.address import AddressExpr, AffineExpr, IVar, MemObject, PointerParam, Sym
@@ -293,6 +296,123 @@ class TestHeapletsAndAxioms:
         b = AddressExpr(obj, AffineExpr.constant(0), 8)
         v = separation_verdict(a, b, enumeration_limit=1)
         assert v.label is AliasLabel.MUST and v.decided_by == "interval"
+
+
+def _joint_truth(diff: AffineExpr, wlo: int, whi: int):
+    """Brute-force ``(can, always)`` of *diff* against ``[wlo, whi]``."""
+    names_domains = _variables(diff)
+    can, always = False, True
+    for values in itertools.product(*(d for _n, d in names_domains)):
+        value = diff.evaluate(dict(zip((n for n, _d in names_domains), values)))
+        if wlo <= value <= whi:
+            can = True
+        else:
+            always = False
+    return can, always
+
+
+def _domain_size(diff: AffineExpr) -> int:
+    return math.prod(len(d) for _n, d in _variables(diff))
+
+
+class TestJointSweepPruning:
+    """The pruned joint-domain sweep against ``itertools.product``.
+
+    Larger domains than the footprint corpus above (trip counts 8-64,
+    bounded symbols of mixed sign, windows from one byte to wider than
+    the whole value span), so that both prune branches and the early
+    exit decide real subtrees.
+    """
+
+    SEED = 5150
+    CASES = 300
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(self.SEED)
+        out = []
+        while len(out) < self.CASES:
+            ivs = {
+                IVar(f"i{k}", rng.randint(8, 64)): rng.choice((-1, 1)) * rng.randint(1, 24)
+                for k in range(rng.randint(1, 2))
+            }
+            syms = {}
+            for k in range(rng.randint(0, 2)):
+                lo = rng.randint(-12, 4)
+                syms[Sym(f"s{k}", lo=lo, hi=lo + rng.randint(0, 12))] = (
+                    rng.choice((-1, 1)) * rng.randint(1, 16)
+                )
+            diff = AffineExpr.of(const=rng.randint(-600, 600), ivs=ivs, syms=syms)
+            if _domain_size(diff) > 20000:
+                continue  # keep the brute force quick
+            lo, hi = value_set(diff).lo, value_set(diff).hi
+            span = hi - lo
+            kind = rng.randrange(5)
+            if kind == 4:  # edges within one of the span's ends
+                wlo, whi = lo + rng.randint(-1, 1), hi + rng.randint(-1, 1)
+            elif kind == 0:  # an access-sized window
+                wlo, whi = -rng.randint(0, 8), rng.randint(0, 8)
+            elif kind == 1:  # wider than the whole value span
+                wlo = lo - rng.randint(0, 50)
+                whi = hi + rng.randint(0, 50)
+            elif kind == 2:  # a window cutting the span
+                wlo = rng.randint(lo, hi)
+                whi = wlo + rng.randint(0, span)
+            else:  # clear of the span
+                wlo = hi + rng.randint(1, 50)
+                whi = wlo + rng.randint(0, 50)
+            out.append((diff, wlo, whi))
+        return out
+
+    def test_matches_brute_force(self, cases):
+        outcomes = set()
+        for diff, wlo, whi in cases:
+            got = _enumerate_joint(diff, wlo, whi, DEFAULT_ENUMERATION_LIMIT)
+            assert got == _joint_truth(diff, wlo, whi), (diff, wlo, whi)
+            outcomes.add(got)
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_every_shortcut_decides_real_subtrees(self, cases, sweep_calls):
+        # For each outcome, some case was decided in fewer subtree visits
+        # than the domain has points: the outside prune (NO), the inside
+        # prune (MUST) and the early exit (MAY) all fire.
+        short = set()
+        for diff, wlo, whi in cases:
+            got, calls = sweep_calls(
+                _enumerate_joint, diff, wlo, whi, DEFAULT_ENUMERATION_LIMIT
+            )
+            if calls < _domain_size(diff):
+                short.add(got)
+        assert short == {(False, False), (True, False), (True, True)}
+
+    def test_early_exit_stops_mid_dimension(self, sweep_calls):
+        # -32 + i over 64 trips against [-7, 7]: i = 0 misses, i = 25 hits,
+        # and the sweep stops there instead of visiting i = 26..63.
+        diff = AffineExpr.of(const=-32, ivs={IVar("i", 64): 1})
+        got, calls = sweep_calls(_enumerate_joint, diff, -7, 7, 1 << 16)
+        assert got == (True, False)
+        assert calls == 1 + 26
+
+    @pytest.mark.parametrize(
+        "const, expected", [(0, (True, True)), (10**6, (False, False))]
+    )
+    def test_full_size_domain_decided_without_sweep(self, const, expected, sweep_calls):
+        # 256 x 256 = 65,536 points, exactly the enumeration limit; the
+        # whole value span lies inside (or clear of) the window, so the
+        # root's bounds decide it in one visit.
+        diff = AffineExpr.of(
+            const=const, ivs={IVar("i", 256): 3}, syms={Sym("s", lo=-128, hi=127): -2}
+        )
+        assert _domain_size(diff) == DEFAULT_ENUMERATION_LIMIT
+        got, calls = sweep_calls(_enumerate_joint, diff, -2000, 2000, DEFAULT_ENUMERATION_LIMIT)
+        assert got == expected
+        assert calls == 1
+
+    def test_limit_checked_before_sweeping(self, sweep_calls):
+        # One point past the limit is refused whatever the bounds say.
+        diff = AffineExpr.of(ivs={IVar("i", 256): 1}, syms={Sym("s", lo=0, hi=256): 1})
+        got, calls = sweep_calls(_enumerate_joint, diff, -(10**6), 10**6, 256 * 256)
+        assert got is None and calls == 0
 
 
 class TestValueSet:
