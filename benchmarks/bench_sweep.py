@@ -39,17 +39,16 @@ the trend dashboard.  All wall times here and in the child CLI come
 from ``time.perf_counter()`` (one monotonic clock source end to end);
 CPU times are ``os.times()`` children deltas.
 
-``--engine-compare`` adds one cold run per fast mode on a fresh cache
-(``NACHOS_ENGINE=fast`` — template replay — and ``NACHOS_ENGINE=
-fast-vector`` — batch invocation replay) and pins the main cold/warm
-runs to the reference engine.  Every mode's output must be
-byte-identical — the engines are bit-exact by contract — and the
-report gains an ``engine_compare`` section with per-mode wall and CPU
-times plus ``fast_speedup_vs_reference`` /
-``fast_vector_speedup_vs_reference``.  ``--min-vector-speedup FLOOR``
-turns the latter into a CI gate: the run fails if the fast-vector
-engine's cold-sweep speedup over the reference engine drops below the
-committed floor.
+The report's ``engine`` field names the mode the main cold/warm runs
+resolved to (``$NACHOS_ENGINE``, else the default rule), and the
+ledger record files the run under it.
+
+``--engine-compare`` adds one cold run of the fast engine on a fresh
+cache (``NACHOS_ENGINE=fast``) and pins the main cold/warm runs to the
+reference engine.  Both outputs must be byte-identical — the engines
+are bit-exact by contract — and the report gains an ``engine_compare``
+section with per-mode wall and CPU times plus
+``fast_speedup_vs_reference``.
 """
 
 from __future__ import annotations
@@ -238,17 +237,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine-compare",
         action="store_true",
-        help="also run cold under NACHOS_ENGINE=fast and fast-vector on "
-        "fresh caches; outputs must match the reference cold run "
-        "byte-for-byte",
-    )
-    parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=None,
-        metavar="FLOOR",
-        help="with --engine-compare: fail if the fast-vector cold-sweep "
-        "speedup over the reference engine drops below FLOOR",
+        help="pin the main runs to NACHOS_ENGINE=reference and also run "
+        "cold under NACHOS_ENGINE=fast on a fresh cache; outputs must "
+        "match byte-for-byte",
     )
     parser.add_argument(
         "--ledger",
@@ -308,35 +299,34 @@ def main(argv=None) -> int:
 
         engine_runs = {}
         if args.engine_compare:
-            for mode in ("fast", "fast-vector"):
-                # Fresh cache per mode: sim keys differ by design, but a
-                # shared cache would still serve compile/placement
-                # entries, making the cold times incomparable.
-                mode_cache = Path(tempfile.mkdtemp(prefix="nachos-bench-eng-"))
-                try:
-                    mode_env = _child_env(mode_cache, args.jobs)
-                    mode_env["NACHOS_ENGINE"] = mode
-                    print(
-                        f"[engine-compare run: NACHOS_ENGINE={mode}, "
-                        f"fresh cache]"
-                    )
-                    mode_s, mode_cpu, mode_out = _timed_run(cmd, mode_env)
-                    print(
-                        f"[{mode} cold: {mode_s:.1f}s wall, "
-                        f"{mode_cpu:.1f}s cpu]"
-                    )
-                    engine_runs[mode] = (
-                        mode_s,
-                        mode_cpu,
-                        _strip_timing(mode_out) == _strip_timing(cold_out),
-                    )
-                finally:
-                    shutil.rmtree(mode_cache, ignore_errors=True)
+            # Fresh cache: sim keys differ by design, but a shared cache
+            # would still serve compile/placement entries, making the
+            # cold times incomparable.
+            mode_cache = Path(tempfile.mkdtemp(prefix="nachos-bench-eng-"))
+            try:
+                mode_env = _child_env(mode_cache, args.jobs)
+                mode_env["NACHOS_ENGINE"] = "fast"
+                print("[engine-compare run: NACHOS_ENGINE=fast, fresh cache]")
+                mode_s, mode_cpu, mode_out = _timed_run(cmd, mode_env)
+                print(f"[fast cold: {mode_s:.1f}s wall, {mode_cpu:.1f}s cpu]")
+                engine_runs["fast"] = (
+                    mode_s,
+                    mode_cpu,
+                    _strip_timing(mode_out) == _strip_timing(cold_out),
+                )
+            finally:
+                shutil.rmtree(mode_cache, ignore_errors=True)
 
         stats = _cache_stats(cache_dir)
+        # _cache_stats put src/ on sys.path for this import.
+        from repro.sim.factory import resolve_engine_mode
+
         report = {
             "mode": "quick" if args.quick else "full",
             "jobs": args.jobs,
+            # The children see *env*; with no mode named there, the
+            # default rule picks the engine, as it does here.
+            "engine": env.get("NACHOS_ENGINE") or resolve_engine_mode(),
             "seed_serial_seconds": None if args.quick else SEED_SERIAL_SECONDS,
             "cold_seconds": round(cold_s, 2),
             "warm_seconds": round(warm_s, 2),
@@ -359,17 +349,13 @@ def main(argv=None) -> int:
             report["outputs_identical_chaos_vs_cold"] = chaos_identical
         if args.engine_compare:
             fast_s, fast_cpu, fast_ok = engine_runs["fast"]
-            vec_s, vec_cpu, vec_ok = engine_runs["fast-vector"]
             report["engine_compare"] = {
                 "reference_cold_seconds": round(cold_s, 2),
                 "reference_cpu_seconds": round(cold_cpu, 2),
                 "fast_cold_seconds": round(fast_s, 2),
                 "fast_cpu_seconds": round(fast_cpu, 2),
                 "fast_speedup_vs_reference": round(cold_s / fast_s, 3),
-                "fast_vector_cold_seconds": round(vec_s, 2),
-                "fast_vector_cpu_seconds": round(vec_cpu, 2),
-                "fast_vector_speedup_vs_reference": round(cold_s / vec_s, 3),
-                "outputs_identical": fast_ok and vec_ok,
+                "outputs_identical": fast_ok,
             }
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
@@ -404,22 +390,6 @@ def main(argv=None) -> int:
                     f"({mode_s:.1f}s vs {cold_s:.1f}s reference)]",
                     file=sys.stderr,
                 )
-        if args.engine_compare and args.min_vector_speedup is not None:
-            speedup = report["engine_compare"][
-                "fast_vector_speedup_vs_reference"
-            ]
-            verdict = "ok" if speedup >= args.min_vector_speedup else "FAIL"
-            print(
-                f"[vector-speedup gate: {speedup:.2f}x vs floor "
-                f"{args.min_vector_speedup:.2f}x -> {verdict}]"
-            )
-            if verdict == "FAIL":
-                print(
-                    "FAIL: fast-vector cold-sweep speedup regressed "
-                    "below the committed floor",
-                    file=sys.stderr,
-                )
-                return 1
         if not args.quick and SEED_SERIAL_SECONDS / warm_s < 3.0:
             print("FAIL: warm sweep is not >= 3x the seed baseline", file=sys.stderr)
             return 1

@@ -27,17 +27,17 @@ Usage::
     nachos-repro verify --fuzz 200 --seed 0
                                        # differential alias fuzzing over
                                        # all five backends + sanitizer
-    nachos-repro verify --fuzz 200 --engines all
-                                       # + reference/fast/fast-vector
-                                       # engine equivalence cross-check
+    nachos-repro verify --fuzz 200 --engines both
+                                       # + reference/fast engine
+                                       # equivalence cross-check
     nachos-repro verify --fuzz 200 --oracle --coverage
                                        # + static cross-checks: stage
                                        # verdicts vs the stage-5 oracle,
                                        # MDE sync coverage per region
     nachos-repro verify --repro fuzz-repros/fuzz-0-41-nachos.json
                                        # rerun a shrunken failure
-    nachos-repro fig11 --engine fast-vector
-                                       # batch-replaying vector engine
+    nachos-repro fig11 --engine reference
+                                       # per-event reference engine
                                        # (bit-exact, separate cache keys)
     nachos-repro profile fig11         # per-stage/per-region wall time,
                                        # cache telemetry, worker usage
@@ -70,6 +70,7 @@ from repro.runtime.checkpoint import configure_checkpoint, get_checkpoint
 from repro.runtime.executor import get_policy, set_jobs, set_policy
 from repro.runtime.fingerprint import CACHE_SCHEMA
 from repro.runtime.retry import SweepError
+from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
 
 from repro.experiments import (
     allpaths,
@@ -214,13 +215,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["reference", "fast", "fast-vector"],
+        choices=ENGINE_MODES,
         default=None,
-        help="execution engine: 'reference' (per-event heapq loop), "
-        "'fast' (invocation schedule templates), or 'fast-vector' "
-        "(templates + NumPy batch value pass + guarded invocation "
-        "replay); both fast modes are bit-exact — see "
-        "docs/simulation.md.  Default $NACHOS_ENGINE or 'reference'.",
+        help="execution engine: 'reference' (per-event heapq loop) or "
+        "'fast' (invocation schedule templates, bit-exact — see "
+        "docs/simulation.md).  Default $NACHOS_ENGINE, else the fastest "
+        "engine that can serve the run ('fast' unless tracing or link "
+        "contention needs 'reference').",
     )
     parser.add_argument(
         "--metrics",
@@ -312,11 +313,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engines",
-        choices=["reference", "both", "all"],
+        choices=["reference", "both"],
         default="reference",
         help="for 'verify': 'both' cross-checks each clean region between "
-        "the reference and fast engines, 'all' between reference, fast "
-        "and fast-vector (pickled SimResults must be byte-identical)",
+        "the reference and fast engines (pickled SimResults must be "
+        "byte-identical)",
     )
     parser.add_argument(
         "--repro",
@@ -539,30 +540,24 @@ def _resolve_ledger(args):
 
 
 def _append_run_ledger(path, stage_seconds, jobs=None) -> None:
-    """Append this run's profile (and fast-vector) telemetry to a ledger."""
+    """Append this run's profile telemetry to a ledger."""
     from repro.obs import (
         PerfLedger,
         capture_context,
         get_profile,
         record_from_profile,
-        record_from_vector,
     )
     from repro.runtime.executor import get_jobs
 
-    profile = get_profile()
     context = capture_context(
-        engine=os.environ.get("NACHOS_ENGINE", "reference"),
+        engine=resolve_engine_mode(),
         jobs=jobs if jobs is not None else get_jobs(),
     )
     ledger = PerfLedger(path)
     fp = ledger.append(
-        record_from_profile(profile, stage_seconds, context=context)
+        record_from_profile(get_profile(), stage_seconds, context=context)
     )
-    appended = [f"profile:{fp}"]
-    vector = record_from_vector(profile, context=context)
-    if vector is not None:
-        appended.append(f"vector:{ledger.append(vector)}")
-    print(f"[ledger {ledger.path}: appended {', '.join(appended)}]")
+    print(f"[ledger {ledger.path}: appended profile:{fp}]")
 
 
 def _perf_command(rest, args) -> int:
@@ -829,10 +824,9 @@ def _verify_command(args) -> int:
         return 2
     do_coverage = bool(args.coverage)
     systems = list(args.systems) if args.systems else sorted(FUZZ_BACKENDS)
-    engines_note = {
-        "both": " [engines: reference+fast]",
-        "all": " [engines: reference+fast+fast-vector]",
-    }.get(args.engines, "")
+    engines_note = ""
+    if args.engines == "both":
+        engines_note = " [engines: reference+fast]"
     static_note = "".join(
         f" [{name}]"
         for name, on in (("oracle", args.oracle), ("coverage", do_coverage))
@@ -970,23 +964,6 @@ def _profile_command(rest, args) -> int:
         for i, (pid, busy) in enumerate(sorted(workers.items())):
             print(f"  worker {i:<3} {busy:8.2f}s")
         print(f"  utilization: {100.0 * profile.utilization():.0f}%")
-
-    vectors = profile.vector_rollup()
-    if vectors:
-        print("\nfast-vector engine (per region, batch replay vs "
-              "per-event fallback):")
-        print(f"  {'region':<14} {'invocs':>7} {'replayed':>9} "
-              f"{'ops vec':>9} {'ops dyn':>9}  fallbacks")
-        for region in sorted(vectors):
-            v = vectors[region]
-            reasons = ", ".join(
-                f"{reason}={n}"
-                for reason, n in sorted(v["fallback_reasons"].items())
-            ) or "-"
-            print(
-                f"  {region:<14} {v['invocations']:>7} {v['replayed']:>9} "
-                f"{v['ops_vectorized']:>9} {v['ops_dynamic']:>9}  {reasons}"
-            )
 
     total = cache.hits + cache.misses
     if total:

@@ -51,7 +51,6 @@ from repro.obs.perf import (
     record_from_registries,
     record_from_serve,
     record_from_stage5,
-    record_from_vector,
 )
 from repro.obs.regress import (
     Budget,
@@ -107,7 +106,6 @@ __all__ = [
     "record_from_registries",
     "record_from_serve",
     "record_from_stage5",
-    "record_from_vector",
     "render_html",
     "render_markdown",
     "render_verdicts",

@@ -2,7 +2,7 @@
 
 Every instrumented entrypoint — ``benchmarks/bench_sweep.py``, the
 sweep profiler behind ``nachos-repro profile``/``--ledger``, the
-fast-vector batch/fallback rollup, the verify fuzz campaign, and
+verify fuzz campaign, and
 ``tools/approx_coverage.py --json`` — folds its numbers into a
 :class:`PerfRecord` and appends it to a :class:`PerfLedger`.  One
 ledger, one schema, every perf *and* correctness-campaign series side
@@ -130,7 +130,7 @@ def capture_context(
 class PerfRecord:
     """One ledger line: a named bag of numbers plus its provenance."""
 
-    source: str                       # "bench" | "profile" | "vector" | ...
+    source: str                       # "bench" | "profile" | "serve" | ...
     metrics: Dict[str, float]
     context: Dict[str, str] = field(default_factory=dict)
     schema: int = LEDGER_SCHEMA
@@ -241,7 +241,8 @@ def record_from_bench(
     Carries cold/warm wall, the warm speedup, the cache hit rate, the
     per-figure wall breakdown (``figure.<name>.wall_seconds``), and —
     when the report ran ``--engine-compare`` — per-mode wall+CPU and
-    the fast / fast-vector speedups.
+    the fast speedup.  The context's engine is the report's ``engine``
+    field (reports that predate it ran the old ``reference`` default).
     """
     metrics: Dict[str, float] = {}
     for key in (
@@ -261,7 +262,7 @@ def record_from_bench(
     for name, seconds in (report.get("per_figure_wall_seconds") or {}).items():
         metrics[f"figure.{name}.wall_seconds"] = float(seconds)
     ctx = context if context is not None else capture_context(
-        engine="reference",
+        engine=report.get("engine") or "reference",
         jobs=report.get("jobs"),
         mode=report.get("mode"),
     )
@@ -301,42 +302,6 @@ def record_from_profile(
         metrics[f"figure.{name}.wall_seconds"] = float(seconds)
     ctx = context if context is not None else capture_context()
     return PerfRecord(source="profile", metrics=metrics, context=ctx)
-
-
-def record_from_vector(
-    profile, context: Optional[Dict[str, str]] = None
-) -> Optional[PerfRecord]:
-    """Fold the fast-vector batch-vs-fallback rollup into a record.
-
-    Returns ``None`` when the run recorded no
-    :class:`~repro.obs.profile.VectorRecord` s (the engine never ran in
-    ``fast-vector`` mode), so callers can skip the append entirely.
-    """
-    rollup = profile.vector_rollup()
-    if not rollup:
-        return None
-    totals = {
-        "invocations": 0, "captured": 0, "replayed": 0,
-        "divergences": 0, "ops_vectorized": 0, "ops_dynamic": 0,
-    }
-    for entry in rollup.values():
-        for key in totals:
-            totals[key] += entry[key]
-    metrics: Dict[str, float] = {k: float(v) for k, v in totals.items()}
-    if totals["invocations"]:
-        metrics["replay_fraction"] = totals["replayed"] / totals["invocations"]
-    ops = totals["ops_vectorized"] + totals["ops_dynamic"]
-    if ops:
-        metrics["vectorized_op_fraction"] = totals["ops_vectorized"] / ops
-    for region, entry in rollup.items():
-        if entry["invocations"]:
-            metrics[f"region.{region}.replay_fraction"] = (
-                entry["replayed"] / entry["invocations"]
-            )
-    ctx = context if context is not None else capture_context(
-        engine="fast-vector"
-    )
-    return PerfRecord(source="vector", metrics=metrics, context=ctx)
 
 
 def record_from_coverage(
@@ -443,6 +408,8 @@ def record_from_serve(
     kill/rejoin phase timings — which the ``mode = "shards"`` budgets
     in ``perf_budgets.toml`` then gate.
     """
+    from repro.sim.factory import resolve_engine_mode
+
     metrics: Dict[str, float] = {}
     for key in (
         "requests", "concurrency", "wall_seconds", "qps",
@@ -464,7 +431,7 @@ def record_from_serve(
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[f"daemon.{name}"] = float(value)
     ctx = context if context is not None else capture_context(
-        engine=report.get("engine") or "reference",
+        engine=report.get("engine") or resolve_engine_mode(),
         jobs=report.get("jobs"),
         mode=report.get("mode"),
     )

@@ -1,7 +1,7 @@
 """Render the perf ledger as a static dashboard (markdown and HTML).
 
 ``nachos-repro perf report`` builds one trend table per record source
-(bench / profile / vector / coverage / verify), a worst-regressions
+(bench / profile / coverage / verify / serve ...), a worst-regressions
 callout fed by the budget checker, and a per-figure wall breakdown
 from the newest record that carries ``figure.*`` metrics.  Output is
 deterministic for a fixed ledger — no generation timestamps, sorted

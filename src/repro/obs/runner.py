@@ -103,8 +103,8 @@ def traced_run(
     hierarchy = MemoryHierarchy()
     backend = _backend_for(system, None)
     recorder = TimelineRecorder() if record_timeline else None
-    # make_engine falls back (loudly, EngineModeFallback) to the
-    # reference engine when $NACHOS_ENGINE=fast meets an enabled tracer.
+    # An enabled tracer gets the reference engine: silently under the
+    # default rule, loudly (EngineModeFallback) when fast was named.
     engine = make_engine(
         graph, placement, hierarchy, backend, recorder=recorder, tracer=tracer
     )

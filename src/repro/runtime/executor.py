@@ -235,15 +235,6 @@ def _worker_main(conn, parent_conn=None) -> None:
         if action == CHAOS_CORRUPT:
             conn.send_bytes(_CORRUPT_BYTES)
             continue
-        # Fork-context workers inherit the parent's enabled profile, so
-        # fast-vector engines record their batch/fallback telemetry into
-        # this process's collector; drain it into the envelope so the
-        # supervisor's rollup sees it (mirrors the cache hit counters).
-        profile = get_profile()
-        vectors = []
-        if profile.vectors:
-            vectors = list(profile.vectors)
-            profile.vectors.clear()
         conn.send(
             (
                 "ok",
@@ -253,7 +244,6 @@ def _worker_main(conn, parent_conn=None) -> None:
                 cache.misses - m0,
                 time.perf_counter() - t0,
                 os.getpid(),
-                vectors,
             )
         )
     try:
@@ -491,11 +481,9 @@ def _run_pool(
     workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
 
     def on_ok(worker: _Worker, msg: Tuple) -> None:
-        _, index, run, hits, misses, seconds, pid = msg[:7]
+        _, index, run, hits, misses, seconds, pid = msg
         cache.add_counts(hits, misses)
         sup.complete(index, run, hits, misses, seconds, pid)
-        if len(msg) > 7 and msg[7] and profile.enabled:
-            profile.vectors.extend(msg[7])
 
     def on_soft_failure(worker: _Worker, kind: str, message: str) -> None:
         # The worker survives (corrupt pickle / in-task exception).

@@ -28,8 +28,8 @@ from repro.ir.serialize import graph_to_dict
 #: a way that invalidates stored results.  Schema 3: simulation keys
 #: carry the resolved engine mode (reference vs fast), so cross-mode
 #: cache hits can never alias the differential equivalence checks.
-#: Schema 4: the ``fast-vector`` mode joined the mode set (its results
-#: must never alias either older mode's entries, and vice versa).
+#: Schema 4: a third engine mode (since removed) joined the mode set
+#: (its results must never alias either older mode's entries).
 #: Schema 5: the stage-5 separation-logic checker joined the pipeline
 #: (symbolic MAY pairs may now label NO/MUST, changing enforcement
 #: plans), graph payloads grew a sym-bounds table, and configs grew

@@ -78,6 +78,7 @@ from repro.serve.protocol import (
     run_payload,
     workload_for,
 )
+from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
 
 #: Ceiling on ``"wait": true`` long-polls, so a stuck request cannot pin
 #: a connection forever (the client can always re-poll).
@@ -149,6 +150,8 @@ class NachosServeDaemon:
         self.peer_tier: Optional[PeerTier] = None
         self.store = None  # type: Optional[Any]
         self._offers: set = set()  # in-flight write-through tasks
+        self._connections: set = set()  # open client StreamWriters
+        self._stopping = False
 
     @staticmethod
     def _resolve_policy(timeout, max_retries):
@@ -284,14 +287,31 @@ class NachosServeDaemon:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._offers:
             # Write-through offers are bounded by the peer timeout; let
             # them land (or fail) instead of destroying pending tasks.
             await asyncio.gather(*list(self._offers), return_exceptions=True)
         if self._server is not None:
+            # Stop accepting first, and let a connection accepted in
+            # this loop turn build its transport before the listener
+            # closes: on Python 3.11 a transport built after close()
+            # fails to attach and leaks its socket, and the client then
+            # waits on it.  Two turns: one for the accept, one for the
+            # transport it schedules.
+            for sock in self._server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            for _ in range(2):
+                await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Closing the listener leaves accepted connections open (a
+        # long-poll, say), and their sockets would outlive the loop
+        # with the client still waiting on them.  Hang up instead, so
+        # the client sees a disconnect and can go elsewhere.
+        for writer in list(self._connections):
+            writer.close()
         if self.batcher is not None:
             await self.batcher.stop()
         if self.socket_path:
@@ -437,7 +457,23 @@ class NachosServeDaemon:
                 break  # everything is running; nothing evictable
 
     # -- HTTP front -----------------------------------------------------
-    async def _client_connected(self, reader, writer) -> None:
+    def _client_connected(self, reader, writer):
+        # Not a coroutine function: asyncio calls this synchronously on
+        # accept, so stop() can hang up on a connection whose handler
+        # never got to run, and one accepted mid-stop is hung up here.
+        if self._stopping:
+            writer.close()
+            return None
+        self._connections.add(writer)
+        return self._serve_connection(reader, writer)
+
+    async def _serve_connection(self, reader, writer) -> None:
+        try:
+            await self._respond(reader, writer)
+        finally:
+            self._connections.discard(writer)
+
+    async def _respond(self, reader, writer) -> None:
         try:
             status, payload = await self._handle_one(reader)
         except (
@@ -757,7 +793,7 @@ class NachosServeDaemon:
                     if key != "type":
                         metrics[f"{name}.{key}"] = float(value)
         context = capture_context(
-            engine=os.environ.get("NACHOS_ENGINE", "reference"),
+            engine=resolve_engine_mode(),
             jobs=self.jobs,
             mode="daemon",
         )
@@ -802,7 +838,7 @@ def main(argv=None) -> int:
         help="bounded retries per task (default $NACHOS_MAX_RETRIES or 2)",
     )
     parser.add_argument(
-        "--engine", choices=["reference", "fast", "fast-vector"], default=None,
+        "--engine", choices=ENGINE_MODES, default=None,
         help="default engine mode (exported as $NACHOS_ENGINE so pool "
         "workers inherit it; per-request 'engine' overrides)",
     )

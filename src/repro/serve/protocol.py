@@ -19,7 +19,7 @@ Request JSON (``POST /submit``)::
     {"region": "bzip2" | "micro.gather" | "gather",
      "systems": ["nachos", "opt-lsq"],          # default: the 3 paper systems
      "invocations": 40,                          # default DEFAULT_INVOCATIONS
-     "engine": "reference"|"fast"|"fast-vector", # default: daemon's env
+     "engine": "reference" | "fast",             # default: daemon's mode
      "warm": true, "check": true,
      "wait": false}                              # long-poll until done
 
@@ -31,15 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
+
 #: Bump when the request/response JSON layout changes incompatibly.
 SERVE_SCHEMA = 1
 
 #: Hard cap on invocations per request — a service knob, not a physics
 #: one: a single huge request would head-of-line-block the shared pool.
 MAX_INVOCATIONS = 2000
-
-_ENGINE_MODES = ("reference", "fast", "fast-vector")
-
 
 class ProtocolError(ValueError):
     """A malformed or unsatisfiable request (HTTP 400)."""
@@ -148,8 +147,8 @@ def parse_request(payload: Any) -> ServeRequest:
     engine = payload.get("engine")
     if engine is not None:
         _require(
-            engine in _ENGINE_MODES,
-            f"unknown engine {engine!r}; expected one of {_ENGINE_MODES}",
+            engine in ENGINE_MODES,
+            f"unknown engine {engine!r}; expected one of {ENGINE_MODES}",
         )
 
     warm = payload.get("warm", True)
@@ -172,8 +171,6 @@ def parse_request(payload: Any) -> ServeRequest:
     # The task fingerprint is the checkpoint/cache lineage key; folding
     # in the *effective* engine mode keeps dedup honest when the daemon
     # itself runs under $NACHOS_ENGINE.
-    from repro.sim.factory import resolve_engine_mode
-
     effective_engine = engine or resolve_engine_mode(None)
     task_fps = tuple(
         combine(

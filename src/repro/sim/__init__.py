@@ -26,7 +26,6 @@ from repro.sim.factory import (
     resolve_engine_mode,
 )
 from repro.sim.fast import FastEngine
-from repro.sim.vector import VectorEngine
 from repro.sim.result import SimResult
 from repro.sim.oracle import golden_execute, GoldenResult
 from repro.sim.backends.lsq import LSQConfig, OptLSQBackend
@@ -62,6 +61,5 @@ __all__ = [
     "SimResult",
     "SpecLSQBackend",
     "SpecLSQConfig",
-    "VectorEngine",
     "golden_execute",
 ]

@@ -50,11 +50,6 @@ class SerialMemBackend(DisambiguationBackend):
         self._t0 = t0
         self._blocked_since.clear()
 
-    def replay_signature(self, addr_of):
-        # Program-order issue never reads an address: every invocation
-        # of a region schedules identically, so replay is always sound.
-        return ()
-
     # ------------------------------------------------------------------
     def on_addr_ready(self, op: Operation, t: int) -> None:
         self._addr_ready[op.op_id] = t

@@ -11,11 +11,11 @@ class EngineConfig:
     """Latencies that are properties of the fabric, not of a backend."""
 
     #: Execution-path selector: ``"reference"`` (the per-event heapq
-    #: loop), ``"fast"`` (invocation schedule templates + calendar
-    #: queue), ``"fast-vector"`` (templates plus the NumPy batch value
-    #: pass and guarded invocation replay) — the fast modes are
-    #: bit-exact by the differential equivalence suite — or ``None`` =
-    #: decide from ``$NACHOS_ENGINE`` (default reference).
+    #: loop) or ``"fast"`` (invocation schedule templates + calendar
+    #: queue; bit-exact by the differential equivalence suite), or
+    #: ``None`` = decide from ``$NACHOS_ENGINE``, else the fastest
+    #: engine that can serve the run (``fast`` unless link contention
+    #: or an enabled tracer needs the reference loop).
     #: See :func:`repro.sim.factory.make_engine`.
     mode: Optional[str] = None
     #: Cycles to hand a store's value straight to a forwarded load.

@@ -529,37 +529,6 @@ class DisambiguationBackend:
     def end_invocation(self) -> None:
         pass
 
-    # -- batched replay (fast-vector engine) ----------------------------
-    def replay_signature(self, addr_of: Dict[int, Tuple[int, int]]):
-        """Conservative key over every address-dependent decision.
-
-        The fast-vector engine (:mod:`repro.sim.vector`) replays a
-        captured invocation schedule only when this signature matches
-        the capture's.  The contract: for a fixed (graph, placement,
-        config) and fixed persistent backend state, two invocations
-        with equal signatures — and equal memory-hierarchy access
-        outcomes, which the engine verifies live — make *identical*
-        decisions (issue order, forwards, waits, verdicts, energy and
-        stat charges).  It must be a pure function of ``addr_of`` and
-        persistent cross-invocation state, evaluated before
-        ``begin_invocation``.  ``None`` (the default) means this
-        backend never supports batched replay.
-        """
-        return None
-
-    def replay_carryover(self):
-        """Opaque token for persistent state mutated last invocation.
-
-        Backends with cross-invocation state (e.g. SPEC-LSQ's store-set
-        predictor) return what the just-finished invocation changed, so
-        a replayed invocation can re-apply the same mutation via
-        :meth:`apply_carryover` without running.  ``None`` = stateless.
-        """
-        return None
-
-    def apply_carryover(self, token) -> None:
-        """Re-apply a :meth:`replay_carryover` token (replay path)."""
-
     # -- engine notifications -------------------------------------------
     def on_addr_ready(self, op: Operation, t: int) -> None:
         raise NotImplementedError

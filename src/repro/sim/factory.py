@@ -2,12 +2,10 @@
 
 One switch, three spellings, one precedence order::
 
-    EngineConfig(mode=...)   >   $NACHOS_ENGINE   >   "reference"
+    EngineConfig(mode=...)   >   $NACHOS_ENGINE   >   default rule
 
 ``reference`` is the per-event heapq engine (:class:`DataflowEngine`);
-``fast`` is the template-replaying engine (:class:`FastEngine`);
-``fast-vector`` adds the batch value pass and guarded invocation replay
-(:class:`~repro.sim.vector.VectorEngine`).  Both fast modes are proven
+``fast`` is the template-replaying engine (:class:`FastEngine`), proven
 bit-exact by ``tests/test_engine_equivalence.py``.  Every simulation
 entry point (``run_system``, ``traced_run``, the fuzzer's cross-check)
 builds engines through :func:`make_engine`, and the sweep cache key
@@ -15,9 +13,7 @@ includes the *resolved* mode — so a fast-mode result can never be
 served where a reference-mode result was requested (which would make
 the differential suite vacuous) and vice versa.
 
-Both fast modes refuse two combinations and fall back to the reference
-engine loudly (a :class:`EngineModeFallback` warning, so ``-W error``
-turns it fatal):
+The fast engine cannot serve two kinds of run:
 
 * an **enabled tracer** — the one-event-per-counter trace contract is
   defined against the reference event loop;
@@ -25,9 +21,11 @@ turns it fatal):
   across invocations, so static timing is not invocation-invariant and
   the schedule template would be wrong.
 
-``fast-vector`` additionally needs NumPy; without it the factory falls
-back to plain ``fast`` (same warning category) rather than dying — the
-scalar template path needs no third-party code.
+**Default rule.**  When no mode is named, the engine is the fastest one
+that can serve the run: ``fast``, or ``reference`` for those two kinds,
+silently.  A ``fast`` mode that *was* named but cannot be honoured falls
+back to the reference engine loudly (an :class:`EngineModeFallback`
+warning, so ``-W error`` turns it fatal).
 """
 
 from __future__ import annotations
@@ -40,26 +38,38 @@ from repro.sim.config import EngineConfig
 from repro.sim.engine import DataflowEngine
 from repro.sim.fast import FastEngine
 
-ENGINE_MODES = ("reference", "fast", "fast-vector")
+ENGINE_MODES = ("reference", "fast")
 
 
 class EngineModeFallback(UserWarning):
     """Fast mode was requested but unsupported for this run."""
 
 
-def resolve_engine_mode(config: Optional[EngineConfig] = None) -> str:
-    """The engine mode this process would run: config, env, or default."""
-    mode = (
-        (config.mode if config is not None else None)
-        or os.environ.get("NACHOS_ENGINE")
-        or "reference"
-    )
+def _check_mode(mode: str) -> str:
     if mode not in ENGINE_MODES:
         raise ValueError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES} "
             "(EngineConfig.mode or $NACHOS_ENGINE)"
         )
     return mode
+
+
+def _named_mode(config: Optional[EngineConfig]) -> Optional[str]:
+    """The mode the config or ``$NACHOS_ENGINE`` names, if any."""
+    mode = (config.mode if config is not None else None) or os.environ.get(
+        "NACHOS_ENGINE"
+    )
+    return _check_mode(mode) if mode else None
+
+
+def resolve_engine_mode(config: Optional[EngineConfig] = None) -> str:
+    """The engine mode this process would run: config, env, or default."""
+    named = _named_mode(config)
+    if named is not None:
+        return named
+    if config is not None and config.model_link_contention:
+        return "reference"
+    return "fast"
 
 
 def make_engine(
@@ -73,60 +83,33 @@ def make_engine(
     tracer=None,
     mode: Optional[str] = None,
 ) -> DataflowEngine:
-    """Build the engine the resolved mode calls for (with loud fallback).
+    """Build the engine the resolved mode calls for (see the default rule).
 
     ``mode`` overrides resolution — callers that already folded the
     resolved mode into a cache key pass it back in so the key and the
     engine can never disagree.
     """
-    resolved = mode if mode is not None else resolve_engine_mode(config)
-    if resolved not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {resolved!r}; expected one of {ENGINE_MODES}"
+    named = _check_mode(mode) if mode is not None else _named_mode(config)
+    reason = None
+    if tracer is not None and tracer.enabled:
+        reason = (
+            "event tracing is enabled (the one-event-per-counter trace "
+            "contract is defined against the reference event loop)"
         )
-    if resolved in ("fast", "fast-vector"):
-        reason = None
-        if tracer is not None and tracer.enabled:
-            reason = (
-                "event tracing is enabled (the one-event-per-counter trace "
-                "contract is defined against the reference event loop)"
-            )
-        elif config is not None and config.model_link_contention:
-            reason = (
-                "model_link_contention=True (mesh-link state persists "
-                "across invocations, so schedule templates would be wrong)"
-            )
-        if reason is None:
-            cls = FastEngine
-            if resolved == "fast-vector":
-                from repro.sim.vector import HAVE_NUMPY, VectorEngine
-
-                if HAVE_NUMPY:
-                    cls = VectorEngine
-                else:
-                    warnings.warn(
-                        "engine mode 'fast-vector' needs NumPy, which is "
-                        "unavailable; falling back to the fast engine",
-                        EngineModeFallback,
-                        stacklevel=2,
-                    )
-            return cls(
-                graph,
-                placement,
-                hierarchy,
-                backend,
-                energy=energy,
-                config=config,
-                recorder=recorder,
-                tracer=tracer,
-            )
+    elif config is not None and config.model_link_contention:
+        reason = (
+            "model_link_contention=True (mesh-link state persists "
+            "across invocations, so schedule templates would be wrong)"
+        )
+    cls = DataflowEngine if named == "reference" or reason else FastEngine
+    if named == "fast" and reason:
         warnings.warn(
-            f"engine mode {resolved!r} ignored: {reason}; "
+            f"engine mode 'fast' ignored: {reason}; "
             "falling back to the reference engine",
             EngineModeFallback,
             stacklevel=2,
         )
-    return DataflowEngine(
+    return cls(
         graph,
         placement,
         hierarchy,

@@ -42,9 +42,10 @@ What the template may *not* assume invalidates it: an enabled tracer
 (the one-event-per-counter contract needs the reference loop) and
 ``model_link_contention`` (mesh-link state is cross-invocation, so
 static timing is no longer invocation-invariant).  The factory
-(:func:`repro.sim.factory.make_engine`) falls back to the reference
-engine — loudly — in both cases; constructing :class:`FastEngine`
-directly with either raises.
+(:func:`repro.sim.factory.make_engine`) builds the reference engine
+instead in both cases — loudly when ``fast`` was named, silently under
+the default rule; constructing :class:`FastEngine` directly with either
+raises.
 """
 
 from __future__ import annotations

@@ -128,8 +128,7 @@ class FuzzFailure:
     oracle_ok: bool
     sanitizer: SanitizerReport
     shrunk_from: Optional[int] = None  # op count before shrinking
-    engine_divergence: bool = False    # reference vs fast-mode results differ
-    diverged_mode: Optional[str] = None  # which fast mode diverged
+    engine_divergence: bool = False    # reference vs fast results differ
     static_kind: Optional[str] = None    # "oracle" | "coverage"
     static_findings: Tuple[str, ...] = ()
     fault_seed: Optional[int] = None     # seeded stage-fault that was injected
@@ -147,8 +146,7 @@ class FuzzFailure:
         for finding in self.static_findings[:5]:
             parts.append(f"  {finding}")
         if self.engine_divergence:
-            mode = self.diverged_mode or "fast"
-            parts.append(f"  engine divergence: reference and {mode!r} "
+            parts.append("  engine divergence: reference and 'fast' "
                          "modes produced different SimResults")
         if self.static_kind is None and not self.oracle_ok:
             parts.append("  golden-model mismatch (wrong load value or "
@@ -350,36 +348,24 @@ def run_spec_result(spec: RegionSpec, system: str, mode: str) -> bytes:
     return pickle.dumps(engine.run(spec.env_dicts()))
 
 
-#: Fast engine modes cross-checked per ``engines`` selection.
-_ENGINES_UNDER_TEST = {
-    "reference": (),
-    "both": ("fast",),
-    "all": ("fast", "fast-vector"),
-}
+#: ``engines`` selections: the reference engine alone, or ``both`` —
+#: every clean pair cross-checked between the reference and fast engines.
+_ENGINE_SELECTIONS = ("reference", "both")
 
 
-def _modes_diverge(spec: RegionSpec, system: str, mode: str = "fast") -> bool:
-    """Shrink predicate: do reference and *mode* disagree on *spec*?"""
+def _engines_differ(spec: RegionSpec, system: str) -> bool:
+    """Do the reference and fast engines produce different SimResults?"""
+    return run_spec_result(spec, system, "reference") != run_spec_result(
+        spec, system, "fast"
+    )
+
+
+def _modes_diverge(spec: RegionSpec, system: str) -> bool:
+    """Shrink predicate: do reference and fast disagree on *spec*?"""
     try:
-        ref = run_spec_result(spec, system, "reference")
-        fast = run_spec_result(spec, system, mode)
+        return _engines_differ(spec, system)
     except Exception:
         return False  # a repro must diverge, not crash elsewhere
-    return ref != fast
-
-
-def _first_diverging_mode(
-    spec: RegionSpec, system: str, engines: str
-) -> Optional[str]:
-    """The first fast mode whose SimResult differs from reference's."""
-    modes = _ENGINES_UNDER_TEST[engines]
-    if not modes:
-        return None
-    ref = run_spec_result(spec, system, "reference")
-    for mode in modes:
-        if run_spec_result(spec, system, mode) != ref:
-            return mode
-    return None
 
 
 def check_spec(
@@ -393,16 +379,10 @@ def check_spec(
         if not oracle_ok or not report.ok:
             failures.append(FuzzFailure(spec, system, oracle_ok, report))
             continue
-        diverged = _first_diverging_mode(spec, system, engines)
-        if diverged is not None:
+        if engines == "both" and _engines_differ(spec, system):
             failures.append(
                 FuzzFailure(
-                    spec,
-                    system,
-                    oracle_ok,
-                    report,
-                    engine_divergence=True,
-                    diverged_mode=diverged,
+                    spec, system, oracle_ok, report, engine_divergence=True
                 )
             )
     return failures
@@ -647,11 +627,9 @@ def fuzz(
 
     ``engines="both"`` additionally cross-checks every clean
     (spec, system) pair between the reference and fast execution
-    engines — ``engines="all"`` adds fast-vector for a three-way
-    check — and the pickled SimResults must be byte-identical.  A
+    engines, and the pickled SimResults must be byte-identical.  A
     divergence is reported (and shrunk) like any other failure, with
-    :attr:`FuzzFailure.engine_divergence` set and
-    :attr:`FuzzFailure.diverged_mode` naming the mode that broke.
+    :attr:`FuzzFailure.engine_divergence` set.
 
     ``oracle=True`` cross-checks every stage-1..4 NO/MUST verdict of
     every region against the separation-logic oracle;
@@ -667,15 +645,15 @@ def fuzz(
             raise ValueError(
                 f"unknown system {s!r}; expected one of {sorted(BACKENDS)}"
             )
-    if engines not in _ENGINES_UNDER_TEST:
+    if engines not in _ENGINE_SELECTIONS:
         raise ValueError(
             f"unknown engines selection {engines!r}; "
-            f"expected one of {sorted(_ENGINES_UNDER_TEST)}"
+            f"expected one of {_ENGINE_SELECTIONS}"
         )
     if fault_seed is not None and not oracle:
         raise ValueError("fault_seed requires oracle=True")
     result = FuzzResult()
-    runs_per_pair = 1 + len(_ENGINES_UNDER_TEST[engines])
+    runs_per_pair = 2 if engines == "both" else 1
     for k in range(count):
         if progress is not None:
             progress(k, count)
@@ -742,17 +720,13 @@ def fuzz(
         for failure in check_spec(spec, systems, engines=engines):
             if shrink_failures and failure.engine_divergence:
                 n_before = len(failure.spec.ops)
-                mode = failure.diverged_mode or "fast"
                 small = shrink(
-                    failure.spec,
-                    failure.system,
-                    fails=lambda sp, sy: _modes_diverge(sp, sy, mode),
+                    failure.spec, failure.system, fails=_modes_diverge
                 )
                 failure = FuzzFailure(
                     small, failure.system, failure.oracle_ok,
                     failure.sanitizer, shrunk_from=n_before,
                     engine_divergence=True,
-                    diverged_mode=mode,
                 )
             elif shrink_failures:
                 n_before = len(failure.spec.ops)

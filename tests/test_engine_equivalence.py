@@ -1,11 +1,9 @@
-"""Differential equivalence suite: reference vs fast vs fast-vector.
+"""Differential equivalence suite: reference vs fast.
 
 The fast engine (:class:`repro.sim.fast.FastEngine`) replays invocation
 schedule templates instead of re-simulating the static compute subgraph
-event by event; the fast-vector engine
-(:class:`repro.sim.vector.VectorEngine`) adds the NumPy batch value
-pass and guarded invocation replay on top.  The contract for both is
-*byte-identity*: for any (region, backend, invocation stream),
+event by event.  The contract is *byte-identity*: for any (region,
+backend, invocation stream),
 ``pickle.dumps(SimResult)`` must equal the reference engine's — same
 cycles, load values, memory image, energy counts, cache stats, backend
 stats, everything.  This suite enforces that contract over three
@@ -20,8 +18,9 @@ corpora:
   too (a cross-mode cache hit would make this test vacuous — and
   schema'd keys make it fail instead).
 
-Plus the seams: mode resolution precedence, loud fallback, and the
-fuzzer's ``engines="both"`` cross-check wiring.
+Plus the seams: mode resolution precedence, the default rule, loud
+fallback for a named mode, and the fuzzer's ``engines="both"``
+cross-check wiring.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.sim import (
     make_engine,
     resolve_engine_mode,
 )
-from repro.sim.vector import VectorEngine
 from repro.verify.fuzz import fuzz, generate_spec, run_spec_result
 from repro.workloads.suite import benchmark_names
 
@@ -54,7 +52,7 @@ FUZZ_SPECS = 200
 FUZZ_CHUNK = 25
 
 #: Template-based modes checked against the reference engine.
-FAST_MODES = ("fast", "fast-vector")
+FAST_MODES = ("fast",)
 
 
 def _result_bytes(build_fn, backend_name, envs, mode):
@@ -114,13 +112,6 @@ def test_fuzz_engines_both_wiring():
     assert result.runs == 5 * len(BACKENDS) * 2
 
 
-def test_fuzz_engines_all_wiring():
-    """``fuzz(engines='all')`` triples the run count (3-way check)."""
-    result = fuzz(5, seed=3, engines="all", shrink_failures=False)
-    assert result.ok, [f.describe() for f in result.failures]
-    assert result.runs == 5 * len(BACKENDS) * 3
-
-
 def test_fuzz_engines_rejects_unknown():
     with pytest.raises(ValueError, match="engines"):
         fuzz(1, engines="fast")
@@ -167,25 +158,92 @@ def test_mode_precedence_config_beats_env(monkeypatch):
     assert resolve_engine_mode(EngineConfig(mode="reference")) == "reference"
     assert resolve_engine_mode(EngineConfig()) == "fast"
     monkeypatch.delenv("NACHOS_ENGINE")
-    assert resolve_engine_mode(EngineConfig()) == "reference"
-    assert resolve_engine_mode(None) == "reference"
+    assert resolve_engine_mode(EngineConfig()) == "fast"
+    assert resolve_engine_mode(None) == "fast"
+
+
+#: The batch-replay engine mode this package used to offer.
+RETIRED_MODE = "fast-" + "vector"
 
 
 def test_mode_rejects_unknown(monkeypatch):
     with pytest.raises(ValueError, match="unknown engine mode"):
         resolve_engine_mode(EngineConfig(mode="turbo"))
-    monkeypatch.setenv("NACHOS_ENGINE", "warp")
-    with pytest.raises(ValueError, match="unknown engine mode"):
-        resolve_engine_mode(None)
+    for env_mode in ("warp", RETIRED_MODE):
+        monkeypatch.setenv("NACHOS_ENGINE", env_mode)
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            resolve_engine_mode(None)
+        graph, placement, hierarchy, backend = _micro_engine_parts()
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            make_engine(graph, placement, hierarchy, backend)
+
+
+def test_default_rule_resolves_contention_to_reference(monkeypatch):
+    """With no mode named, link contention resolves (and keys) as
+    ``reference``; a named mode still wins."""
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    assert resolve_engine_mode(EngineConfig(model_link_contention=True)) == (
+        "reference"
+    )
+    monkeypatch.setenv("NACHOS_ENGINE", "fast")
+    assert resolve_engine_mode(EngineConfig(model_link_contention=True)) == (
+        "fast"
+    )
+
+
+def test_default_rule_builds_fast_engine(monkeypatch):
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    graph, placement, hierarchy, backend = _micro_engine_parts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng = make_engine(graph, placement, hierarchy, backend)
+    assert type(eng) is FastEngine
+
+
+def test_default_rule_tracer_builds_reference_silently(monkeypatch):
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    graph, placement, hierarchy, backend = _micro_engine_parts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng = make_engine(
+            graph, placement, hierarchy, backend, tracer=Tracer()
+        )
+    assert type(eng) is DataflowEngine
+
+
+def test_default_rule_link_contention_builds_reference_silently(monkeypatch):
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    graph, placement, hierarchy, backend = _micro_engine_parts()
+    cfg = EngineConfig(model_link_contention=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng = make_engine(graph, placement, hierarchy, backend, config=cfg)
+        # run_system passes the resolved mode back in: same engine.
+        keyed = make_engine(
+            *_micro_engine_parts(), config=cfg, mode=resolve_engine_mode(cfg)
+        )
+    assert type(eng) is DataflowEngine
+    assert type(keyed) is DataflowEngine
+
+
+def test_traced_run_default_raises_no_fallback(monkeypatch):
+    """``nachos-repro trace`` / ``traced_run`` under the default rule
+    runs the reference engine with no EngineModeFallback."""
+    from repro.obs.runner import traced_run
+    from repro.workloads.micro import build_micro
+
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = traced_run(build_micro("gather"), "nachos", invocations=2)
+    assert run.correct
+    assert run.tracer.events
 
 
 def test_make_engine_builds_requested_class():
     graph, placement, hierarchy, backend = _micro_engine_parts()
     eng = make_engine(graph, placement, hierarchy, backend, mode="fast")
     assert type(eng) is FastEngine
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="fast-vector")
-    assert type(eng) is VectorEngine
     graph, placement, hierarchy, backend = _micro_engine_parts()
     eng = make_engine(graph, placement, hierarchy, backend, mode="reference")
     assert type(eng) is DataflowEngine
@@ -210,7 +268,7 @@ def test_fast_with_link_contention_falls_back_loudly(mode):
     assert type(eng) is DataflowEngine
 
 
-@pytest.mark.parametrize("cls", [FastEngine, VectorEngine])
+@pytest.mark.parametrize("cls", [FastEngine])
 def test_fast_engine_direct_construction_refuses_tracer(cls):
     graph, placement, hierarchy, backend = _micro_engine_parts()
     with pytest.raises(ValueError):
@@ -235,135 +293,9 @@ def test_env_mode_reaches_run_system(monkeypatch):
     from repro.workloads.micro import build_micro
 
     workload = build_micro("gather")
+    monkeypatch.setenv("NACHOS_ENGINE", "reference")
     ref = run_system(workload, "nachos", invocations=3)
     for mode in FAST_MODES:
         monkeypatch.setenv("NACHOS_ENGINE", mode)
         fast = run_system(workload, "nachos", invocations=3)
         assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), mode
-
-
-# ---------------------------------------------------------------------------
-# Fast-vector seams: replay instrumentation, batch values, fallbacks
-# ---------------------------------------------------------------------------
-def _vector_parts(litmus="forwarding_chain", backend="opt-lsq"):
-    build_fn, envs = LITMUS[litmus]
-    graph = build_fn()
-    if backend in NEEDS_MDES:
-        compile_region(graph)
-    else:
-        graph.clear_mdes()
-    return graph, place_region(graph), envs
-
-
-def test_vector_replay_actually_fires():
-    """Repeated invocations must be served by guarded replay, and the
-    cold->warm hierarchy transition must register as a divergence that
-    re-captures (never as silent wrong results)."""
-    graph, placement, envs = _vector_parts()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    result = engine.run(envs * 6)
-    st = engine.vector_stats
-    assert st["invocations"] == 6 * len(envs)
-    assert st["captured"] >= 1
-    assert st["replayed"] >= 3
-    assert st["ops_vectorized"] > 0
-    # Byte-identity with the reference engine on the same stream.
-    graph2, placement2, _ = _vector_parts()
-    ref = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    assert pickle.dumps(ref.run(envs * 6)) == pickle.dumps(result)
-
-
-def test_vector_recorder_falls_back_per_invocation():
-    """A timeline recorder forces the per-event path (which feeds it)
-    while staying byte-exact with the reference engine's recording."""
-    from repro.sim.timeline import TimelineRecorder
-
-    graph, placement, envs = _vector_parts()
-    vec_rec = TimelineRecorder()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"](),
-        recorder=vec_rec,
-    )
-    vec = engine.run(envs * 3)
-    st = engine.vector_stats
-    assert st["replayed"] == 0
-    assert st["fallback_reasons"].get("recorder") == 3 * len(envs)
-
-    graph2, placement2, _ = _vector_parts()
-    ref_rec = TimelineRecorder()
-    ref_engine = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"](),
-        recorder=ref_rec,
-    )
-    ref = ref_engine.run(envs * 3)
-    assert pickle.dumps(ref) == pickle.dumps(vec)
-    assert len(vec_rec.invocations) == len(ref_rec.invocations)
-
-
-def test_vector_backend_opaque_signature_falls_back():
-    """A backend whose replay_signature is None never replays (and the
-    engine still matches the per-event result bit-for-bit)."""
-    graph, placement, envs = _vector_parts()
-    backend = BACKENDS["opt-lsq"]()
-    backend.replay_signature = lambda addr_of: None
-    engine = VectorEngine(graph, placement, MemoryHierarchy(), backend)
-    result = engine.run(envs * 3)
-    st = engine.vector_stats
-    assert st["replayed"] == 0
-    assert st["fallback_reasons"].get("backend-opaque") == 3 * len(envs)
-
-    graph2, placement2, _ = _vector_parts()
-    ref = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    assert pickle.dumps(ref.run(envs * 3)) == pickle.dumps(result)
-
-
-def test_vector_batch_values_match_scalar_mix():
-    """mix_array is lane-for-lane bit-exact with mix (the batch value
-    pass depends on it)."""
-    import numpy as np
-
-    from repro.sim.values import mix, mix_array
-
-    invs = np.arange(257, dtype=np.uint64)
-    batch = mix_array(0x1F, 42, invs)
-    for inv in (0, 1, 2, 100, 256):
-        assert int(batch[inv]) == mix(0x1F, 42, inv)
-    nested = mix_array(7, batch, mix_array(9, invs))
-    for inv in (0, 3, 255):
-        assert int(nested[inv]) == mix(7, mix(0x1F, 42, inv), mix(9, inv))
-
-
-def test_vector_profile_counters_recorded():
-    """With profiling enabled, a fast-vector run reports batch-vs-
-    fallback telemetry; with it disabled, nothing is recorded."""
-    from repro.obs.profile import enable_profiling, get_profile, reset_profile
-
-    graph, placement, envs = _vector_parts()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    reset_profile()
-    try:
-        engine.run(envs * 2)
-        assert not get_profile().vectors  # disabled: zero overhead path
-        enable_profiling()
-        graph2, placement2, _ = _vector_parts()
-        engine = VectorEngine(
-            graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-        )
-        engine.run(envs * 2)
-        records = get_profile().vectors
-        assert len(records) == 1
-        assert records[0].system == "opt-lsq"
-        assert records[0].invocations == 2 * len(envs)
-        rollup = get_profile().vector_rollup()
-        assert records[0].region in rollup
-    finally:
-        reset_profile()
-        get_profile().enabled = False

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from repro.obs import (
     record_from_fuzz,
     record_from_profile,
     record_from_registries,
-    record_from_vector,
+    record_from_serve,
     render_html,
     render_markdown,
 )
@@ -155,13 +157,42 @@ def test_record_from_bench():
     assert "identical" not in rec.metrics and "modes" not in rec.metrics
 
 
-def test_record_from_profile_and_vector():
+def test_bench_report_under_default_engine_is_filed_as_fast(
+    tmp_path, monkeypatch
+):
+    """A ``bench_sweep.py`` report made with no engine named records the
+    engine that ran (``fast``), so its ledger series stays apart from
+    the reference engine's."""
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_sweep.py"),
+         "--quick", "--jobs", "1", "--output", str(out)],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["engine"] == "fast"
+    assert record_from_bench(report).context["engine"] == "fast"
+    # Reports that predate the field ran the old reference default.
+    del report["engine"]
+    assert record_from_bench(report).context["engine"] == "reference"
+
+
+def test_serve_record_defaults_to_resolved_engine(monkeypatch):
+    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+    assert record_from_serve({"qps": 1.0}).context["engine"] == "fast"
+    monkeypatch.setenv("NACHOS_ENGINE", "reference")
+    assert record_from_serve({"qps": 1.0}).context["engine"] == "reference"
+
+
+def test_record_from_profile():
     profile = SweepProfile(enabled=True)
     profile.record_task("bzip2", "nachos", 2.0, worker=11, hits=1)
     profile.record_task("lbm", "nachos", 0.5, worker=12, misses=1)
     profile.record_sweep(tasks=2, jobs=2, wall_seconds=1.5)
     rec = record_from_profile(
-        profile, {"fig11": 1.6}, context={"engine": "fast-vector"}
+        profile, {"fig11": 1.6}, context={"engine": "fast"}
     )
     assert rec.source == "profile"
     assert rec.metrics["tasks"] == 2.0
@@ -169,19 +200,6 @@ def test_record_from_profile_and_vector():
     assert rec.metrics["cache_hit_rate"] == 0.5
     assert rec.metrics["region.bzip2.seconds"] == 2.0
     assert rec.metrics["figure.fig11.wall_seconds"] == 1.6
-
-    # No VectorRecords -> no vector ledger record at all.
-    assert record_from_vector(profile, context={}) is None
-    stats = {
-        "invocations": 40, "captured": 2, "replayed": 36, "divergences": 1,
-        "ops_vectorized": 360, "ops_dynamic": 40, "fallback_reasons": {},
-    }
-    profile.record_vector("bzip2", "nachos", stats)
-    vec = record_from_vector(profile, context={"engine": "fast-vector"})
-    assert vec.source == "vector"
-    assert vec.metrics["replay_fraction"] == pytest.approx(36 / 40)
-    assert vec.metrics["vectorized_op_fraction"] == pytest.approx(0.9)
-    assert vec.metrics["region.bzip2.replay_fraction"] == pytest.approx(0.9)
 
 
 def test_record_from_coverage_fuzz_registries():
@@ -265,12 +283,12 @@ def test_noise_floor_suppresses_relative_blowups():
 
 def test_higher_is_better_direction():
     budget = Budget(
-        metric="replay_fraction", source="bench", direction="higher",
+        metric="cache_hit_rate", source="bench", direction="higher",
         max_regression=0.10, min_samples=3,
     )
-    drop = series([0.9, 0.9, 0.5], metric="replay_fraction")
+    drop = series([0.9, 0.9, 0.5], metric="cache_hit_rate")
     assert check_budget(drop, budget).status == REGRESSION
-    rise = series([0.9, 0.9, 0.95], metric="replay_fraction")
+    rise = series([0.9, 0.9, 0.95], metric="cache_hit_rate")
     assert check_budget(rise, budget).status == OK
 
 
@@ -296,8 +314,7 @@ def test_load_budgets_committed_file_and_errors(tmp_path):
     assert {
         "bench:cold_seconds", "bench:warm_seconds",
         "bench:fast_speedup_vs_reference",
-        "bench:fast_vector_speedup_vs_reference",
-        "bench:cache_hit_rate", "vector:replay_fraction",
+        "bench:cache_hit_rate",
         "coverage:total_pct",
     } <= keys
     assert blessed == []

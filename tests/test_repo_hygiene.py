@@ -1,9 +1,11 @@
-"""Repository hygiene: no bulky generated artifacts sneak into git.
+"""Repository hygiene: no bulky generated artifacts sneak into git, and
+the package keeps no third-party runtime dependency.
 
 A 408k-line ``trace.json`` once rode along in a commit; these tests make
 that class of accident fail CI instead of bloating every future clone.
 """
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -65,3 +67,24 @@ def test_gitignore_covers_generated_artifacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("trace.json", "fuzz-repros/", "nachos-failure-report.json"):
         assert pattern in gitignore, f".gitignore is missing {pattern!r}"
+
+
+def _imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield (node.module or "").split(".")[0], node.lineno
+
+
+def test_package_does_not_import_numpy():
+    """``pyproject.toml`` declares no runtime dependencies, so nothing
+    under ``src/repro`` may import NumPy (not even lazily)."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for root, lineno in _imported_roots(tree):
+            if root == "numpy":
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}")
+    assert not offenders, "numpy imported at " + ", ".join(offenders)

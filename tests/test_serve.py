@@ -8,8 +8,10 @@ dispatch all run for real.
 
 from __future__ import annotations
 
+import socket
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,37 @@ def test_http_error_paths(client):
     assert excinfo.value.status == 405
     health = client.healthz()
     assert health["ok"] is True
+
+
+def test_unknown_engine_is_a_400_naming_the_modes(client):
+    """The removed vector mode is rejected like any unknown engine, and
+    the error lists the modes the daemon does accept."""
+    from repro.sim.factory import ENGINE_MODES
+
+    retired = "fast-" + "vector"
+    with pytest.raises(ServeError) as excinfo:
+        client.submit("gather", engine=retired)
+    assert excinfo.value.status == 400
+    error = excinfo.value.payload["error"]
+    assert retired in error
+    assert str(ENGINE_MODES) in error
+
+
+def test_stop_hangs_up_on_open_connections():
+    """A client still connected when the daemon stops (idle, or in a
+    long-poll) sees the connection close instead of waiting on a socket
+    that no event loop serves any more."""
+    d = NachosServeDaemon(port=0, quiet=True)
+    thread = d.serve_in_thread()
+    sock = socket.create_connection(("127.0.0.1", d.port), timeout=5)
+    try:
+        time.sleep(0.2)  # let the daemon accept it
+        d.request_shutdown()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert sock.recv(1) == b""
+    finally:
+        sock.close()
 
 
 def test_unix_socket_roundtrip():
