@@ -277,12 +277,30 @@ class DataflowEngine:
                 self._start_compute(op, t0)
 
         self._drain_events()
+        self._check_completed(self._ops)
         self.backend.end_invocation()
         if self._trace is not None:
             self._trace.emit(obs.INVOCATION, t0, dur=self._inv_end - t0)
         if self.recorder is not None:
             self.recorder.capture(self.graph, inv, t0, self._inv_end, self._run)
         return self._inv_end
+
+    def _check_completed(self, ops: Iterable[Operation]) -> None:
+        """Raise unless every op in *ops* completed this invocation.
+
+        A branch-free region runs every op exactly once per invocation;
+        the fast engine's per-invocation bulk energy charge relies on it,
+        so a backend that never issues an op is an error, not a silently
+        wrong result.
+        """
+        run = self._run
+        for op in ops:
+            if not run[op.op_id].completed:
+                raise RuntimeError(
+                    f"{self.graph.name}: op {op.op_id} ({op.opcode.value}) "
+                    f"never completed in invocation {self._inv_index} "
+                    f"under backend {self.backend.name!r}"
+                )
 
     def _make_addr_notify(self, op: Operation, t: int) -> Callable[[], None]:
         return lambda: self.backend.on_addr_ready(op, t)

@@ -19,6 +19,15 @@ the paper) actually vary.  :class:`FastEngine` exploits that split:
   producers, no per-delivery bookkeeping either: the backend notify
   fires directly at the captured final-arrival position.
 
+* **A lean dynamic path.**  Memory ops and everything downstream of one
+  run live, through the engine's own ``_start_compute`` / ``_finish`` /
+  ``_deliver``: op kinds are resolved to ints when the engine is built,
+  and the template's bulk charge covers the ALU and network energy of
+  the *whole* region, so only backend-driven events (L1, LSQ, MDE) are
+  charged per call.  That is exact because a branch-free region runs
+  every op exactly once per invocation — both engines raise
+  ``RuntimeError`` naming the op if one never completes.
+
 * **Slotted event queue.**  :class:`_CalendarQueue` replaces per-event
   ``heapq`` churn with per-cycle buckets (a dict keyed by cycle plus a
   small heap of occupied cycles).  Same-cycle events drain in push
@@ -60,18 +69,24 @@ from repro.energy.config import EnergyEvent
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
 from repro.sim.engine import DataflowEngine, _OpRun
-from repro.sim.values import mix
+from repro.sim.values import _MASK, MIX_MUL, mix
 
 # Template/kick action opcodes (first tuple element).  Actions refer to
-# template events by *index* so a captured template is engine-free: the
-# same region simulated under five backends shares one capture (cached
-# on the graph object), and each engine binds its own event closures.
+# template events by *index* and to ops by *id*, so a captured template
+# is engine- and graph-free: the same region simulated under five
+# backends shares one capture (cached on the placement), and each engine
+# binds the ids to its own ops and its own event closures.
 _PUSH = 0          # (_PUSH, time_offset, event_index)
-_DELIVER = 1       # (_DELIVER, user_op, n_addr, n_value, arrive_offset)
+_DELIVER = 1       # (_DELIVER, user, n_addr, n_value, arrive_offset)
 _KICK2 = 2         # (_KICK2, op) — constant-address memory notify at t0
-_NOTIFY_ADDR = 3   # (_NOTIFY_ADDR, user_op, time_offset)
-_NOTIFY_VALUE = 4  # (_NOTIFY_VALUE, user_op, time_offset)
+_NOTIFY_ADDR = 3   # (_NOTIFY_ADDR, user, time_offset)
+_NOTIFY_VALUE = 4  # (_NOTIFY_VALUE, user, time_offset)
 _NOTIFY_K2 = 5     # (_NOTIFY_K2, op) — early addr notify of a kick==2 op
+
+# Op kinds on the dynamic path.
+_COMPUTE = 0
+_LOAD = 1
+_STORE = 2
 
 # Value-program opcodes.
 _VAL_INPUT = 0   # mix(0x1F, op_id, inv) — matches _source_value
@@ -147,7 +162,12 @@ class _CalendarQueue:
 
 
 class _Template:
-    """One region's compiled static schedule (see module docstring)."""
+    """One region's compiled static schedule (see module docstring).
+
+    Actions and run-time tables name ops by id, never by object, so one
+    template serves every graph with the same op signature: an engine
+    binds the ids to its own graph's ops when it attaches.
+    """
 
     __slots__ = (
         "kick_actions",
@@ -158,11 +178,8 @@ class _Template:
         "static_end",
         "value_program",
         "value_cache",
-        "dyn_init",
+        "static_ids",
         "static_times",
-        "n_static",
-        "n_events",
-        "n_elided",
     )
 
 
@@ -182,8 +199,25 @@ class FastEngine(DataflowEngine):
                 "FastEngine requires model_link_contention=False (link "
                 "state is cross-invocation); use make_engine()"
             )
+        # Op kinds, resolved once so the dynamic path makes no opcode
+        # property calls (sources count as compute: nothing delivers to
+        # them).
+        self._kind: Dict[int, int] = {
+            op.op_id: _STORE if op.is_store else _LOAD if op.is_memory else _COMPUTE
+            for op in self._ops
+        }
+        # What a compute op's completion needs: (latency, mix(mix_id),
+        # inputs); the value mixes its inputs on from mix(mix_id).
+        self._compute_plan: Dict[int, Tuple[int, int, Tuple[int, ...]]] = {
+            oid: (latency, mix(mix_id), inputs)
+            for oid, (latency, _event, mix_id, inputs) in self._exec_plan.items()
+        }
         self._template: Optional[_Template] = None
+        self._kick_actions: List[tuple] = []
         self._fires: List[Optional[Callable[[], None]]] = []
+        self._dyn_init: List[Tuple[Operation, int, int]] = []
+        self._dyn_ops: List[Operation] = []
+        self._static_times: List[Tuple[Operation, int, int]] = []
         self._t0 = 0
         # Shadow the method with the queue's push: every event the
         # engine or a backend schedules then skips a dispatch layer.
@@ -195,6 +229,75 @@ class FastEngine(DataflowEngine):
 
     def _drain_events(self) -> None:
         self._queue.drain()
+
+    # ------------------------------------------------------------------
+    # The dynamic path: memory ops and everything downstream of one.
+    # Unlike the reference engine these charge no ALU/NET energy — the
+    # template's per-invocation bulk charge covers every op, which is
+    # exact because every op completes exactly once per invocation
+    # (checked at the end of each one).
+    # ------------------------------------------------------------------
+    def _start_compute(self, op: Operation, t: int) -> None:
+        oid = op.op_id
+        latency, head, inputs = self._compute_plan[oid]
+        done = t + latency
+        self._run[oid].start_time = t
+        values = self.values
+
+        def complete() -> None:
+            # mix(mix_id, *inputs), continued from mix(mix_id): every
+            # value is a 64-bit mix output, so no input needs masking.
+            acc = head
+            for i in inputs:
+                acc = (acc ^ values[i]) * MIX_MUL & _MASK
+                acc ^= acc >> 31
+            values[oid] = acc
+            self._finish(op, done)
+
+        self.schedule(done, complete)
+
+    def _finish(self, op: Operation, t: int) -> None:
+        oid = op.op_id
+        state = self._run[oid]
+        state.completed = True
+        state.complete_time = t
+        if t > self._inv_end:
+            self._inv_end = t
+        if self._kind[oid] != _COMPUTE:
+            self.backend.on_memory_complete(op, t)
+        deliver = self._deliver
+        for user, n_addr, n_value, _net, route in self._plans[oid]:
+            deliver(user, n_addr, n_value, t + route)
+
+    def _deliver(self, user: Operation, n_addr: int, n_value: int, t: int) -> None:
+        uid = user.op_id
+        state = self._run[uid]
+        if n_value:
+            state.pending_value -= n_value
+            if t > state.value_time:
+                state.value_time = t
+        if n_addr:
+            state.pending_addr -= n_addr
+            if t > state.addr_time:
+                state.addr_time = t
+        if t > state.inputs_time:
+            state.inputs_time = t
+
+        kind = self._kind[uid]
+        if kind == _COMPUTE:
+            if state.pending_addr == 0:
+                self._start_compute(user, state.inputs_time)
+            return
+        if state.pending_addr == 0 and not state.addr_notified:
+            state.addr_notified = True
+            self.backend.on_addr_ready(user, state.addr_time)
+        if (
+            kind == _STORE
+            and state.pending_value == 0
+            and not state.value_notified
+        ):
+            state.value_notified = True
+            self.backend.on_value_ready(user, state.value_time)
 
     # ------------------------------------------------------------------
     # Template capture: one mini-simulation of the static subgraph
@@ -213,7 +316,7 @@ class FastEngine(DataflowEngine):
                     stack.pop()
                     continue
                 cur = by_id[oid]
-                if cur.is_memory:
+                if self._kind[oid] != _COMPUTE:
                     static[oid] = False
                     stack.pop()
                     continue
@@ -228,6 +331,7 @@ class FastEngine(DataflowEngine):
     def _build_template(self) -> _Template:
         static_ids = self._static_op_ids()
         by_id = {op.op_id: op for op in self._ops}
+        kind_of = self._kind
         exec_plan = self._exec_plan
         plans = self._plans
 
@@ -245,7 +349,7 @@ class FastEngine(DataflowEngine):
         for src_id, plan in plans.items():
             table = stat_feed if src_id in static_ids else dyn_feed
             for user, n_addr, n_value, _net, _route in plan:
-                if user.is_memory:
+                if kind_of[user.op_id] != _COMPUTE:
                     tot = table.setdefault(user.op_id, [0, 0])
                     tot[0] += n_addr
                     tot[1] += n_value
@@ -266,19 +370,14 @@ class FastEngine(DataflowEngine):
         pend: Dict[int, List[int]] = {}  # static op -> [pending, inputs_time]
         run_times: Dict[int, Tuple[int, int]] = {}  # op -> (start, complete)
         value_order: List[Operation] = []  # completion (drain) order
-        counters = {"int": 0, "fp": 0, "net": 0, "end": 0}
+        static_end = 0
 
         for op, pa, _pv, kick in self._op_init:
             if kick == 0 and op.op_id in static_ids:
                 pend[op.op_id] = [pa, 0]
 
         def start_compute(op: Operation, t: int, out: list) -> None:
-            latency, alu_event, _mix_id, _inputs = exec_plan[op.op_id]
-            if alu_event is EnergyEvent.ALU_FP:
-                counters["fp"] += 1
-            else:
-                counters["int"] += 1
-            done = t + latency
+            done = t + exec_plan[op.op_id][0]
             actions: list = []
             idx = len(events)
             events.append((done, actions, op))
@@ -287,10 +386,10 @@ class FastEngine(DataflowEngine):
             run_times[op.op_id] = (t, done)
 
         def finish(op: Operation, t: int, out: list) -> None:
-            if t > counters["end"]:
-                counters["end"] = t
-            for user, n_addr, n_value, net, route in plans[op.op_id]:
-                counters["net"] += net
+            nonlocal static_end
+            if t > static_end:
+                static_end = t
+            for user, n_addr, n_value, _net, route in plans[op.op_id]:
                 arrive = t + route
                 state = pend.get(user.op_id)
                 if state is not None:  # static consumer: fold in
@@ -315,7 +414,7 @@ class FastEngine(DataflowEngine):
                             vt[1] = arrive
                         dv = 0
                     if da or dv:
-                        out.append((_DELIVER, user, da, dv, arrive))
+                        out.append((_DELIVER, uid, da, dv, arrive))
                     elif uid in kick2_unseen and uid not in early_addr:
                         # Reference quirk, faithfully replayed: a kick
                         # delivery reaching a constant-address memory op
@@ -324,15 +423,15 @@ class FastEngine(DataflowEngine):
                         # entry then schedules a second one).  A real
                         # _DELIVER replays this by itself; a fully
                         # elided one needs the explicit action.
-                        out.append((_NOTIFY_K2, user))
+                        out.append((_NOTIFY_K2, uid))
                     if uid in kick2_unseen:
                         early_addr.add(uid)
                     # Final arrival: notify in _deliver's branch order
                     # (addr before value).
                     if at is not None and at[0] == 0:
-                        out.append((_NOTIFY_ADDR, user, at[1]))
+                        out.append((_NOTIFY_ADDR, uid, at[1]))
                     if vt is not None and vt[0] == 0:
-                        out.append((_NOTIFY_VALUE, user, vt[1]))
+                        out.append((_NOTIFY_VALUE, uid, vt[1]))
 
         # Kick phase, replicating the reference kick loop's exact order:
         # sources complete (and deliver) synchronously, constant-address
@@ -350,7 +449,7 @@ class FastEngine(DataflowEngine):
                 finish(op, 0, kick_actions)
             elif kick == 2:  # dynamic: constant-address memory op
                 kick2_unseen.discard(op.op_id)
-                kick_actions.append((_KICK2, op))
+                kick_actions.append((_KICK2, op.op_id))
             else:  # kick == 3: zero-input compute — always static
                 start_compute(op, 0, kick_actions)
 
@@ -369,8 +468,9 @@ class FastEngine(DataflowEngine):
         for op in self._ops:
             if op.op_id in static_ids:
                 continue
-            roots = [op.inputs[-1]] if op.is_store else (
-                [] if op.is_memory else op.inputs
+            kind = kind_of[op.op_id]
+            roots = [op.inputs[-1]] if kind == _STORE else (
+                [] if kind == _LOAD else op.inputs
             )
             for src in roots:
                 if src in static_ids and src not in live:
@@ -410,24 +510,27 @@ class FastEngine(DataflowEngine):
             a for a in kick_actions if a[0] != _PUSH or useful[a[2]]
         ]
 
+        # Bulk energy for the whole region, static and dynamic alike:
+        # every compute op starts once and every op finishes (charging
+        # its fanout's network hops) once per invocation.
+        alu_events = [
+            exec_plan[op.op_id][1] for op, _pa, _pv, kick in self._op_init
+            if kick != 1 and kind_of[op.op_id] == _COMPUTE
+        ]
+
         tpl = _Template()
         tpl.kick_actions = kick_actions
         tpl.event_actions = [e[1] for e in events]
-        tpl.n_alu_int = counters["int"]
-        tpl.n_alu_fp = counters["fp"]
-        tpl.net_charge = counters["net"]
-        tpl.static_end = counters["end"]
+        tpl.n_alu_fp = alu_events.count(EnergyEvent.ALU_FP)
+        tpl.n_alu_int = len(alu_events) - tpl.n_alu_fp
+        tpl.net_charge = sum(
+            net for plan in plans.values() for _u, _a, _v, net, _r in plan
+        )
+        tpl.static_end = static_end
         tpl.value_program = value_program
         tpl.value_cache = {}
-        tpl.dyn_init = [
-            entry for entry in self._op_init if entry[0].op_id not in static_ids
-        ]
-        tpl.static_times = [
-            (by_id[oid], s, c) for oid, (s, c) in run_times.items()
-        ]
-        tpl.n_static = len(static_ids)
-        tpl.n_events = sum(1 for u in useful if u)
-        tpl.n_elided = len(events) - tpl.n_events
+        tpl.static_ids = frozenset(static_ids)
+        tpl.static_times = [(oid, s, c) for oid, (s, c) in run_times.items()]
         return tpl
 
     # ------------------------------------------------------------------
@@ -436,24 +539,45 @@ class FastEngine(DataflowEngine):
     def _attach_template(self) -> _Template:
         """Fetch (or capture) this region's template and bind it.
 
-        Capture depends only on (graph, placement, engine config) —
-        never on the backend, hierarchy, or invocation stream — so it
-        is cached on the graph object and shared by every engine built
-        over the same compiled artifacts: in a sweep, the 5+ systems
-        simulating one workload pay for one capture, not five.  Values
-        hold the placement strongly, so an ``id()`` can't be recycled
-        under a live cache entry.
+        Capture depends only on the placement, the ops' ids, opcodes and
+        inputs, and the engine config — never on the backend, the
+        hierarchy, the invocation stream or the graph's MDEs — so it is
+        cached on the placement object under the op signature.  In a
+        sweep, every system simulating one workload shares the
+        placement, and the bare and the compiled graph have the same
+        ops, so they all share one capture.
         """
-        cache = self.graph.__dict__.setdefault("_fast_template_cache", {})
-        key = (id(self.placement), dataclasses.astuple(self.config))
-        hit = cache.get(key)
-        if hit is None or hit[0] is not self.placement:
-            cache[key] = hit = (self.placement, self._build_template())
-        tpl = hit[1]
+        cache = self.placement.__dict__.setdefault("_fast_templates", {})
+        key = (
+            tuple((op.op_id, op.opcode, op.inputs) for op in self._ops),
+            dataclasses.astuple(self.config),
+        )
+        tpl = cache.get(key)
+        if tpl is None:
+            tpl = cache[key] = self._build_template()
         self._template = tpl
+
+        op_of = {op.op_id: op for op in self._ops}
+
+        def bind(actions: list) -> list:
+            return [
+                a if a[0] == _PUSH else (a[0], op_of[a[1]]) + a[2:]
+                for a in actions
+            ]
+
+        self._kick_actions = bind(tpl.kick_actions)
         self._fires = [
-            partial(self._fire, actions) if actions else None
+            partial(self._fire, bind(actions)) if actions else None
             for actions in tpl.event_actions
+        ]
+        static = tpl.static_ids
+        self._dyn_init = [
+            (op, pa, pv) for op, pa, pv, _ in self._op_init
+            if op.op_id not in static
+        ]
+        self._dyn_ops = [op for op, _pa, _pv in self._dyn_init]
+        self._static_times = [
+            (op_of[oid], s, c) for oid, s, c in tpl.static_times
         ]
         return tpl
 
@@ -496,22 +620,23 @@ class FastEngine(DataflowEngine):
             }
         run_map = self._run
         run_map.clear()
-        for op, pa, pv, _ in tpl.dyn_init:
+        for op, pa, pv in self._dyn_init:
             run_map[op.op_id] = _OpRun(pa, pv, t0)
         if self.recorder is not None:
             # Timeline capture walks every op's run state; static ops
             # get theirs prefilled from the template offsets.
-            for op, start_off, complete_off in tpl.static_times:
+            for op, start_off, complete_off in self._static_times:
                 state = _OpRun(0, 0, t0)
                 state.completed = True
                 state.start_time = t0 + start_off
                 state.complete_time = t0 + complete_off
                 run_map[op.op_id] = state
 
-        # Live static values depend only on (graph, inv) — INPUT sources
-        # mix the invocation index, never the environment — so the
-        # template memoizes them: in a sweep, the systems sharing this
-        # template replay each invocation's values with one dict copy.
+        # Live static values depend only on (op signature, inv) — INPUT
+        # sources mix the invocation index, never the environment — so
+        # the template memoizes them: in a sweep, the systems sharing
+        # this template replay each invocation's values with one dict
+        # copy.
         vals = tpl.value_cache.get(inv)
         if vals is None:
             vals = {}
@@ -525,9 +650,10 @@ class FastEngine(DataflowEngine):
             tpl.value_cache[inv] = vals
         self.values.update(vals)
 
-        # Bulk energy: same event counts the reference engine charges
-        # one call at a time (ledger order is fixed at construction, so
-        # charge order never shows in the pickled result).
+        # Bulk energy: the same ALU and network event counts the
+        # reference engine charges one call at a time (ledger order is
+        # fixed at construction, so charge order never shows in the
+        # pickled result).
         energy = self.energy
         if tpl.n_alu_int:
             energy.charge(EnergyEvent.ALU_INT, tpl.n_alu_int)
@@ -542,7 +668,7 @@ class FastEngine(DataflowEngine):
         deliver = self._deliver
         fires = self._fires
         backend = self.backend
-        for a in tpl.kick_actions:
+        for a in self._kick_actions:
             kind = a[0]
             if kind == _PUSH:
                 push(t0 + a[1], fires[a[2]])
@@ -562,6 +688,7 @@ class FastEngine(DataflowEngine):
                 push(t0, self._make_addr_notify(op, t0))
 
         self._queue.drain()
+        self._check_completed(self._dyn_ops)
         self.backend.end_invocation()
         if self.recorder is not None:
             self.recorder.capture(self.graph, inv, t0, self._inv_end, self._run)

@@ -126,3 +126,36 @@ class TestLoadValueCapture:
         for inv in range(2):
             for oid in loads:
                 assert (inv, oid) in result.load_values
+
+
+class TestCompletionInvariant:
+    """Every op completes once per invocation, or the run raises."""
+
+    class _DropsOneLoad(NachosSWBackend):
+        """Never issues the victim load (it waits forever)."""
+
+        def __init__(self, victim: int) -> None:
+            super().__init__()
+            self.victim = victim
+
+        def on_addr_ready(self, op, t):
+            if op.op_id != self.victim:
+                super().on_addr_ready(op, t)
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    def test_stuck_op_raises_naming_it(self, mode):
+        from repro.sim.factory import make_engine as build
+
+        g = build_simple_region()
+        g.clear_mdes()
+        victim = g.memory_ops[0].op_id
+        assert g.op(victim).is_load
+        engine = build(
+            g, place_region(g), MemoryHierarchy(), self._DropsOneLoad(victim),
+            mode=mode,
+        )
+        assert type(engine).__name__ == (
+            "DataflowEngine" if mode == "reference" else "FastEngine"
+        )
+        with pytest.raises(RuntimeError, match=rf"op {victim} \(load\) never completed"):
+            engine.run([{"i": 0}, {"i": 1}])

@@ -143,6 +143,42 @@ def test_real_region_equivalence(bench):
             assert fast.correct
 
 
+def test_one_template_capture_per_region(monkeypatch):
+    """opt-lsq's bare graph and the compiled graph nachos-sw and nachos
+    simulate have the same ops and placement: one capture serves all."""
+    from repro.experiments import common
+    from repro.runtime.cache import configure_cache, get_cache
+    from repro.workloads.generator import build_workload
+    from repro.workloads.suite import get_spec
+
+    captures = []
+    build = FastEngine._build_template
+
+    def counting(engine):
+        captures.append(engine.graph.name)
+        return build(engine)
+
+    monkeypatch.setattr(FastEngine, "_build_template", counting)
+    prev = get_cache()
+    configure_cache(enabled=False)
+    common.clear_memos()
+    try:
+        names = []
+        for bench in benchmark_names()[:2]:
+            workload = build_workload(get_spec(bench), path_index=0)
+            names.append(workload.graph.name)
+            for system in common.SYSTEMS:
+                run = common.run_system(
+                    workload, system, invocations=3,
+                    engine_config=EngineConfig(mode="fast"),
+                )
+                assert run.correct
+    finally:
+        common.clear_memos()
+        configure_cache(root=prev.root, enabled=prev.enabled)
+    assert captures == names
+
+
 # ---------------------------------------------------------------------------
 # Mode resolution and fallback seams
 # ---------------------------------------------------------------------------
