@@ -39,6 +39,12 @@ from repro.sim.values import ValueMemory, forwarded_value, mix
 
 _OPCODE_ID = {opcode: i for i, opcode in enumerate(Opcode)}
 
+# Op kinds (``DataflowEngine._kind``); sources count as compute: nothing
+# delivers to them.
+_COMPUTE = 0
+_LOAD = 1
+_STORE = 2
+
 
 class _OpRun:
     """Per-invocation dynamic state of one operation."""
@@ -164,9 +170,14 @@ class DataflowEngine:
         # Per-op invocation-reset plan (avoids per-invocation property
         # calls): (op, pending_addr, pending_value, kick) where kick is
         # 1 = source, 2 = constant-address memory, 3 = zero-input compute.
+        # _kind resolves each op's kind for the delivery hot path.
         self._op_init: List[Tuple[Operation, int, int, int]] = []
         self._mem_ops: List[Operation] = []
+        self._kind: Dict[int, int] = {}
         for op in self._ops:
+            self._kind[op.op_id] = (
+                _STORE if op.is_store else _LOAD if op.is_memory else _COMPUTE
+            )
             n_inputs = len(op.inputs)
             if op.is_store:
                 pa, pv = n_inputs - 1, 1
@@ -404,12 +415,13 @@ class DataflowEngine:
         if t > state.inputs_time:
             state.inputs_time = t
 
-        if user.is_memory:
+        kind = self._kind[user.op_id]
+        if kind != _COMPUTE:
             if state.pending_addr == 0 and not state.addr_notified:
                 state.addr_notified = True
                 self.backend.on_addr_ready(user, state.addr_time)
             if (
-                user.is_store
+                kind == _STORE
                 and state.pending_value == 0
                 and not state.value_notified
             ):

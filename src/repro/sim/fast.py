@@ -20,11 +20,11 @@ the paper) actually vary.  :class:`FastEngine` exploits that split:
   fires directly at the captured final-arrival position.
 
 * **A lean dynamic path.**  Memory ops and everything downstream of one
-  run live, through the engine's own ``_start_compute`` / ``_finish`` /
-  ``_deliver``: op kinds are resolved to ints when the engine is built,
-  and the template's bulk charge covers the ALU and network energy of
-  the *whole* region, so only backend-driven events (L1, LSQ, MDE) are
-  charged per call.  That is exact because a branch-free region runs
+  run live, through the engine's own ``_start_compute`` / ``_finish``:
+  they read op kinds from the int table the base engine builds (no
+  opcode property calls), and the template's bulk charge covers the ALU
+  and network energy of the *whole* region, so only backend-driven
+  events (L1, LSQ, MDE) are charged per call.  That is exact because a branch-free region runs
   every op exactly once per invocation — both engines raise
   ``RuntimeError`` naming the op if one never completes.
 
@@ -68,8 +68,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.energy.config import EnergyEvent
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
-from repro.sim.engine import DataflowEngine, _OpRun
-from repro.sim.values import _MASK, MIX_MUL, mix
+from repro.sim.engine import _COMPUTE, _LOAD, _STORE, DataflowEngine, _OpRun
+from repro.sim.values import mix
 
 # Template/kick action opcodes (first tuple element).  Actions refer to
 # template events by *index* and to ops by *id*, so a captured template
@@ -82,11 +82,6 @@ _KICK2 = 2         # (_KICK2, op) — constant-address memory notify at t0
 _NOTIFY_ADDR = 3   # (_NOTIFY_ADDR, user, time_offset)
 _NOTIFY_VALUE = 4  # (_NOTIFY_VALUE, user, time_offset)
 _NOTIFY_K2 = 5     # (_NOTIFY_K2, op) — early addr notify of a kick==2 op
-
-# Op kinds on the dynamic path.
-_COMPUTE = 0
-_LOAD = 1
-_STORE = 2
 
 # Value-program opcodes.
 _VAL_INPUT = 0   # mix(0x1F, op_id, inv) — matches _source_value
@@ -199,19 +194,6 @@ class FastEngine(DataflowEngine):
                 "FastEngine requires model_link_contention=False (link "
                 "state is cross-invocation); use make_engine()"
             )
-        # Op kinds, resolved once so the dynamic path makes no opcode
-        # property calls (sources count as compute: nothing delivers to
-        # them).
-        self._kind: Dict[int, int] = {
-            op.op_id: _STORE if op.is_store else _LOAD if op.is_memory else _COMPUTE
-            for op in self._ops
-        }
-        # What a compute op's completion needs: (latency, mix(mix_id),
-        # inputs); the value mixes its inputs on from mix(mix_id).
-        self._compute_plan: Dict[int, Tuple[int, int, Tuple[int, ...]]] = {
-            oid: (latency, mix(mix_id), inputs)
-            for oid, (latency, _event, mix_id, inputs) in self._exec_plan.items()
-        }
         self._template: Optional[_Template] = None
         self._kick_actions: List[tuple] = []
         self._fires: List[Optional[Callable[[], None]]] = []
@@ -235,23 +217,18 @@ class FastEngine(DataflowEngine):
     # Unlike the reference engine these charge no ALU/NET energy — the
     # template's per-invocation bulk charge covers every op, which is
     # exact because every op completes exactly once per invocation
-    # (checked at the end of each one).
+    # (checked at the end of each one).  Delivery is the reference
+    # engine's _deliver.
     # ------------------------------------------------------------------
     def _start_compute(self, op: Operation, t: int) -> None:
         oid = op.op_id
-        latency, head, inputs = self._compute_plan[oid]
+        latency, _event, mix_id, inputs = self._exec_plan[oid]
         done = t + latency
         self._run[oid].start_time = t
         values = self.values
 
         def complete() -> None:
-            # mix(mix_id, *inputs), continued from mix(mix_id): every
-            # value is a 64-bit mix output, so no input needs masking.
-            acc = head
-            for i in inputs:
-                acc = (acc ^ values[i]) * MIX_MUL & _MASK
-                acc ^= acc >> 31
-            values[oid] = acc
+            values[oid] = mix(mix_id, *(values[i] for i in inputs))
             self._finish(op, done)
 
         self.schedule(done, complete)
@@ -268,36 +245,6 @@ class FastEngine(DataflowEngine):
         deliver = self._deliver
         for user, n_addr, n_value, _net, route in self._plans[oid]:
             deliver(user, n_addr, n_value, t + route)
-
-    def _deliver(self, user: Operation, n_addr: int, n_value: int, t: int) -> None:
-        uid = user.op_id
-        state = self._run[uid]
-        if n_value:
-            state.pending_value -= n_value
-            if t > state.value_time:
-                state.value_time = t
-        if n_addr:
-            state.pending_addr -= n_addr
-            if t > state.addr_time:
-                state.addr_time = t
-        if t > state.inputs_time:
-            state.inputs_time = t
-
-        kind = self._kind[uid]
-        if kind == _COMPUTE:
-            if state.pending_addr == 0:
-                self._start_compute(user, state.inputs_time)
-            return
-        if state.pending_addr == 0 and not state.addr_notified:
-            state.addr_notified = True
-            self.backend.on_addr_ready(user, state.addr_time)
-        if (
-            kind == _STORE
-            and state.pending_value == 0
-            and not state.value_notified
-        ):
-            state.value_notified = True
-            self.backend.on_value_ready(user, state.value_time)
 
     # ------------------------------------------------------------------
     # Template capture: one mini-simulation of the static subgraph

@@ -10,18 +10,12 @@ the property-based tests check for all three disambiguation schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.ir.graph import DFGraph
 from repro.ir.opcodes import Opcode
 from repro.sim.engine import _OPCODE_ID
-from repro.sim.values import _MASK, MIX_MUL, MIX_SEED, mix
-
-# Op-program kinds.
-_MIX = 0
-_LOAD = 1
-_STORE = 2
-_INPUT = 3
+from repro.sim.values import ValueMemory, mix
 
 
 @dataclass
@@ -38,83 +32,31 @@ class GoldenResult:
         )
 
 
-def _compile(graph: DFGraph) -> Tuple[List[int], List[tuple]]:
-    """Flatten *graph* into (initial value slots, op program).
-
-    Values live in a list indexed by program-order position.  CONST
-    values are invocation-invariant and preset in the initial slots;
-    every other op is one ``(kind, slot, a, b, c)`` step.  Mixing is
-    inlined: a compute op carries ``mix(opcode id)`` and an INPUT
-    ``mix(0x1F, op_id)``, the state the remaining parts continue from.
-    """
-    ops = graph.ops
-    slot_of = {op.op_id: slot for slot, op in enumerate(ops)}
-    init = [0] * len(ops)
-    program: List[tuple] = []
-    for slot, op in enumerate(ops):
-        oid = op.op_id
-        opcode = op.opcode
-        if opcode is Opcode.CONST:
-            init[slot] = mix(0xC0, oid)
-        elif opcode is Opcode.INPUT:
-            program.append((_INPUT, slot, mix(0x1F, oid), None, None))
-        elif opcode is Opcode.LOAD:
-            program.append((_LOAD, slot, oid, op.addr, op.addr.width))
-        elif opcode is Opcode.STORE:
-            program.append(
-                (_STORE, slot, slot_of[op.inputs[-1]], op.addr, op.addr.width)
-            )
-        else:
-            program.append((
-                _MIX, slot, mix(_OPCODE_ID[opcode]),
-                tuple(slot_of[i] for i in op.inputs), None,
-            ))
-    return init, program
-
-
 def golden_execute(
     graph: DFGraph, invocations: Iterable[Mapping[str, int]]
 ) -> GoldenResult:
-    """Run *graph* in strict program order over *invocations*.
-
-    Byte memory is a plain dict with :class:`~repro.sim.values.ValueMemory`'s
-    semantics inlined: a store of ``v`` writes ``mix(v, k)`` to byte
-    ``addr + k``, a load mixes the bytes it covers (0 when unwritten).
-    """
-    init, program = _compile(graph)
-    memory: Dict[int, int] = {}
-    load_values: Dict[Tuple[int, int], int] = {}
-    mul = MIX_MUL
-    mask = _MASK
+    """Run *graph* in strict program order over *invocations*."""
+    memory = ValueMemory()
+    result = GoldenResult()
     for inv, env in enumerate(invocations):
-        values = init[:]
-        for kind, slot, a, b, c in program:
-            if kind == _MIX:
-                acc = a
-                for i in b:
-                    acc = (acc ^ values[i]) * mul & mask
-                    acc ^= acc >> 31
-                values[slot] = acc
-            elif kind == _LOAD:
-                addr = b.evaluate(env)
-                acc = MIX_SEED
-                for byte in range(addr, addr + c):
-                    acc = (acc ^ memory.get(byte, 0)) * mul & mask
-                    acc ^= acc >> 31
-                values[slot] = acc
-                load_values[(inv, a)] = acc
-            elif kind == _STORE:
-                addr = b.evaluate(env)
-                value = values[a]
-                head = (MIX_SEED ^ value) * mul & mask
-                head ^= head >> 31
-                for k in range(c):
-                    acc = (head ^ k) * mul & mask
-                    memory[addr + k] = acc ^ (acc >> 31)
-                values[slot] = value
+        values: Dict[int, int] = {}
+        for op in graph.ops:
+            if op.opcode is Opcode.CONST:
+                values[op.op_id] = mix(0xC0, op.op_id)
+            elif op.opcode is Opcode.INPUT:
+                values[op.op_id] = mix(0x1F, op.op_id, inv)
+            elif op.is_load:
+                addr = op.addr.evaluate(env)
+                values[op.op_id] = memory.load(addr, op.addr.width)
+                result.load_values[(inv, op.op_id)] = values[op.op_id]
+            elif op.is_store:
+                addr = op.addr.evaluate(env)
+                value = values[op.inputs[-1]]
+                memory.store(addr, op.addr.width, value)
+                values[op.op_id] = value
             else:
-                acc = (a ^ inv) * mul & mask
-                values[slot] = acc ^ (acc >> 31)
-    return GoldenResult(
-        load_values=load_values, memory_image=tuple(sorted(memory.items()))
-    )
+                values[op.op_id] = mix(
+                    _OPCODE_ID[op.opcode], *(values[i] for i in op.inputs)
+                )
+    result.memory_image = memory.snapshot()
+    return result

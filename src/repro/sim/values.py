@@ -12,18 +12,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 _MASK = (1 << 64) - 1
-#: :func:`mix`'s initial state and per-part multiplier, for code that
-#: inlines the mixing rounds (``mix`` keeps them as literals: it is hot).
-MIX_SEED = 0x9E3779B97F4A7C15
-MIX_MUL = 0xBF58476D1CE4E5B9
 
 
 def mix(*parts: int) -> int:
-    """A stable 64-bit hash mixer (splitmix-style); not cryptographic.
-
-    ``mix(*a, *b)`` continues from the state ``mix(*a)`` returns, one
-    round per part: ``acc = (acc ^ p) * MIX_MUL & MASK; acc ^= acc >> 31``.
-    """
+    """A stable 64-bit hash mixer (splitmix-style); not cryptographic."""
     acc = 0x9E3779B97F4A7C15
     for p in parts:
         acc = (acc ^ (p & _MASK)) * 0xBF58476D1CE4E5B9 & _MASK
