@@ -10,12 +10,18 @@ the property-based tests check for all three disambiguation schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.ir.graph import DFGraph
 from repro.ir.opcodes import Opcode
 from repro.sim.engine import _OPCODE_ID
-from repro.sim.values import ValueMemory, mix
+from repro.sim.values import ValueMemory, mix, mix_on
+
+# Op-program kinds.
+_COMPUTE = 0
+_LOAD = 1
+_STORE = 2
+_INPUT = 3
 
 
 @dataclass
@@ -32,31 +38,59 @@ class GoldenResult:
         )
 
 
+def _compile(graph: DFGraph) -> Tuple[List[int], List[tuple]]:
+    """Flatten *graph* into (initial value slots, op program).
+
+    Values live in a list indexed by program-order position.  CONST
+    values are invocation-invariant and preset in the initial slots;
+    every other op is one ``(kind, slot, a, b, c)`` step.  A compute op
+    carries ``mix(opcode id)`` and an INPUT ``mix(0x1F, op_id)``: the
+    states :func:`~repro.sim.values.mix_on` continues from.
+    """
+    ops = graph.ops
+    slot_of = {op.op_id: slot for slot, op in enumerate(ops)}
+    init = [0] * len(ops)
+    program: List[tuple] = []
+    for slot, op in enumerate(ops):
+        oid = op.op_id
+        opcode = op.opcode
+        if opcode is Opcode.CONST:
+            init[slot] = mix(0xC0, oid)
+        elif opcode is Opcode.INPUT:
+            program.append((_INPUT, slot, mix(0x1F, oid), None, None))
+        elif op.is_load:
+            program.append((_LOAD, slot, oid, op.addr, op.addr.width))
+        elif op.is_store:
+            program.append(
+                (_STORE, slot, slot_of[op.inputs[-1]], op.addr, op.addr.width)
+            )
+        else:
+            program.append((
+                _COMPUTE, slot, mix(_OPCODE_ID[opcode]),
+                tuple(slot_of[i] for i in op.inputs), None,
+            ))
+    return init, program
+
+
 def golden_execute(
     graph: DFGraph, invocations: Iterable[Mapping[str, int]]
 ) -> GoldenResult:
     """Run *graph* in strict program order over *invocations*."""
+    init, program = _compile(graph)
     memory = ValueMemory()
-    result = GoldenResult()
+    load_values: Dict[Tuple[int, int], int] = {}
     for inv, env in enumerate(invocations):
-        values: Dict[int, int] = {}
-        for op in graph.ops:
-            if op.opcode is Opcode.CONST:
-                values[op.op_id] = mix(0xC0, op.op_id)
-            elif op.opcode is Opcode.INPUT:
-                values[op.op_id] = mix(0x1F, op.op_id, inv)
-            elif op.is_load:
-                addr = op.addr.evaluate(env)
-                values[op.op_id] = memory.load(addr, op.addr.width)
-                result.load_values[(inv, op.op_id)] = values[op.op_id]
-            elif op.is_store:
-                addr = op.addr.evaluate(env)
-                value = values[op.inputs[-1]]
-                memory.store(addr, op.addr.width, value)
-                values[op.op_id] = value
-            else:
-                values[op.op_id] = mix(
-                    _OPCODE_ID[op.opcode], *(values[i] for i in op.inputs)
+        values = init[:]
+        for kind, slot, a, b, c in program:
+            if kind == _COMPUTE:
+                values[slot] = mix_on(a, [values[i] for i in b])
+            elif kind == _LOAD:
+                values[slot] = load_values[(inv, a)] = memory.load(
+                    b.evaluate(env), c
                 )
-    result.memory_image = memory.snapshot()
-    return result
+            elif kind == _STORE:
+                values[slot] = value = values[a]
+                memory.store(b.evaluate(env), c, value)
+            else:
+                values[slot] = mix_on(a, (inv,))
+    return GoldenResult(load_values=load_values, memory_image=memory.snapshot())

@@ -12,13 +12,31 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 _MASK = (1 << 64) - 1
+_SEED = 0x9E3779B97F4A7C15
+_MUL = 0xBF58476D1CE4E5B9
 
 
 def mix(*parts: int) -> int:
-    """A stable 64-bit hash mixer (splitmix-style); not cryptographic."""
-    acc = 0x9E3779B97F4A7C15
+    """A stable 64-bit hash mixer (splitmix-style); not cryptographic.
+
+    One round per part from a fixed seed; :func:`mix_on` continues the
+    rounds from any state, and :class:`ValueMemory` runs them inline.
+    """
+    acc = _SEED
     for p in parts:
-        acc = (acc ^ (p & _MASK)) * 0xBF58476D1CE4E5B9 & _MASK
+        acc = (acc ^ (p & _MASK)) * _MUL & _MASK
+        acc ^= acc >> 31
+    return acc
+
+
+def mix_on(acc: int, parts: Iterable[int]) -> int:
+    """Continue :func:`mix` from state *acc*.
+
+    ``mix_on(mix(*a), b) == mix(*a, *b)``, so a caller that mixes the same
+    leading parts many times can mix them once.
+    """
+    for p in parts:
+        acc = (acc ^ (p & _MASK)) * _MUL & _MASK
         acc ^= acc >> 31
     return acc
 
@@ -45,11 +63,21 @@ class ValueMemory:
         self._bytes: Dict[int, int] = {}
 
     def store(self, addr: int, width: int, value: int) -> None:
+        # Byte k gets mix(value, k), continued from mix(value).
+        head = mix(value)
+        memory = self._bytes
         for k in range(width):
-            self._bytes[addr + k] = mix(value, k)
+            acc = (head ^ k) * _MUL & _MASK
+            memory[addr + k] = acc ^ (acc >> 31)
 
     def load(self, addr: int, width: int) -> int:
-        return mix(*(self._bytes.get(addr + k, 0) for k in range(width)))
+        # mix() of the covered bytes' tokens (0 when unwritten).
+        get = self._bytes.get
+        acc = _SEED
+        for byte in range(addr, addr + width):
+            acc = (acc ^ get(byte, 0)) * _MUL & _MASK
+            acc ^= acc >> 31
+        return acc
 
     def snapshot(self) -> Tuple[Tuple[int, int], ...]:
         """Canonical final-state image for equality comparison."""

@@ -1,20 +1,31 @@
-"""The sweep's once-per-region golden check.
+"""The program-order golden model: compiled interpreter and shared check.
 
-``run_system`` keys the address-stream and golden memos by workload
-fingerprint and runs the golden model on the bare graph, so every
-system's graph must carry the bare graph's ops and address stream.
-These tests pin that for each graph a system simulates (bare, baseline
-compiler, full compiler, trace oracle) and count the golden runs.
+``golden_execute`` compiles a graph into a flat op program.  These tests
+pin it to the plain per-op interpreter below (the model's definition,
+written with :func:`mix` alone), and pin what the sweep's once-per-region
+golden check relies on: ``run_system`` keys the address-stream and golden
+memos by workload fingerprint and runs the golden model on the bare
+graph, so every graph a system simulates (bare, baseline compiler, full
+compiler, trace oracle) must carry the bare graph's ops and address
+stream.
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 import pytest
 
+from tests.test_litmus import LITMUS
+
 from repro.compiler.pipeline import PipelineConfig
+from repro.ir.opcodes import Opcode
 from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.fingerprint import envs_fingerprint
-from repro.sim.oracle import golden_execute
+from repro.sim.engine import _OPCODE_ID
+from repro.sim.oracle import GoldenResult, golden_execute
+from repro.sim.values import mix
+from repro.verify.fuzz import build_graph, generate_spec
 from repro.workloads.suite import build_suite_workloads
 
 #: Invocations per suite region: enough to revisit addresses (store-then-
@@ -22,9 +33,66 @@ from repro.workloads.suite import build_suite_workloads
 SUITE_INVOCATIONS = 8
 
 
+def reference_golden(graph, invocations) -> GoldenResult:
+    """Run *graph* in strict program order, one op at a time."""
+    memory: Dict[int, int] = {}
+    result = GoldenResult()
+    for inv, env in enumerate(invocations):
+        values: Dict[int, int] = {}
+        for op in graph.ops:
+            if op.opcode is Opcode.CONST:
+                values[op.op_id] = mix(0xC0, op.op_id)
+            elif op.opcode is Opcode.INPUT:
+                values[op.op_id] = mix(0x1F, op.op_id, inv)
+            elif op.is_load:
+                addr, width = op.addr.evaluate(env), op.addr.width
+                values[op.op_id] = mix(
+                    *(memory.get(addr + k, 0) for k in range(width))
+                )
+                result.load_values[(inv, op.op_id)] = values[op.op_id]
+            elif op.is_store:
+                addr, width = op.addr.evaluate(env), op.addr.width
+                value = values[op.inputs[-1]]
+                for k in range(width):
+                    memory[addr + k] = mix(value, k)
+                values[op.op_id] = value
+            else:
+                values[op.op_id] = mix(
+                    _OPCODE_ID[op.opcode], *(values[i] for i in op.inputs)
+                )
+    result.memory_image = tuple(sorted(memory.items()))
+    return result
+
+
+def _assert_same(graph, envs, label):
+    got = golden_execute(graph, envs)
+    want = reference_golden(graph, envs)
+    # Insertion order too: callers may iterate load_values.
+    assert list(got.load_values.items()) == list(want.load_values.items()), label
+    assert got.memory_image == want.memory_image, label
+
+
 @pytest.fixture(scope="module")
 def suite_regions():
     return build_suite_workloads(5)
+
+
+def test_matches_reference_on_suite_regions(suite_regions):
+    assert len(suite_regions) == 135
+    for w in suite_regions:
+        _assert_same(w.graph, w.invocations(SUITE_INVOCATIONS), w.name)
+
+
+@pytest.mark.parametrize("litmus", sorted(LITMUS))
+def test_matches_reference_on_litmus(litmus):
+    build_fn, envs = LITMUS[litmus]
+    _assert_same(build_fn(), envs * 3, litmus)
+
+
+def test_matches_reference_on_fuzz_corpus():
+    for index in range(200):
+        spec = generate_spec(0, index)
+        _assert_same(build_graph(spec), spec.env_dicts(), spec.name)
 
 
 @pytest.fixture
@@ -57,7 +125,6 @@ def test_system_graphs_agree(no_cache, suite_regions):
         workload_fingerprint,
     )
 
-    assert len(suite_regions) == 135
     configs = (PipelineConfig.baseline_compiler(), PipelineConfig.full())
     cache = get_cache()
     for w in suite_regions:

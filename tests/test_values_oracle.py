@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import AffineExpr, IVar, MemObject, RegionBuilder
 from repro.sim.oracle import golden_execute
-from repro.sim.values import ValueMemory, forwarded_value, mix
+from repro.sim.values import ValueMemory, forwarded_value, mix, mix_on
 
 
 class TestMix:
@@ -19,6 +19,10 @@ class TestMix:
 
     def test_64_bit(self):
         assert 0 <= mix(12345) < (1 << 64)
+
+    def test_mix_on_continues_mix(self):
+        assert mix_on(mix(7, 1 << 70), [3, 2**64 - 1]) == mix(7, 1 << 70, 3, 2**64 - 1)
+        assert mix_on(mix(), []) == mix()
 
 
 class TestValueMemory:
@@ -57,6 +61,16 @@ class TestValueMemory:
         m = ValueMemory()
         m.store(256, 8, value=77)
         assert forwarded_value(77, 8) == m.load(256, 8)
+
+    def test_tokens_are_defined_by_mix(self):
+        # A store of v writes mix(v, k) to byte k; a load mixes the
+        # tokens it covers, 0 for unwritten bytes.
+        m = ValueMemory()
+        m.store(100, 8, 5)
+        m.store(104, 4, 2**64 - 1)
+        tokens = [mix(5, k) for k in range(4)] + [mix(2**64 - 1, k) for k in range(4)]
+        assert [m._bytes[100 + k] for k in range(8)] == tokens
+        assert m.load(102, 8) == mix(*tokens[2:], 0, 0)
 
     def test_len_counts_bytes(self):
         m = ValueMemory()
