@@ -24,9 +24,9 @@ the paper) actually vary.  :class:`FastEngine` exploits that split:
   they read op kinds from the int table the base engine builds (no
   opcode property calls), and the template's bulk charge covers the ALU
   and network energy of the *whole* region, so only backend-driven
-  events (L1, LSQ, MDE) are charged per call.  That is exact because a branch-free region runs
-  every op exactly once per invocation — both engines raise
-  ``RuntimeError`` naming the op if one never completes.
+  events (L1, LSQ, MDE) are charged per call.  That is exact because a
+  branch-free region runs every op exactly once per invocation — both
+  engines raise ``RuntimeError`` naming the op if one never completes.
 
 * **Slotted event queue.**  :class:`_CalendarQueue` replaces per-event
   ``heapq`` churn with per-cycle buckets (a dict keyed by cycle plus a
