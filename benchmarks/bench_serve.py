@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""Load-generate against live ``nachos-serve`` daemons.
+"""Load-generate against a live ``nachos-serve`` daemon.
 
-Boots one daemon (or, with ``--shards N``, a consistent-hash ring of N
-daemon subprocesses) on ephemeral ports with isolated cache
-directories, drives a warmup pass plus a measured multi-threaded load
-phase through :class:`repro.serve.client.ServeClient`, scrapes each
+Boots one daemon subprocess on an ephemeral port with an isolated cache
+directory, drives a warmup pass plus a measured multi-threaded load
+phase through :class:`repro.serve.client.ServeClient`, scrapes the
 daemon's ``/metrics``, and writes latency/throughput numbers to
 ``BENCH_serve.json``.
 
@@ -14,7 +13,6 @@ Modes::
     python benchmarks/bench_serve.py --quick         # CI smoke load
     python benchmarks/bench_serve.py --quick \
         --chaos 'crash=0.15,corrupt=0.1,seed=11'     # fault campaign
-    python benchmarks/bench_serve.py --quick --shards 3   # sharded fleet
     python benchmarks/bench_serve.py --quick --ledger perf/history.ndjson
 
 The measured phase follows a warmup that populates the result cache and
@@ -31,27 +29,14 @@ daemon and against a daemon whose environment carries ``NACHOS_CHAOS``
 result payloads must be identical — the service inherits the supervised
 executor's recovery guarantees, live.  The chaos ``abort@`` point is
 the one exclusion: it SIGKILLs the supervisor, i.e. the daemon.
-
-``--shards N`` is the fleet story (``docs/serve.md``): N daemons share
-one logical store via ring routing (``--peers`` / ``POST /peers``),
-mixed traffic lands on every shard, and the report adds the cross-shard
-hit rate and peer-hop latency.  The phase sequence is itself a chaos
-suite: a fault-free single-daemon baseline, a fleet warmup + measured
-phase that must match it, a SIGKILL of one shard **mid-load** (every
-request must still complete, byte-identical, via the surviving shards),
-and a rejoin of the killed shard on its old store directory (it must
-serve its prefix from disk).  ``--chaos`` composes: the fleet daemons
-also run under ``NACHOS_CHAOS`` while the baseline stays clean.
 """
 
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -62,7 +47,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.serve.client import ServeClient, ServeError  # noqa: E402
+from repro.serve.client import ServeClient  # noqa: E402
 
 BENCH_SCHEMA = 1
 
@@ -93,8 +78,8 @@ class DaemonHarness:
     """Boot/stop one daemon subprocess with an isolated cache.
 
     Pass ``work_dir`` to point a second daemon at an earlier daemon's
-    cache (the restart-warm and shard-rejoin phases); the creator of
-    the tmpdir cleans up.
+    cache (the restart-warm phase); the creator of the tmpdir cleans
+    up.
     """
 
     def __init__(
@@ -122,8 +107,7 @@ class DaemonHarness:
         env.update(self.extra_env)
         # Port 0: the kernel picks a free ephemeral port and the daemon
         # announces it through the (atomically written) ready file, so
-        # parallel CI jobs and multi-daemon fleets can never collide on
-        # a fixed port.
+        # parallel CI jobs can never collide on a fixed port.
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.serve",
@@ -165,12 +149,6 @@ class DaemonHarness:
                     return ready
             time.sleep(0.02)
 
-    def kill(self) -> None:
-        """SIGKILL the daemon — the shard-loss injection."""
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGKILL)
-            self.proc.wait(timeout=10)
-
     def __exit__(self, *exc) -> None:
         try:
             if self.client is not None:
@@ -184,35 +162,8 @@ class DaemonHarness:
                 shutil.rmtree(self.work_dir, ignore_errors=True)
 
 
-def _submit_failover(clients, start: int, region, systems, invocations,
-                     wait_timeout: float = 300.0):
-    """Submit to ``clients[start]``, failing over around the fleet.
-
-    Requests are content-addressed and idempotent, so resubmitting to
-    the next shard after a dead/dying one is always safe — this is the
-    load-balancer role a real deployment would put in front of the ring.
-    """
-    last_exc = None
-    for step in range(len(clients)):
-        client = clients[(start + step) % len(clients)]
-        try:
-            return client.submit(
-                region, systems=systems, invocations=invocations,
-                wait=True, wait_timeout=wait_timeout,
-            )
-        except (OSError, http.client.HTTPException, ServeError) as exc:
-            if isinstance(exc, ServeError) and exc.status == 400:
-                raise  # a malformed request fails everywhere; surface it
-            last_exc = exc
-    raise last_exc
-
-
-def _drive(clients, mix, requests: int, concurrency: int,
-           kill_after: float = 0.0, kill_fn=None):
-    """The measured phase: ``concurrency`` threads, round-robin mix,
-    each thread pinned to a home shard with fleet failover.  With
-    ``kill_fn``, fires it ``kill_after`` seconds into the load — the
-    mid-load shard-loss injection."""
+def _drive(client, mix, requests: int, concurrency: int):
+    """The measured phase: ``concurrency`` threads, round-robin mix."""
     latencies = []
     errors = []
     lock = threading.Lock()
@@ -222,9 +173,9 @@ def _drive(clients, mix, requests: int, concurrency: int,
             region, systems, invocations = mix[i % len(mix)]
             t0 = time.perf_counter()
             try:
-                response = _submit_failover(
-                    clients, offset % len(clients), region, systems,
-                    invocations, wait_timeout=120.0,
+                response = client.submit(
+                    region, systems=systems, invocations=invocations,
+                    wait=True, wait_timeout=120.0,
                 )
                 ok = response.get("status") == "done"
             except Exception as exc:
@@ -243,21 +194,20 @@ def _drive(clients, mix, requests: int, concurrency: int,
     ]
     for t in threads:
         t.start()
-    if kill_fn is not None:
-        time.sleep(kill_after)
-        kill_fn()
     for t in threads:
         t.join()
     wall = time.perf_counter() - start
     return latencies, wall, errors
 
 
-def _collect_results(clients, mix) -> dict:
-    """One wait=True pass over the mix (round-robin across *clients*
-    with failover), keyed for identity comparison between phases."""
+def _collect_results(client, mix) -> dict:
+    """One wait=True pass over the mix, keyed for identity comparison
+    between phases."""
     out = {}
-    for i, (region, systems, invocations) in enumerate(mix):
-        response = _submit_failover(clients, i, region, systems, invocations)
+    for region, systems, invocations in mix:
+        response = client.submit(
+            region, systems=systems, invocations=invocations, wait=True
+        )
         if response.get("status") != "done":
             raise SystemExit(
                 f"request {region}/{systems} finished as "
@@ -282,10 +232,6 @@ def _daemon_counters(metrics: dict) -> dict:
     return flat
 
 
-def _counter(metrics: dict, name: str) -> float:
-    return metrics.get(name, {}).get("value", 0) or 0
-
-
 def _chaos_extra_env(spec: str) -> dict:
     """Fault-campaign env for a daemon: the chaos spec plus retry knobs
     generous enough that the supervised pool always recovers."""
@@ -295,207 +241,6 @@ def _chaos_extra_env(spec: str) -> dict:
         "NACHOS_MAX_RETRIES": os.environ.get("NACHOS_MAX_RETRIES", "4"),
         "NACHOS_BACKOFF_BASE": os.environ.get("NACHOS_BACKOFF_BASE", "0.05"),
     }
-
-
-# ----------------------------------------------------------------------
-# Sharded fleet mode (--shards N)
-# ----------------------------------------------------------------------
-def _run_sharded(args, mix, requests: int, concurrency: int) -> dict:
-    """Boot a ring of N daemons, drive mixed traffic, kill + rejoin a
-    shard, and report cross-shard hit rate and peer-hop latency."""
-    shards = args.shards
-    fleet_env = _chaos_extra_env(args.chaos) if args.chaos else {}
-
-    # Phase 0 — the correctness anchor: a fault-free single daemon.
-    print("[baseline: fault-free single daemon]")
-    with DaemonHarness(args.jobs, {}, "baseline") as harness:
-        baseline = _collect_results([harness.client], mix)
-
-    shard_dirs = [
-        Path(tempfile.mkdtemp(prefix=f"nachos-shard{i}-"))
-        for i in range(shards)
-    ]
-    opened = []
-    try:
-        harnesses = []
-        for i in range(shards):
-            harness = DaemonHarness(
-                args.jobs, dict(fleet_env), f"shard{i}", shard_dirs[i]
-            ).__enter__()
-            opened.append(harness)
-            harnesses.append(harness)
-
-        def wire_ring():
-            membership = {
-                f"shard{i}": f"{h.client.host}:{h.client.port}"
-                for i, h in enumerate(harnesses)
-            }
-            for i, h in enumerate(harnesses):
-                if h.proc.poll() is None:
-                    h.client.set_peers(membership, self_name=f"shard{i}")
-
-        wire_ring()
-        clients = [h.client for h in harnesses]
-        print(f"[fleet up: {shards} shards, jobs={args.jobs} each"
-              + (f", NACHOS_CHAOS={args.chaos}" if args.chaos else "") + "]")
-
-        print(f"[fleet warmup: {len(mix)} distinct requests]")
-        t0 = time.perf_counter()
-        fleet_warm = _collect_results(clients, mix)
-        warmup_s = time.perf_counter() - t0
-        warm_identical = fleet_warm == baseline
-        print(f"[fleet warmup: {warmup_s:.2f}s, identical={warm_identical}]")
-
-        print(f"[measured: {requests} requests x {concurrency} threads "
-              f"across {shards} shards]")
-        latencies, wall, errors = _drive(clients, mix, requests, concurrency)
-        metrics_all = [c.metrics() for c in clients]
-
-        # Cross-shard effectiveness, aggregated over the fleet.
-        peer_hits = sum(_counter(m, "serve.peer_hit") for m in metrics_all)
-        peer_misses = sum(_counter(m, "serve.peer_miss") for m in metrics_all)
-        peer_errors = sum(_counter(m, "serve.peer_error") for m in metrics_all)
-        peer_down = sum(_counter(m, "serve.peer_down") for m in metrics_all)
-        lookups = peer_hits + peer_misses + peer_errors + peer_down
-        cross_shard_hit_rate = peer_hits / lookups if lookups else 0.0
-        fetch_summaries = [
-            m.get("serve.peer_fetch_seconds", {})
-            for m in metrics_all
-            if m.get("serve.peer_fetch_seconds", {}).get("count")
-        ]
-        fetch_count = sum(s["count"] for s in fetch_summaries)
-        fetch_mean = (
-            sum(s["mean"] * s["count"] for s in fetch_summaries) / fetch_count
-            if fetch_count
-            else 0.0
-        )
-        # Max across shards: conservative tail without pooling samples.
-        fetch_p50 = max((s.get("p50", 0.0) for s in fetch_summaries), default=0.0)
-        fetch_p99 = max((s.get("p99", 0.0) for s in fetch_summaries), default=0.0)
-        print(f"[cross-shard: {int(peer_hits)} peer hits / {int(lookups)} "
-              f"lookups = {cross_shard_hit_rate:.2f}, "
-              f"hop p99 {fetch_p99 * 1000:.1f}ms]")
-
-        # Phase 3 — kill one shard MID-LOAD.  Every request must still
-        # complete (failover + local-compute degradation), and the
-        # payloads must stay byte-identical to the fault-free baseline.
-        victim = 1 % shards
-        print(f"[chaos: SIGKILL shard{victim} mid-load]")
-        t0 = time.perf_counter()
-        kill_latencies, kill_wall, kill_errors = _drive(
-            clients, mix, requests, concurrency,
-            kill_after=min(0.25, kill_wall_guess(latencies)),
-            kill_fn=harnesses[victim].kill,
-        )
-        survivors = [
-            h.client for h in harnesses if h.proc.poll() is None
-        ]
-        killed_results = _collect_results(survivors, mix)
-        killed_identical = killed_results == baseline
-        killed_s = time.perf_counter() - t0
-        print(f"[killed-shard phase: {killed_s:.2f}s, "
-              f"{len(kill_errors)} errors, identical={killed_identical}]")
-
-        # Phase 4 — rejoin: reboot the killed shard on its old store
-        # directory; the ring gets its new address and the shard must
-        # answer its own prefix from disk (store hits, no recompute).
-        print(f"[rejoin: reboot shard{victim} on its old store]")
-        t0 = time.perf_counter()
-        rejoined = DaemonHarness(
-            args.jobs, dict(fleet_env), f"shard{victim}-rejoin",
-            shard_dirs[victim],
-        ).__enter__()
-        opened.append(rejoined)
-        harnesses[victim] = rejoined
-        wire_ring()
-        rejoin_results = _collect_results([rejoined.client], mix)
-        rejoin_identical = rejoin_results == baseline
-        rejoin_metrics = rejoined.client.metrics()
-        rejoin_store_hits = _counter(rejoin_metrics, "serve.store_hits")
-        rejoin_s = time.perf_counter() - t0
-        print(f"[rejoin: {rejoin_s:.2f}s, store hits "
-              f"{int(rejoin_store_hits)}, identical={rejoin_identical}]")
-    finally:
-        for harness in opened:
-            harness.__exit__()
-        for path in shard_dirs:
-            shutil.rmtree(path, ignore_errors=True)
-
-    served = len(latencies)
-    report = {
-        "schema": BENCH_SCHEMA,
-        "mode": "shards",
-        "mix_mode": "quick" if args.quick else "full",
-        "shards": shards,
-        "jobs": args.jobs,
-        "requests": served,
-        "concurrency": concurrency,
-        "distinct_requests": len(mix),
-        "warmup_seconds": round(warmup_s, 3),
-        "wall_seconds": round(wall, 3),
-        "qps": round(served / wall, 2) if wall > 0 else 0.0,
-        "mean_latency_seconds": round(sum(latencies) / served, 4) if served else 0.0,
-        "p50_latency_seconds": round(_percentile(latencies, 50), 4),
-        "p90_latency_seconds": round(_percentile(latencies, 90), 4),
-        "p99_latency_seconds": round(_percentile(latencies, 99), 4),
-        "cross_shard_hits": int(peer_hits),
-        "cross_shard_lookups": int(lookups),
-        "cross_shard_hit_rate": round(cross_shard_hit_rate, 4),
-        "peer_fetch_count": int(fetch_count),
-        "peer_fetch_mean_seconds": round(fetch_mean, 5),
-        "peer_fetch_p50_seconds": round(fetch_p50, 5),
-        "peer_fetch_p99_seconds": round(fetch_p99, 5),
-        "store_hits": int(
-            sum(_counter(m, "serve.store_hits") for m in metrics_all)
-        ),
-        "results_identical_fleet_vs_single": warm_identical,
-        "killed_shard_wall_seconds": round(killed_s, 3),
-        "killed_shard_errors": len(kill_errors),
-        "results_identical_killed_vs_single": killed_identical,
-        "rejoin_seconds": round(rejoin_s, 3),
-        "rejoin_store_hits": int(rejoin_store_hits),
-        "results_identical_rejoin_vs_single": rejoin_identical,
-        "errors": len(errors),
-        "daemon": _daemon_counters(metrics_all[0]),
-    }
-    if args.chaos:
-        report["chaos_spec"] = args.chaos
-    return report
-
-
-def kill_wall_guess(latencies) -> float:
-    """A delay that lands the SIGKILL inside the kill-phase load."""
-    if not latencies:
-        return 0.1
-    return max(0.05, min(0.5, sum(latencies) / len(latencies)))
-
-
-def _check_sharded(report) -> int:
-    failed = []
-    if report["errors"] or report["killed_shard_errors"]:
-        failed.append(
-            f"{report['errors']} measured + {report['killed_shard_errors']} "
-            "killed-phase request error(s)"
-        )
-    if not report["results_identical_fleet_vs_single"]:
-        failed.append("fleet results differ from the single-daemon baseline")
-    if not report["results_identical_killed_vs_single"]:
-        failed.append(
-            "killed-peer results differ from the fault-free single-daemon run"
-        )
-    if not report["results_identical_rejoin_vs_single"]:
-        failed.append("rejoined-shard results differ from the baseline")
-    if report["cross_shard_hits"] <= 0:
-        failed.append(
-            "cross-shard hit rate is zero — the ring never served a peer"
-        )
-    if report["rejoin_store_hits"] <= 0:
-        failed.append(
-            "rejoined shard served nothing from its on-disk store"
-        )
-    for message in failed:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -512,19 +257,12 @@ def main(argv=None) -> int:
         "--concurrency", type=int, default=None,
         help="client threads (default 4 quick / 8 full)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="boot an N-daemon consistent-hash ring instead of one "
-        "daemon; adds the cross-shard hit rate, a mid-load shard "
-        "SIGKILL, and a rejoin-from-disk phase to the run",
-    )
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_serve.json"))
     parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="also run the request set against a NACHOS_CHAOS daemon on a "
         "fresh cache; per-system results must match the fault-free run "
-        "(abort@ unsupported: it kills the supervisor = the daemon). "
-        "With --shards, the fleet daemons run under the spec directly.",
+        "(abort@ unsupported: it kills the supervisor = the daemon)",
     )
     parser.add_argument(
         "--ledger", default=None, metavar="PATH",
@@ -536,26 +274,10 @@ def main(argv=None) -> int:
         print("FAIL: chaos abort@ would SIGKILL the daemon itself",
               file=sys.stderr)
         return 2
-    if args.shards == 1:
-        print("FAIL: --shards wants N >= 2 (one daemon is the default mode)",
-              file=sys.stderr)
-        return 2
 
     mix = QUICK_MIX if args.quick else FULL_MIX
     requests = args.requests or (24 if args.quick else 96)
     concurrency = args.concurrency or (4 if args.quick else 8)
-
-    if args.shards:
-        report = _run_sharded(args, mix, requests, concurrency)
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-        print(json.dumps(report, indent=2))
-        if args.ledger:
-            from repro.obs import PerfLedger, record_from_serve
-
-            ledger = PerfLedger(args.ledger)
-            fp = ledger.append(record_from_serve(report))
-            print(f"[ledger {ledger.path}: appended serve record {fp}]")
-        return _check_sharded(report)
 
     work_dir = Path(tempfile.mkdtemp(prefix="nachos-serve-bench-"))
     try:
@@ -565,12 +287,12 @@ def main(argv=None) -> int:
 
             print(f"[warmup: {len(mix)} distinct requests]")
             t0 = time.perf_counter()
-            baseline = _collect_results([client], mix)
+            baseline = _collect_results(client, mix)
             warmup_s = time.perf_counter() - t0
             print(f"[warmup: {warmup_s:.2f}s]")
 
             print(f"[measured: {requests} requests x {concurrency} threads]")
-            latencies, wall, errors = _drive([client], mix, requests, concurrency)
+            latencies, wall, errors = _drive(client, mix, requests, concurrency)
             metrics = client.metrics()
 
         # Restart-warm: a fresh daemon on the same cache directory must
@@ -579,7 +301,7 @@ def main(argv=None) -> int:
         print("[restart-warm: new daemon, same cache]")
         t0 = time.perf_counter()
         with DaemonHarness(args.jobs, {}, "restart", work_dir) as harness:
-            restart_results = _collect_results([harness.client], mix)
+            restart_results = _collect_results(harness.client, mix)
             restart_metrics = harness.client.metrics()
         restart_s = time.perf_counter() - t0
         restart_identical = restart_results == baseline
@@ -625,7 +347,7 @@ def main(argv=None) -> int:
         with DaemonHarness(
             args.jobs, _chaos_extra_env(args.chaos), "chaos"
         ) as harness:
-            chaos_results = _collect_results([harness.client], mix)
+            chaos_results = _collect_results(harness.client, mix)
             chaos_metrics = harness.client.metrics()
         chaos_s = time.perf_counter() - t0
         identical = chaos_results == baseline

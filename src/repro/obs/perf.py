@@ -402,11 +402,7 @@ def record_from_serve(
 
     Carries request latency percentiles, sustained QPS, the cache hit
     rate and request/task dedup rates, plus the daemon-side counters the
-    load generator scraped from ``/metrics`` (``daemon.<name>``).  A
-    ``--shards`` report (``mode="shards"``) additionally folds in the
-    fleet metrics — cross-shard hit rate, peer-hop latency, and the
-    kill/rejoin phase timings — which the ``mode = "shards"`` budgets
-    in ``perf_budgets.toml`` then gate.
+    load generator scraped from ``/metrics`` (``daemon.<name>``).
     """
     from repro.sim.factory import resolve_engine_mode
 
@@ -416,13 +412,6 @@ def record_from_serve(
         "p50_latency_seconds", "p90_latency_seconds", "p99_latency_seconds",
         "mean_latency_seconds", "cache_hit_rate", "dedup_rate", "errors",
         "chaos_wall_seconds", "chaos_retries",
-        # --shards fleet metrics
-        "shards", "cross_shard_hits", "cross_shard_lookups",
-        "cross_shard_hit_rate", "peer_fetch_count",
-        "peer_fetch_mean_seconds", "peer_fetch_p50_seconds",
-        "peer_fetch_p99_seconds", "store_hits",
-        "killed_shard_wall_seconds", "killed_shard_errors",
-        "rejoin_seconds", "rejoin_store_hits",
     ):
         value = report.get(key)
         if value is not None:

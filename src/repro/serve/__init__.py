@@ -8,36 +8,24 @@ for the operational story (durability guarantees included).
 from repro.serve.batcher import Batcher, BatcherStats, ServeTaskError
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import NachosServeDaemon
-from repro.serve.hashring import HashRing
-from repro.serve.peers import (
-    DEFAULT_HOP_LIMIT,
-    PeerTier,
-    parse_peer_spec,
-)
 from repro.serve.protocol import (
     MAX_INVOCATIONS,
     SERVE_SCHEMA,
     ProtocolError,
     ServeRequest,
     parse_request,
-    payload_key,
 )
 
 __all__ = [
     "Batcher",
     "BatcherStats",
-    "DEFAULT_HOP_LIMIT",
-    "HashRing",
     "MAX_INVOCATIONS",
     "NachosServeDaemon",
-    "PeerTier",
     "ProtocolError",
     "SERVE_SCHEMA",
     "ServeClient",
     "ServeError",
     "ServeRequest",
     "ServeTaskError",
-    "parse_peer_spec",
     "parse_request",
-    "payload_key",
 ]

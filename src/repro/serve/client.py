@@ -9,7 +9,7 @@ Hardening knobs (all off/strict by default):
 * ``retries`` — connection-refused attempts are retried with the same
   deterministic seeded backoff the runtime uses
   (:class:`repro.runtime.retry.RetryPolicy`), which papers over a
-  daemon restart without masking a genuinely dead fleet;
+  daemon restart without masking a genuinely dead daemon;
 * response bodies are capped at ``MAX_RESPONSE_BYTES`` and a
   truncated or non-JSON body surfaces as a :class:`ServeError`
   (carrying a preview) instead of a bare ``json`` traceback.
@@ -86,11 +86,11 @@ class ServeClient:
 
     def _request(
         self, method: str, target: str, body: Optional[dict] = None,
-        accept: tuple = (200,), headers: Optional[Dict[str, str]] = None,
+        accept: tuple = (200,),
     ) -> Dict[str, Any]:
         for attempt in range(self.retries + 1):
             try:
-                return self._request_once(method, target, body, accept, headers)
+                return self._request_once(method, target, body, accept)
             except ConnectionRefusedError:
                 # The one transient worth absorbing: a daemon mid-restart
                 # refuses connects for a moment, then listens again.
@@ -103,15 +103,15 @@ class ServeClient:
 
     def _request_once(
         self, method: str, target: str, body: Optional[dict],
-        accept: tuple, headers: Optional[Dict[str, str]],
+        accept: tuple,
     ) -> Dict[str, Any]:
         conn = self._connection()
         try:
             data = json.dumps(body).encode("utf-8") if body is not None else None
-            send_headers = dict(headers or {})
+            headers = {}
             if data is not None:
-                send_headers.setdefault("Content-Type", "application/json")
-            conn.request(method, target, body=data, headers=send_headers)
+                headers["Content-Type"] = "application/json"
+            conn.request(method, target, body=data, headers=headers)
             response = conn.getresponse()
             declared = response.getheader("Content-Length")
             if declared is not None and declared.isdigit() and (
@@ -213,46 +213,3 @@ class ServeClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self._request("POST", "/shutdown")
-
-    # -- sharded cache tier ---------------------------------------------
-    def get_peers(self) -> Dict[str, Any]:
-        """The daemon's fleet view: self name, membership, down peers."""
-        return self._request("GET", "/peers")
-
-    def set_peers(
-        self,
-        peers: Dict[str, str],
-        self_name: Optional[str] = None,
-        hop_limit: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Replace the daemon's ring membership (``name -> host:port``)."""
-        body: Dict[str, Any] = {"peers": peers}
-        if self_name is not None:
-            body["self"] = self_name
-        if hop_limit is not None:
-            body["hop_limit"] = hop_limit
-        return self._request("POST", "/peers", body)
-
-    def peer_result(
-        self, fingerprint: str, hops: int = 0
-    ) -> Optional[Dict[str, Any]]:
-        """The peer-protocol lookup: payload dict on a hit, None on miss."""
-        from repro.serve.peers import HOPS_HEADER
-
-        try:
-            response = self._request(
-                "GET",
-                f"/peer/result/{fingerprint}",
-                headers={HOPS_HEADER: str(hops)},
-            )
-        except ServeError as exc:
-            if exc.status == 404:
-                return None
-            raise
-        return response.get("payload")
-
-    def peer_put(
-        self, fingerprint: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Offer a payload to this daemon's store (write-through path)."""
-        return self._request("PUT", f"/peer/result/{fingerprint}", payload)

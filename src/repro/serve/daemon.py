@@ -21,13 +21,6 @@ Endpoints (JSON over HTTP/1.1, TCP or a unix socket):
                          cache counters, JSON
 ``GET /healthz``         liveness + uptime
 ``POST /shutdown``       graceful stop (the bench/CI harnesses use it)
-``GET /peer/result/<fp>``  sharded-tier internal: this daemon's stored
-                         payload for a task fingerprint (hop-limited
-                         forwarding, see :mod:`repro.serve.peers`)
-``PUT /peer/result/<fp>``  sharded-tier internal: accept a computed
-                         payload offered by a non-owner peer
-``GET/POST /peers``      fleet membership view / replace (the bench
-                         multi-daemon harness wires rings this way)
 =======================  ==============================================
 
 Dedup happens twice: identical *requests* attach to the retained
@@ -63,18 +56,11 @@ from urllib.parse import parse_qs
 
 from repro.obs.metrics import MetricsRegistry, metrics_from_cache
 from repro.serve.batcher import Batcher, ServeTaskError
-from repro.serve.peers import (
-    DEFAULT_HOP_LIMIT,
-    HOPS_HEADER,
-    PeerTier,
-    parse_peer_spec,
-)
 from repro.serve.protocol import (
     SERVE_SCHEMA,
     ProtocolError,
     ServeRequest,
     parse_request,
-    payload_key,
     run_payload,
     workload_for,
 )
@@ -117,11 +103,6 @@ class NachosServeDaemon:
         retain_results: int = 1024,
         ledger: Optional[str] = None,
         quiet: bool = False,
-        peers: Optional[Dict[str, str]] = None,
-        peer_id: Optional[str] = None,
-        hop_limit: int = DEFAULT_HOP_LIMIT,
-        store_dir: Optional[str] = None,
-        peer_timeout: float = 5.0,
     ) -> None:
         self.host = host
         self.port = port
@@ -140,16 +121,6 @@ class NachosServeDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._started_monotonic = 0.0
-        # Sharded cache tier (all optional; a peer-less daemon behaves
-        # exactly as before PR 9).
-        self._boot_peers = dict(peers) if peers else None
-        self.peer_id = peer_id
-        self.hop_limit = max(1, hop_limit)
-        self.peer_timeout = peer_timeout
-        self.store_dir = store_dir
-        self.peer_tier: Optional[PeerTier] = None
-        self.store = None  # type: Optional[Any]
-        self._offers: set = set()  # in-flight write-through tasks
         self._connections: set = set()  # open client StreamWriters
         self._stopping = False
 
@@ -202,83 +173,9 @@ class NachosServeDaemon:
                 self._client_connected, self.host, self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
-        if self.store_dir:
-            self._activate_store()
-        if self._boot_peers is not None:
-            self.configure_peers(self._boot_peers, self_name=self.peer_id)
         self._started_monotonic = time.monotonic()
         if not self.quiet:
             print(f"[nachos-serve] listening on {self.address}", flush=True)
-
-    # -- sharded cache tier ---------------------------------------------
-    def _activate_store(self):
-        """The daemon-local payload store the peer tier reads and writes.
-
-        A ``--store-dir`` gets its own :class:`ResultCache` root (one
-        per fleet member); otherwise the shared process cache is reused.
-        Either way every put is the cache's crash-consistent
-        tmp+fsync+rename, so a killed peer rejoins with a complete
-        store.
-        """
-        if self.store is None:
-            from repro.runtime.cache import ResultCache, get_cache
-
-            if self.store_dir:
-                self.store = ResultCache(root=self.store_dir)
-                self.store.sweep_stale()
-            else:
-                self.store = get_cache()
-        return self.store
-
-    def configure_peers(
-        self,
-        membership: Dict[str, str],
-        self_name: Optional[str] = None,
-        hop_limit: Optional[int] = None,
-    ) -> PeerTier:
-        """Install/replace the fleet view (boot ``--peers`` and
-        ``POST /peers`` both land here).  Activates the payload store."""
-        name = self_name or self.peer_id
-        if name is None and self.peer_tier is not None:
-            name = self.peer_tier.self_name
-        if name is None:
-            # Fixed-port fleets can use the bind address as identity;
-            # ephemeral-port fleets must name themselves (--peer-id).
-            name = f"{self.host}:{self.port}"
-        peers = dict(membership)
-        if name not in peers:
-            if self.socket_path:
-                raise ProtocolError(
-                    "a unix-socket daemon cannot join a TCP peer ring "
-                    "without an explicit membership entry for itself"
-                )
-            peers[name] = f"{self.host}:{self.port}"
-        if hop_limit is not None:
-            self.hop_limit = max(1, hop_limit)
-        try:
-            if self.peer_tier is None:
-                self.peer_tier = PeerTier(
-                    self_name=name,
-                    membership=peers,
-                    hop_limit=self.hop_limit,
-                    fetch_timeout=self.peer_timeout,
-                    policy=self.policy,
-                )
-            else:
-                self.peer_tier.self_name = name
-                self.peer_tier.hop_limit = self.hop_limit
-                self.peer_tier.set_membership(peers)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        self.peer_id = name
-        self._activate_store()
-        if not self.quiet:
-            print(
-                f"[nachos-serve] peer ring: self={name} "
-                f"peers={sorted(peers)}",
-                flush=True,
-            )
-        return self.peer_tier
 
     @property
     def address(self) -> str:
@@ -288,10 +185,6 @@ class NachosServeDaemon:
 
     async def stop(self) -> None:
         self._stopping = True
-        if self._offers:
-            # Write-through offers are bounded by the peer timeout; let
-            # them land (or fail) instead of destroying pending tasks.
-            await asyncio.gather(*list(self._offers), return_exceptions=True)
         if self._server is not None:
             # Stop accepting first, and let a connection accepted in
             # this loop turn build its transport before the listener
@@ -352,29 +245,9 @@ class NachosServeDaemon:
 
     # -- request execution ---------------------------------------------
     async def _resolve_task(self, req: ServeRequest, system: str, fp: str):
-        """One task's payload: local store, then the ring owner, then
-        compute — the read-through order that makes a fleet share one
-        logical store (misses degrade toward compute, never error)."""
+        """One task's payload: the batcher dedups it in flight, and the
+        pool answers from the shared result cache before it computes."""
         assert self.batcher is not None
-        key = payload_key(fp) if self.store is not None else None
-        if key is not None:
-            cached = self.store.get(key)
-            if isinstance(cached, dict):
-                self.metrics.counter("serve.store_hits").inc()
-                return cached
-        tier = self.peer_tier
-        if tier is not None:
-            fetch = await tier.fetch(fp)
-            self.metrics.counter(f"serve.peer_{fetch.outcome}").inc()
-            if fetch.outcome in ("hit", "miss"):
-                self.metrics.histogram("serve.peer_fetch_seconds").observe(
-                    fetch.elapsed
-                )
-            if fetch.outcome == "hit" and fetch.payload is not None:
-                # Hot keys replicate toward traffic: keep a local copy.
-                if key is not None:
-                    self.store.put(key, fetch.payload)
-                return fetch.payload
         from repro.runtime.executor import SimTask
 
         run = await self.batcher.submit(
@@ -388,26 +261,7 @@ class NachosServeDaemon:
                 kwargs=req.task_kwargs(),
             ),
         )
-        payload = run_payload(run)
-        if key is not None:
-            self.store.put(key, payload)
-        if tier is not None and tier.owner(fp) not in (None, tier.self_name):
-            # Best-effort write-through so the owner's disk becomes the
-            # fleet-wide source for this key.  Fire-and-forget: losing
-            # an offer costs a future recompute, never correctness.
-            task = asyncio.get_running_loop().create_task(
-                self._offer_to_owner(fp, payload)
-            )
-            self._offers.add(task)
-            task.add_done_callback(self._offers.discard)
-        return payload
-
-    async def _offer_to_owner(self, fp: str, payload: Dict[str, Any]) -> None:
-        assert self.peer_tier is not None
-        accepted = await self.peer_tier.offer(fp, payload)
-        self.metrics.counter(
-            "serve.peer_offers_sent" if accepted else "serve.peer_offers_dropped"
-        ).inc()
+        return run_payload(run)
 
     async def _run_request(self, record: _RequestRecord) -> None:
         assert self.batcher is not None
@@ -533,29 +387,11 @@ class NachosServeDaemon:
         body = await reader.readexactly(length) if length else b""
         path, _, query = target.partition("?")
         params = {k: v[-1] for k, v in parse_qs(query).items()}
-        return await self._route(method.upper(), path, params, body, headers)
+        return await self._route(method.upper(), path, params, body)
 
     async def _route(
-        self,
-        method: str,
-        path: str,
-        params: Dict[str, str],
-        body: bytes,
-        headers: Optional[Dict[str, str]] = None,
+        self, method: str, path: str, params: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        if path.startswith("/peer/result/"):
-            fp = path[len("/peer/result/"):]
-            if method == "GET":
-                return await self._handle_peer_get(fp, headers or {})
-            if method == "PUT":
-                return self._handle_peer_put(fp, body)
-            return 405, {"error": "GET or PUT /peer/result/<fp>"}
-        if path == "/peers":
-            if method == "GET":
-                return self._handle_peers_get()
-            if method == "POST":
-                return self._handle_peers_post(body)
-            return 405, {"error": "GET or POST /peers"}
         if path == "/submit":
             if method != "POST":
                 return 405, {"error": "POST /submit"}
@@ -600,11 +436,8 @@ class NachosServeDaemon:
             self._retain(request.request_id, record)
             asyncio.get_running_loop().create_task(self._run_request(record))
 
-        if payload.get("wait"):
-            wait_timeout = min(
-                float(payload.get("wait_timeout", MAX_WAIT_SECONDS)),
-                MAX_WAIT_SECONDS,
-            )
+        if request.wait:
+            wait_timeout = min(request.wait_timeout, MAX_WAIT_SECONDS)
             try:
                 await asyncio.wait_for(record.event.wait(), wait_timeout)
             except asyncio.TimeoutError:
@@ -648,103 +481,6 @@ class NachosServeDaemon:
         self.metrics.counter("serve.results_served").inc()
         return 200, record.payload
 
-    # -- peer protocol (sharded cache tier) -----------------------------
-    async def _handle_peer_get(
-        self, fp: str, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Serve a stored payload to a peer, forwarding at most once
-        toward the node *this* daemon believes owns the key (membership
-        views skew during rolling restarts); the hop counter makes a
-        forwarding cycle terminate instead of looping."""
-        if not fp:
-            raise ProtocolError("missing task fingerprint")
-        try:
-            hops = int(headers.get(HOPS_HEADER.lower(), "0") or 0)
-        except ValueError:
-            raise ProtocolError(f"bad {HOPS_HEADER} header") from None
-        if hops >= self.hop_limit:
-            self.metrics.counter("serve.peer_hop_limited").inc()
-            return 400, {
-                "error": f"hop limit {self.hop_limit} exceeded",
-                "fingerprint": fp,
-                "hops": hops,
-            }
-        if self.store is not None:
-            cached = self.store.get(payload_key(fp))
-            if isinstance(cached, dict):
-                self.metrics.counter("serve.peer_serves").inc()
-                return 200, {
-                    "fingerprint": fp,
-                    "payload": cached,
-                    "source": self.peer_id,
-                    "hops": hops,
-                }
-        tier = self.peer_tier
-        if tier is not None and hops + 1 < self.hop_limit:
-            owner = tier.owner(fp)
-            if owner not in (None, tier.self_name):
-                fetch = await tier.fetch(fp, hops=hops + 1)
-                if fetch.outcome == "hit" and fetch.payload is not None:
-                    self.metrics.counter("serve.peer_forwards").inc()
-                    return 200, {
-                        "fingerprint": fp,
-                        "payload": fetch.payload,
-                        "source": fetch.peer,
-                        "hops": hops + 1,
-                        "forwarded": True,
-                    }
-        return 404, {"error": "miss", "fingerprint": fp}
-
-    def _handle_peer_put(
-        self, fp: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Accept a payload a non-owner computed (write-through offer)."""
-        if not fp:
-            raise ProtocolError("missing task fingerprint")
-        if self.store is None:
-            return 400, {"error": "peer tier not configured"}
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else None
-        except (ValueError, UnicodeDecodeError):
-            raise ProtocolError("offer body is not valid JSON") from None
-        if not isinstance(payload, dict) or not payload:
-            raise ProtocolError("offer body must be a non-empty JSON object")
-        self.store.put(payload_key(fp), payload)
-        self.metrics.counter("serve.peer_offers_accepted").inc()
-        return 200, {"ok": True, "fingerprint": fp, "stored": True}
-
-    def _handle_peers_get(self) -> Tuple[int, Dict[str, Any]]:
-        if self.peer_tier is None:
-            return 200, {"self": self.peer_id, "peers": {}, "down": []}
-        return 200, self.peer_tier.snapshot()
-
-    def _handle_peers_post(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (ValueError, UnicodeDecodeError):
-            raise ProtocolError("membership body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise ProtocolError("membership body must be a JSON object")
-        peers = payload.get("peers")
-        if not isinstance(peers, dict) or not peers or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in peers.items()
-        ):
-            raise ProtocolError(
-                "'peers' must be a non-empty {name: \"host:port\"} object"
-            )
-        self_name = payload.get("self")
-        if self_name is not None and not isinstance(self_name, str):
-            raise ProtocolError("'self' must be a string peer name")
-        hop_limit = payload.get("hop_limit")
-        if hop_limit is not None and (
-            not isinstance(hop_limit, int) or isinstance(hop_limit, bool)
-            or hop_limit < 1
-        ):
-            raise ProtocolError("'hop_limit' must be a positive integer")
-        self.configure_peers(peers, self_name=self_name, hop_limit=hop_limit)
-        assert self.peer_tier is not None
-        return 200, self.peer_tier.snapshot()
-
     # -- telemetry ------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One JSON view: request metrics, batcher counters, cache
@@ -762,18 +498,6 @@ class NachosServeDaemon:
             snap.histogram("serve.batch_size").observe_many(stats.batch_sizes)
             snap.gauge("serve.inflight_tasks").set(self.batcher.inflight)
         metrics_from_cache(registry=snap, prefix="cache")
-        if self.store_dir and self.store is not None:
-            # A dedicated --store-dir has its own counters (the global
-            # cache entry above covers the shared-root case).
-            snap.counter("store.hits").inc(self.store.hits)
-            snap.counter("store.misses").inc(self.store.misses)
-            total = self.store.hits + self.store.misses
-            snap.gauge("store.hit_rate").set(
-                self.store.hits / total if total else 0.0
-            )
-        if self.peer_tier is not None:
-            snap.gauge("serve.peers").set(len(self.peer_tier.membership))
-            snap.gauge("serve.peers_down").set(len(self.peer_tier.down_peers()))
         snap.gauge("serve.retained_requests").set(len(self.requests))
         snap.gauge("serve.uptime_seconds").set(
             time.monotonic() - self._started_monotonic
@@ -861,34 +585,6 @@ def main(argv=None) -> int:
         "on graceful shutdown",
     )
     parser.add_argument(
-        "--peers", default=None, metavar="SPEC",
-        help="join a sharded cache ring: 'name=host:port[,name=host:port"
-        "...]' (default $NACHOS_PEERS; names are the stable ring "
-        "identities, POST /peers can replace the view live)",
-    )
-    parser.add_argument(
-        "--peer-id", default=None, metavar="NAME",
-        help="this daemon's ring identity (default $NACHOS_PEER_ID, else "
-        "its host:port once bound — name it explicitly with ephemeral "
-        "ports)",
-    )
-    parser.add_argument(
-        "--hop-limit", type=int, default=None, metavar="N",
-        help="peer-request forwarding budget (default $NACHOS_HOP_LIMIT "
-        f"or {DEFAULT_HOP_LIMIT}; a cycle of skewed membership views "
-        "terminates here instead of looping)",
-    )
-    parser.add_argument(
-        "--store-dir", default=None, metavar="PATH",
-        help="dedicated payload-store root for the sharded tier "
-        "(default: the shared $NACHOS_CACHE_DIR result cache)",
-    )
-    parser.add_argument(
-        "--peer-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="per-peer round-trip budget; a slower peer is marked down "
-        "with seeded backoff and the request computes locally (default 5)",
-    )
-    parser.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write {pid, host, port, socket} JSON here once listening "
         "(harness handshake)",
@@ -898,21 +594,6 @@ def main(argv=None) -> int:
 
     if args.engine is not None:
         os.environ["NACHOS_ENGINE"] = args.engine
-
-    peer_spec = args.peers if args.peers is not None else os.environ.get(
-        "NACHOS_PEERS"
-    )
-    try:
-        peers = parse_peer_spec(peer_spec) if peer_spec else None
-    except ValueError as exc:
-        parser.error(str(exc))
-    peer_id = args.peer_id or os.environ.get("NACHOS_PEER_ID") or None
-    hop_limit = args.hop_limit
-    if hop_limit is None:
-        try:
-            hop_limit = int(os.environ.get("NACHOS_HOP_LIMIT", ""))
-        except ValueError:
-            hop_limit = DEFAULT_HOP_LIMIT
 
     daemon = NachosServeDaemon(
         host=args.host,
@@ -926,11 +607,6 @@ def main(argv=None) -> int:
         retain_results=args.retain,
         ledger=args.ledger,
         quiet=args.quiet,
-        peers=peers,
-        peer_id=peer_id,
-        hop_limit=hop_limit,
-        store_dir=args.store_dir,
-        peer_timeout=args.peer_timeout,
     )
 
     async def _serve() -> None:
@@ -942,7 +618,6 @@ def main(argv=None) -> int:
                 "port": daemon.port,
                 "socket": daemon.socket_path,
                 "address": daemon.address,
-                "peer_id": daemon.peer_id,
             }
             # Atomic publish: a harness polling for this file must never
             # observe a torn JSON half-write (parallel CI boots many

@@ -21,13 +21,15 @@ Request JSON (``POST /submit``)::
      "invocations": 40,                          # default DEFAULT_INVOCATIONS
      "engine": "reference" | "fast",             # default: daemon's mode
      "warm": true, "check": true,
-     "wait": false}                              # long-poll until done
+     "wait": false,                              # long-poll until done
+     "wait_timeout": 300}                        # seconds; daemon caps it
 
 Responses are JSON; see :mod:`repro.serve.daemon` for the endpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -87,6 +89,8 @@ class ServeRequest:
     check: bool
     request_id: str
     task_fps: Tuple[str, ...]      # aligned with ``systems``
+    wait: bool = False             # long-poll until done
+    wait_timeout: float = math.inf  # the daemon caps it
 
     def task_kwargs(self) -> dict:
         """``run_system`` kwargs shipped with each :class:`SimTask`."""
@@ -155,6 +159,16 @@ def parse_request(payload: Any) -> ServeRequest:
     check = payload.get("check", True)
     _require(isinstance(warm, bool), "'warm' must be a boolean")
     _require(isinstance(check, bool), "'check' must be a boolean")
+    wait = payload.get("wait", False)
+    _require(isinstance(wait, bool), "'wait' must be a boolean")
+    wait_timeout = payload.get("wait_timeout", math.inf)
+    if "wait_timeout" in payload:
+        _require(
+            isinstance(wait_timeout, (int, float))
+            and not isinstance(wait_timeout, bool)
+            and math.isfinite(wait_timeout) and wait_timeout >= 0,
+            "'wait_timeout' must be a finite, non-negative number of seconds",
+        )
 
     workload = workload_for(region)
     request = ServeRequest(
@@ -190,21 +204,9 @@ def parse_request(payload: Any) -> ServeRequest:
         check=check,
         request_id=request_id,
         task_fps=task_fps,
+        wait=wait,
+        wait_timeout=float(wait_timeout),
     )
-
-
-def payload_key(task_fp: str) -> str:
-    """Result-store key for one task's JSON payload.
-
-    Namespaced under the task fingerprint so serve payloads can share a
-    :class:`~repro.runtime.cache.ResultCache` root with compile/sim
-    entries without colliding.  This key is the unit the sharded peer
-    tier moves around: ``GET/PUT /peer/result/<task_fp>`` reads and
-    writes exactly ``store[payload_key(task_fp)]``.
-    """
-    from repro.runtime.fingerprint import combine
-
-    return combine("serve-payload", task_fp)
 
 
 def run_payload(run) -> Dict[str, Any]:

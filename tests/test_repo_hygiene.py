@@ -88,3 +88,30 @@ def test_package_does_not_import_numpy():
             if root == "numpy":
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}")
     assert not offenders, "numpy imported at " + ", ".join(offenders)
+
+
+def test_perfbench_span_hooks_rebind_and_restore(monkeypatch):
+    """The benchmark's spans rebind named functions in ``src/repro``
+    (stage functions, ``runner.resolve_workload``, ``common.place_region``
+    and friends, ``ResultCache.get``/``put``, the executor and the serve
+    batcher's ``run_tasks_detailed``).  A rename there must fail here,
+    not only in a traced benchmark run, and ``uninstall`` must put every
+    original object back."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from perfbench.spans import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        rebound = list(tracer._undo)
+        assert rebound, "install() rebound nothing"
+        for owner, attr, original in rebound:
+            assert getattr(owner, attr) is not original, (
+                f"{owner.__name__}.{attr} was not rebound"
+            )
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in rebound:
+        assert getattr(owner, attr) is original, (
+            f"{owner.__name__}.{attr} not restored by uninstall()"
+        )

@@ -128,12 +128,31 @@ def test_protocol_rejections():
         parse_request({"region": "gather", "engine": "warp"})
     with pytest.raises(ProtocolError, match="unknown region"):
         parse_request({"region": "does-not-exist"})
+    with pytest.raises(ProtocolError, match="'wait' must be a boolean"):
+        parse_request({"region": "gather", "wait": "yes"})
+    for bad in ("abc", float("nan"), float("inf"), -1, True):
+        with pytest.raises(ProtocolError, match="wait_timeout"):
+            parse_request(
+                {"region": "gather", "wait": True, "wait_timeout": bad}
+            )
 
 
 def test_http_error_paths(client):
     with pytest.raises(ServeError) as excinfo:
         client.submit("no-such-region")
     assert excinfo.value.status == 400
+    # A malformed long-poll is rejected before its task is launched.
+    submitted = client.metrics()["serve.tasks_submitted"]["value"]
+    with pytest.raises(ServeError) as excinfo:
+        client.submit("gather", systems=["nachos"], invocations=4,
+                      wait=True, wait_timeout="abc")
+    assert excinfo.value.status == 400
+    metrics = client.metrics()
+    assert metrics["serve.tasks_submitted"]["value"] == submitted
+    assert "serve.internal_errors" not in metrics
+    with pytest.raises(ServeError) as excinfo:
+        client._request("GET", "/peers")
+    assert excinfo.value.status == 404
     with pytest.raises(ServeError) as excinfo:
         client.poll("deadbeef")
     assert excinfo.value.status == 404

@@ -194,6 +194,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 14" in out
 
+    def test_serve_rejects_removed_peer_flag(self, capsys, monkeypatch):
+        import repro.serve.daemon as daemon
+
+        def boot(**_kwargs):
+            raise AssertionError("--peers was accepted")
+
+        monkeypatch.setattr(daemon, "NachosServeDaemon", boot)
+        with pytest.raises(SystemExit) as excinfo:
+            daemon.main(["--peers", "a=h:1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --peers" in capsys.readouterr().err
+
     def test_svg_and_json_output(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
