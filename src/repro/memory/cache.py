@@ -52,30 +52,33 @@ class SetAssociativeCache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # set index -> OrderedDict[tag -> dirty]; LRU at the front.
+        self._line_bytes = config.line_bytes
+        self._n_sets = config.n_sets
+        self._ways = config.ways
+        # set index -> OrderedDict[tag -> dirty]; LRU at the front.  A set
+        # exists only once a line was installed in it.
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
 
     # ------------------------------------------------------------------
     def line_of(self, addr: int) -> int:
-        return addr // self.config.line_bytes
+        return addr // self._line_bytes
 
-    def _locate(self, line: int):
-        idx = line % self.config.n_sets
-        return idx, self._sets.setdefault(idx, OrderedDict())
+    def _locate(self, line: int) -> Optional["OrderedDict[int, bool]"]:
+        """The set *line* maps to, or None if nothing was ever put there."""
+        return self._sets.get(line % self._n_sets)
 
     # ------------------------------------------------------------------
     def lookup(self, addr: int) -> bool:
         """Presence check with no state change (used by MSHR logic)."""
-        line = self.line_of(addr)
-        _, ways = self._locate(line)
-        return line in ways
+        line = addr // self._line_bytes
+        ways = self._locate(line)
+        return ways is not None and line in ways
 
     def access(self, addr: int, is_write: bool) -> bool:
         """Access a byte address; returns True on hit.  Misses allocate."""
-        line = self.line_of(addr)
-        _, ways = self._locate(line)
-        hit = line in ways
-        if hit:
+        line = addr // self._line_bytes
+        ways = self._sets.get(line % self._n_sets)
+        if ways is not None and line in ways:
             ways.move_to_end(line)
             if is_write:
                 ways[line] = True
@@ -93,13 +96,16 @@ class SetAssociativeCache:
 
     def fill(self, line: int, dirty: bool = False) -> Optional[int]:
         """Install *line*; returns the evicted line (if any)."""
-        _, ways = self._locate(line)
+        idx = line % self._n_sets
+        ways = self._sets.get(idx)
+        if ways is None:
+            ways = self._sets[idx] = OrderedDict()
         victim = None
         if line in ways:
             ways.move_to_end(line)
             ways[line] = ways[line] or dirty
             return None
-        if len(ways) >= self.config.ways:
+        if len(ways) >= self._ways:
             victim, was_dirty = ways.popitem(last=False)
             self.stats.evictions += 1
             if was_dirty:
@@ -108,8 +114,9 @@ class SetAssociativeCache:
         return victim
 
     def invalidate(self, line: int) -> None:
-        _, ways = self._locate(line)
-        ways.pop(line, None)
+        ways = self._locate(line)
+        if ways is not None:
+            ways.pop(line, None)
 
     def flush(self) -> None:
         self._sets.clear()

@@ -50,12 +50,15 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def _claim_port(self, cycle: int) -> int:
         """Return the cycle the earliest-free port can start this access."""
-        idx = min(range(len(self._port_free)), key=lambda i: self._port_free[i])
-        start = max(cycle, self._port_free[idx])
-        self._port_free[idx] = start + 1
+        ports = self._port_free
+        free = min(ports)
+        start = max(cycle, free)
+        ports[ports.index(free)] = start + 1  # the first earliest-free port
         return start
 
     def _purge(self, cycle: int) -> None:
+        if not self._outstanding:
+            return
         done = [line for line, ready in self._outstanding.items() if ready <= cycle]
         for line in done:
             del self._outstanding[line]

@@ -22,7 +22,7 @@ from repro.energy.config import EnergyEvent
 from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
 from repro.ir.ops import Operation
 from repro.obs import tracer as obs
-from repro.sim.engine import DataflowEngine, DisambiguationBackend
+from repro.sim.engine import _LOAD, _STORE, DataflowEngine, DisambiguationBackend
 
 Pair = Tuple[int, int]
 
@@ -49,11 +49,14 @@ class MDEBackendBase(DisambiguationBackend):
         self._parents: Dict[int, List[MemoryDependencyEdge]] = {}
         self._children: Dict[int, List[MemoryDependencyEdge]] = {}
         self._forward_src: Dict[int, int] = {}  # load -> forwarding store
+        self._kind: Dict[int, int] = {}  # the engine's op-kind table
+        self._n_parents: Dict[int, int] = {}  # op -> distinct parent pairs
         # Per-invocation state:
         self._addr_ready: Dict[int, int] = {}
         self._value_ready: Dict[int, int] = {}
-        self._completed: Dict[int, int] = {}
         self._resolved: Dict[Pair, int] = {}       # edge -> resolution cycle
+        self._pending: Dict[int, int] = {}         # op -> unresolved parents
+        self._release: Dict[int, int] = {}         # op -> latest resolution
         self._conflict: Dict[Pair, bool] = {}      # comparator verdicts
         self._checked: Set[Pair] = set()
         self._fu_free: Dict[int, List[int]] = {}   # comparator pool per op
@@ -65,6 +68,7 @@ class MDEBackendBase(DisambiguationBackend):
     # ------------------------------------------------------------------
     def attach(self, engine: DataflowEngine, graph: DFGraph, placement) -> None:
         super().attach(engine, graph, placement)
+        self._kind = engine._kind
         self._parents = {op.op_id: [] for op in graph.memory_ops}
         self._children = {op.op_id: [] for op in graph.memory_ops}
         self._forward_src = {}
@@ -73,12 +77,17 @@ class MDEBackendBase(DisambiguationBackend):
             self._children[edge.src].append(edge)
             if edge.kind is MDEKind.FORWARD:
                 self._forward_src[edge.dst] = edge.src
+        self._n_parents = {
+            oid: len({(e.src, e.dst) for e in edges})
+            for oid, edges in self._parents.items()
+        }
 
     def begin_invocation(self, inv, t0, addr_of) -> None:
         self._addr_ready.clear()
         self._value_ready.clear()
-        self._completed.clear()
         self._resolved.clear()
+        self._pending = dict(self._n_parents)
+        self._release.clear()
         self._conflict.clear()
         self._checked.clear()
         self._fu_free.clear()
@@ -105,14 +114,12 @@ class MDEBackendBase(DisambiguationBackend):
                 self._retry(edge.dst, t)
 
     def on_memory_complete(self, op: Operation, t: int) -> None:
-        self._completed[op.op_id] = t
-        signal = self.engine.config.order_signal_latency
+        when = t + self.engine.config.order_signal_latency
         for edge in self._children.get(op.op_id, []):
             pair = (edge.src, edge.dst)
             if pair in self._resolved:
                 continue
-            when = t + signal
-            self._resolved[pair] = when
+            self._resolve(pair, when)
             if edge.kind is MDEKind.ORDER or (
                 edge.kind is MDEKind.MAY and not self.hardware_checks
             ):
@@ -138,7 +145,36 @@ class MDEBackendBase(DisambiguationBackend):
             self._retry(edge.dst, when)
 
     # ------------------------------------------------------------------
+    def _resolve(self, pair: Pair, when: int) -> None:
+        """Resolve MDE *pair* at cycle *when* (the only ``_resolved`` writer).
+
+        Keeps the younger op's unresolved-parent count and its latest
+        resolution cycle, so :meth:`_try_issue` tests both in O(1).
+        """
+        self._resolved[pair] = when
+        dst = pair[1]
+        self._pending[dst] -= 1
+        if when > self._release.get(dst, -1):
+            self._release[dst] = when
+
     def _retry(self, op_id: int, when: int) -> None:
+        """Re-evaluate *op_id* at cycle *when*.
+
+        No event for an op that already issued: it stays issued.  No
+        event for an op whose address is not ready either:
+        :meth:`on_addr_ready` evaluates it when the address arrives.
+        That second drop is checked, not guaranteed.  Such a retry would
+        issue the op only if the address and the op's last parent
+        resolution both landed before it ran, ahead of that resolution's
+        own retry; ``tests/test_backend_issue_order.py`` finds no such
+        case.  Every other retry is kept, even with parents unresolved,
+        for that same reason: a retry that runs after a resolution is
+        recorded, but before the resolution's own retry, issues the op
+        earlier in the cycle's event order, and the FCFS cache ports and
+        comparators see that order.
+        """
+        if op_id in self._issued or op_id not in self._addr_ready:
+            return
         self.engine.schedule(when, lambda: self._try_issue(op_id, when))
 
     # ------------------------------------------------------------------
@@ -199,9 +235,9 @@ class MDEBackendBase(DisambiguationBackend):
         pool = self._fu_free.setdefault(
             edge.dst, [self._t0] * self.comparators_per_fu
         )
-        slot = min(range(len(pool)), key=lambda k: pool[k])
-        start = max(ready, pool[slot])
-        pool[slot] = start + 1
+        free = min(pool)
+        start = max(ready, free)
+        pool[pool.index(free)] = start + 1  # the first earliest-free slot
         self.engine.schedule(start + 1, lambda: self._run_check(edge, start + 1))
 
     def _run_check(self, edge: MemoryDependencyEdge, t: int) -> None:
@@ -226,7 +262,7 @@ class MDEBackendBase(DisambiguationBackend):
             # conflicting store can forward its value (ST->LD).
             self._retry(edge.dst, t)
             return
-        self._resolved[pair] = t
+        self._resolve(pair, t)
         self._retry(edge.dst, t)
 
     # ------------------------------------------------------------------
@@ -235,64 +271,60 @@ class MDEBackendBase(DisambiguationBackend):
     def _try_issue(self, op_id: int, now: int) -> None:
         if op_id in self._issued:
             return
-        op = self.graph.op(op_id)
-        if op_id not in self._addr_ready:
+        t_start = self._addr_ready.get(op_id)
+        if t_start is None:
             return
-        if op.is_store and op_id not in self._value_ready:
+        is_load = self._kind[op_id] == _LOAD
+        if not is_load:
+            t_value = self._value_ready.get(op_id)
+            if t_value is None:
+                return
+            if t_value > t_start:
+                t_start = t_value
+        elif op_id in self._forward_src:
+            self._try_forward_static(op_id, now)
             return
 
-        if op.is_load and op_id in self._forward_src:
-            self._try_forward_static(op, now)
-            return
-
-        parents = self._parents.get(op_id, [])
-        unresolved = [e for e in parents if (e.src, e.dst) not in self._resolved]
-
-        if unresolved:
+        if self._pending[op_id]:
             if self._trace is not None:
                 self._note_blocked(op_id, now)
-            if self.hardware_checks and op.is_load:
-                self._try_forward_runtime(op, unresolved, now)
+            if is_load and self.hardware_checks:
+                self._try_forward_runtime(op_id, now)
             return
 
-        t_start = self._addr_ready[op_id]
-        if op.is_store:
-            t_start = max(t_start, self._value_ready[op_id])
-        for e in parents:
-            t_start = max(t_start, self._resolved[(e.src, e.dst)])
+        release = self._release.get(op_id)
+        if release is not None and release > t_start:
+            t_start = release
         self._issued.add(op_id)
         if self._trace is not None:
             self._emit_unblocked(op_id, t_start)
-        if op.is_load:
-            self.engine.do_load(op, t_start)
+        if is_load:
+            self.engine.do_load(self.graph.op(op_id), t_start)
         else:
-            self.engine.do_store(op, t_start)
+            self.engine.do_store(self.graph.op(op_id), t_start)
 
     # ------------------------------------------------------------------
-    def _try_forward_static(self, op: Operation, now: int) -> None:
+    def _try_forward_static(self, op_id: int, now: int) -> None:
         """Complete a load via its compile-time FORWARD edge.
 
         MDE insertion guarantees the forwarding store is the youngest
         older store that can alias the load, so only its value matters.
         """
-        src_id = self._forward_src[op.op_id]
+        src_id = self._forward_src[op_id]
         if src_id not in self._value_ready:
             return
-        src = self.graph.op(src_id)
-        route = self.placement.route_latency(src_id, op.op_id)
+        route = self.placement.route_latency(src_id, op_id)
         t = max(
-            self._addr_ready[op.op_id],
+            self._addr_ready[op_id],
             self._value_ready[src_id] + route,
         ) + self.engine.config.forward_latency
-        self._issued.add(op.op_id)
+        self._issued.add(op_id)
         if self._trace is not None:
-            self._emit_unblocked(op.op_id, t)
+            self._emit_unblocked(op_id, t)
         self.engine.energy.charge(EnergyEvent.MDE_FORWARD)
-        self.engine.forward_load(op, src, t)
+        self.engine.forward_load(self.graph.op(op_id), self.graph.op(src_id), t)
 
-    def _try_forward_runtime(
-        self, op: Operation, unresolved: List[MemoryDependencyEdge], now: int
-    ) -> None:
+    def _try_forward_runtime(self, op_id: int, now: int) -> None:
         """NACHOS-only: forward from a conflicting MAY store.
 
         Safe when exactly one parent is unresolved, it is a store whose
@@ -303,30 +335,34 @@ class MDEBackendBase(DisambiguationBackend):
         other and are therefore mutually ordered) or was proven
         non-conflicting.
         """
+        if self._pending[op_id] != 1:
+            return
+        resolved = self._resolved
+        unresolved = [
+            e for e in self._parents[op_id] if (e.src, e.dst) not in resolved
+        ]
         if len(unresolved) != 1:
+            return  # duplicate edges of the one unresolved pair
+        src_id = unresolved[0].src
+        if self._conflict.get((src_id, op_id)) is not True:
             return
-        edge = unresolved[0]
-        pair = (edge.src, edge.dst)
-        if self._conflict.get(pair) is not True:
+        if self._kind[src_id] != _STORE:
             return
-        src = self.graph.op(edge.src)
-        if not src.is_store:
+        if not ranges_exact(self._addr_of[src_id], self._addr_of[op_id]):
             return
-        if not ranges_exact(self._addr_of[edge.src], self._addr_of[op.op_id]):
+        if src_id not in self._value_ready:
             return
-        if edge.src not in self._value_ready:
-            return
-        route = self.placement.route_latency(edge.src, op.op_id)
+        route = self.placement.route_latency(src_id, op_id)
         t = max(
-            self._addr_ready[op.op_id],
-            self._value_ready[edge.src] + route,
+            self._addr_ready[op_id],
+            self._value_ready[src_id] + route,
         ) + self.engine.config.forward_latency
-        self._issued.add(op.op_id)
+        self._issued.add(op_id)
         self.stats.runtime_forwards += 1
         if self._trace is not None:
             self._trace.emit(
-                obs.RUNTIME_FORWARD, t, op=op.op_id, args={"src": edge.src}
+                obs.RUNTIME_FORWARD, t, op=op_id, args={"src": src_id}
             )
-            self._emit_unblocked(op.op_id, t)
+            self._emit_unblocked(op_id, t)
         self.engine.energy.charge(EnergyEvent.MDE_FORWARD)
-        self.engine.forward_load(op, src, t)
+        self.engine.forward_load(self.graph.op(op_id), self.graph.op(src_id), t)

@@ -27,8 +27,8 @@ from repro.energy.config import EnergyEvent
 from repro.ir.graph import DFGraph
 from repro.ir.ops import Operation
 from repro.obs import tracer as obs
-from repro.sim.backends.base import ranges_exact, ranges_overlap
-from repro.sim.engine import DataflowEngine, DisambiguationBackend
+from repro.sim.backends.base import ranges_exact
+from repro.sim.engine import _STORE, DataflowEngine, DisambiguationBackend
 from repro.sim.values import mix
 
 
@@ -51,15 +51,24 @@ class LSQConfig:
 
 
 class _Bloom:
-    """A counting bloom filter over cache-line addresses."""
+    """A counting bloom filter over cache-line addresses.
+
+    A line's signature depends on the line alone, so it is memoized for
+    the filter's lifetime; :meth:`clear` drops the counts only.
+    """
 
     def __init__(self, bits: int, hashes: int) -> None:
         self.bits = bits
         self.hashes = hashes
         self._counts: Dict[int, int] = {}
+        self._signatures: Dict[int, Tuple[int, ...]] = {}
 
     def signature(self, line: int) -> Tuple[int, ...]:
-        return tuple(mix(line, k + 1) % self.bits for k in range(self.hashes))
+        sig = self._signatures.get(line)
+        if sig is None:
+            sig = tuple(mix(line, k + 1) % self.bits for k in range(self.hashes))
+            self._signatures[line] = sig
+        return sig
 
     def probe(self, line: int) -> bool:
         return all(self._counts.get(b, 0) > 0 for b in self.signature(line))
@@ -92,21 +101,28 @@ class OptLSQBackend(DisambiguationBackend):
         super().__init__()
         self.config = config or LSQConfig.paper_default()
         self._order: List[int] = []
-        self._rank: Dict[int, int] = {}
+        self._kind: Dict[int, int] = {}  # the engine's op-kind table
         # Per-invocation state:
         self._addr_ready: Dict[int, int] = {}
         self._value_ready: Dict[int, int] = {}
         self._addr_of: Dict[int, Tuple[int, int]] = {}
-        self._inflight: Dict[int, Tuple[int, int]] = {}  # op -> (addr, width)
+        # op -> (addr, width), in issue order; stores also in their own map
+        # so a load's CAM search visits stores only.
+        self._inflight: Dict[int, Tuple[int, int]] = {}
+        self._inflight_stores: Dict[int, Tuple[int, int]] = {}
         self._bank_load: Dict[int, int] = {}
         self._next = 0
         self._slot_time = 0
         self._bank_slot: Dict[int, List[int]] = {}
         self._issue_time: Dict[int, int] = {}
-        self._load_bloom = _Bloom(1, 1)
-        self._store_bloom = _Bloom(1, 1)
+        self._load_bloom = _Bloom(self.config.bloom_bits, self.config.bloom_hashes)
+        self._store_bloom = _Bloom(self.config.bloom_bits, self.config.bloom_hashes)
+        # waiter -> blockers it still waits on, and blocker -> waiters in
+        # the order they started waiting.
         self._load_waits: Dict[int, Set[int]] = {}
         self._store_waits: Dict[int, Set[int]] = {}
+        self._load_waiters: Dict[int, List[int]] = {}
+        self._store_waiters: Dict[int, List[int]] = {}
         self._resume_time: Dict[int, int] = {}
         self._forward_from: Dict[int, List[int]] = {}  # store -> loads
         self._done: Set[int] = set()
@@ -114,23 +130,26 @@ class OptLSQBackend(DisambiguationBackend):
     # ------------------------------------------------------------------
     def attach(self, engine: DataflowEngine, graph: DFGraph, placement) -> None:
         super().attach(engine, graph, placement)
+        self._kind = engine._kind
         self._order = [op.op_id for op in graph.memory_ops]
-        self._rank = {oid: i for i, oid in enumerate(self._order)}
 
     def begin_invocation(self, inv, t0, addr_of) -> None:
         self._addr_ready.clear()
         self._value_ready.clear()
         self._addr_of = addr_of
         self._inflight.clear()
+        self._inflight_stores.clear()
         self._bank_load = {b: 0 for b in range(self.config.banks)}
         self._next = 0
         self._slot_time = t0
         self._bank_slot = {}
         self._issue_time.clear()
-        self._load_bloom = _Bloom(self.config.bloom_bits, self.config.bloom_hashes)
-        self._store_bloom = _Bloom(self.config.bloom_bits, self.config.bloom_hashes)
+        self._load_bloom.clear()
+        self._store_bloom.clear()
         self._load_waits.clear()
         self._store_waits.clear()
+        self._load_waiters.clear()
+        self._store_waiters.clear()
         self._resume_time.clear()
         self._forward_from.clear()
         self._done.clear()
@@ -178,8 +197,11 @@ class OptLSQBackend(DisambiguationBackend):
         if oid in self._inflight:
             addr, _ = self._inflight.pop(oid)
             self._bank_load[self._bank_of(addr)] -= 1
-            bloom = self._store_bloom if op.is_store else self._load_bloom
-            bloom.remove(self._line_of(addr))
+            if self._kind[oid] == _STORE:
+                del self._inflight_stores[oid]
+                self._store_bloom.remove(self._line_of(addr))
+            else:
+                self._load_bloom.remove(self._line_of(addr))
             if self._trace is not None:
                 self._trace.emit(
                     obs.LSQ_DEQUEUE,
@@ -189,24 +211,27 @@ class OptLSQBackend(DisambiguationBackend):
                 )
 
         resume = t + 1
-        for waiter, waiting in list(self._load_waits.items()):
-            if oid in waiting:
-                waiting.discard(oid)
-                self._resume_time[waiter] = max(
-                    self._resume_time.get(waiter, 0), resume
-                )
-                if not waiting:
-                    del self._load_waits[waiter]
-                    self._launch_load(waiter, self._resume_time[waiter])
-        for waiter, waiting in list(self._store_waits.items()):
-            if oid in waiting:
-                waiting.discard(oid)
-                self._resume_time[waiter] = max(
-                    self._resume_time.get(waiter, 0), resume
-                )
-                if not waiting:
-                    self._maybe_execute_store(waiter, resume)
-        self.engine.schedule(resume, lambda: self._pump(resume))
+        for waiter in self._load_waiters.pop(oid, ()):
+            waiting = self._load_waits[waiter]
+            waiting.discard(oid)
+            self._resume_time[waiter] = max(
+                self._resume_time.get(waiter, 0), resume
+            )
+            if not waiting:
+                del self._load_waits[waiter]
+                self._launch_load(waiter, self._resume_time[waiter])
+        for waiter in self._store_waiters.pop(oid, ()):
+            waiting = self._store_waits[waiter]
+            waiting.discard(oid)
+            self._resume_time[waiter] = max(
+                self._resume_time.get(waiter, 0), resume
+            )
+            if not waiting:
+                self._maybe_execute_store(waiter, resume)
+        if self._next < len(self._order):
+            # Issue only moves forward: once every op issued, a pump
+            # would find nothing to do.
+            self.engine.schedule(resume, lambda: self._pump(resume))
 
     # ------------------------------------------------------------------
     # In-order issue
@@ -225,20 +250,23 @@ class OptLSQBackend(DisambiguationBackend):
             self._issue(oid, t)
 
     def _issue(self, oid: int, t: int) -> None:
-        op = self.graph.op(oid)
         addr, width = self._addr_of[oid]
         line = self._line_of(addr)
+        is_store = self._kind[oid] == _STORE
+        conflicts = self._cam_conflicts(is_store, addr, width)
         self._issue_time[oid] = t
         self._inflight[oid] = (addr, width)
+        if is_store:
+            self._inflight_stores[oid] = (addr, width)
         self._bank_load[self._bank_of(addr)] += 1
 
         # Bloom probe: loads check the store bloom; stores check both.
         self.engine.energy.charge(EnergyEvent.LSQ_BLOOM)
         self.stats.bloom_probes += 1
-        if op.is_load:
-            hit = self._store_bloom.probe(line)
-        else:
+        if is_store:
             hit = self._store_bloom.probe(line) or self._load_bloom.probe(line)
+        else:
+            hit = self._store_bloom.probe(line)
         if self._trace is not None:
             self._trace.emit(obs.BLOOM_PROBE, t, op=oid, args={"hit": hit})
             self._trace.emit(
@@ -253,40 +281,43 @@ class OptLSQBackend(DisambiguationBackend):
             if self._trace is not None:
                 self._trace.emit(obs.CAM_SEARCH, t, op=oid)
             self.engine.energy.charge(
-                EnergyEvent.LSQ_CAM_STORE if op.is_store else EnergyEvent.LSQ_CAM_LOAD
+                EnergyEvent.LSQ_CAM_STORE if is_store else EnergyEvent.LSQ_CAM_LOAD
             )
 
-        my_rank = self._rank[oid]
-        conflicts = []
-        for other, other_range in self._inflight.items():
-            if other == oid or self._rank[other] >= my_rank:
-                continue
-            other_op = self.graph.op(other)
-            if op.is_load and not other_op.is_store:
-                continue  # LD-LD needs no ordering
-            if ranges_overlap(other_range, (addr, width)):
-                conflicts.append(other)
-
-        bloom = self._store_bloom if op.is_store else self._load_bloom
-        bloom.insert(line)
-
-        if op.is_load:
-            self._issue_load(oid, t, conflicts)
-        else:
+        if is_store:
+            self._store_bloom.insert(line)
             self._store_waits[oid] = set(conflicts)
+            for blocker in conflicts:
+                self._store_waiters.setdefault(blocker, []).append(oid)
             self._resume_time[oid] = max(self._resume_time.get(oid, 0), t)
             self._maybe_execute_store(oid, t)
+        else:
+            self._load_bloom.insert(line)
+            self._issue_load(oid, t, conflicts)
+
+    def _cam_conflicts(self, is_store: bool, addr: int, width: int) -> List[int]:
+        """In-flight accesses an op issuing now must order behind.
+
+        Issue is in program order, so every in-flight entry is older.  A
+        store conflicts with every overlapping one; a load only with the
+        overlapping stores (LD-LD needs no ordering).  Entries come back
+        in issue order.
+        """
+        entries = self._inflight if is_store else self._inflight_stores
+        end = addr + width
+        return [
+            other
+            for other, (o_addr, o_width) in entries.items()
+            if o_addr < end and addr < o_addr + o_width
+        ]
 
     # ------------------------------------------------------------------
     # Loads
     # ------------------------------------------------------------------
-    def _issue_load(self, oid: int, t: int, conflicts: List[int]) -> None:
-        op = self.graph.op(oid)
-        addr_range = self._addr_of[oid]
-        stores = [c for c in conflicts if self.graph.op(c).is_store]
+    def _issue_load(self, oid: int, t: int, stores: List[int]) -> None:
         if stores:
-            youngest = max(stores, key=lambda s: self._rank[s])
-            if ranges_exact(self._addr_of[youngest], addr_range):
+            youngest = stores[-1]  # issue order is program order
+            if ranges_exact(self._addr_of[youngest], self._addr_of[oid]):
                 # Store-to-load forwarding from the SQ.
                 self.stats.lsq_forwards += 1
                 if self._trace is not None:
@@ -302,6 +333,8 @@ class OptLSQBackend(DisambiguationBackend):
             # Partial overlap: wait for all conflicting stores to retire,
             # then read the (now coherent) cache.
             self._load_waits[oid] = set(stores)
+            for blocker in stores:
+                self._load_waiters.setdefault(blocker, []).append(oid)
             self._resume_time[oid] = max(self._resume_time.get(oid, 0), t)
             return
         self._launch_load(oid, t)

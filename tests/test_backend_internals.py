@@ -134,6 +134,59 @@ class TestLSQInternals:
         bloom.remove(10)
         assert not bloom.probe(10)
 
+    def test_bloom_signature_memo_matches_hashes(self):
+        from repro.sim.backends.lsq import _Bloom
+        from repro.sim.values import mix
+
+        bloom = _Bloom(bits=1024, hashes=3)
+        lines = [0, 1, 63, 64, 4096, 2**40 + 7]
+        for _ in range(2):  # computed, then served from the memo
+            for line in lines:
+                assert bloom.signature(line) == tuple(
+                    mix(line, k + 1) % 1024 for k in range(3)
+                )
+        bloom.insert(lines[0])
+        bloom.clear()
+        assert not bloom.probe(lines[0])
+        assert set(bloom._signatures) == set(lines)  # outlives clear()
+
+    def test_store_only_cam_scan_matches_full_inflight_scan(self):
+        """A load's CAM search over the in-flight stores alone finds the
+        same conflicts, in the same order, as the full in-flight scan
+        with its age and LD-LD filters."""
+        from repro.sim.backends.base import ranges_overlap
+        from repro.sim.backends.lsq import OptLSQBackend
+        from repro.verify.fuzz import build_graph, generate_spec
+
+        checked = []
+
+        class Checking(OptLSQBackend):
+            def _issue(self, oid, t):
+                op = self.graph.op(oid)
+                addr_range = self._addr_of[oid]
+                rank = {o: i for i, o in enumerate(self._order)}
+                full = [
+                    other
+                    for other, other_range in self._inflight.items()
+                    if other != oid
+                    and rank[other] < rank[oid]
+                    and (op.is_store or self.graph.op(other).is_store)
+                    and ranges_overlap(other_range, addr_range)
+                ]
+                got = self._cam_conflicts(op.is_store, *addr_range)
+                checked.append((op.is_store, full, got))
+                super()._issue(oid, t)
+
+        for index in range(60):
+            spec = generate_spec(0, index)
+            g = build_graph(spec)
+            g.clear_mdes()
+            engine = DataflowEngine(g, place_region(g), MemoryHierarchy(), Checking())
+            engine.run(spec.env_dicts())
+        assert all(full == got for _, full, got in checked)
+        assert any(len(full) > 1 for is_store, full, _ in checked if is_store)
+        assert any(full for is_store, full, _ in checked if not is_store)
+
     def test_issue_slot_in_order_monotonic(self):
         from repro.sim.backends.lsq import LSQConfig, OptLSQBackend
 

@@ -72,6 +72,9 @@ class TestSetAssociativeCache:
         c = self.make()
         assert not c.lookup(0x100)
         assert c.stats.accesses == 0
+        assert c._sets == {}  # probing an untouched set allocates nothing
+        c.invalidate(c.line_of(0x200))
+        assert c._sets == {}
         c.access(0x100, False)
         assert c.lookup(0x100)
         assert c.stats.accesses == 1

@@ -243,8 +243,9 @@ class NoOrderWait(NachosSWBackend):
     def begin_invocation(self, inv, t0, addr_of):
         super().begin_invocation(inv, t0, addr_of)
         for e in self.graph.mdes:
-            if e.kind is MDEKind.ORDER:
-                self._resolved[(e.src, e.dst)] = t0
+            pair = (e.src, e.dst)
+            if e.kind is MDEKind.ORDER and pair not in self._resolved:
+                self._resolve(pair, t0)
 
 
 def test_mutation_disabled_order_wait_is_located():
@@ -278,7 +279,7 @@ class LiarComparator(NachosBackend):
                 obs.COMPARATOR_CHECK, t, op=edge.dst,
                 args={"src": edge.src, "conflict": False},
             )
-        self._resolved[pair] = t
+        self._resolve(pair, t)
         self._retry(edge.dst, t)
 
 
