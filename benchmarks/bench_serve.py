@@ -13,15 +13,13 @@ Modes::
     python benchmarks/bench_serve.py --quick         # CI smoke load
     python benchmarks/bench_serve.py --quick \
         --chaos 'crash=0.15,corrupt=0.1,seed=11'     # fault campaign
-    python benchmarks/bench_serve.py --quick --ledger perf/history.ndjson
 
 The measured phase follows a warmup that populates the result cache and
 the daemon's retained-request records, so its latencies are the *serving*
 story (dedup + read-through cache), not simulation wall time — that is
 the whole point of a long-running service.  ``qps``, ``p50/p90/p99``
-latency, the cache hit rate, and the request dedup rate feed
-``perf_budgets.toml`` via ``nachos-repro perf record --serve`` (or
-``--ledger`` here directly).
+latency, the cache hit rate, and the request dedup rate land in the
+report.
 
 ``--chaos SPEC`` runs the same fixed request set against a fault-free
 daemon and against a daemon whose environment carries ``NACHOS_CHAOS``
@@ -264,10 +262,6 @@ def main(argv=None) -> int:
         "fresh cache; per-system results must match the fault-free run "
         "(abort@ unsupported: it kills the supervisor = the daemon)",
     )
-    parser.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append this report to the perf-observatory run ledger",
-    )
     args = parser.parse_args(argv)
 
     if args.chaos and "abort" in args.chaos:
@@ -364,13 +358,6 @@ def main(argv=None) -> int:
 
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-
-    if args.ledger:
-        from repro.obs import PerfLedger, record_from_serve
-
-        ledger = PerfLedger(args.ledger)
-        fp = ledger.append(record_from_serve(report))
-        print(f"[ledger {ledger.path}: appended serve record {fp}]")
 
     if errors:
         print(f"FAIL: {len(errors)} request error(s); first: {errors[0]}",

@@ -11,7 +11,6 @@ Modes::
     python benchmarks/bench_sweep.py                # full: nachos-repro all
     python benchmarks/bench_sweep.py --quick        # CI smoke: 2 regions x 3 systems
     python benchmarks/bench_sweep.py --jobs 4       # fan the sweep across workers
-    python benchmarks/bench_sweep.py --quick --check-warm-vs BENCH_sweep_quick.json
     python benchmarks/bench_sweep.py --quick --jobs 4 \
         --chaos 'crash=0.12,hang=0.08,corrupt=0.08,seed=7,hang_s=60'
 
@@ -19,29 +18,20 @@ The ``--quick`` smoke sweep is what CI runs on every push: two micro
 regions through all three paper systems, parallel, cache on, then a
 warm re-run that must be 100% cache-served and identical.
 
-``--check-warm-vs`` guards the hot path against observability overhead:
-the warm run must stay within 10% (plus a small absolute slack for
-machine noise) of a committed reference report's ``warm_seconds`` — a
-regression here means the disabled-tracer path stopped being free.
-
 ``--chaos SPEC`` adds a third run on a fresh cache with the given
 fault-injection profile active (``NACHOS_CHAOS``); workers crash, hang
 past the timeout, and return corrupt results, yet the supervised
 executor must recover and produce output byte-identical to the
 fault-free cold run.
 
-``--ledger PATH`` appends the report to the perf-observatory run
-ledger (``repro.obs.perf``) — cold/warm wall+CPU, cache hit rate,
-per-figure wall breakdown, and the engine-compare section when present
-— so ``nachos-repro perf check`` can enforce the committed
-``perf_budgets.toml`` over the history and ``perf report`` can render
-the trend dashboard.  All wall times here and in the child CLI come
-from ``time.perf_counter()`` (one monotonic clock source end to end);
-CPU times are ``os.times()`` children deltas.
+All wall times here and in the child CLI come from
+``time.perf_counter()`` (one monotonic clock source end to end); CPU
+times are ``os.times()`` children deltas.  Host-speed regressions are
+gated by ``tools/perf_pairs.py`` (paired perfbench runs against the
+merge base), not by this report.
 
 The report's ``engine`` field names the mode the main cold/warm runs
-resolved to (``$NACHOS_ENGINE``, else the default rule), and the
-ledger record files the run under it.
+resolved to (``$NACHOS_ENGINE``, else the default rule).
 
 ``--engine-compare`` adds one cold run of the fast engine on a fresh
 cache (``NACHOS_ENGINE=fast``) and pins the main cold/warm runs to the
@@ -99,8 +89,8 @@ def _parse_figure_walls(output: str) -> dict:
 
     The CLI times every experiment stage with ``time.perf_counter()``
     and prints ``[<name>: <seconds>s]``; folding those into the report
-    gives the ledger a per-figure breakdown without a second profiling
-    run.  Returns ``{}`` for quick mode (no figure stages).
+    gives a per-figure breakdown without a second profiling run.
+    Returns ``{}`` for quick mode (no figure stages).
     """
     walls = {}
     for line in output.splitlines():
@@ -174,39 +164,6 @@ def _smoke_sweep() -> None:
     print(f"[cache: {cache.hits} hits, {cache.misses} misses]")
 
 
-#: Absolute slack (seconds) added on top of the relative tolerance when
-#: comparing warm times, so sub-second smoke sweeps don't flap on
-#: scheduler noise while real hot-path regressions (which scale with the
-#: sweep) still trip the relative bound.
-WARM_ABS_SLACK_SECONDS = 0.75
-
-
-def _check_warm(ref_path: str, report: dict, tolerance: float) -> int:
-    """Compare this run's warm time against a committed reference."""
-    ref = json.loads(Path(ref_path).read_text())
-    if ref.get("mode") != report["mode"]:
-        print(
-            f"FAIL: reference {ref_path} is mode={ref.get('mode')!r}, "
-            f"this run is mode={report['mode']!r}",
-            file=sys.stderr,
-        )
-        return 1
-    budget = ref["warm_seconds"] * (1.0 + tolerance) + WARM_ABS_SLACK_SECONDS
-    verdict = "ok" if report["warm_seconds"] <= budget else "FAIL"
-    print(
-        f"[warm check: {report['warm_seconds']:.2f}s vs reference "
-        f"{ref['warm_seconds']:.2f}s (budget {budget:.2f}s) -> {verdict}]"
-    )
-    if verdict == "FAIL":
-        print(
-            "FAIL: warm sweep regressed beyond the tolerance — the "
-            "disabled-observability hot path got slower",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke sweep")
@@ -214,18 +171,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_sweep.json"))
     parser.add_argument(
         "--keep-cache", action="store_true", help="keep the bench cache dir"
-    )
-    parser.add_argument(
-        "--check-warm-vs",
-        default=None,
-        metavar="REF_JSON",
-        help="fail if warm_seconds regresses >10%% vs this reference report",
-    )
-    parser.add_argument(
-        "--warm-tolerance",
-        type=float,
-        default=0.10,
-        help="relative warm-time regression tolerance for --check-warm-vs",
     )
     parser.add_argument(
         "--chaos",
@@ -240,13 +185,6 @@ def main(argv=None) -> int:
         help="pin the main runs to NACHOS_ENGINE=reference and also run "
         "cold under NACHOS_ENGINE=fast on a fresh cache; outputs must "
         "match byte-for-byte",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="append this report to the perf-observatory run ledger "
-        "(NDJSON; see docs/perf.md)",
     )
     parser.add_argument("--child-quick", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -359,13 +297,6 @@ def main(argv=None) -> int:
             }
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
-        if args.ledger:
-            # _cache_stats already put src/ on sys.path for this import.
-            from repro.obs import PerfLedger, record_from_bench
-
-            ledger = PerfLedger(args.ledger)
-            fp = ledger.append(record_from_bench(report))
-            print(f"[ledger {ledger.path}: appended bench record {fp}]")
         if not identical:
             print("FAIL: warm output differs from cold output", file=sys.stderr)
             return 1
@@ -393,8 +324,6 @@ def main(argv=None) -> int:
         if not args.quick and SEED_SERIAL_SECONDS / warm_s < 3.0:
             print("FAIL: warm sweep is not >= 3x the seed baseline", file=sys.stderr)
             return 1
-        if args.check_warm_vs:
-            return _check_warm(args.check_warm_vs, report, args.warm_tolerance)
         return 0
     finally:
         if args.keep_cache:

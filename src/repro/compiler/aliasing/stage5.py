@@ -378,11 +378,6 @@ class Stage5Stats:
     def resolved(self) -> int:
         return self.resolved_no + self.resolved_must
 
-    def merge(self, other: "Stage5Stats") -> None:
-        self.symbolic_pairs += other.symbolic_pairs
-        self.resolved_no += other.resolved_no
-        self.resolved_must += other.resolved_must
-
 
 def refine_stage5(
     graph: DFGraph,

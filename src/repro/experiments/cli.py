@@ -41,16 +41,6 @@ Usage::
                                        # (bit-exact, separate cache keys)
     nachos-repro profile fig11         # per-stage/per-region wall time,
                                        # cache telemetry, worker usage
-    nachos-repro all --ledger perf/history.ndjson
-                                       # append this run's telemetry to
-                                       # the perf-observatory run ledger
-    nachos-repro perf record --bench BENCH_sweep.json
-                                       # fold a bench report into the ledger
-    nachos-repro perf check            # enforce perf_budgets.toml against
-                                       # the ledger (non-zero on regression)
-    nachos-repro perf report --out perf_report.md --html perf_report.html
-                                       # render the perf-history dashboard
-    nachos-repro perf ls               # list ledger records
 """
 
 from __future__ import annotations
@@ -70,7 +60,7 @@ from repro.runtime.checkpoint import configure_checkpoint, get_checkpoint
 from repro.runtime.executor import get_policy, set_jobs, set_policy
 from repro.runtime.fingerprint import CACHE_SCHEMA
 from repro.runtime.retry import SweepError
-from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
+from repro.sim.factory import ENGINE_MODES
 
 from repro.experiments import (
     allpaths,
@@ -237,54 +227,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out",
         default=None,
-        help="output path for 'trace' (default trace.json) or for "
-        "'perf report' (default: print to stdout)",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="perf-observatory run ledger (NDJSON).  With experiments / "
-        "profile / verify: append this run's telemetry.  With 'perf': "
-        "the ledger to operate on.  Default $NACHOS_PERF_LEDGER or "
-        "perf/history.ndjson",
-    )
-    parser.add_argument(
-        "--budgets",
-        default="perf_budgets.toml",
-        metavar="PATH",
-        help="for 'perf check'/'perf report': the committed budget file",
-    )
-    parser.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help="for 'perf record': fold a bench_sweep report (BENCH_sweep"
-        ".json) into the ledger",
+        help="output path for 'trace' (default trace.json)",
     )
     parser.add_argument(
         "--coverage",
-        nargs="?",
-        const=True,
-        default=None,
-        metavar="PATH",
-        help="for 'perf record': fold an approx_coverage --json summary "
-        "(PATH) into the ledger; for 'verify' (bare flag): prove each "
-        "fuzzed region's installed MDE set covers every oracle-required "
-        "happens-before pair",
-    )
-    parser.add_argument(
-        "--serve",
-        default=None,
-        metavar="PATH",
-        help="for 'perf record': fold a bench_serve report (BENCH_serve"
-        ".json) into the ledger",
-    )
-    parser.add_argument(
-        "--html",
-        default=None,
-        metavar="PATH",
-        help="for 'perf report': also render the dashboard as HTML here",
+        action="store_true",
+        help="for 'verify': prove each fuzzed region's installed MDE set "
+        "covers every oracle-required happens-before pair",
     )
     parser.add_argument(
         "--sanitize",
@@ -335,8 +284,7 @@ def main(argv=None) -> int:
         "--oracle",
         action="store_true",
         help="for 'verify': statically cross-check every stage-1..4 "
-        "NO/MUST verdict against the stage-5 separation-logic oracle; "
-        "with --ledger, also append the suite's stage-5 precision stats",
+        "NO/MUST verdict against the stage-5 separation-logic oracle",
     )
     parser.add_argument(
         "--inject-stage-fault",
@@ -388,8 +336,6 @@ def main(argv=None) -> int:
         return _verify_command(args)
     if names and names[0] == "profile":
         return _profile_command(names[1:], args)
-    if names and names[0] == "perf":
-        return _perf_command(names[1:], args)
     if names == ["list"] or names == []:
         print("Available experiments:")
         for name in EXPERIMENTS:
@@ -408,7 +354,7 @@ def main(argv=None) -> int:
     _configure_checkpoint_for(names, args)
 
     stage_seconds = {}
-    if args.metrics or args.ledger:
+    if args.metrics:
         from repro.obs import enable_profiling
 
         enable_profiling()
@@ -416,9 +362,9 @@ def main(argv=None) -> int:
     failed: Dict[str, dict] = {}
     for name in names:
         run, render, takes_inv = EXPERIMENTS[name]
-        # perf_counter, not time.time(): these stage timings feed the
-        # perf ledger and bench_sweep's per-figure breakdown, which must
-        # share one monotonic clock source with the bench harness.
+        # perf_counter, not time.time(): these stage timings feed
+        # bench_sweep's per-figure breakdown, which must share one
+        # monotonic clock source with the bench harness.
         start = time.perf_counter()
         try:
             if takes_inv and args.invocations is not None:
@@ -448,8 +394,6 @@ def main(argv=None) -> int:
 
     if args.metrics:
         _dump_metrics(args.metrics, stage_seconds)
-    if args.ledger:
-        _append_run_ledger(args.ledger, stage_seconds, jobs=args.jobs)
 
     cache = get_cache()
     if cache.enabled and (cache.hits or cache.misses):
@@ -533,162 +477,6 @@ def _dump_metrics(path: str, stage_seconds: Dict[str, float]) -> None:
     print(f"[wrote metrics to {path}]")
 
 
-def _resolve_ledger(args):
-    from repro.obs import PerfLedger, default_ledger_path
-
-    return PerfLedger(args.ledger if args.ledger else default_ledger_path())
-
-
-def _append_run_ledger(path, stage_seconds, jobs=None) -> None:
-    """Append this run's profile telemetry to a ledger."""
-    from repro.obs import (
-        PerfLedger,
-        capture_context,
-        get_profile,
-        record_from_profile,
-    )
-    from repro.runtime.executor import get_jobs
-
-    context = capture_context(
-        engine=resolve_engine_mode(),
-        jobs=jobs if jobs is not None else get_jobs(),
-    )
-    ledger = PerfLedger(path)
-    fp = ledger.append(
-        record_from_profile(get_profile(), stage_seconds, context=context)
-    )
-    print(f"[ledger {ledger.path}: appended profile:{fp}]")
-
-
-def _perf_command(rest, args) -> int:
-    """``nachos-repro perf record|check|report|ls`` — the perf
-    observatory over the run ledger (see docs/perf.md)."""
-    from repro.obs import (
-        check_ledger,
-        load_budgets,
-        record_from_bench,
-        record_from_coverage,
-        record_from_serve,
-        render_html,
-        render_markdown,
-        render_verdicts,
-    )
-    from repro.obs.regress import REGRESSION, BudgetError
-
-    action = rest[0] if rest else "ls"
-    ledger = _resolve_ledger(args)
-
-    if action == "record":
-        if not args.bench and not args.coverage and not args.serve:
-            print(
-                "usage: nachos-repro perf record (--bench BENCH_sweep.json "
-                "| --coverage coverage.json | --serve BENCH_serve.json) "
-                "[--ledger PATH]",
-                file=sys.stderr,
-            )
-            return 2
-        appended = []
-        if args.bench:
-            report = json.loads(Path(args.bench).read_text())
-            appended.append(("bench", ledger.append(record_from_bench(report))))
-        if args.coverage:
-            if args.coverage is True:  # bare flag is the 'verify' spelling
-                print(
-                    "perf record --coverage needs a PATH "
-                    "(an approx_coverage --json summary)",
-                    file=sys.stderr,
-                )
-                return 2
-            summary = json.loads(Path(args.coverage).read_text())
-            appended.append(
-                ("coverage", ledger.append(record_from_coverage(summary)))
-            )
-        if args.serve:
-            report = json.loads(Path(args.serve).read_text())
-            appended.append(("serve", ledger.append(record_from_serve(report))))
-        for source, fp in appended:
-            print(f"[ledger {ledger.path}: appended {source} record {fp}]")
-        return 0
-
-    records = ledger.records()
-    if ledger.skipped:
-        print(
-            f"[WARNING: skipped {ledger.skipped} unreadable/newer-schema "
-            f"ledger line(s)]",
-            file=sys.stderr,
-        )
-
-    if action == "ls":
-        if not records:
-            print(f"ledger {ledger.path}: no records")
-            return 0
-        print(f"ledger {ledger.path}: {len(records)} record(s)")
-        for i, record in enumerate(records):
-            ctx = record.context
-            shape = " ".join(
-                f"{k}={ctx[k]}"
-                for k in ("mode", "engine", "jobs") if k in ctx
-            )
-            print(
-                f"  [{i:>3}] {record.ts or '-':<20} {record.source:<9} "
-                f"fp={record.fingerprint()} sha={ctx.get('git_sha', '?'):<12} "
-                f"{len(record.metrics)} metric(s) {shape}"
-            )
-        return 0
-
-    if action == "check":
-        if not Path(args.budgets).exists():
-            print(f"budget file not found: {args.budgets}", file=sys.stderr)
-            return 2
-        try:
-            budgets, blessed = load_budgets(args.budgets)
-        except BudgetError as exc:
-            print(f"bad budget file {args.budgets}: {exc}", file=sys.stderr)
-            return 2
-        verdicts = check_ledger(records, budgets, blessed)
-        print(render_verdicts(verdicts))
-        if any(v.status == REGRESSION for v in verdicts):
-            print(
-                "FAIL: perf budget regression — either fix the hot path or "
-                "bless the record in perf_budgets.toml (see docs/perf.md)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if action == "report":
-        if not records:
-            print(f"ledger {ledger.path}: no records to report", file=sys.stderr)
-            return 2
-        verdicts = []
-        if Path(args.budgets).exists():
-            try:
-                budgets, blessed = load_budgets(args.budgets)
-                verdicts = check_ledger(records, budgets, blessed)
-            except BudgetError as exc:
-                print(
-                    f"[WARNING: ignoring bad budget file {args.budgets}: {exc}]",
-                    file=sys.stderr,
-                )
-        markdown = render_markdown(records, verdicts)
-        if args.out:
-            Path(args.out).write_text(markdown)
-            print(f"[wrote {args.out}]")
-        if args.html:
-            Path(args.html).write_text(render_html(records, verdicts))
-            print(f"[wrote {args.html}]")
-        if not args.out and not args.html:
-            print(markdown, end="")
-        return 0
-
-    print(
-        f"unknown perf action {action!r}; expected "
-        f"'record', 'check', 'report', or 'ls'",
-        file=sys.stderr,
-    )
-    return 2
-
-
 def _trace_command(rest, args) -> int:
     """``nachos-repro trace <region> --system <sys> --out trace.json``."""
     from collections import Counter as TallyCounter
@@ -765,36 +553,6 @@ def _trace_command(rest, args) -> int:
     return 0 if run.correct and counted == stats and sanitize_ok else 1
 
 
-def _stage5_suite_record():
-    """Stage-5 precision over the real workload sweep, as a ledger record.
-
-    Compiles the hottest region of every suite benchmark (no MDEs
-    installed — this is a pure analysis pass) and merges the per-region
-    :class:`~repro.compiler.aliasing.stage5.Stage5Stats`, so ``perf
-    check`` can pin how many symbolic MAY pairs the separation-logic
-    checker resolves on the sweep.
-    """
-    from repro.compiler import AliasPipeline
-    from repro.compiler.aliasing.stage5 import Stage5Stats
-    from repro.obs import capture_context, record_from_stage5
-    from repro.workloads.suite import build_suite_workloads
-
-    totals = Stage5Stats()
-    workloads = build_suite_workloads()
-    pipe = AliasPipeline()
-    for workload in workloads:
-        result = pipe.run(workload.graph, apply_mdes=False)
-        if result.stage5_stats is not None:
-            totals.merge(result.stage5_stats)
-    return record_from_stage5(
-        regions=len(workloads),
-        symbolic_pairs=totals.symbolic_pairs,
-        resolved_no=totals.resolved_no,
-        resolved_must=totals.resolved_must,
-        context=capture_context(sweep="suite-top1"),
-    )
-
-
 def _verify_command(args) -> int:
     """``nachos-repro verify [--fuzz N --seed S --systems ...]``.
 
@@ -822,14 +580,13 @@ def _verify_command(args) -> int:
     if args.inject_stage_fault is not None and not args.oracle:
         print("--inject-stage-fault requires --oracle", file=sys.stderr)
         return 2
-    do_coverage = bool(args.coverage)
     systems = list(args.systems) if args.systems else sorted(FUZZ_BACKENDS)
     engines_note = ""
     if args.engines == "both":
         engines_note = " [engines: reference+fast]"
     static_note = "".join(
         f" [{name}]"
-        for name, on in (("oracle", args.oracle), ("coverage", do_coverage))
+        for name, on in (("oracle", args.oracle), ("coverage", args.coverage))
         if on
     )
     print(f"fuzzing systems: {', '.join(systems)}" + engines_note + static_note)
@@ -843,7 +600,7 @@ def _verify_command(args) -> int:
 
     result = fuzz(
         args.fuzz, seed=args.seed, systems=systems, progress=progress,
-        engines=args.engines, oracle=args.oracle, coverage=do_coverage,
+        engines=args.engines, oracle=args.oracle, coverage=args.coverage,
         fault_seed=args.inject_stage_fault,
     )
     elapsed = time.perf_counter() - start
@@ -857,31 +614,11 @@ def _verify_command(args) -> int:
         f"({result.runs} differential runs{static_summary}) in {elapsed:.1f}s "
         f"[seed {args.seed}]"
     )
-    if args.ledger:
-        from repro.obs import PerfLedger, capture_context, record_from_fuzz
-
-        ledger = PerfLedger(args.ledger)
-        fp = ledger.append(
-            record_from_fuzz(
-                result.regions, result.runs, len(result.failures), elapsed,
-                seed=args.seed,
-                context=capture_context(
-                    seed=args.seed, engines=args.engines,
-                    systems=",".join(systems),
-                    oracle=args.oracle or None,
-                    coverage=do_coverage or None,
-                ),
-            )
-        )
-        print(f"[ledger {ledger.path}: appended verify record {fp}]")
-        if args.oracle:
-            fp5 = ledger.append(_stage5_suite_record())
-            print(f"[ledger {ledger.path}: appended stage5 record {fp5}]")
     if result.ok:
         checks = ["golden-model match", "sanitizer clean"]
         if args.oracle:
             checks.append("no stage-1..4 oracle contradiction")
-        if do_coverage:
+        if args.coverage:
             checks.append("MDE sync coverage complete")
         print("all runs clean: " + " + ".join(checks))
         return 0
@@ -982,8 +719,6 @@ def _profile_command(rest, args) -> int:
 
     if args.metrics:
         _dump_metrics(args.metrics, stage_seconds)
-    if args.ledger:
-        _append_run_ledger(args.ledger, stage_seconds, jobs=args.jobs)
 
     if failed:
         report_path = args.failure_report or "nachos-failure-report.json"

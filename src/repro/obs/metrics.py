@@ -150,8 +150,8 @@ class MetricsRegistry:
 
         Same-named counters **sum**, gauges take *other*'s (newer)
         value, and histograms pool their raw samples — the semantics
-        the perf-ledger builders (:mod:`repro.obs.perf`) rely on when
-        combining per-source registries into one record.  A name
+        the serve daemon's metrics snapshot relies on when combining
+        its live registry with the batcher and cache views.  A name
         registered with different metric kinds in the two registries is
         a caller bug and raises ``TypeError``.
         """

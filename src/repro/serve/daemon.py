@@ -64,7 +64,7 @@ from repro.serve.protocol import (
     run_payload,
     workload_for,
 )
-from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
+from repro.sim.factory import ENGINE_MODES
 
 #: Ceiling on ``"wait": true`` long-polls, so a stuck request cannot pin
 #: a connection forever (the client can always re-poll).
@@ -101,7 +101,6 @@ class NachosServeDaemon:
         batch_window: float = 0.01,
         max_batch: int = 32,
         retain_results: int = 1024,
-        ledger: Optional[str] = None,
         quiet: bool = False,
     ) -> None:
         self.host = host
@@ -111,7 +110,6 @@ class NachosServeDaemon:
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.retain_results = max(1, retain_results)
-        self.ledger = ledger
         self.quiet = quiet
         self.policy = self._resolve_policy(timeout, max_retries)
         self.metrics = MetricsRegistry()
@@ -212,8 +210,6 @@ class NachosServeDaemon:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
-        if self.ledger:
-            self._append_ledger()
 
     async def serve_forever(self, ready: Optional[threading.Event] = None) -> None:
         await self.start()
@@ -504,31 +500,6 @@ class NachosServeDaemon:
         )
         return snap.as_dict()
 
-    def _append_ledger(self) -> None:
-        from repro.obs.perf import PerfLedger, PerfRecord, capture_context
-
-        snapshot = self.metrics_snapshot()
-        metrics: Dict[str, float] = {}
-        for name, entry in snapshot.items():
-            if entry["type"] in ("counter", "gauge"):
-                metrics[name] = float(entry["value"])
-            else:
-                for key, value in entry.items():
-                    if key != "type":
-                        metrics[f"{name}.{key}"] = float(value)
-        context = capture_context(
-            engine=resolve_engine_mode(),
-            jobs=self.jobs,
-            mode="daemon",
-        )
-        ledger = PerfLedger(self.ledger)
-        fp = ledger.append(
-            PerfRecord(source="serve-daemon", metrics=metrics, context=context)
-        )
-        if not self.quiet:
-            print(f"[nachos-serve] ledger {ledger.path}: appended {fp}",
-                  flush=True)
-
 
 # ----------------------------------------------------------------------
 # CLI entry point (`nachos-serve`, also `nachos-repro serve ...`)
@@ -580,11 +551,6 @@ def main(argv=None) -> int:
         help="completed request payloads kept for /result (LRU, default 1024)",
     )
     parser.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append a serve-daemon telemetry record to this perf ledger "
-        "on graceful shutdown",
-    )
-    parser.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write {pid, host, port, socket} JSON here once listening "
         "(harness handshake)",
@@ -605,7 +571,6 @@ def main(argv=None) -> int:
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         retain_results=args.retain,
-        ledger=args.ledger,
         quiet=args.quiet,
     )
 

@@ -20,7 +20,7 @@ MAX_TRACKED_BYTES = 1024 * 1024
 
 #: Tracked files that are allowed to be data (still subject to the size
 #: ceiling — an allowlist entry is not a bloat license).
-ALLOWED_DATA = {"BENCH_sweep.json", "BENCH_sweep_quick.json"}
+ALLOWED_DATA = {"BENCH_sweep.json"}
 
 
 def _tracked_files():
@@ -67,6 +67,40 @@ def test_gitignore_covers_generated_artifacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("trace.json", "fuzz-repros/", "nachos-failure-report.json"):
         assert pattern in gitignore, f".gitignore is missing {pattern!r}"
+
+
+#: Names of the retired perf observatory (run ledger, budget file,
+#: dashboard) and of bench_sweep's warm-time gate.  Paired perfbench
+#: runs against the merge base (``tools/perf_pairs.py``) replace both.
+RETIRED_PERF_NAMES = (
+    "nachos-repro perf",
+    "perf_budgets.toml",
+    "--ledger",
+    "NACHOS_PERF_LEDGER",
+    "history.ndjson",
+    "--check-warm-vs",
+)
+
+#: perfbench still drops the old variable from the program's
+#: environment, which is harmless.
+RETIRED_NAMES_EXEMPT = ("perfbench/", "tests/test_repo_hygiene.py")
+
+
+def test_no_tracked_file_names_the_retired_perf_observatory():
+    """Root-level notes other than README.md are histories, plans and
+    references: they may name what was removed."""
+    offenders = []
+    for name in _tracked_files():
+        root_note = "/" not in name and name.endswith(".md") and name != "README.md"
+        if root_note or name.startswith(RETIRED_NAMES_EXEMPT):
+            continue
+        try:
+            text = (REPO_ROOT / name).read_bytes().decode("utf-8", "replace")
+        except OSError:
+            continue  # deleted in the index but not yet committed
+        offenders += [f"{name}: {word!r}" for word in RETIRED_PERF_NAMES
+                      if word in text]
+    assert not offenders, "retired perf names still in use: " + ", ".join(offenders)
 
 
 def _imported_roots(tree):

@@ -1,7 +1,9 @@
 """Unit tests for the tooling layer: timelines, SVG charts, exports, CLI."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,44 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "svg" / "fig14.svg").exists()
         assert (tmp_path / "json" / "fig14.json").exists()
+
+
+def _load_script(rel):
+    path = Path(__file__).resolve().parent.parent / rel
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_approx_coverage_summarize_and_render(tmp_path, monkeypatch):
+    mod = _load_script("tools/approx_coverage.py")
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    source = pkg / "mod.py"
+    source.write_text("a = 1\nb = 2\nc = 3\n")
+    monkeypatch.setattr(mod, "MEASURED", ("pkg",))
+    executable = mod.executable_lines(str(source))
+    hit = {str(source): set(list(executable)[:2])}
+    summary = mod.summarize(hit, str(tmp_path))
+    assert summary["total"]["lines"] == len(executable)
+    assert summary["total"]["hit"] == 2
+    assert summary["packages"]["pkg"]["pct"] == summary["total"]["pct"]
+    rendered = mod.render(summary)
+    assert "TOTAL" in rendered and "<- package" in rendered
+
+
+def test_bench_parse_figure_walls():
+    mod = _load_script("benchmarks/bench_sweep.py")
+    output = "\n".join([
+        "preamble noise",
+        "[tab3: 0.41s]",
+        "[fig11: 9.52s]",
+        "[cache: 1203 entries]",
+        "[cache: 0.10s]",   # the cache summary line is not a figure
+        "[fig15: 3.00s]",
+        "not [a: 1.0s] match",
+    ])
+    assert mod._parse_figure_walls(output) == {
+        "tab3": 0.41, "fig11": 9.52, "fig15": 3.0,
+    }

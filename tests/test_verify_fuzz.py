@@ -114,6 +114,14 @@ def test_cli_verify_subset_of_systems(capsys):
     assert "nachos" in capsys.readouterr().out
 
 
+def test_cli_coverage_flag_before_subcommand(capsys):
+    """``--coverage`` is a bare flag: placed before ``verify`` it must not
+    swallow the subcommand as a value."""
+    rc = main(["--coverage", "verify", "--fuzz", "2", "--seed", "0"])
+    assert rc == 0
+    assert "MDE sync coverage complete" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # Static cross-checks: the stage-5 oracle + sync coverage in the loop
 # ----------------------------------------------------------------------

@@ -13,50 +13,20 @@ unreachable clauses.  Pin the CI threshold below this script's number.
 Usage::
 
     PYTHONPATH=src python tools/approx_coverage.py [pytest args...]
-    PYTHONPATH=src python tools/approx_coverage.py --json coverage.json
-
-``--json PATH`` additionally writes the per-file / per-package / total
-numbers as machine-readable JSON, so the coverage floor feeds the
-perf-observatory run ledger (``nachos-repro perf record --coverage
-coverage.json``) instead of being grep'd out of CI logs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections import defaultdict
 
 MEASURED = ("src/repro/sim", "src/repro/compiler")
 
-#: Schema of the ``--json`` summary document.
-JSON_SCHEMA = 1
-
-
-def split_args(argv):
-    """Split ``--json PATH`` out of *argv*; the rest goes to pytest."""
-    json_path = None
-    rest = []
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--json":
-            if not args:
-                raise SystemExit("--json requires a PATH argument")
-            json_path = args.pop(0)
-        elif arg.startswith("--json="):
-            json_path = arg.split("=", 1)[1]
-        else:
-            rest.append(arg)
-    return json_path, rest
-
 
 def summarize(hit, root) -> dict:
     """Fold traced lines into the per-file/per-package/total summary."""
     summary = {
-        "schema": JSON_SCHEMA,
-        "tool": "approx_coverage",
         "measured": list(MEASURED),
         "files": {},
         "packages": {},
@@ -139,7 +109,6 @@ def executable_lines(path: str) -> set:
 def main(argv) -> int:
     import pytest
 
-    json_path, pytest_args = split_args(argv)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     prefixes = tuple(os.path.join(root, m) + os.sep for m in MEASURED)
     hit = defaultdict(set)
@@ -161,20 +130,14 @@ def main(argv) -> int:
 
     sys.settrace(tracer)
     try:
-        rc = pytest.main(["-q", "-p", "no:cacheprovider"] + pytest_args)
+        rc = pytest.main(["-q", "-p", "no:cacheprovider"] + list(argv))
     finally:
         sys.settrace(None)
     if rc != 0:
         print(f"pytest failed (exit {rc}); coverage numbers not meaningful")
         return rc
 
-    summary = summarize(hit, root)
-    print(render(summary))
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"[wrote {json_path}]")
+    print(render(summarize(hit, root)))
     return 0
 
 
