@@ -13,12 +13,13 @@ Usage::
     nachos-repro all --jobs 4 --timeout 300 --max-retries 3
                                        # supervised: hung tasks killed,
                                        # crashed workers replaced, retried
-    nachos-repro all --resume          # continue a killed/crashed sweep
-                                       # from its checkpoint journal
+    nachos-repro all                   # after a killed/crashed sweep:
+                                       # finished tasks replay from the cache
     nachos-repro all --failure-report failures.json
                                        # degrade to partial results +
                                        # machine-readable report
-    nachos-repro cache stats           # hit/miss counters, size
+    nachos-repro cache stats           # hit/miss counters, size, code
+                                       # fingerprint
     nachos-repro cache clear           # drop every cached result
     nachos-repro trace bzip2 --system nachos --out trace.json
                                        # Chrome-trace/Perfetto event dump
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -55,10 +55,9 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Tuple
 
-from repro.runtime.cache import configure_cache, default_cache_dir, get_cache
-from repro.runtime.checkpoint import configure_checkpoint, get_checkpoint
+from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.executor import get_policy, set_jobs, set_policy
-from repro.runtime.fingerprint import CACHE_SCHEMA
+from repro.runtime.fingerprint import CODE_FINGERPRINT
 from repro.runtime.retry import SweepError
 from repro.sim.factory import ENGINE_MODES
 
@@ -160,7 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore the on-disk result cache (force a cold run)",
+        help="ignore the on-disk result cache (force a cold run; a killed "
+        "run then has nothing to resume from)",
     )
     parser.add_argument(
         "--timeout",
@@ -177,19 +177,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="retry a crashed/hung/corrupt/raising task up to N times with "
         "deterministic exponential backoff (default $NACHOS_MAX_RETRIES or 2)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="journal completed sweep tasks to a checkpoint and resume from "
-        "it — rerun the same command after a crash/SIGKILL to continue",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="explicit checkpoint location (implies --resume semantics; "
-        "default derives from the experiment names, or $NACHOS_CHECKPOINT_DIR)",
     )
     parser.add_argument(
         "--failure-report",
@@ -351,8 +338,6 @@ def main(argv=None) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    _configure_checkpoint_for(names, args)
-
     stage_seconds = {}
     if args.metrics:
         from repro.obs import enable_profiling
@@ -412,37 +397,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-
-    checkpoint = get_checkpoint()
-    if checkpoint is not None and checkpoint.entries():
-        checkpoint.clear()
-        print(f"[checkpoint {checkpoint.root} cleared — run complete]")
     return 0
-
-
-def _configure_checkpoint_for(names, args) -> None:
-    """Point the sweep checkpoint at a journal for this figure set.
-
-    ``--checkpoint-dir`` wins; ``--resume`` derives a stable location from
-    the experiment names + invocations + cache schema, so rerunning the
-    same command after a crash finds the same journal.  Without either,
-    ``$NACHOS_CHECKPOINT_DIR`` (handled by :func:`get_checkpoint`) or no
-    checkpointing at all.
-    """
-    if args.checkpoint_dir:
-        configure_checkpoint(Path(args.checkpoint_dir))
-        return
-    if not args.resume:
-        return
-    digest = hashlib.sha256(
-        "|".join(
-            [f"schema={CACHE_SCHEMA}", f"inv={args.invocations}"]
-            + sorted(names)
-        ).encode()
-    ).hexdigest()[:16]
-    root = default_cache_dir() / "checkpoints" / digest
-    configure_checkpoint(root)
-    print(f"[resume: checkpoint journal at {root}]")
 
 
 def _write_failure_report(path: str, names, failed: Dict[str, dict]) -> None:
@@ -648,7 +603,6 @@ def _profile_command(rest, args) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    _configure_checkpoint_for(names, args)
     profile = enable_profiling()
     cache = get_cache()
     stage_seconds: Dict[str, float] = {}
@@ -708,14 +662,12 @@ def _profile_command(rest, args) -> int:
               f"({100.0 * cache.hits / total:.0f}%)")
 
     counts = profile.fault_counts()
-    if counts or profile.checkpoint_hits:
+    if counts:
         print("\nsupervision:")
         for kind in sorted(counts):
             print(f"  {kind + ' faults':<18} {counts[kind]}")
         print(f"  {'retries':<18} {profile.retries}")
         print(f"  {'terminal failures':<18} {len(profile.failures)}")
-        if profile.checkpoint_hits:
-            print(f"  {'checkpoint hits':<18} {profile.checkpoint_hits}")
 
     if args.metrics:
         _dump_metrics(args.metrics, stage_seconds)
@@ -736,6 +688,7 @@ def _cache_command(rest) -> int:
         total = stats["hits"] + stats["misses"]
         hit_pct = 100.0 * stats["hits"] / total if total else 0.0
         print(f"cache root: {stats['root']}")
+        print(f"code:       {CODE_FINGERPRINT[:16]}")
         print(f"enabled:    {'yes' if stats['enabled'] else 'no'}")
         print(f"entries:    {stats['entries']}")
         print(f"size:       {stats['bytes'] / (1024 * 1024):.1f} MiB")

@@ -177,15 +177,16 @@ def task_fingerprint(
     warm: bool = True,
     kwargs: Optional[Dict] = None,
 ) -> str:
-    """Content fingerprint of one sweep task (checkpoint journal key).
+    """Content fingerprint of one sweep task (the serve dedup key).
 
     Depends only on what determines the task's result — the pristine
-    region graph, the system, the invocation count, warmup, and any
-    config overrides — never on task order or process accidents, so a
-    resumed sweep (:mod:`repro.runtime.checkpoint`) recognizes completed
-    work across runs and even across figures that share tasks.
-    ``check`` is deliberately excluded: correctness is part of the
-    simulated record either way (see :func:`run_system`).
+    region graph, the system, the invocation count, warmup, any config
+    overrides and, through :func:`combine`, the simulator's code —
+    never on task order or process accidents, so concurrent requests
+    that share a task recognize each other.  ``check`` is deliberately
+    excluded: correctness is part of the simulated record either way
+    (see :func:`run_system`).  The engine mode is not part of it; the
+    serve protocol folds the effective mode in itself.
     """
     parts = [
         "sweeptask",

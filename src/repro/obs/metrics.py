@@ -244,7 +244,7 @@ def metrics_from_profile(
     )
     reg.gauge(f"{prefix}.utilization").set(profile.utilization())
     # Supervision telemetry: failed attempts by kind, bounded-retry and
-    # terminal-failure totals, and checkpoint-resumed tasks.
+    # terminal-failure totals.
     counts = profile.fault_counts()
     reg.counter(f"{prefix}.worker_crashes").inc(counts.get("crash", 0))
     reg.counter(f"{prefix}.timeouts").inc(counts.get("timeout", 0))
@@ -252,5 +252,4 @@ def metrics_from_profile(
     reg.counter(f"{prefix}.task_errors").inc(counts.get("error", 0))
     reg.counter(f"{prefix}.retries").inc(profile.retries)
     reg.counter(f"{prefix}.failures").inc(len(profile.failures))
-    reg.counter(f"{prefix}.checkpoint_hits").inc(profile.checkpoint_hits)
     return reg

@@ -5,10 +5,10 @@ The supervised executor (:mod:`repro.runtime.executor`) reports one
 the worker that ran it, and the task's result-cache hit/miss delta —
 plus one :class:`SweepRecord` per ``run_tasks`` batch, one
 :class:`FaultRecord` per failed attempt (worker crash, timeout, corrupt
-result, task error), one :class:`FailureRecord` per task that exhausted
-its retries, and the count of tasks served from the sweep checkpoint.  Recording is
-off by default (``enable()`` flips it; the disabled check is one module
-attribute load per batch), so ordinary sweeps pay nothing.
+result, task error), and one :class:`FailureRecord` per task that
+exhausted its retries.  Recording is off by default (``enable()`` flips
+it; the disabled check is one module attribute load per batch), so
+ordinary sweeps pay nothing.
 
 ``nachos-repro profile <figure>`` enables this collector, runs the
 figure, and prints per-stage / per-region wall-time and cache tables;
@@ -85,7 +85,6 @@ class SweepProfile:
     sweeps: List[SweepRecord] = field(default_factory=list)
     faults: List[FaultRecord] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
-    checkpoint_hits: int = 0
 
     # -- recording (called by the executor) -----------------------------
     def record_task(
@@ -115,9 +114,6 @@ class SweepProfile:
         message: str = "",
     ) -> None:
         self.failures.append(FailureRecord(region, system, kind, attempts, message))
-
-    def record_checkpoint_hits(self, n: int = 1) -> None:
-        self.checkpoint_hits += n
 
     # -- rollups ---------------------------------------------------------
     @property
@@ -173,7 +169,6 @@ class SweepProfile:
         self.sweeps.clear()
         self.faults.clear()
         self.failures.clear()
-        self.checkpoint_hits = 0
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,12 @@
 
 Import graph note: :mod:`repro.experiments.common` imports the cache and
 fingerprint submodules, and :mod:`repro.runtime.executor` imports
-``run_system`` / ``task_fingerprint`` lazily inside worker/key functions
-— keep it that way to avoid an import cycle.
+``run_system`` lazily inside its worker function — keep it that way to
+avoid an import cycle.
 """
 
 from repro.runtime.cache import ResultCache, configure_cache, get_cache
 from repro.runtime.chaos import ChaosSpec, get_chaos, parse_chaos, set_chaos
-from repro.runtime.checkpoint import (
-    SweepCheckpoint,
-    configure_checkpoint,
-    get_checkpoint,
-)
 from repro.runtime.executor import (
     SimTask,
     get_jobs,
@@ -23,7 +18,7 @@ from repro.runtime.executor import (
     set_policy,
 )
 from repro.runtime.fingerprint import (
-    CACHE_SCHEMA,
+    CODE_FINGERPRINT,
     combine,
     config_fingerprint,
     envs_fingerprint,
@@ -40,24 +35,21 @@ from repro.runtime.retry import (
 from repro.runtime.sweep import sweep_comparisons, sweep_runs
 
 __all__ = [
-    "CACHE_SCHEMA",
+    "CODE_FINGERPRINT",
     "ChaosSpec",
     "ResultCache",
     "RetryPolicy",
     "RetryScheduler",
     "SimTask",
-    "SweepCheckpoint",
     "SweepError",
     "SweepOutcome",
     "TaskFailure",
     "combine",
     "config_fingerprint",
     "configure_cache",
-    "configure_checkpoint",
     "envs_fingerprint",
     "get_cache",
     "get_chaos",
-    "get_checkpoint",
     "get_jobs",
     "get_policy",
     "graph_fingerprint",

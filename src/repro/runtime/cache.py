@@ -3,9 +3,11 @@
 Entries are pickled Python objects stored under
 ``<root>/objects/<key[:2]>/<key>.pkl`` where ``key`` is a sha256 over
 the content fingerprints of everything the result depends on (see
-:mod:`repro.runtime.fingerprint`).  Writes are atomic (tmp + rename),
-so concurrent workers can race on the same key safely — last writer
-wins with identical bytes.
+:mod:`repro.runtime.fingerprint`), the simulator's source code among
+them.  Writes are atomic and durable (tmp + fsync + rename), so
+concurrent workers can race on the same key safely — last writer wins
+with identical bytes — and a killed sweep's completed tasks survive
+for its rerun.
 
 Hit/miss counters accumulate in memory and are merged into
 ``<root>/stats.json`` on process exit, which is what

@@ -14,7 +14,7 @@ correctness oracle has teeth.  A :class:`ChaosSpec` decides, purely from
   that fail to unpickle on the supervisor's side;
 * ``abort``   — the *supervisor* SIGKILLs itself just before
   dispatching the marked task (simulates killing a sweep mid-flight;
-  the checkpoint/``--resume`` tests are built on it).
+  the kill-and-rerun tests are built on it).
 
 Decisions are sha256-seeded (:func:`repro.runtime.retry.stable_unit`),
 so a chaos campaign is bit-reproducible across processes and immune to

@@ -16,10 +16,11 @@ the parent event loop
 * treats results that fail to unpickle as corrupt,
 * requeues the affected task through a deterministic
   exponential-backoff :class:`~repro.runtime.retry.RetryScheduler`
-  until it succeeds or exhausts ``max_retries``, and
-* journals completions into the active
-  :class:`~repro.runtime.checkpoint.SweepCheckpoint` (if any), so a
-  killed sweep resumes instead of restarting.
+  until it succeeds or exhausts ``max_retries``.
+
+A killed sweep resumes by running the same command again: each task
+that finished was already stored in the result cache by the process
+that ran it, so the rerun reads it back and computes only the rest.
 
 The loop blocks between events: it always wakes on a worker message or
 the earliest in-flight deadline, and on the earliest backoff expiry only
@@ -45,8 +46,8 @@ task that another worker already computed is a cheap unpickle.
 
 When sweep profiling is enabled (:mod:`repro.obs.profile`), every task
 reports its wall time, the pid of the worker that ran it, and its
-result-cache hit/miss delta; retries, timeouts, worker crashes, corrupt
-results, and checkpoint hits are counted too.
+result-cache hit/miss delta; retries, timeouts, worker crashes, and
+corrupt results are counted too.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from repro.runtime.chaos import (
     ChaosSpec,
     get_chaos,
 )
-from repro.runtime.checkpoint import SweepCheckpoint, get_checkpoint
 from repro.runtime.retry import (
     CORRUPT,
     CRASH,
@@ -162,14 +162,6 @@ def _task_label(task: SimTask) -> str:
         getattr(workload, "spec", None), "name", "?"
     )
     return str(name)
-
-
-def _checkpoint_key(task: SimTask) -> str:
-    from repro.experiments.common import task_fingerprint
-
-    return task_fingerprint(
-        task.workload, task.system, task.invocations, task.warm, task.kwargs
-    )
 
 
 def _sigkill_self() -> None:
@@ -304,43 +296,23 @@ def _kill_worker(worker: _Worker) -> None:
 class _Supervision:
     """Shared bookkeeping between the serial and pooled drivers."""
 
-    def __init__(
-        self,
-        tasks: List[SimTask],
-        policy: RetryPolicy,
-        checkpoint: Optional[SweepCheckpoint],
-    ) -> None:
+    def __init__(self, tasks: List[SimTask], policy: RetryPolicy) -> None:
         self.tasks = tasks
         self.policy = policy
-        self.checkpoint = checkpoint
         self.profile = get_profile()
         self.sweep_stale()
         self.sched = RetryScheduler(len(tasks), policy)
         self.results: List[Optional[Any]] = [None] * len(tasks)
         self.failures: List[TaskFailure] = []
-        self.checkpoint_hits = 0
-        self.keys: Optional[List[str]] = None
-        if checkpoint is not None:
-            self.keys = [_checkpoint_key(t) for t in tasks]
-            for i, key in enumerate(self.keys):
-                value = checkpoint.get(key)
-                if value is not checkpoint.MISS:
-                    self.results[i] = value
-                    self.sched.mark_done(i)
-                    self.checkpoint_hits += 1
-            if self.profile.enabled and self.checkpoint_hits:
-                self.profile.record_checkpoint_hits(self.checkpoint_hits)
 
     def sweep_stale(self) -> None:
         """Reclaim tmp debris from writers killed mid-put (live writers
-        are spared by pid check).  Each store is walked once per process
+        are spared by pid check).  The cache is walked once per process
         and again after the pool kills a worker, the only way a batch can
         leave an orphan (see :func:`~repro.runtime.cache.sweep_stale_tmp_once`)."""
         from repro.runtime.cache import get_cache, sweep_stale_tmp_once
 
         sweep_stale_tmp_once(get_cache().root)
-        if self.checkpoint is not None:
-            sweep_stale_tmp_once(self.checkpoint.root)
 
     def complete(
         self,
@@ -353,8 +325,6 @@ class _Supervision:
     ) -> None:
         self.results[index] = run
         self.sched.record_success(index)
-        if self.checkpoint is not None and self.keys is not None:
-            self.checkpoint.put(self.keys[index], run)
         if self.profile.enabled:
             self.profile.record_task(
                 _task_label(self.tasks[index]),
@@ -388,8 +358,6 @@ class _Supervision:
                     failure.region, failure.system, kind,
                     failure.attempts, message,
                 )
-            if self.checkpoint is not None:
-                self.checkpoint.record_failure(failure.as_dict())
         return delay
 
     def outcome(self) -> SweepOutcome:
@@ -397,7 +365,6 @@ class _Supervision:
             results=self.results,
             failures=self.failures,
             retries=self.sched.retries,
-            checkpoint_hits=self.checkpoint_hits,
         )
 
 
@@ -411,7 +378,7 @@ def _run_serial(tasks: List[SimTask], policy: RetryPolicy) -> SweepOutcome:
     """
     from repro.runtime.cache import get_cache
 
-    sup = _Supervision(tasks, policy, get_checkpoint())
+    sup = _Supervision(tasks, policy)
     chaos = get_chaos()
     cache = get_cache()
     pid = os.getpid()
@@ -470,7 +437,7 @@ def _run_pool(
     """The supervised pool driver (see module docstring)."""
     from repro.runtime.cache import get_cache
 
-    sup = _Supervision(tasks, policy, get_checkpoint())
+    sup = _Supervision(tasks, policy)
     chaos = get_chaos()
     cache = get_cache()
     profile = sup.profile
@@ -632,7 +599,7 @@ def run_tasks_detailed(
 
     Returns a :class:`SweepOutcome` whose ``results`` align
     index-for-index with *tasks* (``None`` where a task terminally
-    failed) plus the failure/retry/checkpoint telemetry.
+    failed) plus the failure/retry telemetry.
     """
     tasks = list(tasks)
     n = jobs if jobs is not None else get_jobs()

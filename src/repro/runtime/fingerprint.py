@@ -11,6 +11,10 @@ identically.
 
 Everything else (configs, invocation environments) is hashed as
 canonical JSON (sorted keys, no whitespace).
+
+Every key also carries :data:`CODE_FINGERPRINT`, a hash of the
+simulator's own sources, so a result can never outlive the code that
+produced it.
 """
 
 from __future__ import annotations
@@ -19,22 +23,42 @@ import dataclasses
 import enum
 import hashlib
 import json
+from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.ir.graph import DFGraph
 from repro.ir.serialize import graph_to_dict
 
-#: Bump when the cache payload format or simulation semantics change in
-#: a way that invalidates stored results.  Schema 3: simulation keys
-#: carry the resolved engine mode (reference vs fast), so cross-mode
-#: cache hits can never alias the differential equivalence checks.
-#: Schema 4: a third engine mode (since removed) joined the mode set
-#: (its results must never alias either older mode's entries).
-#: Schema 5: the stage-5 separation-logic checker joined the pipeline
-#: (symbolic MAY pairs may now label NO/MUST, changing enforcement
-#: plans), graph payloads grew a sym-bounds table, and configs grew
-#: ``use_stage5`` — older entries must not be replayed.
-CACHE_SCHEMA = 5
+#: Source that decides a cached result: the packages a compile, oracle
+#: or sim record is computed by, plus the module that computes and
+#: stores those records and this module (which defines the keys).
+_CODE_PACKAGES = ("ir", "compiler", "cgra", "memory", "sim", "energy", "workloads")
+_CODE_MODULES = ("experiments/common.py", "runtime/fingerprint.py")
+
+
+def _code_fingerprint(root: Path) -> str:
+    """sha256 over the relative paths and bytes of the keyed sources.
+
+    *root* is the ``repro`` package directory.  Each file contributes
+    its path and the digest of its bytes, in sorted path order, so the
+    hash is independent of where the tree lives and of build debris
+    (``__pycache__`` holds no ``.py``).
+    """
+    paths = [p for pkg in _CODE_PACKAGES for p in (root / pkg).rglob("*.py")]
+    paths += [root / rel for rel in _CODE_MODULES]
+    digest = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(root).as_posix(), p) for p in paths):
+        digest.update(f"{rel}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                      .encode("utf-8"))
+    return digest.hexdigest()
+
+
+#: The code fingerprint of the sources this process imported, folded
+#: into every cache key by :func:`combine`.  Computed once at import, so
+#: a long-lived process keys by the code it runs, not by files edited
+#: after it started; any edit to a keyed source makes every older entry
+#: unreachable, and no hand-maintained schema number is needed.
+CODE_FINGERPRINT = _code_fingerprint(Path(__file__).resolve().parent.parent)
 
 
 def _canonical_json(obj: Any) -> str:
@@ -136,5 +160,5 @@ def envs_fingerprint(envs: Iterable[Mapping[str, int]]) -> str:
 
 
 def combine(*parts: str) -> str:
-    """Combine part fingerprints (plus the schema version) into a key."""
-    return _sha256("\x1f".join((f"schema={CACHE_SCHEMA}",) + tuple(parts)))
+    """Combine part fingerprints (plus the code fingerprint) into a key."""
+    return _sha256("\x1f".join((f"code={CODE_FINGERPRINT}",) + tuple(parts)))

@@ -17,8 +17,8 @@ Everything here is deterministic and time-injected:
   tests can drive it with a fake clock and assert the full schedule.
 
 A sweep's outcome is a :class:`SweepOutcome`: the results list (``None``
-where a task terminally failed), the failure records, and retry /
-checkpoint telemetry.  :func:`repro.runtime.executor.run_tasks` raises
+where a task terminally failed), the failure records, and the retry
+count.  :func:`repro.runtime.executor.run_tasks` raises
 :class:`SweepError` when any task terminally failed;
 ``run_tasks_detailed`` returns the outcome for callers that want the
 partial results (the CLI's graceful-degradation path).
@@ -151,7 +151,6 @@ class SweepOutcome:
     results: List[Optional[Any]]
     failures: List[TaskFailure] = field(default_factory=list)
     retries: int = 0
-    checkpoint_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -163,7 +162,6 @@ class SweepOutcome:
             "tasks": len(self.results),
             "completed": sum(1 for r in self.results if r is not None),
             "retries": self.retries,
-            "checkpoint_hits": self.checkpoint_hits,
             "failures": [f.as_dict() for f in self.failures],
         }
 
@@ -250,12 +248,6 @@ class RetryScheduler:
                 self._state[i] = _RUNNING
                 return i, self._attempt[i]
         return None
-
-    def mark_done(self, index: int) -> None:
-        """Complete a task without running it (checkpoint preload)."""
-        if self._state[index] != _DONE:
-            self._state[index] = _DONE
-            self._open -= 1
 
     def record_success(self, index: int) -> None:
         self._state[index] = _DONE

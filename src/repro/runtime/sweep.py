@@ -9,9 +9,10 @@ figures render identically at any ``--jobs`` value.
 Both entry points run under the supervised executor
 (:mod:`repro.runtime.executor`): tasks that crash a worker, hang past
 the per-task timeout, or return corrupt results are retried with
-deterministic backoff, and completed work is journaled into the active
-checkpoint so an interrupted sweep resumes.  When a task exhausts its
-retries, a :class:`~repro.runtime.retry.SweepError` propagates with the
+deterministic backoff.  Every completed task is already in the result
+cache, so an interrupted sweep resumes by running it again.  When a
+task exhausts its retries, a :class:`~repro.runtime.retry.SweepError`
+propagates with the
 partial results attached — the CLI catches it per figure and degrades
 to a failure report instead of aborting the whole figure set.
 """

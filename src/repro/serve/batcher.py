@@ -60,7 +60,6 @@ class BatcherStats:
     tasks_failed: int = 0
     batches: int = 0
     retries: int = 0
-    checkpoint_hits: int = 0
     batch_sizes: List[int] = field(default_factory=list)
 
 
@@ -183,7 +182,6 @@ class Batcher:
                     )
             return
         self.stats.retries += outcome.retries
-        self.stats.checkpoint_hits += outcome.checkpoint_hits
         failures = {f.index: f.as_dict() for f in outcome.failures}
         for i, entry in enumerate(batch):
             self._inflight.pop(entry.fingerprint, None)

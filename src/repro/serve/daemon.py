@@ -142,16 +142,12 @@ class NachosServeDaemon:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         from repro.runtime.cache import get_cache, sweep_stale_tmp_once
-        from repro.runtime.checkpoint import get_checkpoint
 
         # Reclaim crash debris (tmp files from previously killed
         # writers) before taking traffic — the durability layer is hot
         # 24/7 under this daemon, so boot is the natural sweep point.
         # Batches then walk a store again only after a worker kill.
         sweep_stale_tmp_once(get_cache().root)
-        checkpoint = get_checkpoint()
-        if checkpoint is not None:
-            sweep_stale_tmp_once(checkpoint.root)
 
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
@@ -490,7 +486,6 @@ class NachosServeDaemon:
             snap.counter("serve.tasks_failed").inc(stats.tasks_failed)
             snap.counter("serve.batches").inc(stats.batches)
             snap.counter("serve.pool_retries").inc(stats.retries)
-            snap.counter("serve.checkpoint_hits").inc(stats.checkpoint_hits)
             snap.histogram("serve.batch_size").observe_many(stats.batch_sizes)
             snap.gauge("serve.inflight_tasks").set(self.batcher.inflight)
         metrics_from_cache(registry=snap, prefix="cache")

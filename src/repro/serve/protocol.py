@@ -3,7 +3,7 @@
 A serve request names *what* to simulate — a workload/region spec, the
 systems to run it under, the invocation count, and optionally an engine
 mode — never *how*.  Everything about the request is content-addressed
-with the same fingerprints as the result cache and the sweep checkpoint
+with the same fingerprints as the result cache
 (:mod:`repro.runtime.fingerprint` via
 :func:`repro.experiments.common.task_fingerprint`):
 
@@ -182,7 +182,7 @@ def parse_request(payload: Any) -> ServeRequest:
         task_fps=(),
     )
     kwargs = request.task_kwargs()
-    # The task fingerprint is the checkpoint/cache lineage key; folding
+    # The task fingerprint is the cache lineage key; folding
     # in the *effective* engine mode keeps dedup honest when the daemon
     # itself runs under $NACHOS_ENGINE.
     effective_engine = engine or resolve_engine_mode(None)

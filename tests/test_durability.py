@@ -1,5 +1,4 @@
-"""Durability-layer regression tests: tmp-file leaks, manifest fsync,
-env-checkpoint telemetry.
+"""Durability-layer regression tests: tmp-file leaks in the result cache.
 
 The crash harness here is real: a forked child is SIGKILLed *inside*
 ``pickle.dump`` while holding an in-flight ``*.tmp`` file, repeatedly,
@@ -24,7 +23,6 @@ from repro.runtime.cache import (
     _tmp_prefix,
     sweep_stale_tmp,
 )
-from repro.runtime.checkpoint import SweepCheckpoint
 
 
 class _BlocksInsidePickle:
@@ -50,11 +48,6 @@ def _kill_victim_cache(root: str, flag: str) -> None:
     cache.put("aa" + "0" * 62, _BlocksInsidePickle(flag))
 
 
-def _kill_victim_checkpoint(root: str, flag: str) -> None:
-    cp = SweepCheckpoint(Path(root))
-    cp.put("bb" + "1" * 62, _BlocksInsidePickle(flag))
-
-
 def _run_and_kill(target, root: Path, tmp_path: Path, tag: str) -> None:
     ctx = multiprocessing.get_context("fork")
     flag = tmp_path / f"flag-{tag}"
@@ -69,13 +62,7 @@ def _run_and_kill(target, root: Path, tmp_path: Path, tag: str) -> None:
     proc.join(timeout=30)
 
 
-@pytest.mark.parametrize(
-    "target,store",
-    [
-        (_kill_victim_cache, "cache"),
-        (_kill_victim_checkpoint, "checkpoint"),
-    ],
-)
+@pytest.mark.parametrize("target,store", [(_kill_victim_cache, "cache")])
 def test_sigkill_mid_put_never_accumulates_tmp(tmp_path, target, store):
     """Repeated kills mid-put leave orphans; the sweep reclaims ALL of
     them (writer pid is dead), and repeated faulted runs never let the
@@ -91,10 +78,7 @@ def test_sigkill_mid_put_never_accumulates_tmp(tmp_path, target, store):
     # A fourth faulted run after the sweep: still exactly one orphan,
     # and the instance-level sweep entry points reclaim it too.
     _run_and_kill(target, root, tmp_path, f"{store}-again")
-    if store == "cache":
-        assert ResultCache(root=root, enabled=True).sweep_stale() == 1
-    else:
-        assert SweepCheckpoint(root).sweep_stale() == 1
+    assert ResultCache(root=root, enabled=True).sweep_stale() == 1
     assert list(root.rglob("*.tmp")) == []
 
 
@@ -169,118 +153,3 @@ def test_cache_put_unpicklable_is_silent_and_leakless(tmp_path, value):
     cache.put(key, value)  # must not raise
     assert cache.get(key) is ResultCache.MISS
     assert list(tmp_path.rglob("*.tmp")) == []
-
-
-def test_checkpoint_put_unpicklable_is_silent_and_leakless(tmp_path):
-    cp = SweepCheckpoint(tmp_path)
-    cp.put("ff" + "5" * 62, lambda: None)
-    assert cp.get("ff" + "5" * 62) is SweepCheckpoint.MISS
-    assert cp.stores == 0, "a failed put must not count as a store"
-    assert list(tmp_path.rglob("*.tmp")) == []
-
-
-# ----------------------------------------------------------------------
-# Manifest durability
-# ----------------------------------------------------------------------
-def test_write_manifest_fsyncs_before_rename(tmp_path, monkeypatch):
-    """The data blocks must be on disk before the rename publishes the
-    file — record the call order to prove it."""
-    calls = []
-    real_fsync, real_replace = os.fsync, os.replace
-    monkeypatch.setattr(
-        os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1]
-    )
-    monkeypatch.setattr(
-        os,
-        "replace",
-        lambda a, b: (calls.append("replace"), real_replace(a, b))[1],
-    )
-    cp = SweepCheckpoint(tmp_path)
-    cp.write_manifest({"regions": 3})
-    assert "fsync" in calls and "replace" in calls
-    assert calls.index("fsync") < calls.index("replace")
-    assert cp.read_manifest()["regions"] == 3
-
-
-def test_write_manifest_bad_meta_keeps_old_manifest(tmp_path):
-    cp = SweepCheckpoint(tmp_path)
-    cp.write_manifest({"run": "good"})
-    cp.write_manifest({"bad": object()})  # not JSON-serializable
-    manifest = cp.read_manifest()
-    assert manifest is not None and manifest["run"] == "good"
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_write_manifest_io_error_keeps_old_and_no_tmp(tmp_path, monkeypatch):
-    cp = SweepCheckpoint(tmp_path)
-    cp.write_manifest({"run": "good"})
-
-    def boom(fd):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "fsync", boom)
-    cp.write_manifest({"run": "torn"})
-    assert cp.read_manifest()["run"] == "good"
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-# ----------------------------------------------------------------------
-# Env-built checkpoint caching: telemetry must accumulate
-# ----------------------------------------------------------------------
-@pytest.fixture
-def _unconfigured_checkpoint(monkeypatch):
-    """Run with no CLI-configured checkpoint so env resolution applies."""
-    import repro.runtime.checkpoint as cp_mod
-
-    monkeypatch.setattr(cp_mod, "_configured", False)
-    monkeypatch.setattr(cp_mod, "_active", None)
-    monkeypatch.setattr(cp_mod, "_env_instance", None)
-    yield cp_mod
-
-
-def test_env_checkpoint_instance_is_cached(
-    tmp_path, monkeypatch, _unconfigured_checkpoint
-):
-    """Repeated ``get_checkpoint()`` under ``NACHOS_CHECKPOINT_DIR``
-    must return ONE instance whose hits/stores accumulate — the old
-    build-a-fresh-instance-per-call behavior zeroed the telemetry every
-    read."""
-    cp_mod = _unconfigured_checkpoint
-    monkeypatch.setenv("NACHOS_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-    first = cp_mod.get_checkpoint()
-    assert first is not None
-    first.put("aa" + "6" * 62, {"cycles": 7})
-    assert first.stores == 1
-    again = cp_mod.get_checkpoint()
-    assert again is first, "env-built checkpoint must be memoized"
-    assert again.get("aa" + "6" * 62) == {"cycles": 7}
-    assert again.hits == 1
-    third = cp_mod.get_checkpoint()
-    assert third.hits == 1 and third.stores == 1, "counters must persist"
-
-
-def test_env_checkpoint_invalidated_on_env_change(
-    tmp_path, monkeypatch, _unconfigured_checkpoint
-):
-    cp_mod = _unconfigured_checkpoint
-    monkeypatch.setenv("NACHOS_CHECKPOINT_DIR", str(tmp_path / "a"))
-    first = cp_mod.get_checkpoint()
-    monkeypatch.setenv("NACHOS_CHECKPOINT_DIR", str(tmp_path / "b"))
-    second = cp_mod.get_checkpoint()
-    assert second is not first
-    assert second.root == tmp_path / "b"
-    monkeypatch.delenv("NACHOS_CHECKPOINT_DIR")
-    assert cp_mod.get_checkpoint() is None
-
-
-def test_configure_checkpoint_resets_env_memo(
-    tmp_path, monkeypatch, _unconfigured_checkpoint
-):
-    cp_mod = _unconfigured_checkpoint
-    monkeypatch.setenv("NACHOS_CHECKPOINT_DIR", str(tmp_path / "env"))
-    env_built = cp_mod.get_checkpoint()
-    assert env_built is not None
-    configured = cp_mod.configure_checkpoint(tmp_path / "cli")
-    assert cp_mod.get_checkpoint() is configured
-    cp_mod.configure_checkpoint(None)
-    assert cp_mod.get_checkpoint() is None

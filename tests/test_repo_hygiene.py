@@ -72,6 +72,9 @@ def test_gitignore_covers_generated_artifacts():
 #: Names of the retired perf observatory (run ledger, budget file,
 #: dashboard) and of bench_sweep's warm-time gate.  Paired perfbench
 #: runs against the merge base (``tools/perf_pairs.py``) replace both.
+#: Then the names of the retired sweep checkpoint journal and of the
+#: hand-bumped cache schema: a killed sweep resumes from the result
+#: cache, whose keys hash the simulator's sources.
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -79,9 +82,14 @@ RETIRED_PERF_NAMES = (
     "NACHOS_PERF_LEDGER",
     "history.ndjson",
     "--check-warm-vs",
+    "CACHE_SCHEMA",
+    "SweepCheckpoint",
+    "NACHOS_CHECKPOINT_DIR",
+    "--checkpoint-dir",
+    "checkpoint_hits",
 )
 
-#: perfbench still drops the old variable from the program's
+#: perfbench still drops the old variables from the program's
 #: environment, which is harmless.
 RETIRED_NAMES_EXEMPT = ("perfbench/", "tests/test_repo_hygiene.py")
 
@@ -101,6 +109,22 @@ def test_no_tracked_file_names_the_retired_perf_observatory():
         offenders += [f"{name}: {word!r}" for word in RETIRED_PERF_NAMES
                       if word in text]
     assert not offenders, "retired perf names still in use: " + ", ".join(offenders)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["all", "--resume"], ["all", "--checkpoint-dir", "X"]],
+    ids=["resume", "checkpoint-dir"],
+)
+def test_cli_rejects_retired_resume_flags(argv, capsys):
+    """Rerunning the same command resumes a killed sweep; the journal's
+    flags are gone, and argparse rejects them before anything runs."""
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def _imported_roots(tree):

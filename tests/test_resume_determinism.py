@@ -1,48 +1,48 @@
-"""Kill a sweep mid-flight, resume it, and demand byte-identical output.
+"""Kill a sweep mid-flight, rerun it, and demand byte-identical output.
 
 The chaos harness's ``abort@N`` point SIGKILLs the *supervisor* right
 before dispatching task N — the honest version of a user hitting Ctrl-\\
-or the OOM killer taking the parent.  A resumed run must pick up the
-checkpoint journal and end byte-identical to a never-interrupted run.
+or the OOM killer taking the parent.  Resuming is rerunning the same
+command: every task that finished was already stored in the result
+cache by the worker that ran it, so the rerun replays those and ends
+byte-identical to a never-interrupted run.
 """
 
 from __future__ import annotations
 
-import pickle
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.experiments.common import clear_memos
-from repro.runtime.cache import configure_cache, get_cache
-from repro.runtime.checkpoint import SweepCheckpoint, configure_checkpoint
-from repro.runtime.executor import SimTask, run_tasks_detailed
-from repro.runtime.retry import RetryPolicy
-from repro.workloads.micro import build_micro
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Lines like ``[tiny: 0.1s]`` / ``[checkpoint /tmp/... cleared — ...]``
-#: carry wall times and temp paths; everything else must match exactly.
+#: Lines like ``[tiny: 0.1s]`` / ``[cache: 9/12 hits this run (75%)]``
+#: carry wall times and hit counts; everything else must match exactly.
 _STATUS_LINE = re.compile(r"^\[.*\]$")
+
+TASKS = 6
 
 CHILD_SCRIPT = """\
 import sys
 
 from repro.experiments import cli
+from repro.obs import enable_profiling, get_profile
 from repro.runtime.sweep import sweep_comparisons
 from repro.workloads.micro import build_micro
 
 
 def run(invocations=4):
     workloads = [build_micro(n) for n in ("stream_triad", "gather", "rmw")]
-    return sweep_comparisons(
+    result = sweep_comparisons(
         workloads, systems=("opt-lsq", "nachos"), invocations=invocations,
         jobs=2,
     )
+    # A task that missed nothing read its sim record from the cache.
+    served = sum(1 for t in get_profile().tasks if t.misses == 0)
+    print(f"[served from cache: {served} tasks]")
+    return result
 
 
 def render(result):
@@ -59,10 +59,9 @@ def render(result):
     return "\\n".join(lines)
 
 
+enable_profiling()
 cli.EXPERIMENTS["tiny"] = (run, render, True)
-sys.exit(cli.main(
-    ["tiny", "--invocations", "4", "--checkpoint-dir", sys.argv[1]]
-))
+sys.exit(cli.main(["tiny", "--invocations", "4"]))
 """
 
 
@@ -72,19 +71,28 @@ def _strip_status(output: str) -> str:
     )
 
 
-def _run_child(script: Path, checkpoint_dir: Path, env_extra=None):
-    import os
+def _served(output: str) -> int:
+    return int(re.search(r"^\[served from cache: (\d+) tasks\]$", output,
+                         re.MULTILINE).group(1))
 
+
+def _cache_hits(output: str) -> int:
+    return int(re.search(r"^\[cache: (\d+)/\d+ hits this run", output,
+                         re.MULTILINE).group(1))
+
+
+def _run_child(script: Path, cache_dir: Path, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env["NACHOS_CACHE"] = "off"  # the checkpoint, not the cache, must carry
+    env["NACHOS_CACHE_DIR"] = str(cache_dir)
     env["PYTHONHASHSEED"] = "0"
-    env.pop("NACHOS_CHAOS", None)
+    for name in ("NACHOS_CACHE", "NACHOS_CHAOS", "NACHOS_ENGINE"):
+        env.pop(name, None)
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, str(script), str(checkpoint_dir)],
+        [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=180,
@@ -92,69 +100,52 @@ def _run_child(script: Path, checkpoint_dir: Path, env_extra=None):
     )
 
 
-def test_killed_sweep_resumes_byte_identical(tmp_path):
-    script = tmp_path / "child.py"
-    script.write_text(CHILD_SCRIPT)
-
-    control = _run_child(script, tmp_path / "ckpt-control")
-    assert control.returncode == 0, control.stderr
-
-    # Interrupted run: the supervisor SIGKILLs itself at dispatch of
-    # task 4 — exactly what an external kill -9 mid-sweep looks like.
+def _interrupt(script: Path, cache_dir: Path):
+    """A fast-engine run SIGKILLed at the dispatch of task 4."""
     interrupted = _run_child(
-        script, tmp_path / "ckpt", env_extra={"NACHOS_CHAOS": "abort@4"}
+        script, cache_dir, env_extra={"NACHOS_CHAOS": "abort@4"}
     )
     assert interrupted.returncode in (-9, 137), (
         f"expected SIGKILL death, got rc={interrupted.returncode}\n"
         f"{interrupted.stdout}{interrupted.stderr}"
     )
-    journaled = SweepCheckpoint(tmp_path / "ckpt").entries()
-    assert 0 < journaled < 6, (
-        f"interrupted run should have journaled a strict subset of the 6 "
-        f"tasks, found {journaled}"
-    )
+    assert list(cache_dir.rglob("*.pkl")), "finished tasks left no entries"
 
-    resumed = _run_child(script, tmp_path / "ckpt")
+
+def test_killed_sweep_resumes_byte_identical(tmp_path):
+    script = tmp_path / "child.py"
+    script.write_text(CHILD_SCRIPT)
+
+    control = _run_child(script, tmp_path / "cache-control")
+    assert control.returncode == 0, control.stderr
+    assert _served(control.stdout) == 0
+
+    _interrupt(script, tmp_path / "cache")
+    resumed = _run_child(script, tmp_path / "cache")
     assert resumed.returncode == 0, resumed.stderr
     assert _strip_status(resumed.stdout) == _strip_status(control.stdout)
     assert _strip_status(resumed.stdout)  # non-empty after stripping
-    # A completed run clears its journal.
-    assert SweepCheckpoint(tmp_path / "ckpt").entries() == 0
+    # The tasks that finished before the kill replay from the cache;
+    # the rest are computed.
+    assert 0 < _served(resumed.stdout) < TASKS
+    assert _cache_hits(resumed.stdout) > 0
 
 
-def test_checkpoint_preload_serves_identical_results(tmp_path):
-    prev = get_cache()
-    configure_cache(enabled=False)
-    configure_checkpoint(tmp_path / "ckpt")
-    clear_memos()
-    try:
-        tasks = [
-            SimTask(build_micro(name), system, 4, check=False)
-            for name in ("stream_triad", "gather")
-            for system in ("opt-lsq", "nachos")
-        ]
-        policy = RetryPolicy(max_retries=1, backoff_base=0.01)
-        first = run_tasks_detailed(tasks, jobs=2, policy=policy)
-        assert first.ok and first.checkpoint_hits == 0
-        clear_memos()
-        second = run_tasks_detailed(tasks, jobs=2, policy=policy)
-        assert second.ok
-        assert second.checkpoint_hits == len(tasks)
-        assert [pickle.dumps(r.sim) for r in first.results] == [
-            pickle.dumps(r.sim) for r in second.results
-        ]
-    finally:
-        configure_checkpoint(None)
-        clear_memos()
-        configure_cache(root=prev.root, enabled=prev.enabled)
+def test_rerun_under_another_engine_hits_no_sim_entry(tmp_path):
+    """Sim keys carry the resolved engine mode, so a reference-engine
+    rerun of an interrupted fast run recomputes every task (compile
+    entries are engine-blind and may still hit)."""
+    script = tmp_path / "child.py"
+    script.write_text(CHILD_SCRIPT)
 
+    control = _run_child(script, tmp_path / "cache-control")
+    assert control.returncode == 0, control.stderr
 
-def test_failure_journal_survives_for_resumed_runs(tmp_path):
-    checkpoint = SweepCheckpoint(tmp_path / "ckpt")
-    checkpoint.record_failure(
-        {"index": 3, "kind": "crash", "region": "r", "system": "s"}
+    _interrupt(script, tmp_path / "cache")
+    rerun = _run_child(
+        script, tmp_path / "cache", env_extra={"NACHOS_ENGINE": "reference"}
     )
-    checkpoint.record_failure({"index": 5, "kind": "timeout"})
-    failures = SweepCheckpoint(tmp_path / "ckpt").failures()
-    assert [f["index"] for f in failures] == [3, 5]
-    assert failures[0]["kind"] == "crash"
+    assert rerun.returncode == 0, rerun.stderr
+    assert _served(rerun.stdout) == 0
+    # Both engines are bit-exact, so the output still matches.
+    assert _strip_status(rerun.stdout) == _strip_status(control.stdout)

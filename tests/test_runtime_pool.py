@@ -49,7 +49,6 @@ def _task(**kwargs) -> SimTask:
 def stub_pool(monkeypatch):
     """Route every task through :func:`_stub_execute`, fault-free."""
     monkeypatch.delenv("NACHOS_CHAOS", raising=False)
-    monkeypatch.delenv("NACHOS_CHECKPOINT_DIR", raising=False)
     set_chaos(None)
     monkeypatch.setattr(executor, "_execute", _stub_execute)
     yield

@@ -170,21 +170,6 @@ def test_requeue_does_not_burn_an_attempt():
     assert sched.retries == 0
 
 
-def test_mark_done_preloads_without_attempts():
-    policy = RetryPolicy(max_retries=2, backoff_base=0.01)
-    sched = RetryScheduler(3, policy)
-    sched.mark_done(1)  # checkpoint preload
-    claimed = []
-    while True:
-        got = sched.pop_eligible(0.0)
-        if got is None:
-            break
-        claimed.append(got[0])
-        sched.record_success(got[0])
-    assert claimed == [0, 2]
-    assert sched.finished
-
-
 def test_policy_from_env(monkeypatch):
     monkeypatch.setenv("NACHOS_TIMEOUT", "12.5")
     monkeypatch.setenv("NACHOS_MAX_RETRIES", "4")
