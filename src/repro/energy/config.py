@@ -37,6 +37,13 @@ class EnergyEvent(enum.Enum):
     L1_READ = "l1_read"
     L1_WRITE = "l1_write"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality; Enum's default
+    # ``hash(self._name_)`` is a Python-level call on every
+    # ``EnergyLedger.charge``.  No set of events is ever iterated into
+    # an output (ledger counts are an insertion-ordered dict).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class EnergyConfig:

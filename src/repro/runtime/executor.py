@@ -220,24 +220,29 @@ def _worker_main(conn, parent_conn=None) -> None:
         h0, m0 = cache.hits, cache.misses
         t0 = time.perf_counter()
         try:
-            run = _execute(task)
-        except Exception as exc:  # the task itself raised: report, stay up
-            conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
-            continue
-        if action == CHAOS_CORRUPT:
-            conn.send_bytes(_CORRUPT_BYTES)
-            continue
-        conn.send(
-            (
-                "ok",
-                index,
-                run,
-                cache.hits - h0,
-                cache.misses - m0,
-                time.perf_counter() - t0,
-                os.getpid(),
+            try:
+                run = _execute(task)
+            except Exception as exc:  # the task itself raised: report, stay up
+                conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
+                continue
+            if action == CHAOS_CORRUPT:
+                conn.send_bytes(_CORRUPT_BYTES)
+                continue
+            conn.send(
+                (
+                    "ok",
+                    index,
+                    run,
+                    cache.hits - h0,
+                    cache.misses - m0,
+                    time.perf_counter() - t0,
+                    os.getpid(),
+                )
             )
-        )
+        except OSError:
+            # The supervisor died while we ran the task (BrokenPipeError):
+            # the result is already in the cache, so just stop.
+            break
     try:
         conn.close()
     except OSError:

@@ -28,6 +28,15 @@ the paper) actually vary.  :class:`FastEngine` exploits that split:
   branch-free region runs every op exactly once per invocation — both
   engines raise ``RuntimeError`` naming the op if one never completes.
 
+* **Dead tails in closed form.**  A *tail* is a dynamic compute op all
+  of whose users are tails (memory ops never are): it feeds no load,
+  store or address, so it can move only the invocation's last
+  completion cycle.  Tails run no events at all.  Capture drops every
+  delivery into one, and after the drain one topologically ordered
+  walk settles each tail's completion as ``latency + max(t0 + const,
+  input completion + route ...)`` and folds it into the invocation
+  end.  Their values are never computed: nothing reads them.
+
 * **Slotted event queue.**  :class:`_CalendarQueue` replaces per-event
   ``heapq`` churn with per-cycle buckets (a dict keyed by cycle plus a
   small heap of occupied cycles).  Same-cycle events drain in push
@@ -38,12 +47,13 @@ the paper) actually vary.  :class:`FastEngine` exploits that split:
 
 **Bit-exactness is the contract.**  The template keeps one queue event
 per static op that still *does* something (pushes a later template event
-or delivers an operand to a dynamic consumer), pushed at the exact
-moment the reference engine would have pushed it.  Push chronology is
-what breaks same-cycle ties, and the memory hierarchy (LRU, ports,
-MSHRs) plus ``load_values`` insertion order are call-order sensitive —
-so preserving the interleaving of every event that can reach the
-backend or the hierarchy is mandatory, and sufficient: the differential
+or delivers an operand to a dynamic op that is not a tail), pushed at
+the exact moment the reference engine would have pushed it.  Push
+chronology is what breaks same-cycle ties, and the memory hierarchy
+(LRU, ports, MSHRs) plus ``load_values`` insertion order are call-order
+sensitive — so preserving the interleaving of every event that can
+reach the backend or the hierarchy is mandatory, and sufficient (which
+is why dropping tail events, which reach neither, is exact): the differential
 suite (``tests/test_engine_equivalence.py``) asserts byte-identical
 pickled :class:`~repro.sim.result.SimResult` across modes.
 
@@ -175,6 +185,8 @@ class _Template:
         "value_cache",
         "static_ids",
         "static_times",
+        "tail_ids",
+        "tail_program",
     )
 
 
@@ -199,6 +211,7 @@ class FastEngine(DataflowEngine):
         self._fires: List[Optional[Callable[[], None]]] = []
         self._dyn_init: List[Tuple[Operation, int, int]] = []
         self._dyn_ops: List[Operation] = []
+        self._live_plans: Dict[int, list] = {}
         self._static_times: List[Tuple[Operation, int, int]] = []
         self._t0 = 0
         # Shadow the method with the queue's push: every event the
@@ -243,7 +256,7 @@ class FastEngine(DataflowEngine):
         if self._kind[oid] != _COMPUTE:
             self.backend.on_memory_complete(op, t)
         deliver = self._deliver
-        for user, n_addr, n_value, _net, route in self._plans[oid]:
+        for user, n_addr, n_value, _net, route in self._live_plans[oid]:
             deliver(user, n_addr, n_value, t + route)
 
     # ------------------------------------------------------------------
@@ -275,8 +288,23 @@ class FastEngine(DataflowEngine):
                 stack.pop()
         return {oid for oid, s in static.items() if s}
 
+    def _tail_op_ids(self, static_ids: Set[int]) -> Set[int]:
+        """Dynamic compute ops all of whose users are tails.  Ops are in
+        topological order, so one reverse walk sees every user first."""
+        tails: Set[int] = set()
+        for op in reversed(self._ops):
+            oid = op.op_id
+            if (
+                oid not in static_ids
+                and self._kind[oid] == _COMPUTE
+                and all(p[0].op_id in tails for p in self._plans[oid])
+            ):
+                tails.add(oid)
+        return tails
+
     def _build_template(self) -> _Template:
         static_ids = self._static_op_ids()
+        tails = self._tail_op_ids(static_ids)
         by_id = {op.op_id: op for op in self._ops}
         kind_of = self._kind
         exec_plan = self._exec_plan
@@ -345,7 +373,7 @@ class FastEngine(DataflowEngine):
                         state[1] = arrive
                     if state[0] == 0:
                         start_compute(user, state[1], out)
-                else:  # dynamic consumer: replay or prefold
+                elif user.op_id not in tails:  # dynamic: replay or prefold
                     uid = user.op_id
                     at = addr_track.get(uid) if n_addr else None
                     vt = value_track.get(uid) if n_value else None
@@ -413,7 +441,7 @@ class FastEngine(DataflowEngine):
         live: Set[int] = set()
         work: List[int] = []
         for op in self._ops:
-            if op.op_id in static_ids:
+            if op.op_id in static_ids or op.op_id in tails:
                 continue
             kind = kind_of[op.op_id]
             roots = [op.inputs[-1]] if kind == _STORE else (
@@ -465,6 +493,25 @@ class FastEngine(DataflowEngine):
             if kick != 1 and kind_of[op.op_id] == _COMPUTE
         ]
 
+        # Tail program, in topological order: static inputs fold into
+        # one constant arrival offset (floor 0: inputs_time starts at
+        # t0); dynamic inputs are read after the drain.
+        route_latency = self.placement.route_latency
+        tail_program: List[tuple] = []
+        for op in self._ops:
+            oid = op.op_id
+            if oid not in tails:
+                continue
+            const = 0
+            srcs = []
+            for src_id in dict.fromkeys(op.inputs):
+                route = route_latency(src_id, oid)
+                if src_id in static_ids:
+                    const = max(const, run_times[src_id][1] + route)
+                else:
+                    srcs.append((src_id, route, src_id in tails))
+            tail_program.append((oid, exec_plan[oid][0], const, tuple(srcs)))
+
         tpl = _Template()
         tpl.kick_actions = kick_actions
         tpl.event_actions = [e[1] for e in events]
@@ -478,6 +525,8 @@ class FastEngine(DataflowEngine):
         tpl.value_cache = {}
         tpl.static_ids = frozenset(static_ids)
         tpl.static_times = [(oid, s, c) for oid, (s, c) in run_times.items()]
+        tpl.tail_ids = frozenset(tails)
+        tpl.tail_program = tail_program
         return tpl
 
     # ------------------------------------------------------------------
@@ -518,11 +567,18 @@ class FastEngine(DataflowEngine):
             for actions in tpl.event_actions
         ]
         static = tpl.static_ids
+        tails = tpl.tail_ids
         self._dyn_init = [
             (op, pa, pv) for op, pa, pv, _ in self._op_init
-            if op.op_id not in static
+            if op.op_id not in static and op.op_id not in tails
         ]
         self._dyn_ops = [op for op, _pa, _pv in self._dyn_init]
+        self._live_plans = {
+            op.op_id: [
+                p for p in self._plans[op.op_id] if p[0].op_id not in tails
+            ]
+            for op in self._dyn_ops
+        }
         self._static_times = [
             (op_of[oid], s, c) for oid, s, c in tpl.static_times
         ]
@@ -636,7 +692,34 @@ class FastEngine(DataflowEngine):
 
         self._queue.drain()
         self._check_completed(self._dyn_ops)
+        if tpl.tail_program:
+            self._settle_tails(tpl.tail_program, t0)
         self.backend.end_invocation()
         if self.recorder is not None:
             self.recorder.capture(self.graph, inv, t0, self._inv_end, self._run)
         return self._inv_end
+
+    def _settle_tails(self, tail_program: List[tuple], t0: int) -> None:
+        """Fold each dead tail's completion into ``_inv_end``, in closed
+        form: ``done = latency + max(t0 + const, input done + route)``."""
+        run_map = self._run
+        record = self.recorder is not None
+        done_of: Dict[int, int] = {}
+        end = self._inv_end
+        for oid, latency, const, srcs in tail_program:
+            start = t0 + const
+            for src, route, src_is_tail in srcs:
+                t = (
+                    done_of[src] if src_is_tail else run_map[src].complete_time
+                ) + route
+                if t > start:
+                    start = t
+            done = done_of[oid] = start + latency
+            if done > end:
+                end = done
+            if record:
+                state = run_map[oid] = _OpRun(0, 0, t0)
+                state.completed = True
+                state.start_time = start
+                state.complete_time = done
+        self._inv_end = end

@@ -15,8 +15,11 @@ corpora:
   generator (dense MAY graphs, late addresses, slow stores, ...),
 * one real compiled region per SPEC benchmark, driven through
   ``run_system`` so the engine-mode cache-key plumbing is on the hook
-  too (a cross-mode cache hit would make this test vacuous — and
-  schema'd keys make it fail instead).
+  too (a cross-mode cache hit would make this test vacuous — and sim
+  keys that carry the resolved engine mode make it fail instead),
+* every suite region under every backend with a timeline recorder
+  attached, so the fast engine's prefilled static and dead-tail spans
+  are compared op by op.
 
 Plus the seams: mode resolution precedence, the default rule, loud
 fallback for a named mode, and the fuzzer's ``engines="both"``
@@ -34,6 +37,7 @@ from tests.test_litmus import BACKENDS, LITMUS, NEEDS_MDES
 
 from repro.cgra.placement import place_region
 from repro.compiler import compile_region
+from repro.ir import AffineExpr, MemObject, RegionBuilder
 from repro.memory import MemoryHierarchy
 from repro.obs.tracer import Tracer
 from repro.sim import (
@@ -44,8 +48,11 @@ from repro.sim import (
     make_engine,
     resolve_engine_mode,
 )
+from repro.sim.fast import _PUSH
+from repro.sim.timeline import TimelineRecorder
 from repro.verify.fuzz import fuzz, generate_spec, run_spec_result
-from repro.workloads.suite import benchmark_names
+from repro.workloads.generator import build_workload
+from repro.workloads.suite import benchmark_names, get_spec
 
 FUZZ_SEED = 0
 FUZZ_SPECS = 200
@@ -123,8 +130,6 @@ def test_fuzz_engines_rejects_unknown():
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_real_region_equivalence(bench):
     from repro.experiments.common import run_system
-    from repro.workloads.generator import build_workload
-    from repro.workloads.suite import get_spec
 
     workload = build_workload(get_spec(bench), path_index=0)
     for system in sorted(BACKENDS):
@@ -143,13 +148,123 @@ def test_real_region_equivalence(bench):
             assert fast.correct
 
 
+# ---------------------------------------------------------------------------
+# Corpus 4: every suite region x backend, with timelines recorded
+# ---------------------------------------------------------------------------
+SUITE_INVOCATIONS = 6
+SUITE_CHUNKS = 3
+
+
+def _suite_graphs(bench):
+    """(workload, bare graph, compiled graph) of one suite region."""
+    workload = build_workload(get_spec(bench), path_index=0)
+    bare = workload.graph.clone()
+    bare.clear_mdes()
+    compiled = workload.graph.clone()
+    compile_region(compiled)
+    return workload, bare, compiled
+
+
+def _recorded_run(graph, envs, backend_name, mode):
+    recorder = TimelineRecorder()
+    engine = make_engine(
+        graph,
+        place_region(graph),
+        MemoryHierarchy(),
+        BACKENDS[backend_name](),
+        recorder=recorder,
+        mode=mode,
+    )
+    result = pickle.dumps(engine.run(envs))
+    return result, recorder.invocations, engine
+
+
+@pytest.mark.parametrize("chunk", range(SUITE_CHUNKS))
+def test_suite_recorded_equivalence(chunk):
+    n_tails = 0
+    for bench in benchmark_names()[chunk::SUITE_CHUNKS]:
+        workload, bare, compiled = _suite_graphs(bench)
+        envs = workload.invocations(SUITE_INVOCATIONS)
+        for backend in sorted(BACKENDS):
+            graph = compiled if backend in NEEDS_MDES else bare
+            ref, ref_tl, _ = _recorded_run(graph, envs, backend, "reference")
+            fast, fast_tl, engine = _recorded_run(graph, envs, backend, "fast")
+            assert ref == fast, f"{bench}/{backend}: SimResults diverge"
+            assert ref_tl == fast_tl, f"{bench}/{backend}: timelines diverge"
+            n_tails += len(engine._template.tail_ids)
+    # The chunk exercises the closed-form tail walk, so it can fail.
+    assert n_tails > 0
+
+
+def test_dead_tails_run_no_live_events():
+    """A tail feeds only tails, no template action targets one, and
+    neither the dynamic op list nor the live delivery plans hold one."""
+    n_tails = 0
+    for bench in benchmark_names():
+        workload, bare, _ = _suite_graphs(bench)
+        engine = make_engine(
+            bare, place_region(bare), MemoryHierarchy(),
+            BACKENDS["opt-lsq"](), mode="fast",
+        )
+        engine.run(workload.invocations(1))
+        tpl = engine._template
+        tails = tpl.tail_ids
+        n_tails += len(tails)
+        for oid in tails:
+            assert not bare.op(oid).is_memory
+            assert oid not in tpl.static_ids
+            assert all(p[0].op_id in tails for p in engine._plans[oid])
+        actions = [
+            a for acts in (tpl.kick_actions, *tpl.event_actions) for a in acts
+        ]
+        assert not {a[1] for a in actions if a[0] != _PUSH} & tails, bench
+        assert not {op.op_id for op in engine._dyn_ops} & tails, bench
+        assert not {
+            p[0].op_id for plan in engine._live_plans.values() for p in plan
+        } & tails, bench
+        assert [t[0] for t in tpl.tail_program] == sorted(tails)
+    assert n_tails > 0
+
+
+def _late_static_tail_region():
+    """A load feeds a two-op tail chain whose other inputs come from
+    long static fdiv chains, so each tail starts at its static arrival
+    (the template constant), not at its dynamic one."""
+    b = RegionBuilder("late-static-tail")
+    x = b.input("x")
+    loaded = b.load(MemObject("a", 8192, base_addr=0x1000), AffineExpr.constant(0))
+    slow = x
+    for _ in range(12):
+        slow = b.fdiv(slow, x)
+    head = b.add(loaded, slow)
+    for _ in range(6):
+        slow = b.fdiv(slow, x)
+    b.add(head, slow)
+    return b.build(), loaded.op_id, head.op_id
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_tail_start_from_static_arrival(backend):
+    graph, loaded, head = _late_static_tail_region()
+    envs = [{"x": 3}] * 3
+    ref, ref_tl, _ = _recorded_run(graph, envs, backend, "reference")
+    fast, fast_tl, engine = _recorded_run(graph, envs, backend, "fast")
+    assert ref == fast
+    assert ref_tl == fast_tl
+    # Both adds are tails, and each waits on its static input.
+    assert len(engine._template.tail_ids) == 2
+    head_run = engine._template.tail_program[0]
+    assert head_run[0] == head and head_run[2] > 0
+    for tl in fast_tl:
+        assert tl.start_of(head) > tl.completion_of(loaded) + 1
+        assert tl.end == max(t.complete for t in tl.timings)
+
+
 def test_one_template_capture_per_region(monkeypatch):
     """opt-lsq's bare graph and the compiled graph nachos-sw and nachos
     simulate have the same ops and placement: one capture serves all."""
     from repro.experiments import common
     from repro.runtime.cache import configure_cache, get_cache
-    from repro.workloads.generator import build_workload
-    from repro.workloads.suite import get_spec
 
     captures = []
     build = FastEngine._build_template
