@@ -11,8 +11,7 @@ Modes::
 
     python benchmarks/bench_serve.py                 # full load shape
     python benchmarks/bench_serve.py --quick         # CI smoke load
-    python benchmarks/bench_serve.py --quick \
-        --chaos 'crash=0.15,corrupt=0.1,seed=11'     # fault campaign
+    python benchmarks/bench_serve.py --quick --chaos 'crash@1'  # fault campaign
 
 The measured phase follows a warmup that populates the result cache and
 the daemon's retained-request records, so its latencies are the *serving*
@@ -23,10 +22,11 @@ report.
 
 ``--chaos SPEC`` runs the same fixed request set against a fault-free
 daemon and against a daemon whose environment carries ``NACHOS_CHAOS``
-(so pool workers crash, hang, and corrupt results); the per-system
-result payloads must be identical — the service inherits the supervised
-executor's recovery guarantees, live.  The chaos ``abort@`` point is
-the one exclusion: it SIGKILLs the supervisor, i.e. the daemon.
+(so pool workers die at the spec's ``crash@`` points, indexed within
+each pool batch); the per-system result payloads must be identical —
+the service inherits the supervised executor's requeue-once recovery,
+live.  The chaos ``abort@`` point is the one exclusion: it SIGKILLs the
+supervisor, i.e. the daemon.
 """
 
 from __future__ import annotations
@@ -230,17 +230,6 @@ def _daemon_counters(metrics: dict) -> dict:
     return flat
 
 
-def _chaos_extra_env(spec: str) -> dict:
-    """Fault-campaign env for a daemon: the chaos spec plus retry knobs
-    generous enough that the supervised pool always recovers."""
-    return {
-        "NACHOS_CHAOS": spec,
-        "NACHOS_TIMEOUT": os.environ.get("NACHOS_TIMEOUT", "10"),
-        "NACHOS_MAX_RETRIES": os.environ.get("NACHOS_MAX_RETRIES", "4"),
-        "NACHOS_BACKOFF_BASE": os.environ.get("NACHOS_BACKOFF_BASE", "0.05"),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke load")
@@ -334,12 +323,12 @@ def main(argv=None) -> int:
 
     if args.chaos:
         # Fresh caches on both sides so every task actually executes
-        # (and actually gets crashed/corrupted) instead of being served
+        # (and its worker actually dies) instead of being served
         # from the bench run's warm cache.
         print(f"[chaos run: NACHOS_CHAOS={args.chaos}]")
         t0 = time.perf_counter()
         with DaemonHarness(
-            args.jobs, _chaos_extra_env(args.chaos), "chaos"
+            args.jobs, {"NACHOS_CHAOS": args.chaos}, "chaos"
         ) as harness:
             chaos_results = _collect_results(harness.client, mix)
             chaos_metrics = harness.client.metrics()

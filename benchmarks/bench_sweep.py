@@ -11,18 +11,18 @@ Modes::
     python benchmarks/bench_sweep.py                # full: nachos-repro all
     python benchmarks/bench_sweep.py --quick        # CI smoke: 2 regions x 3 systems
     python benchmarks/bench_sweep.py --jobs 4       # fan the sweep across workers
-    python benchmarks/bench_sweep.py --quick --jobs 4 \
-        --chaos 'crash=0.12,hang=0.08,corrupt=0.08,seed=7,hang_s=60'
+    python benchmarks/bench_sweep.py --quick --jobs 4 --chaos 'crash@1,crash@4'
 
 The ``--quick`` smoke sweep is what CI runs on every push: two micro
 regions through all three paper systems, parallel, cache on, then a
 warm re-run that must be 100% cache-served and identical.
 
 ``--chaos SPEC`` adds a third run on a fresh cache with the given
-fault-injection profile active (``NACHOS_CHAOS``); workers crash, hang
-past the timeout, and return corrupt results, yet the supervised
-executor must recover and produce output byte-identical to the
-fault-free cold run.
+fault-injection profile active (``NACHOS_CHAOS``); pool workers die at
+the spec's ``crash@`` points, yet the supervised executor must requeue
+their tasks and produce output byte-identical to the fault-free cold
+run.  A spec that kills one task's worker twice (``crash@I,crash@I:1``)
+fails that task, so the outputs then differ.
 
 All wall times here and in the child CLI come from
 ``time.perf_counter()`` (one monotonic clock source end to end); CPU
@@ -220,15 +220,12 @@ def main(argv=None) -> int:
         chaos_identical = None
         chaos_s = None
         if args.chaos:
-            # Fresh cache so every task really executes (and really gets
-            # crashed/hung/corrupted) rather than being cache-served.
+            # Fresh cache so every task really executes rather than being
+            # cache-served.
             chaos_cache = Path(tempfile.mkdtemp(prefix="nachos-bench-chaos-"))
             try:
                 chaos_env = _child_env(chaos_cache, args.jobs)
                 chaos_env["NACHOS_CHAOS"] = args.chaos
-                chaos_env.setdefault("NACHOS_TIMEOUT", "10")
-                chaos_env.setdefault("NACHOS_MAX_RETRIES", "3")
-                chaos_env.setdefault("NACHOS_BACKOFF_BASE", "0.05")
                 print(f"[chaos run: NACHOS_CHAOS={args.chaos}]")
                 chaos_s, _chaos_cpu, chaos_out = _timed_run(cmd, chaos_env)
                 print(f"[chaos: {chaos_s:.1f}s]")

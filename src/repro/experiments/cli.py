@@ -10,9 +10,8 @@ Usage::
     nachos-repro fig11 --invocations 60
     nachos-repro fig11 --no-cache      # force a cold run
     nachos-repro fig11 --metrics m.json  # dump the metrics registry
-    nachos-repro all --jobs 4 --timeout 300 --max-retries 3
-                                       # supervised: hung tasks killed,
-                                       # crashed workers replaced, retried
+    nachos-repro all --jobs 4          # supervised: a dead worker is
+                                       # replaced, its task requeued once
     nachos-repro all                   # after a killed/crashed sweep:
                                        # finished tasks replay from the cache
     nachos-repro all --failure-report failures.json
@@ -47,7 +46,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -56,9 +54,8 @@ from pathlib import Path
 from typing import Callable, Dict, Tuple
 
 from repro.runtime.cache import configure_cache, get_cache
-from repro.runtime.executor import get_policy, set_jobs, set_policy
+from repro.runtime.executor import SweepError, set_jobs
 from repro.runtime.fingerprint import CODE_FINGERPRINT
-from repro.runtime.retry import SweepError
 from repro.sim.factory import ENGINE_MODES
 
 from repro.experiments import (
@@ -163,27 +160,11 @@ def main(argv=None) -> int:
         "run then has nothing to resume from)",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock budget; hung workers are killed and the "
-        "task retried (parallel sweeps only; default $NACHOS_TIMEOUT or off)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry a crashed/hung/corrupt/raising task up to N times with "
-        "deterministic exponential backoff (default $NACHOS_MAX_RETRIES or 2)",
-    )
-    parser.add_argument(
         "--failure-report",
         default=None,
         metavar="PATH",
         help="where to write the machine-readable per-task failure report "
-        "when tasks fail after retries (default nachos-failure-report.json)",
+        "when tasks fail (default nachos-failure-report.json)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -295,24 +276,6 @@ def main(argv=None) -> int:
             root=Path(args.cache_dir) if args.cache_dir else None,
             enabled=False if args.no_cache else None,
         )
-    if args.timeout is not None or args.max_retries is not None:
-        base = get_policy()
-        set_policy(
-            dataclasses.replace(
-                base,
-                timeout=(
-                    args.timeout if args.timeout and args.timeout > 0
-                    else None
-                )
-                if args.timeout is not None
-                else base.timeout,
-                max_retries=(
-                    max(0, args.max_retries)
-                    if args.max_retries is not None
-                    else base.max_retries
-                ),
-            )
-        )
 
     names = args.experiments or ["list"]
     if names and names[0] == "cache":
@@ -363,7 +326,7 @@ def main(argv=None) -> int:
             failed[name] = exc.outcome.as_report()
             print(
                 f"[{name}: FAILED — "
-                f"{len(exc.outcome.failures)} task(s) exhausted retries; "
+                f"{len(exc.outcome.failures)} task(s) failed; "
                 f"continuing with the remaining experiments]",
                 file=sys.stderr,
             )
@@ -619,7 +582,7 @@ def _profile_command(rest, args) -> int:
             failed[name] = exc.outcome.as_report()
             print(
                 f"[{name}: FAILED — "
-                f"{len(exc.outcome.failures)} task(s) exhausted retries]",
+                f"{len(exc.outcome.failures)} task(s) failed]",
                 file=sys.stderr,
             )
         stage_seconds[name] = time.perf_counter() - start

@@ -83,22 +83,39 @@ _FP_OPS = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
 _MEMORY_OPS = frozenset({Opcode.LOAD, Opcode.STORE})
 _PLUMBING_OPS = frozenset({Opcode.INPUT, Opcode.CONST})
 
+# Each member carries its latency, kind flags and declaration index as
+# plain attributes.  Looking a member up in a set or dict calls
+# ``Enum.__hash__``, a Python-level function, and these queries run
+# once per op on every engine, placement and golden-model set-up.
+for _index, _opcode in enumerate(Opcode):
+    _opcode.index = _index
+    _opcode.latency = _LATENCY[_opcode]
+    _opcode.is_fp = _opcode in _FP_OPS
+    _opcode.is_memory = _opcode in _MEMORY_OPS
+    _opcode.is_compute = not _opcode.is_memory and _opcode not in _PLUMBING_OPS
+del _index, _opcode
+
+
+def opcode_index(opcode: Opcode) -> int:
+    """Return *opcode*'s position in declaration order."""
+    return opcode.index
+
 
 def latency_of(opcode: Opcode) -> int:
     """Return the functional-unit occupancy (cycles) of *opcode*."""
-    return _LATENCY[opcode]
+    return opcode.latency
 
 
 def is_fp(opcode: Opcode) -> bool:
     """Return True for floating-point compute opcodes."""
-    return opcode in _FP_OPS
+    return opcode.is_fp
 
 
 def is_memory(opcode: Opcode) -> bool:
     """Return True for LOAD/STORE."""
-    return opcode in _MEMORY_OPS
+    return opcode.is_memory
 
 
 def is_compute(opcode: Opcode) -> bool:
     """Return True for opcodes that execute on an ALU (incl. GEP)."""
-    return opcode not in _MEMORY_OPS and opcode not in _PLUMBING_OPS
+    return opcode.is_compute

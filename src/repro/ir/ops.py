@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.ir.address import AddressExpr
-from repro.ir.opcodes import Opcode, is_memory, latency_of
+from repro.ir.opcodes import Opcode
 
 
 @dataclass
@@ -39,9 +39,9 @@ class Operation:
 
     def __post_init__(self) -> None:
         self.inputs = tuple(self.inputs)
-        if is_memory(self.opcode) and self.addr is None:
+        if self.opcode.is_memory and self.addr is None:
             raise ValueError(f"memory op {self.op_id} requires an address expression")
-        if not is_memory(self.opcode) and self.addr is not None:
+        if not self.opcode.is_memory and self.addr is not None:
             raise ValueError(f"non-memory op {self.op_id} must not carry an address")
 
     # ------------------------------------------------------------------
@@ -55,11 +55,11 @@ class Operation:
 
     @property
     def is_memory(self) -> bool:
-        return is_memory(self.opcode)
+        return self.opcode.is_memory
 
     @property
     def latency(self) -> int:
-        return latency_of(self.opcode)
+        return self.opcode.latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.addr!r}" if self.addr is not None else ""

@@ -243,12 +243,10 @@ def metrics_from_profile(
         profile.supervisor_cpu_seconds
     )
     reg.gauge(f"{prefix}.utilization").set(profile.utilization())
-    # Supervision telemetry: failed attempts by kind, bounded-retry and
+    # Supervision telemetry: failed attempts by kind, requeue and
     # terminal-failure totals.
     counts = profile.fault_counts()
     reg.counter(f"{prefix}.worker_crashes").inc(counts.get("crash", 0))
-    reg.counter(f"{prefix}.timeouts").inc(counts.get("timeout", 0))
-    reg.counter(f"{prefix}.corrupt_results").inc(counts.get("corrupt", 0))
     reg.counter(f"{prefix}.task_errors").inc(counts.get("error", 0))
     reg.counter(f"{prefix}.retries").inc(profile.retries)
     reg.counter(f"{prefix}.failures").inc(len(profile.failures))

@@ -4,9 +4,9 @@ The supervised executor (:mod:`repro.runtime.executor`) reports one
 :class:`TaskRecord` per simulation task — region, system, wall seconds,
 the worker that ran it, and the task's result-cache hit/miss delta —
 plus one :class:`SweepRecord` per ``run_tasks`` batch, one
-:class:`FaultRecord` per failed attempt (worker crash, timeout, corrupt
-result, task error), and one :class:`FailureRecord` per task that
-exhausted its retries.  Recording is off by default (``enable()`` flips
+:class:`FaultRecord` per failed attempt (a worker that died under the
+task, or a task error), and one :class:`FailureRecord` per task that
+failed terminally.  Recording is off by default (``enable()`` flips
 it; the disabled check is one module attribute load per batch), so
 ordinary sweeps pay nothing.
 
@@ -52,12 +52,11 @@ class SweepRecord:
 
 @dataclass
 class FaultRecord:
-    """One failed task *attempt* (the supervisor retried or gave up).
+    """One failed task *attempt* (the supervisor requeued it or gave up).
 
-    ``kind`` is a :data:`repro.runtime.retry.FAILURE_KINDS` value:
-    ``crash`` (worker died), ``timeout`` (hung past the deadline and was
-    killed), ``corrupt`` (result failed to unpickle), or ``error`` (the
-    task raised).
+    ``kind`` is ``crash`` (the worker died under the task; the first
+    death requeues it, the second is terminal) or ``error`` (the task
+    raised, or its result failed to unpickle; always terminal).
     """
 
     region: str
@@ -67,7 +66,7 @@ class FaultRecord:
 
 @dataclass
 class FailureRecord:
-    """One task that exhausted its retries (terminal failure)."""
+    """One task that failed terminally."""
 
     region: str
     system: str
@@ -153,7 +152,7 @@ class SweepProfile:
         return self.task_seconds / offered if offered else 0.0
 
     def fault_counts(self) -> Dict[str, int]:
-        """kind -> failed-attempt count (retried and terminal alike)."""
+        """kind -> failed-attempt count (requeued and terminal alike)."""
         out: Dict[str, int] = {}
         for f in self.faults:
             out[f.kind] = out.get(f.kind, 0) + 1
@@ -161,7 +160,7 @@ class SweepProfile:
 
     @property
     def retries(self) -> int:
-        """Failed attempts that were retried (terminal ones excluded)."""
+        """Failed attempts that were requeued (terminal ones excluded)."""
         return len(self.faults) - len(self.failures)
 
     def reset(self) -> None:

@@ -10,12 +10,13 @@ from repro.runtime.cache import ResultCache, configure_cache, get_cache
 from repro.runtime.chaos import ChaosSpec, get_chaos, parse_chaos, set_chaos
 from repro.runtime.executor import (
     SimTask,
+    SweepError,
+    SweepOutcome,
+    TaskFailure,
     get_jobs,
-    get_policy,
     run_tasks,
     run_tasks_detailed,
     set_jobs,
-    set_policy,
 )
 from repro.runtime.fingerprint import (
     CODE_FINGERPRINT,
@@ -24,22 +25,12 @@ from repro.runtime.fingerprint import (
     envs_fingerprint,
     graph_fingerprint,
 )
-from repro.runtime.retry import (
-    RetryPolicy,
-    RetryScheduler,
-    SweepError,
-    SweepOutcome,
-    TaskFailure,
-    stable_unit,
-)
 from repro.runtime.sweep import sweep_comparisons, sweep_runs
 
 __all__ = [
     "CODE_FINGERPRINT",
     "ChaosSpec",
     "ResultCache",
-    "RetryPolicy",
-    "RetryScheduler",
     "SimTask",
     "SweepError",
     "SweepOutcome",
@@ -51,15 +42,12 @@ __all__ = [
     "get_cache",
     "get_chaos",
     "get_jobs",
-    "get_policy",
     "graph_fingerprint",
     "parse_chaos",
     "run_tasks",
     "run_tasks_detailed",
     "set_chaos",
     "set_jobs",
-    "set_policy",
-    "stable_unit",
     "sweep_comparisons",
     "sweep_runs",
 ]

@@ -1,135 +1,87 @@
 """Deterministic fault injection for the supervised sweep runtime.
 
-Every recovery path in :mod:`repro.runtime.executor` is exercised by
+The two recovery paths of :mod:`repro.runtime.executor` are exercised by
 *injected* faults rather than hoped-for ones — the same philosophy as
 ``tests/test_failure_injection.py``, where broken backends prove the
-correctness oracle has teeth.  A :class:`ChaosSpec` decides, purely from
-``(seed, task index, attempt)``, whether a given attempt should
+correctness oracle has teeth.  A :class:`ChaosSpec` names explicit
+injection points:
 
-* ``crash``   — the worker process exits hard (``os._exit``), as a
-  segfault or OOM kill would;
-* ``hang``    — the worker sleeps ``hang_seconds`` before working, so a
-  per-task timeout must fire to recover;
-* ``corrupt`` — the worker computes the result but ships garbage bytes
-  that fail to unpickle on the supervisor's side;
-* ``abort``   — the *supervisor* SIGKILLs itself just before
-  dispatching the marked task (simulates killing a sweep mid-flight;
-  the kill-and-rerun tests are built on it).
+* ``crash@I[:A]`` — the pool worker that picks up task ``I`` on attempt
+  ``A`` (default 0) exits hard (``os._exit``), as a segfault or OOM
+  kill would.  A dead worker's task is requeued once, so ``A`` is 0 or
+  1, and ``crash@I,crash@I:1`` makes task ``I`` a terminal failure.  A
+  serial run has no worker to lose, so it ignores these points;
+* ``abort@I`` — the *supervisor* SIGKILLs itself just before first
+  dispatching task ``I`` (simulates killing a sweep mid-flight; the
+  kill-and-rerun tests are built on it).
 
-Decisions are sha256-seeded (:func:`repro.runtime.retry.stable_unit`),
-so a chaos campaign is bit-reproducible across processes and immune to
-worker scheduling: task 7's attempt 0 crashes (or doesn't) no matter
-which worker draws it or when.
+Task indices are positions in one ``run_tasks`` batch, so a point fires
+the same way no matter which worker draws the task or when.
 
 The spec travels through the ``NACHOS_CHAOS`` environment variable so
 forked/spawned pool workers inherit it.  Grammar (comma-separated)::
 
-    crash=0.05,hang=0.02,corrupt=0.01,seed=42,hang_s=30,crash@3,corrupt@5:1
-
-``kind=p`` sets a per-attempt probability; ``kind@index`` injects at a
-task index (attempt 0); ``kind@index:attempt`` pins the attempt too.
-``abort@index`` ignores the attempt (it fires on first dispatch).
+    crash@3,crash@5:1,abort@7
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-from repro.runtime.retry import stable_unit
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Tuple
 
 CRASH = "crash"
-HANG = "hang"
-CORRUPT = "corrupt"
 ABORT = "abort"
 
-_KINDS = (CRASH, HANG, CORRUPT, ABORT)
-
-
-class ChaosCrash(RuntimeError):
-    """Serial-mode stand-in for a worker process dying."""
-
-
-class ChaosCorrupt(RuntimeError):
-    """Serial-mode stand-in for a corrupt result pickle."""
+#: Attempts a task can get: the first, and one requeue after a death.
+_ATTEMPTS = (0, 1)
 
 
 @dataclass(frozen=True)
 class ChaosSpec:
     """A parsed, immutable chaos profile."""
 
-    p_crash: float = 0.0
-    p_hang: float = 0.0
-    p_corrupt: float = 0.0
-    seed: int = 0
-    hang_seconds: float = 30.0
-    #: explicit (kind, task index, attempt) injection points
-    points: Tuple[Tuple[str, int, int], ...] = field(default_factory=tuple)
+    #: (task index, attempt) pairs whose pool worker dies at pickup
+    crashes: FrozenSet[Tuple[int, int]] = frozenset()
+    #: task indices at whose first dispatch the supervisor is SIGKILLed
+    aborts: FrozenSet[int] = frozenset()
 
     @property
     def active(self) -> bool:
-        return bool(
-            self.p_crash or self.p_hang or self.p_corrupt or self.points
-        )
+        return bool(self.crashes or self.aborts)
 
-    def decide(self, index: int, attempt: int) -> Optional[str]:
-        """The fault (if any) for this attempt — explicit points first,
-        then independent seeded draws in crash > hang > corrupt order."""
-        for kind, i, a in self.points:
-            if kind != ABORT and i == index and a == attempt:
-                return kind
-        for kind, p in (
-            (CRASH, self.p_crash),
-            (HANG, self.p_hang),
-            (CORRUPT, self.p_corrupt),
-        ):
-            if p > 0.0 and stable_unit(self.seed, "chaos", kind, index, attempt) < p:
-                return kind
-        return None
+    def crashes_at(self, index: int, attempt: int) -> bool:
+        return (index, attempt) in self.crashes
 
-    def decide_abort(self, index: int) -> bool:
-        return any(kind == ABORT and i == index for kind, i, _ in self.points)
+    def aborts_at(self, index: int) -> bool:
+        return index in self.aborts
 
 
 def parse_chaos(spec: str) -> ChaosSpec:
     """Parse the ``NACHOS_CHAOS`` grammar into a :class:`ChaosSpec`."""
-    probs = {CRASH: 0.0, HANG: 0.0, CORRUPT: 0.0}
-    seed = 0
-    hang_seconds = 30.0
-    points = []
+    crashes = set()
+    aborts = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        if "@" in token:
-            kind, _, where = token.partition("@")
-            kind = kind.strip()
-            if kind not in _KINDS:
-                raise ValueError(f"unknown chaos kind {kind!r} in {token!r}")
-            idx_s, _, att_s = where.partition(":")
-            points.append((kind, int(idx_s), int(att_s) if att_s else 0))
-        elif "=" in token:
-            key, _, value = token.partition("=")
-            key = key.strip()
-            if key in probs:
-                probs[key] = float(value)
-            elif key == "seed":
-                seed = int(value)
-            elif key == "hang_s":
-                hang_seconds = float(value)
-            else:
-                raise ValueError(f"unknown chaos knob {key!r} in {token!r}")
-        else:
+        kind, at, where = token.partition("@")
+        kind = kind.strip()
+        if not at:
             raise ValueError(f"unparseable chaos token {token!r}")
-    return ChaosSpec(
-        p_crash=probs[CRASH],
-        p_hang=probs[HANG],
-        p_corrupt=probs[CORRUPT],
-        seed=seed,
-        hang_seconds=hang_seconds,
-        points=tuple(points),
-    )
+        idx_s, colon, att_s = where.partition(":")
+        if kind == CRASH:
+            attempt = int(att_s) if colon else 0
+            if attempt not in _ATTEMPTS:
+                raise ValueError(
+                    f"chaos attempt must be 0 or 1 (one requeue) in {token!r}"
+                )
+            crashes.add((int(idx_s), attempt))
+        elif kind == ABORT and not colon:
+            aborts.add(int(idx_s))
+        else:
+            raise ValueError(f"unknown chaos point {token!r}")
+    return ChaosSpec(crashes=frozenset(crashes), aborts=frozenset(aborts))
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +94,9 @@ _parsed: Optional[Tuple[str, ChaosSpec]] = None  # (env string, spec) memo
 def set_chaos(spec: Optional[ChaosSpec]) -> None:
     """Install an in-process override (``None`` restores env lookup).
 
-    Pool *workers* read ``NACHOS_CHAOS`` from their inherited
-    environment; an override set only in the parent does not cross the
-    process boundary — tests that exercise the pool set the env var.
+    Pool workers forked after this call inherit the override; spawned
+    workers (platforms without fork) only read ``NACHOS_CHAOS`` from
+    their environment, so tests that exercise the pool set the env var.
     """
     global _override
     _override = spec

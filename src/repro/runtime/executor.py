@@ -5,39 +5,35 @@ processes with order-preserving collection, so results come back in
 task order regardless of which worker finished first — parallel and
 serial runs are indistinguishable to callers.
 
-Unlike a bare ``ProcessPoolExecutor``, the pool here is *supervised*:
-each worker owns a duplex pipe and one in-flight task at a time, and
-the parent event loop
+The simulator is deterministic: a task that raised or sent back a
+result that does not unpickle does the same again on a retry.  Only a
+killed worker (OOM, SIGKILL) can succeed the second time.  So the pool
+is *crash-only*, with one recovery rule.  Each worker owns a duplex
+pipe and one in-flight task at a time, and the parent
 
-* detects worker death mid-task (EOF on the pipe) and replaces the
-  worker,
-* enforces a per-task wall-clock ``timeout`` by SIGKILLing the hung
-  worker,
-* treats results that fail to unpickle as corrupt,
-* requeues the affected task through a deterministic
-  exponential-backoff :class:`~repro.runtime.retry.RetryScheduler`
-  until it succeeds or exhausts ``max_retries``.
+* replaces a worker that died mid-task (EOF on its pipe) and requeues
+  its task once; a second death is a terminal ``crash`` failure;
+* fails every other fault at once, as a terminal ``error`` on its first
+  attempt: an in-task exception, a result that fails to unpickle, a
+  malformed envelope.
+
+The supervisor blocks on the busy workers' pipes with no timeout, so it
+sits idle while the workers compute instead of taking a CPU from them.
 
 A killed sweep resumes by running the same command again: each task
 that finished was already stored in the result cache by the process
 that ran it, so the rerun reads it back and computes only the rest.
 
-The loop blocks between events: it always wakes on a worker message or
-the earliest in-flight deadline, and on the earliest backoff expiry only
-while some worker is idle.  So the supervisor sits idle while the
-workers compute instead of taking a CPU from them.
-
 Terminal failures never abort the sweep mid-flight: every other task
-still runs, and the :class:`~repro.runtime.retry.SweepOutcome` carries
-the partial results plus machine-readable
-:class:`~repro.runtime.retry.TaskFailure` records.  ``run_tasks``
-raises :class:`~repro.runtime.retry.SweepError` at the end when any
-task failed; ``run_tasks_detailed`` hands back the outcome instead.
+still runs, and the :class:`SweepOutcome` carries the partial results
+plus machine-readable :class:`TaskFailure` records.  ``run_tasks``
+raises :class:`SweepError` at the end when any task failed;
+``run_tasks_detailed`` hands back the outcome instead.
 
-Fault injection for all of the above lives in
-:mod:`repro.runtime.chaos` (``NACHOS_CHAOS``): workers consult the
-seeded spec at task pickup and crash / hang / corrupt themselves on
-cue, so the recovery paths are pinned by deterministic tests.
+Fault injection lives in :mod:`repro.runtime.chaos` (``NACHOS_CHAOS``):
+pool workers die on cue at their explicit ``crash@`` points, and the
+supervisor SIGKILLs itself at an ``abort@`` point, so the recovery and
+resume paths are pinned by deterministic tests.
 
 The default job count comes from the CLI (``--jobs``) or the
 ``NACHOS_JOBS`` environment variable and defaults to 1 (serial, no pool
@@ -46,8 +42,8 @@ task that another worker already computed is a cheap unpickle.
 
 When sweep profiling is enabled (:mod:`repro.obs.profile`), every task
 reports its wall time, the pid of the worker that ran it, and its
-result-cache hit/miss delta; retries, timeouts, worker crashes, and
-corrupt results are counted too.
+result-cache hit/miss delta; worker deaths, requeues and terminal
+failures are counted too.
 """
 
 from __future__ import annotations
@@ -57,54 +53,41 @@ import os
 import pickle
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.profile import get_profile
-from repro.runtime.chaos import (
-    CORRUPT as CHAOS_CORRUPT,
-    CRASH as CHAOS_CRASH,
-    HANG as CHAOS_HANG,
-    ChaosCrash,
-    ChaosCorrupt,
-    ChaosSpec,
-    get_chaos,
-)
-from repro.runtime.retry import (
-    CORRUPT,
-    CRASH,
-    ERROR,
-    TIMEOUT,
-    RetryPolicy,
-    RetryScheduler,
-    SweepError,
-    SweepOutcome,
-    TaskFailure,
-)
+from repro.runtime.chaos import get_chaos
 
 _jobs: Optional[int] = None
-_policy: Optional[RetryPolicy] = None
 
-#: Bytes a chaos-corrupted worker ships instead of its result pickle;
-#: ``\x00`` is an invalid pickle opcode, so the supervisor's recv fails.
-_CORRUPT_BYTES = b"\x00nachos-chaos-corrupt-result"
+#: Failure kinds: a worker died mid-task (twice), or anything else.
+CRASH = "crash"
+ERROR = "error"
 
 #: Exceptions that mean "the bytes on the pipe were not a valid result".
 _UNPICKLE_ERRORS = (pickle.UnpicklingError, AttributeError, ImportError, ValueError)
 
 
 def get_jobs() -> int:
-    """The effective default parallelism for sweeps."""
+    """The effective default parallelism for sweeps.
+
+    A non-integer ``NACHOS_JOBS`` raises; values below 1 clamp to 1, as
+    ``--jobs`` does.
+    """
     if _jobs is not None:
         return _jobs
     env = os.environ.get("NACHOS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"NACHOS_JOBS must be an integer, got {env!r}"
+        ) from None
 
 
 def set_jobs(jobs: Optional[int]) -> None:
@@ -113,17 +96,74 @@ def set_jobs(jobs: Optional[int]) -> None:
     _jobs = max(1, jobs) if jobs is not None else None
 
 
-def get_policy() -> RetryPolicy:
-    """The effective retry/timeout policy for sweeps."""
-    if _policy is not None:
-        return _policy
-    return RetryPolicy.from_env()
+@dataclass
+class TaskFailure:
+    """One task that failed terminally (machine-readable)."""
+
+    index: int
+    region: str
+    system: str
+    kind: str            # CRASH or ERROR
+    attempts: int
+    message: str = ""
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "index": self.index,
+            "region": self.region,
+            "system": self.system,
+            "kind": self.kind,
+            "attempts": self.attempts,
+            "message": self.message,
+        }
 
 
-def set_policy(policy: Optional[RetryPolicy]) -> None:
-    """Set the process-wide policy (``None`` restores env/defaults)."""
-    global _policy
-    _policy = policy
+@dataclass
+class SweepOutcome:
+    """What a supervised sweep produced.
+
+    ``results`` aligns index-for-index with the submitted tasks; entries
+    are ``None`` exactly where ``failures`` records a terminal failure.
+    ``retries`` counts requeues after a worker death.
+    """
+
+    results: List[Optional[Any]]
+    failures: List[TaskFailure] = field(default_factory=list)
+    retries: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def as_report(self) -> Dict[str, Any]:
+        """The machine-readable per-task failure report."""
+        return {
+            "tasks": len(self.results),
+            "completed": sum(1 for r in self.results if r is not None),
+            "retries": self.retries,
+            "failures": [f.as_dict() for f in self.failures],
+        }
+
+
+class SweepError(RuntimeError):
+    """Raised by ``run_tasks`` when tasks terminally failed.
+
+    Carries the :class:`SweepOutcome`, so catchers still have the
+    partial results and the failure report.
+    """
+
+    def __init__(self, outcome: SweepOutcome) -> None:
+        self.outcome = outcome
+        kinds = ", ".join(
+            f"{f.region}/{f.system}: {f.kind} x{f.attempts}"
+            for f in outcome.failures[:5]
+        )
+        more = (
+            f" (+{len(outcome.failures) - 5} more)"
+            if len(outcome.failures) > 5
+            else ""
+        )
+        super().__init__(f"{len(outcome.failures)} task(s) failed: {kinds}{more}")
 
 
 @dataclass
@@ -179,9 +219,8 @@ def _worker_main(conn, parent_conn=None) -> None:
     """Dedicated worker loop: recv one ``(index, attempt, task)``, run
     it, send one result envelope; ``None`` shuts the worker down.
 
-    Chaos faults are applied *here*, in the real worker process, so the
-    supervisor sees genuine process death, genuine silence past the
-    deadline, and genuine garbage on the pipe.
+    A chaos ``crash`` point is applied *here*, in the real worker
+    process, so the supervisor sees genuine process death.
 
     Fork-context children inherit every parent-side pipe end that
     existed at fork time — including their *own* — so EOF alone cannot
@@ -212,11 +251,8 @@ def _worker_main(conn, parent_conn=None) -> None:
         if msg is None:
             break
         index, attempt, task = msg
-        action = chaos.decide(index, attempt) if chaos else None
-        if action == CHAOS_CRASH:
+        if chaos and chaos.crashes_at(index, attempt):
             os._exit(3)
-        if action == CHAOS_HANG:
-            time.sleep(chaos.hang_seconds)
         h0, m0 = cache.hits, cache.misses
         t0 = time.perf_counter()
         try:
@@ -224,9 +260,6 @@ def _worker_main(conn, parent_conn=None) -> None:
                 run = _execute(task)
             except Exception as exc:  # the task itself raised: report, stay up
                 conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
-                continue
-            if action == CHAOS_CORRUPT:
-                conn.send_bytes(_CORRUPT_BYTES)
                 continue
             conn.send(
                 (
@@ -254,7 +287,6 @@ class _Worker:
     proc: Any
     conn: Any
     index: Optional[int] = None     # in-flight task index
-    deadline: Optional[float] = None
 
     @property
     def busy(self) -> bool:
@@ -299,14 +331,18 @@ def _kill_worker(worker: _Worker) -> None:
 # Supervisor
 # ----------------------------------------------------------------------
 class _Supervision:
-    """Shared bookkeeping between the serial and pooled drivers."""
+    """Shared bookkeeping between the serial and pooled drivers: a queue
+    of task indices (a requeued task goes to its head) and how often each
+    task's worker died under it."""
 
-    def __init__(self, tasks: List[SimTask], policy: RetryPolicy) -> None:
+    def __init__(self, tasks: List[SimTask]) -> None:
         self.tasks = tasks
-        self.policy = policy
         self.profile = get_profile()
         self.sweep_stale()
-        self.sched = RetryScheduler(len(tasks), policy)
+        self.queue = deque(range(len(tasks)))
+        self.deaths = [0] * len(tasks)
+        self.open = len(tasks)
+        self.retries = 0
         self.results: List[Optional[Any]] = [None] * len(tasks)
         self.failures: List[TaskFailure] = []
 
@@ -329,7 +365,7 @@ class _Supervision:
         pid: int,
     ) -> None:
         self.results[index] = run
-        self.sched.record_success(index)
+        self.open -= 1
         if self.profile.enabled:
             self.profile.record_task(
                 _task_label(self.tasks[index]),
@@ -340,89 +376,69 @@ class _Supervision:
                 misses=misses,
             )
 
-    def fail_attempt(self, index: int, kind: str, message: str, now: float
-                     ) -> Optional[float]:
-        """Record one failed attempt; returns backoff delay or ``None``
-        when the task is terminally failed."""
+    def fail(self, index: int, kind: str, message: str) -> None:
+        """The task's current attempt failed; it will not run again."""
         task = self.tasks[index]
+        failure = TaskFailure(
+            index=index,
+            region=_task_label(task),
+            system=task.system,
+            kind=kind,
+            # A crash ends on the attempt that died; an error's attempt
+            # ran to completion after any earlier deaths.
+            attempts=self.deaths[index] + (0 if kind == CRASH else 1),
+            message=message,
+        )
+        self.failures.append(failure)
+        self.open -= 1
         if self.profile.enabled:
-            self.profile.record_fault(_task_label(task), task.system, kind)
-        delay = self.sched.record_failure(index, now)
-        if delay is None:
-            failure = TaskFailure(
-                index=index,
-                region=_task_label(task),
-                system=task.system,
-                kind=kind,
-                attempts=self.sched.attempts(index) + 1,
-                message=message,
+            self.profile.record_fault(failure.region, failure.system, kind)
+            self.profile.record_failure(
+                failure.region, failure.system, kind, failure.attempts, message
             )
-            self.failures.append(failure)
-            if self.profile.enabled:
-                self.profile.record_failure(
-                    failure.region, failure.system, kind,
-                    failure.attempts, message,
-                )
-        return delay
+
+    def worker_died(self, index: int, message: str) -> None:
+        """Requeue the task of a worker that died under it, once."""
+        self.deaths[index] += 1
+        if self.deaths[index] > 1:
+            self.fail(index, CRASH, message)
+            return
+        self.queue.appendleft(index)
+        self.retries += 1
+        if self.profile.enabled:
+            task = self.tasks[index]
+            self.profile.record_fault(_task_label(task), task.system, CRASH)
 
     def outcome(self) -> SweepOutcome:
         return SweepOutcome(
-            results=self.results,
-            failures=self.failures,
-            retries=self.sched.retries,
+            results=self.results, failures=self.failures, retries=self.retries
         )
 
 
-def _run_serial(tasks: List[SimTask], policy: RetryPolicy) -> SweepOutcome:
-    """In-process driver with the same retry semantics as the pool.
+def _run_serial(tasks: List[SimTask]) -> SweepOutcome:
+    """In-process driver: each task runs once, and an exception fails it.
 
-    Serial runs cannot preempt a task, so ``timeout`` is not enforced
-    here; chaos ``crash``/``corrupt`` surface as exceptions
-    (:class:`ChaosCrash` / :class:`ChaosCorrupt`) and exercise the retry
-    path, ``hang`` degenerates to a sleep.
+    There is no worker to lose, so chaos ``crash`` points never fire
+    here; a serial run's own death is the ``abort`` point.
     """
     from repro.runtime.cache import get_cache
 
-    sup = _Supervision(tasks, policy)
+    sup = _Supervision(tasks)
     chaos = get_chaos()
     cache = get_cache()
     pid = os.getpid()
     profile = sup.profile
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    while not sup.sched.finished:
-        now = time.monotonic()
-        claimed = sup.sched.pop_eligible(now)
-        if claimed is None:
-            nxt = sup.sched.next_eligible_time()
-            if nxt is None:  # nothing pending and nothing running: done
-                break
-            time.sleep(max(0.0, nxt - now))
-            continue
-        index, attempt = claimed
-        if chaos and attempt == 0 and chaos.decide_abort(index):
+    for index, task in enumerate(tasks):
+        if chaos and chaos.aborts_at(index):
             _sigkill_self()
-        action = chaos.decide(index, attempt) if chaos else None
         h0, m0 = cache.hits, cache.misses
         t0 = time.perf_counter()
         try:
-            if action == CHAOS_CRASH:
-                raise ChaosCrash(f"injected crash at task {index}.{attempt}")
-            if action == CHAOS_CORRUPT:
-                raise ChaosCorrupt(f"injected corrupt at task {index}.{attempt}")
-            if action == CHAOS_HANG:
-                time.sleep(chaos.hang_seconds)
-            run = _execute(tasks[index])
+            run = _execute(task)
         except Exception as exc:
-            if isinstance(exc, ChaosCrash):
-                kind = CRASH
-            elif isinstance(exc, ChaosCorrupt):
-                kind = CORRUPT
-            else:
-                kind = ERROR
-            delay = sup.fail_attempt(index, kind, str(exc), time.monotonic())
-            if delay is not None:
-                time.sleep(delay)
+            sup.fail(index, ERROR, f"{type(exc).__name__}: {exc}")
             continue
         sup.complete(
             index, run, cache.hits - h0, cache.misses - m0,
@@ -436,138 +452,78 @@ def _run_serial(tasks: List[SimTask], policy: RetryPolicy) -> SweepOutcome:
     return sup.outcome()
 
 
-def _run_pool(
-    tasks: List[SimTask], n: int, policy: RetryPolicy
-) -> SweepOutcome:
+def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
     """The supervised pool driver (see module docstring)."""
     from repro.runtime.cache import get_cache
 
-    sup = _Supervision(tasks, policy)
+    sup = _Supervision(tasks)
     chaos = get_chaos()
     cache = get_cache()
     profile = sup.profile
     ctx = _mp_context()
-    jobs = min(n, sup.sched.unfinished)
+    jobs = min(n, len(tasks))
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
 
-    def on_ok(worker: _Worker, msg: Tuple) -> None:
-        _, index, run, hits, misses, seconds, pid = msg
-        cache.add_counts(hits, misses)
-        sup.complete(index, run, hits, misses, seconds, pid)
-
-    def on_soft_failure(worker: _Worker, kind: str, message: str) -> None:
-        # The worker survives (corrupt pickle / in-task exception).
-        index = worker.index
-        worker.index = None
-        worker.deadline = None
-        if index is not None:
-            sup.fail_attempt(index, kind, message, time.monotonic())
-
-    def on_worker_death(worker: _Worker, kind: str, message: str) -> None:
-        index = worker.index
+    def replace(worker: _Worker) -> None:
         _kill_worker(worker)
         workers.remove(worker)
-        if index is not None:
-            sup.fail_attempt(index, kind, message, time.monotonic())
-        if sup.sched.unfinished > len(workers):
+        if sup.open > len(workers):
             workers.append(_spawn_worker(ctx))
 
+    def on_error(worker: _Worker, message: str) -> None:
+        # The worker survives (in-task exception / unusable result).
+        index, worker.index = worker.index, None
+        sup.fail(index, ERROR, message)
+
     try:
-        while not sup.sched.finished:
-            now = time.monotonic()
-            # -- dispatch eligible tasks onto idle workers ---------------
-            for worker in workers:
-                if worker.busy:
-                    continue
-                claimed = sup.sched.pop_eligible(now)
-                if claimed is None:
+        while sup.open:
+            # -- dispatch queued tasks onto idle workers -----------------
+            while sup.queue:
+                worker = next((w for w in workers if not w.busy), None)
+                if worker is None:
                     break
-                index, attempt = claimed
-                if chaos and attempt == 0 and chaos.decide_abort(index):
+                index = sup.queue.popleft()
+                attempt = sup.deaths[index]
+                if chaos and attempt == 0 and chaos.aborts_at(index):
                     _sigkill_self()
                 try:
                     worker.conn.send((index, attempt, tasks[index]))
                 except (OSError, ValueError):
-                    # Worker died while idle; don't burn the attempt.
-                    sup.sched.requeue(index)
-                    _kill_worker(worker)
-                    workers.remove(worker)
-                    workers.append(_spawn_worker(ctx))
-                    break
-                worker.index = index
-                worker.deadline = (
-                    now + policy.timeout if policy.timeout else None
-                )
-            # -- sleep until a result, a deadline, or a usable backoff ---
-            # A backoff expiry only matters when an idle worker can take
-            # the task; with every worker busy the next dispatch follows
-            # a worker message, so waking for it would spin the loop.
-            busy = [w for w in workers if w.busy]
-            wait_until: List[float] = [
-                w.deadline for w in busy if w.deadline is not None
-            ]
-            if len(busy) < len(workers):
-                nxt = sup.sched.next_eligible_time()
-                if nxt is not None:
-                    wait_until.append(nxt)
-            timeout = (
-                max(0.0, min(wait_until) - time.monotonic())
-                if wait_until
-                else None
-            )
-            if busy:
-                ready = mp_connection.wait(
-                    [w.conn for w in busy], timeout=timeout
-                )
-            else:
-                if sup.sched.finished:
-                    break
-                if timeout is None:
-                    break  # nothing running, nothing pending: all terminal
-                time.sleep(timeout)
-                ready = []
-            by_conn: Dict[Any, _Worker] = {w.conn: w for w in workers}
-            for conn in ready:
-                worker = by_conn.get(conn)
-                if worker is None:
+                    # The worker died while idle: no attempt was made.
+                    sup.queue.appendleft(index)
+                    replace(worker)
                     continue
+                worker.index = index
+            busy = [w.conn for w in workers if w.busy]
+            if not busy:
+                continue  # every open task is queued or running
+            # -- block until a busy worker reports or dies ---------------
+            by_conn: Dict[Any, _Worker] = {w.conn: w for w in workers}
+            for conn in mp_connection.wait(busy):
+                worker = by_conn[conn]
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    on_worker_death(
-                        worker, CRASH,
-                        f"worker pid {worker.proc.pid} died mid-task",
+                    index, worker.index = worker.index, None
+                    sup.worker_died(
+                        index, f"worker pid {worker.proc.pid} died mid-task"
                     )
+                    replace(worker)
                     continue
                 except _UNPICKLE_ERRORS as exc:
-                    on_soft_failure(
-                        worker, CORRUPT, f"result failed to unpickle: {exc}"
-                    )
+                    on_error(worker, f"result failed to unpickle: {exc}")
                     continue
                 if not isinstance(msg, tuple) or not msg:
-                    on_soft_failure(worker, CORRUPT, "malformed result envelope")
-                    continue
-                if msg[0] == "ok":
+                    on_error(worker, "malformed result envelope")
+                elif msg[0] == "ok":
+                    _, index, run, hits, misses, seconds, pid = msg
                     worker.index = None
-                    worker.deadline = None
-                    on_ok(worker, msg)
+                    cache.add_counts(hits, misses)
+                    sup.complete(index, run, hits, misses, seconds, pid)
                 else:
-                    on_soft_failure(worker, ERROR, str(msg[2]))
-            # -- enforce per-task deadlines ------------------------------
-            now = time.monotonic()
-            for worker in list(workers):
-                if (
-                    worker.busy
-                    and worker.deadline is not None
-                    and now >= worker.deadline
-                ):
-                    on_worker_death(
-                        worker, TIMEOUT,
-                        f"task exceeded {policy.timeout:.3g}s timeout; "
-                        f"worker pid {worker.proc.pid} killed",
-                    )
+                    on_error(worker, str(msg[2]))
     finally:
         for worker in workers:
             try:
@@ -596,38 +552,32 @@ def _run_pool(
 # Public entry points
 # ----------------------------------------------------------------------
 def run_tasks_detailed(
-    tasks: Sequence[SimTask],
-    jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
+    tasks: Sequence[SimTask], jobs: Optional[int] = None
 ) -> SweepOutcome:
     """Run *tasks* under supervision; never raises on task failure.
 
     Returns a :class:`SweepOutcome` whose ``results`` align
     index-for-index with *tasks* (``None`` where a task terminally
-    failed) plus the failure/retry telemetry.
+    failed) plus the failure/requeue telemetry.
     """
     tasks = list(tasks)
     n = jobs if jobs is not None else get_jobs()
-    pol = policy if policy is not None else get_policy()
     if not tasks:
         return SweepOutcome(results=[])
     if n <= 1 or len(tasks) <= 1:
-        return _run_serial(tasks, pol)
-    return _run_pool(tasks, n, pol)
+        return _run_serial(tasks)
+    return _run_pool(tasks, n)
 
 
 def run_tasks(
-    tasks: Sequence[SimTask],
-    jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
+    tasks: Sequence[SimTask], jobs: Optional[int] = None
 ) -> List[Any]:
     """Run *tasks*, returning :class:`SystemRun` s in task order.
 
-    Raises :class:`~repro.runtime.retry.SweepError` (carrying the
-    partial :class:`~repro.runtime.retry.SweepOutcome`) if any task
-    still failed after bounded retries.
+    Raises :class:`SweepError` (carrying the partial
+    :class:`SweepOutcome`) if any task failed terminally.
     """
-    outcome = run_tasks_detailed(tasks, jobs=jobs, policy=policy)
+    outcome = run_tasks_detailed(tasks, jobs=jobs)
     if not outcome.ok:
         raise SweepError(outcome)
     return outcome.results

@@ -7,14 +7,13 @@ order — is the deterministic row-major (workload, system) order, so
 figures render identically at any ``--jobs`` value.
 
 Both entry points run under the supervised executor
-(:mod:`repro.runtime.executor`): tasks that crash a worker, hang past
-the per-task timeout, or return corrupt results are retried with
-deterministic backoff.  Every completed task is already in the result
-cache, so an interrupted sweep resumes by running it again.  When a
-task exhausts its retries, a :class:`~repro.runtime.retry.SweepError`
-propagates with the
-partial results attached — the CLI catches it per figure and degrades
-to a failure report instead of aborting the whole figure set.
+(:mod:`repro.runtime.executor`): a task whose worker dies is requeued
+once, and any other fault fails the task at once.  Every completed task
+is already in the result cache, so an interrupted sweep resumes by
+running it again.  When a task fails, a
+:class:`~repro.runtime.executor.SweepError` propagates with the partial
+results attached — the CLI catches it per figure and degrades to a
+failure report instead of aborting the whole figure set.
 """
 
 from __future__ import annotations
@@ -22,16 +21,14 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.runtime.executor import SimTask, run_tasks
-from repro.runtime.retry import RetryPolicy
 
 
 def sweep_runs(
     tasks: Sequence[SimTask],
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
 ) -> List[Any]:
     """Run an explicit task list; results align index-for-index."""
-    return run_tasks(tasks, jobs=jobs, policy=policy)
+    return run_tasks(tasks, jobs=jobs)
 
 
 def sweep_comparisons(
@@ -41,7 +38,6 @@ def sweep_comparisons(
     check: bool = True,
     warm: bool = True,
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
 ) -> List[Any]:
     """``compare_systems`` for many workloads, fanned across the pool.
 
@@ -63,7 +59,7 @@ def sweep_comparisons(
         for w in workloads
         for system in systems
     ]
-    runs = run_tasks(tasks, jobs=jobs, policy=policy)
+    runs = run_tasks(tasks, jobs=jobs)
     out: List[Any] = []
     i = 0
     for w in workloads:

@@ -12,11 +12,11 @@ PR-4 process-pool runtime (:func:`repro.runtime.executor.run_tasks_detailed`):
   seconds (and while a previous batch occupies the pool), then ship as
   one ``run_tasks_detailed`` call — one supervised pool dispatch per
   burst, not per request.
-* **Fault story inherited.**  The pool's retry/timeout/chaos machinery
-  is the service's: worker crashes, hangs, and corrupt results retry
-  with deterministic backoff; a terminally failed task resolves its
-  waiters with :class:`ServeTaskError` carrying the machine-readable
-  :class:`~repro.runtime.retry.TaskFailure`.
+* **Fault story inherited.**  The pool's supervision is the service's:
+  a task whose worker dies is requeued once, and any other fault fails
+  it at once; a terminally failed task resolves its waiters with
+  :class:`ServeTaskError` carrying the machine-readable
+  :class:`~repro.runtime.executor.TaskFailure`.
 
 The pool call runs on a single dedicated thread, which both keeps the
 event loop free and serializes batches — exactly one supervised pool
@@ -34,7 +34,7 @@ from repro.runtime.executor import SimTask, run_tasks_detailed
 
 
 class ServeTaskError(RuntimeError):
-    """A task failed terminally (after the pool's bounded retries)."""
+    """A task failed terminally in the supervised pool."""
 
     def __init__(self, failure: Optional[dict]) -> None:
         self.failure = failure or {}
@@ -69,12 +69,10 @@ class Batcher:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        policy: Optional[Any] = None,
         batch_window: float = 0.01,
         max_batch: int = 32,
     ) -> None:
         self.jobs = jobs
-        self.policy = policy
         self.batch_window = max(0.0, batch_window)
         self.max_batch = max(1, max_batch)
         self.stats = BatcherStats()
@@ -167,9 +165,7 @@ class Batcher:
         try:
             outcome = await loop.run_in_executor(
                 self._executor,
-                lambda: run_tasks_detailed(
-                    tasks, jobs=self.jobs, policy=self.policy
-                ),
+                lambda: run_tasks_detailed(tasks, jobs=self.jobs),
             )
         except Exception as exc:  # supervisor itself broke: fail the batch
             for entry in batch:

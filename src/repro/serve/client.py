@@ -4,15 +4,11 @@ One connection per request (the daemon answers ``Connection: close``),
 so a :class:`ServeClient` is cheap, stateless, and thread-safe — the
 load generator drives one instance from many threads.
 
-Hardening knobs (all off/strict by default):
-
-* ``retries`` — connection-refused attempts are retried with the same
-  deterministic seeded backoff the runtime uses
-  (:class:`repro.runtime.retry.RetryPolicy`), which papers over a
-  daemon restart without masking a genuinely dead daemon;
-* response bodies are capped at ``MAX_RESPONSE_BYTES`` and a
-  truncated or non-JSON body surfaces as a :class:`ServeError`
-  (carrying a preview) instead of a bare ``json`` traceback.
+A refused connect (no daemon listening) raises at once; the caller
+decides whether to wait for a restarting daemon.  Response bodies are
+capped at ``MAX_RESPONSE_BYTES``, and a truncated or non-JSON body
+surfaces as a :class:`ServeError` (carrying a preview) instead of a
+bare ``json`` traceback.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import json
 import socket
 import time
 from typing import Any, Dict, List, Optional
-
-from repro.runtime.retry import RetryPolicy
 
 #: Ceiling on a response body; the daemon's payloads are small JSON, so
 #: anything larger is a protocol violation, not data.
@@ -63,19 +57,11 @@ class ServeClient:
         port: int = 8737,
         socket_path: Optional[str] = None,
         timeout: float = 600.0,
-        retries: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.socket_path = socket_path
         self.timeout = timeout
-        self.retries = max(0, retries)
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(backoff_base=0.05, backoff_max=1.0)
-        )
 
     def _connection(self) -> http.client.HTTPConnection:
         if self.socket_path:
@@ -87,23 +73,6 @@ class ServeClient:
     def _request(
         self, method: str, target: str, body: Optional[dict] = None,
         accept: tuple = (200,),
-    ) -> Dict[str, Any]:
-        for attempt in range(self.retries + 1):
-            try:
-                return self._request_once(method, target, body, accept)
-            except ConnectionRefusedError:
-                # The one transient worth absorbing: a daemon mid-restart
-                # refuses connects for a moment, then listens again.
-                if attempt >= self.retries:
-                    raise
-                time.sleep(
-                    self.retry_policy.backoff(f"connect-{target}", attempt)
-                )
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _request_once(
-        self, method: str, target: str, body: Optional[dict],
-        accept: tuple,
     ) -> Dict[str, Any]:
         conn = self._connection()
         try:

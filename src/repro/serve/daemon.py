@@ -30,14 +30,15 @@ Completed results are served read-through from the shared
 :class:`~repro.runtime.cache.ResultCache`, so even a daemon restart
 answers repeat queries from disk.
 
-The fault story is the PR-4 runtime's, unchanged: worker crashes,
-hangs, and corrupt results retry with deterministic backoff
-(``--timeout`` / ``--max-retries``), and a ``NACHOS_CHAOS`` spec in the
-daemon's environment is inherited by pool workers — a chaos campaign
-against a live daemon must return results byte-identical to a
-fault-free one (``benchmarks/bench_serve.py --chaos`` enforces it).
-Do not use the chaos ``abort@`` point with the daemon: it SIGKILLs the
-supervisor, i.e. the daemon itself.
+The fault story is the sweep runtime's: a pool worker that dies
+mid-task is replaced and its task requeued once, and any other fault
+fails the task at once (the simulator is deterministic, so a retry
+would fail the same way).  A ``NACHOS_CHAOS`` spec in the daemon's
+environment is inherited by pool workers — a campaign of ``crash@``
+points that each kill a task's worker once must return results
+byte-identical to a fault-free daemon (``benchmarks/bench_serve.py
+--chaos`` enforces it).  Do not use the chaos ``abort@`` point with the
+daemon: it SIGKILLs the supervisor, i.e. the daemon itself.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ class NachosServeDaemon:
         port: int = 8737,
         socket_path: Optional[str] = None,
         jobs: Optional[int] = None,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
         batch_window: float = 0.01,
         max_batch: int = 32,
         retain_results: int = 1024,
@@ -111,7 +110,6 @@ class NachosServeDaemon:
         self.max_batch = max_batch
         self.retain_results = max(1, retain_results)
         self.quiet = quiet
-        self.policy = self._resolve_policy(timeout, max_retries)
         self.metrics = MetricsRegistry()
         self.requests: "OrderedDict[str, _RequestRecord]" = OrderedDict()
         self.batcher: Optional[Batcher] = None
@@ -121,23 +119,6 @@ class NachosServeDaemon:
         self._started_monotonic = 0.0
         self._connections: set = set()  # open client StreamWriters
         self._stopping = False
-
-    @staticmethod
-    def _resolve_policy(timeout, max_retries):
-        from repro.runtime.executor import get_policy
-
-        policy = get_policy()
-        if timeout is None and max_retries is None:
-            return policy
-        import dataclasses
-
-        return dataclasses.replace(
-            policy,
-            timeout=(timeout if timeout and timeout > 0 else None)
-            if timeout is not None else policy.timeout,
-            max_retries=max(0, max_retries)
-            if max_retries is not None else policy.max_retries,
-        )
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -153,7 +134,6 @@ class NachosServeDaemon:
         self._stop_event = asyncio.Event()
         self.batcher = Batcher(
             jobs=self.jobs,
-            policy=self.policy,
             batch_window=self.batch_window,
             max_batch=self.max_batch,
         )
@@ -520,14 +500,6 @@ def main(argv=None) -> int:
         help="worker-pool width per batch (default $NACHOS_JOBS or 1)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget (default $NACHOS_TIMEOUT or off)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="bounded retries per task (default $NACHOS_MAX_RETRIES or 2)",
-    )
-    parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
         help="default engine mode (exported as $NACHOS_ENGINE so pool "
         "workers inherit it; per-request 'engine' overrides)",
@@ -561,8 +533,6 @@ def main(argv=None) -> int:
         port=args.port,
         socket_path=args.socket,
         jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         retain_results=args.retain,

@@ -29,15 +29,13 @@ from repro.cgra.placement import Placement
 from repro.energy.accounting import EnergyLedger
 from repro.energy.config import EnergyEvent
 from repro.ir.graph import DFGraph
-from repro.ir.opcodes import Opcode, is_fp
+from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs
 from repro.sim.config import EngineConfig
 from repro.sim.result import BackendStats, SimResult
 from repro.sim.values import ValueMemory, forwarded_value, mix
-
-_OPCODE_ID = {opcode: i for i, opcode in enumerate(Opcode)}
 
 # Op kinds (``DataflowEngine._kind``); sources count as compute: nothing
 # delivers to them.
@@ -161,8 +159,8 @@ class DataflowEngine:
         self._exec_plan: Dict[int, Tuple[int, EnergyEvent, int, Tuple[int, ...]]] = {
             op.op_id: (
                 op.latency,
-                EnergyEvent.ALU_FP if is_fp(op.opcode) else EnergyEvent.ALU_INT,
-                _OPCODE_ID[op.opcode],
+                EnergyEvent.ALU_FP if op.opcode.is_fp else EnergyEvent.ALU_INT,
+                op.opcode.index,
                 tuple(op.inputs),
             )
             for op in self._ops

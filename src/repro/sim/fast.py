@@ -545,7 +545,7 @@ class FastEngine(DataflowEngine):
         """
         cache = self.placement.__dict__.setdefault("_fast_templates", {})
         key = (
-            tuple((op.op_id, op.opcode, op.inputs) for op in self._ops),
+            tuple((op.op_id, op.opcode.index, op.inputs) for op in self._ops),
             dataclasses.astuple(self.config),
         )
         tpl = cache.get(key)

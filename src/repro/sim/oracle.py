@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.ir.graph import DFGraph
 from repro.ir.opcodes import Opcode
-from repro.sim.engine import _OPCODE_ID
 from repro.sim.values import ValueMemory, mix, mix_on
 
 # Op-program kinds.
@@ -66,7 +65,7 @@ def _compile(graph: DFGraph) -> Tuple[List[int], List[tuple]]:
             )
         else:
             program.append((
-                _COMPUTE, slot, mix(_OPCODE_ID[opcode]),
+                _COMPUTE, slot, mix(opcode.index),
                 tuple(slot_of[i] for i in op.inputs), None,
             ))
     return init, program

@@ -22,11 +22,13 @@ from repro.compiler.pipeline import PipelineConfig
 from repro.ir.opcodes import Opcode
 from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.fingerprint import envs_fingerprint
-from repro.sim.engine import _OPCODE_ID
 from repro.sim.oracle import GoldenResult, golden_execute
 from repro.sim.values import mix
 from repro.verify.fuzz import build_graph, generate_spec
 from repro.workloads.suite import build_suite_workloads
+
+#: Opcode ids in declaration order, as both value models mix them.
+_OPCODE_ID = {opcode: i for i, opcode in enumerate(Opcode)}
 
 #: Invocations per suite region: enough to revisit addresses (store-then-
 #: load across invocations) while keeping 135 regions quick.

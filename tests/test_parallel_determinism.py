@@ -94,19 +94,16 @@ def test_run_tasks_serial_and_pool_agree_on_extension_systems(no_cache):
 
 
 def test_supervised_pool_with_timeout_matches_serial(no_cache):
-    # Supervision (per-task deadline armed, retries available) must not
-    # perturb results when nothing actually faults.
-    from repro.runtime.retry import RetryPolicy
-
-    policy = RetryPolicy(timeout=60.0, max_retries=2)
+    # Supervision must not perturb results when nothing actually
+    # faults.  (The name predates the per-task timeout's removal.)
     tasks = [
         SimTask(build_micro(name), system, INVOCATIONS)
         for name in MICROS
         for system in ("opt-lsq", "nachos")
     ]
-    serial = run_tasks(tasks, jobs=1, policy=policy)
+    serial = run_tasks(tasks, jobs=1)
     clear_memos()
-    pooled = run_tasks(tasks, jobs=3, policy=policy)
+    pooled = run_tasks(tasks, jobs=3)
     for s, p in zip(serial, pooled):
         assert _signature(s) == _signature(p)
         assert pickle.dumps(s.sim) == pickle.dumps(p.sim)

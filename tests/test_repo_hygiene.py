@@ -74,7 +74,9 @@ def test_gitignore_covers_generated_artifacts():
 #: runs against the merge base (``tools/perf_pairs.py``) replace both.
 #: Then the names of the retired sweep checkpoint journal and of the
 #: hand-bumped cache schema: a killed sweep resumes from the result
-#: cache, whose keys hash the simulator's sources.
+#: cache, whose keys hash the simulator's sources.  Then the retired
+#: retry scheduler and its knobs: the simulator is deterministic, so the
+#: pool requeues only a dead worker's task, once.
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -87,6 +89,12 @@ RETIRED_PERF_NAMES = (
     "NACHOS_CHECKPOINT_DIR",
     "--checkpoint-dir",
     "checkpoint_hits",
+    "RetryPolicy",
+    "RetryScheduler",
+    "NACHOS_TIMEOUT",
+    "NACHOS_MAX_RETRIES",
+    "NACHOS_BACKOFF",
+    "--max-retries",
 )
 
 #: perfbench still drops the old variables from the program's
@@ -125,6 +133,31 @@ def test_cli_rejects_retired_resume_flags(argv, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry,argv",
+    [
+        ("nachos-repro", ["all", "--timeout", "5"]),
+        ("nachos-repro", ["all", "--max-retries", "2"]),
+        ("nachos-serve", ["--max-retries", "2"]),
+    ],
+    ids=["repro-timeout", "repro-max-retries", "serve-max-retries"],
+)
+def test_cli_rejects_retired_retry_flags(entry, argv, capsys):
+    """A task is requeued only when its worker dies, once; the retry
+    budget and per-task timeout flags are gone, and argparse rejects
+    them before anything runs."""
+    if entry == "nachos-repro":
+        from repro.experiments.cli import main
+    else:
+        from repro.serve.daemon import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    flags = " ".join(a for a in argv if a != "all")
+    assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
 
 def _imported_roots(tree):

@@ -1,10 +1,10 @@
 """Chaos matrix for the supervised executor.
 
-Every recovery path gets a deterministic injected fault — worker crash,
-hang past the per-task timeout, corrupt result pickle — at seeded
-injection points, and the sweep must come back with results identical
-to a fault-free run, bounded retries, and correct failure reports when
-retries run out.
+A worker that dies mid-task is the one fault a retry can fix, so it is
+the one the pool recovers from: explicit ``crash@`` points kill real
+pool workers, and the sweep must come back with results identical to a
+fault-free run.  A task whose worker dies twice fails terminally, and
+every other task still completes.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ import pytest
 
 from repro.experiments.common import clear_memos
 from repro.runtime.cache import configure_cache, get_cache
-from repro.runtime.chaos import ChaosSpec, get_chaos, parse_chaos, set_chaos
-from repro.runtime.executor import SimTask, run_tasks, run_tasks_detailed
-from repro.runtime.retry import CRASH, RetryPolicy, SweepError
+from repro.runtime.chaos import get_chaos, parse_chaos, set_chaos
+from repro.runtime.executor import (
+    CRASH,
+    SimTask,
+    SweepError,
+    run_tasks,
+    run_tasks_detailed,
+)
 from repro.workloads.micro import build_micro
 
 INVOCATIONS = 4
-
-#: Fast-backoff policy so injected faults don't slow the suite down.
-FAST = RetryPolicy(max_retries=3, backoff_base=0.01, backoff_max=0.05)
 
 
 @pytest.fixture
@@ -63,65 +65,43 @@ def _sigs(runs):
 
 
 def _baseline():
-    baseline = _sigs(run_tasks(_tasks(), jobs=1, policy=FAST))
+    baseline = _sigs(run_tasks(_tasks(), jobs=1))
     clear_memos()
     return baseline
 
 
 # ----------------------------------------------------------------------
-# Recovery: each fault kind, pooled
+# Recovery: a dead worker's task is requeued once
 # ----------------------------------------------------------------------
 def test_pool_recovers_from_worker_crash(no_cache, chaos_env):
     baseline = _baseline()
-    chaos_env("crash@1,crash@1:1,crash@2")
-    outcome = run_tasks_detailed(_tasks(), jobs=2, policy=FAST)
+    chaos_env("crash@1,crash@2")
+    outcome = run_tasks_detailed(_tasks(), jobs=2)
     assert outcome.ok
     assert _sigs(outcome.results) == baseline
-    assert outcome.retries == 3  # task 1 attempts 0+1, task 2 attempt 0
+    assert outcome.retries == 2  # tasks 1 and 2, one requeue each
 
 
-def test_pool_recovers_from_hang_via_timeout(no_cache, chaos_env):
+def test_serial_run_ignores_crash_points(no_cache):
+    # A serial run has no worker to lose; its own death is ``abort@``.
     baseline = _baseline()
-    chaos_env("hang@0,hang_s=30")
-    policy = RetryPolicy(
-        timeout=1.5, max_retries=2, backoff_base=0.01, backoff_max=0.05
-    )
-    outcome = run_tasks_detailed(_tasks(), jobs=2, policy=policy)
-    assert outcome.ok
+    set_chaos(parse_chaos("crash@0,crash@0:1"))
+    try:
+        outcome = run_tasks_detailed(_tasks(), jobs=1)
+    finally:
+        set_chaos(None)
+    assert outcome.ok and outcome.retries == 0
     assert _sigs(outcome.results) == baseline
-    assert outcome.retries >= 1
-
-
-def test_pool_recovers_from_corrupt_result(no_cache, chaos_env):
-    baseline = _baseline()
-    chaos_env("corrupt@0,corrupt@3")
-    outcome = run_tasks_detailed(_tasks(), jobs=2, policy=FAST)
-    assert outcome.ok
-    assert _sigs(outcome.results) == baseline
-    assert outcome.retries >= 2
-
-
-def test_probabilistic_chaos_is_deterministic(no_cache, chaos_env):
-    baseline = _baseline()
-    chaos_env("crash=0.15,corrupt=0.1,seed=7")
-    first = run_tasks_detailed(_tasks(), jobs=2, policy=FAST)
-    clear_memos()
-    second = run_tasks_detailed(_tasks(), jobs=2, policy=FAST)
-    assert first.ok and second.ok
-    assert _sigs(first.results) == _sigs(second.results) == baseline
-    # Same seed, same tasks -> the exact same injected-fault schedule.
-    assert first.retries == second.retries
 
 
 # ----------------------------------------------------------------------
-# Exhausted retries: bounded, degraded, reported
+# A second death: terminal, degraded, reported
 # ----------------------------------------------------------------------
 def test_exhausted_retries_degrade_to_partial_results(no_cache, chaos_env):
-    # Task 1 crashes on every attempt it is allowed (max_retries=2 ->
-    # 3 attempts); everything else must still complete.
-    chaos_env("crash@1:0,crash@1:1,crash@1:2")
-    policy = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
-    outcome = run_tasks_detailed(_tasks(), jobs=2, policy=policy)
+    # Task 1's worker dies on its first attempt and on the requeue;
+    # everything else must still complete.
+    chaos_env("crash@1,crash@1:1")
+    outcome = run_tasks_detailed(_tasks(), jobs=2)
     assert not outcome.ok
     assert outcome.results[1] is None
     assert all(
@@ -131,17 +111,18 @@ def test_exhausted_retries_degrade_to_partial_results(no_cache, chaos_env):
     (failure,) = outcome.failures
     assert failure.index == 1
     assert failure.kind == CRASH
-    assert failure.attempts == policy.max_retries + 1
+    assert failure.attempts == 2
+    assert outcome.retries == 1
     report = outcome.as_report()
     assert report["tasks"] == 4 and report["completed"] == 3
     assert report["failures"][0]["kind"] == CRASH
 
 
 def test_run_tasks_raises_sweep_error_with_outcome(no_cache, chaos_env):
-    chaos_env("crash@0:0,crash@0:1,crash@0:2")
-    policy = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
+    chaos_env("crash@0,crash@0:1")
     with pytest.raises(SweepError) as exc_info:
-        run_tasks(_tasks(), jobs=2, policy=policy)
+        run_tasks(_tasks(), jobs=2)
+    assert "after retries" not in str(exc_info.value)
     outcome = exc_info.value.outcome
     assert len(outcome.failures) == 1
     assert outcome.results[0] is None
@@ -149,75 +130,42 @@ def test_run_tasks_raises_sweep_error_with_outcome(no_cache, chaos_env):
 
 
 # ----------------------------------------------------------------------
-# Serial mode: same retry semantics without a pool
-# ----------------------------------------------------------------------
-def test_serial_chaos_crash_and_corrupt_retry(no_cache):
-    baseline = _baseline()
-    set_chaos(parse_chaos("crash@0,corrupt@2"))
-    try:
-        outcome = run_tasks_detailed(_tasks(), jobs=1, policy=FAST)
-    finally:
-        set_chaos(None)
-    assert outcome.ok
-    assert _sigs(outcome.results) == baseline
-    assert outcome.retries == 2
-
-
-def test_serial_exhausted_retries(no_cache):
-    set_chaos(parse_chaos("crash@1:0,crash@1:1"))
-    policy = RetryPolicy(max_retries=1, backoff_base=0.01, backoff_max=0.05)
-    try:
-        outcome = run_tasks_detailed(_tasks(), jobs=1, policy=policy)
-    finally:
-        set_chaos(None)
-    assert not outcome.ok
-    assert outcome.results[1] is None
-    assert outcome.failures[0].attempts == 2
-
-
-# ----------------------------------------------------------------------
 # Spec plumbing
 # ----------------------------------------------------------------------
 def test_parse_chaos_grammar():
-    spec = parse_chaos(
-        "crash=0.05,hang=0.02,corrupt=0.01,seed=42,hang_s=3,crash@3,corrupt@5:1"
-    )
-    assert spec.p_crash == 0.05
-    assert spec.p_hang == 0.02
-    assert spec.p_corrupt == 0.01
-    assert spec.seed == 42
-    assert spec.hang_seconds == 3.0
-    assert spec.points == (("crash", 3, 0), ("corrupt", 5, 1))
-    assert spec.decide(3, 0) == "crash"
-    assert spec.decide(5, 1) == "corrupt"
-    assert spec.decide(5, 0) is None or spec.decide(5, 0) in (
-        "crash", "hang", "corrupt",
-    )
+    spec = parse_chaos("crash@3,crash@5:1, abort@7")
+    assert spec.crashes == {(3, 0), (5, 1)}
+    assert spec.aborts == {7}
+    assert spec.crashes_at(3, 0) and spec.crashes_at(5, 1)
+    assert not spec.crashes_at(3, 1) and not spec.crashes_at(5, 0)
+    assert spec.aborts_at(7) and not spec.aborts_at(3)
+    assert not parse_chaos("").active
 
 
 def test_parse_chaos_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_chaos("explode@3")
-    with pytest.raises(ValueError):
-        parse_chaos("crash")
-    with pytest.raises(ValueError):
-        parse_chaos("frequency=0.5")
-
-
-def test_chaos_decisions_are_pure(monkeypatch):
-    spec = ChaosSpec(p_crash=0.3, p_hang=0.2, p_corrupt=0.1, seed=9)
-    table = [(i, a, spec.decide(i, a)) for i in range(20) for a in range(4)]
-    again = [(i, a, spec.decide(i, a)) for i in range(20) for a in range(4)]
-    assert table == again
-    assert any(kind == "crash" for _, _, kind in table)
-    assert any(kind is None for _, _, kind in table)
+    for spec in (
+        "explode@3",
+        "crash",
+        "frequency=0.5",
+        # the retired probabilistic, hang and corrupt knobs
+        "crash=0.5",
+        "seed=1",
+        "hang@3",
+        "corrupt@5:1",
+        "hang_s=30",
+        # a task gets two attempts at most; abort fires on first dispatch
+        "crash@3:2",
+        "abort@3:1",
+    ):
+        with pytest.raises(ValueError):
+            parse_chaos(spec)
 
 
 def test_get_chaos_env_roundtrip(monkeypatch):
     set_chaos(None)
-    monkeypatch.setenv("NACHOS_CHAOS", "crash@7,seed=3")
+    monkeypatch.setenv("NACHOS_CHAOS", "crash@7")
     spec = get_chaos()
     assert spec is not None
-    assert spec.decide(7, 0) == "crash"
+    assert spec.crashes_at(7, 0)
     monkeypatch.delenv("NACHOS_CHAOS")
     assert get_chaos() is None

@@ -1,11 +1,12 @@
-"""Event-loop behaviour of the supervised pool.
+"""Event-loop behaviour and recovery rule of the supervised pool.
 
-The supervisor must sleep while its workers compute: it wakes on a
-worker message, on the earliest in-flight deadline, and on the earliest
-backoff expiry only while a worker is idle.  These tests swap the
-executor's task runner for a stub (before the pool forks, so workers
-run it too) whose tasks just sleep, fail once, or hang once, and pin
-each of those wake-ups plus the absence of a busy-wait.
+The supervisor must sleep while its workers compute, waking only on a
+worker message or a worker's death.  A worker that dies mid-task is
+replaced and its task requeued once; any other fault fails the task on
+its first attempt.  These tests swap the executor's task runner for a
+stub (before the pool forks, so workers run it too) whose tasks sleep,
+raise, die, or send back a result that does not unpickle, and count
+every call through a log file.
 """
 
 from __future__ import annotations
@@ -23,22 +24,47 @@ from repro.obs.profile import disable_profiling, enable_profiling, reset_profile
 from repro.runtime import cache as cache_module
 from repro.runtime import executor
 from repro.runtime.chaos import set_chaos
-from repro.runtime.executor import SimTask, run_tasks_detailed
-from repro.runtime.retry import RetryPolicy
+from repro.runtime.executor import CRASH, ERROR, SimTask, run_tasks_detailed
 
 
-def _stub_execute(task: SimTask) -> float:
-    """Sleep ``kwargs["sleep"]`` seconds; on the first attempt of a task
-    with a ``marker`` path, ``fail`` or ``hang`` instead.  Returns the
-    system-wide monotonic time at which the task finished."""
-    marker = task.kwargs.get("marker")
-    if marker is not None and not os.path.exists(marker):
-        open(marker, "w").close()
-        if task.kwargs["first"] == "fail":
-            raise RuntimeError("first attempt fails")
-        time.sleep(60.0)  # hang until the supervisor's deadline kills us
+def _refuse():
+    raise ValueError("refused to unpickle")
+
+
+class _Unpicklable:
+    """Pickles fine in the worker; unpickling it in the parent raises."""
+
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def _stub_execute(task: SimTask):
+    """Sleep ``kwargs["sleep"]`` seconds and return the system-wide
+    monotonic time at which the task finished.
+
+    A task with a ``log`` path appends one line to it per call.  While
+    the log holds at most ``faults`` lines (default 1), the call
+    applies its ``fault`` instead: ``raise``, or ``die`` the way a
+    killed worker does.  ``unpicklable`` returns a result the
+    supervisor cannot unpickle.
+    """
+    log = task.kwargs.get("log")
+    if log is not None:
+        with open(log, "a") as fh:
+            fh.write("call\n")
+        if _calls(log) <= task.kwargs.get("faults", 1):
+            if task.kwargs["fault"] == "raise":
+                raise RuntimeError("task raised")
+            os._exit(3)
+    if task.kwargs.get("unpicklable"):
+        return _Unpicklable()
     time.sleep(task.kwargs.get("sleep", 0.0))
     return time.monotonic()
+
+
+def _calls(log) -> int:
+    with open(log) as fh:
+        return sum(1 for _ in fh)
 
 
 def _task(**kwargs) -> SimTask:
@@ -68,7 +94,7 @@ def test_supervisor_sleeps_while_workers_compute(stub_pool):
     tasks = [_task(sleep=0.2) for _ in range(8)]
     cpu0 = time.process_time()
     wall0 = time.perf_counter()
-    outcome = run_tasks_detailed(tasks, jobs=2, policy=RetryPolicy())
+    outcome = run_tasks_detailed(tasks, jobs=2)
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
     assert outcome.ok and len(outcome.results) == 8
@@ -76,51 +102,71 @@ def test_supervisor_sleeps_while_workers_compute(stub_pool):
     assert cpu < 0.25 * wall, f"supervisor CPU {cpu:.2f}s over {wall:.2f}s wall"
 
 
-def test_backoff_expiry_wakes_the_idle_worker(stub_pool, tmp_path):
-    policy = RetryPolicy(
-        max_retries=2, backoff_base=0.3, backoff_factor=1.0, backoff_max=0.3
-    )
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_task_runs_once(stub_pool, profiled, tmp_path, jobs):
+    # The simulator is deterministic: a task that raised would raise
+    # again, so it fails on its first attempt and is never rerun.
+    log = tmp_path / "calls"
     tasks = [
-        _task(sleep=3.0),
-        _task(marker=str(tmp_path / "fail-once"), first="fail"),
+        _task(log=str(log), fault="raise", faults=99),
+        _task(sleep=0.01),
+        _task(sleep=0.01),
     ]
-    outcome = run_tasks_detailed(tasks, jobs=2, policy=policy)
-    assert outcome.ok and outcome.retries == 1
-    long_done, retry_done = outcome.results
-    # The retry must run on the idle worker once its backoff expires,
-    # not wait for the busy worker's 3 s task to report back.
-    assert retry_done < long_done - 1.5
+    outcome = run_tasks_detailed(tasks, jobs=jobs)
+    assert _calls(log) == 1
+    assert outcome.retries == 0
+    (failure,) = outcome.failures
+    assert (failure.index, failure.kind, failure.attempts) == (0, ERROR, 1)
+    assert "RuntimeError: task raised" in failure.message
+    assert outcome.results[0] is None
+    assert all(r is not None for r in outcome.results[1:])
+    assert profiled.fault_counts() == {ERROR: 1}
+    assert profiled.retries == 0
 
 
-def test_timeout_kills_and_retries_while_other_workers_busy(
+def test_killed_worker_task_completes_after_one_requeue(
     stub_pool, profiled, tmp_path
 ):
-    # Task 0 hangs on its first attempt.  The other worker runs a 1 s
-    # task, then a 1.9 s one, so it is busy (and silent) from before the
-    # 2 s deadline until 2.9 s: only the deadline itself can wake the
-    # supervisor in time.
-    policy = RetryPolicy(timeout=2.0, max_retries=2, backoff_base=0.05)
-    tasks = [
-        _task(marker=str(tmp_path / "hang-once"), first="hang"),
-        _task(sleep=1.0),
-        _task(sleep=1.9),
-    ]
-    wall0 = time.perf_counter()
-    outcome = run_tasks_detailed(tasks, jobs=2, policy=policy)
-    wall = time.perf_counter() - wall0
+    log = tmp_path / "calls"
+    tasks = [_task(log=str(log), fault="die"), _task(sleep=0.01)]
+    outcome = run_tasks_detailed(tasks, jobs=2)
     assert outcome.ok and outcome.retries == 1
-    assert profiled.fault_counts() == {"timeout": 1}
-    # The hung attempt was killed at its deadline, not after its 60 s
-    # sleep, and the retry finished while the other worker was busy.
-    assert outcome.results[0] < outcome.results[2]
-    assert wall < 10.0
+    assert _calls(log) == 2
+    assert all(r is not None for r in outcome.results)
+    assert profiled.fault_counts() == {CRASH: 1}
+    assert profiled.retries == 1
+
+
+def test_worker_killed_twice_is_a_terminal_crash(stub_pool, profiled, tmp_path):
+    log = tmp_path / "calls"
+    tasks = [_task(sleep=0.01), _task(log=str(log), fault="die", faults=2)]
+    tasks += [_task(sleep=0.01) for _ in range(3)]
+    outcome = run_tasks_detailed(tasks, jobs=2)
+    assert _calls(log) == 2
+    (failure,) = outcome.failures
+    assert (failure.index, failure.kind, failure.attempts) == (1, CRASH, 2)
+    assert "died mid-task" in failure.message
+    assert outcome.retries == 1
+    assert outcome.results[1] is None
+    assert all(r is not None for i, r in enumerate(outcome.results) if i != 1)
+    assert profiled.fault_counts() == {CRASH: 2}
+    assert len(profiled.failures) == 1
+
+
+def test_unpicklable_result_is_a_terminal_error(stub_pool, tmp_path):
+    # The worker survives and takes the next task.
+    tasks = [_task(unpicklable=True)] + [_task(sleep=0.01) for _ in range(3)]
+    outcome = run_tasks_detailed(tasks, jobs=2)
+    (failure,) = outcome.failures
+    assert (failure.index, failure.kind, failure.attempts) == (0, ERROR, 1)
+    assert failure.message.startswith("result failed to unpickle")
+    assert outcome.retries == 0
+    assert all(r is not None for r in outcome.results[1:])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_record_carries_supervisor_cpu(stub_pool, profiled, jobs):
-    outcome = run_tasks_detailed(
-        [_task(sleep=0.05) for _ in range(4)], jobs=jobs, policy=RetryPolicy()
-    )
+    outcome = run_tasks_detailed([_task(sleep=0.05) for _ in range(4)], jobs=jobs)
     assert outcome.ok
     (sweep,) = profiled.sweeps
     assert sweep.jobs == jobs
@@ -148,24 +194,33 @@ def test_stale_tmp_walk_once_per_process_and_after_a_kill(
     monkeypatch.setattr(cache_module, "_swept_roots", set())
     root = cache_module.get_cache().root
     for _ in range(2):
-        outcome = run_tasks_detailed(
-            [_task(sleep=0.01) for _ in range(2)], jobs=2, policy=RetryPolicy()
-        )
+        outcome = run_tasks_detailed([_task(sleep=0.01) for _ in range(2)], jobs=2)
         assert outcome.ok
     assert walks == [root]
 
-    # An orphan from a dead writer, then a batch whose hung attempt is
-    # SIGKILLed at its deadline: the pool walks the store again.
+    # An orphan from a dead writer, then a batch whose first attempt
+    # kills its worker: the pool walks the store again.
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
     orphan = root / f".put-{proc.pid}-x.tmp"
     orphan.write_bytes(b"orphan")
-    policy = RetryPolicy(timeout=0.5, max_retries=1, backoff_base=0.01)
     outcome = run_tasks_detailed(
-        [_task(marker=str(tmp_path / "hang-once"), first="hang"), _task(sleep=0.01)],
+        [_task(log=str(tmp_path / "calls"), fault="die"), _task(sleep=0.01)],
         jobs=2,
-        policy=policy,
     )
     assert outcome.ok and outcome.retries == 1
     assert walks == [root, root]
     assert not orphan.exists()
+
+
+def test_nachos_jobs_must_be_an_integer(monkeypatch):
+    # A typo must not quietly run the sweep serially; values below 1
+    # still clamp to 1, as ``--jobs`` does.
+    monkeypatch.setattr(executor, "_jobs", None)
+    monkeypatch.setenv("NACHOS_JOBS", "junk")
+    with pytest.raises(ValueError, match="NACHOS_JOBS"):
+        executor.get_jobs()
+    monkeypatch.setenv("NACHOS_JOBS", "0")
+    assert executor.get_jobs() == 1
+    monkeypatch.setenv("NACHOS_JOBS", "3")
+    assert executor.get_jobs() == 3

@@ -216,15 +216,15 @@ def test_unix_socket_roundtrip():
 
 
 def test_chaos_daemon_results_match_fault_free(monkeypatch):
-    """A daemon whose tasks crash and corrupt under ``NACHOS_CHAOS``
-    must recover through the inherited retry machinery and answer
-    byte-identical to a fault-free daemon."""
+    """A daemon whose pool workers die under ``NACHOS_CHAOS`` must
+    requeue each task once and answer byte-identical to a fault-free
+    daemon."""
     request = dict(
         region="scatter", systems=["nachos", "opt-lsq"], invocations=5,
         wait=True,
     )
 
-    clean = NachosServeDaemon(port=0, quiet=True)
+    clean = NachosServeDaemon(port=0, quiet=True, jobs=2)
     thread = clean.serve_in_thread()
     try:
         baseline = ServeClient(port=clean.port).submit(**request)
@@ -233,16 +233,20 @@ def test_chaos_daemon_results_match_fault_free(monkeypatch):
         thread.join(timeout=30)
     assert baseline["status"] == "done"
 
-    monkeypatch.setenv("NACHOS_CHAOS", "crash=0.4,corrupt=0.25,seed=3")
-    chaotic = NachosServeDaemon(port=0, quiet=True, max_retries=6)
+    # Both tasks of the request's two-task batch lose their worker once.
+    monkeypatch.setenv("NACHOS_CHAOS", "crash@0,crash@1")
+    chaotic = NachosServeDaemon(port=0, quiet=True, jobs=2)
     thread = chaotic.serve_in_thread()
     try:
-        survived = ServeClient(port=chaotic.port).submit(**request)
+        client = ServeClient(port=chaotic.port)
+        survived = client.submit(**request)
+        retries = client.metrics()["serve.pool_retries"]["value"]
     finally:
         chaotic.request_shutdown()
         thread.join(timeout=30)
     assert survived["status"] == "done"
     assert survived["results"] == baseline["results"]
+    assert retries == 2
 
 
 def test_metrics_snapshot_shape(client):
@@ -258,19 +262,29 @@ def test_metrics_snapshot_shape(client):
     assert metrics["serve.retained_requests"]["value"] >= 1
 
 
-def test_failed_request_reports_failure(monkeypatch, daemon, client):
+def test_failed_request_reports_failure(monkeypatch):
     """A terminally failing task yields status=failed with the
     machine-readable TaskFailure, not a hung or dropped request."""
-    monkeypatch.setenv("NACHOS_CHAOS", "crash=1.0,seed=1")
-    response = client.submit(
-        "gather", systems=["nachos"], invocations=4, wait=True,
-    )
-    assert response["status"] == "failed"
-    assert response["failed"]["nachos"]["kind"] == "crash"
-    monkeypatch.delenv("NACHOS_CHAOS")
-    # A re-submit after the fault clears must re-run, not replay the
-    # failed record.
-    retry = client.submit(
-        "gather", systems=["nachos"], invocations=4, wait=True,
-    )
-    assert retry["status"] == "done"
+    d = NachosServeDaemon(port=0, quiet=True, jobs=2)
+    thread = d.serve_in_thread()
+    try:
+        client = ServeClient(port=d.port)
+        # The batch's first task loses its worker on both attempts.
+        monkeypatch.setenv("NACHOS_CHAOS", "crash@0,crash@0:1")
+        response = client.submit(
+            "gather", systems=["nachos", "opt-lsq"], invocations=4, wait=True,
+        )
+        assert response["status"] == "failed"
+        ((system, failure),) = response["failed"].items()
+        assert (failure["kind"], failure["attempts"]) == ("crash", 2)
+        assert set(response["results"]) == {"nachos", "opt-lsq"} - {system}
+        monkeypatch.delenv("NACHOS_CHAOS")
+        # A re-submit after the fault clears must re-run, not replay the
+        # failed record.
+        retry = client.submit(
+            "gather", systems=["nachos", "opt-lsq"], invocations=4, wait=True,
+        )
+        assert retry["status"] == "done"
+    finally:
+        d.request_shutdown()
+        thread.join(timeout=30)
