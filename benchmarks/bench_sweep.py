@@ -21,8 +21,12 @@ warm re-run that must be 100% cache-served and identical.
 fault-injection profile active (``NACHOS_CHAOS``); pool workers die at
 the spec's ``crash@`` points, yet the supervised executor must requeue
 their tasks and produce output byte-identical to the fault-free cold
-run.  A spec that kills one task's worker twice (``crash@I,crash@I:1``)
-fails that task, so the outputs then differ.
+run.  Each child prints how many tasks its pool requeued; the report
+records the chaos run's count as ``chaos_requeues``, and a spec with
+``crash@`` points that requeued nothing fails the run (its points never
+fired, say ``crash@9`` on the 6-task quick sweep, so it tested nothing).
+A spec that kills one task's worker twice (``crash@I,crash@I:1``) fails
+that task, so the outputs then differ.
 
 All wall times here and in the child CLI come from
 ``time.perf_counter()`` (one monotonic clock source end to end); CPU
@@ -62,7 +66,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: acceptance bar is warm-cache >= 3x faster than this serial baseline.
 SEED_SERIAL_SECONDS = 200.9
 
-_TIMING_LINE = re.compile(r"^\[(?:[a-z0-9_-]+: [0-9.]+s|cache: .*)\]$")
+_TIMING_LINE = re.compile(
+    r"^\[(?:[a-z0-9_-]+: [0-9.]+s|cache: .*|requeues: [0-9]+)\]$"
+)
+
+#: The child's closing line: tasks its pool requeued after a worker death.
+_REQUEUE_LINE = re.compile(r"^\[requeues: ([0-9]+)\]$", re.MULTILINE)
 
 #: Per-experiment stage timing as printed by the CLI: ``[fig11: 3.2s]``.
 _FIGURE_LINE = re.compile(r"^\[([a-z0-9_-]+): ([0-9.]+)s\]$")
@@ -145,6 +154,17 @@ def _cache_stats(cache_dir: Path) -> dict:
     }
 
 
+def _child(body) -> int:
+    """Run a child sweep *body* with sweep profiling on, then print the
+    number of requeued tasks on a line ``_strip_timing`` drops."""
+    from repro.obs.profile import enable_profiling
+
+    profile = enable_profiling()
+    code = body() or 0
+    print(f"[requeues: {profile.retries}]")
+    return code
+
+
 def _smoke_sweep() -> None:
     """Child body for --quick: 2 regions x 3 systems through the sweep."""
     from repro.runtime.cache import get_cache
@@ -188,18 +208,20 @@ def main(argv=None) -> int:
         "match byte-for-byte",
     )
     parser.add_argument("--child-quick", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child-all", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child_quick:
-        _smoke_sweep()
-        return 0
+        return _child(_smoke_sweep)
+    if args.child_all:
+        from repro.experiments.cli import main as cli_main
+
+        return _child(lambda: cli_main(["all"]))
 
     cache_dir = Path(tempfile.mkdtemp(prefix="nachos-bench-cache-"))
     try:
-        if args.quick:
-            cmd = [sys.executable, str(Path(__file__).resolve()), "--child-quick"]
-        else:
-            cmd = [sys.executable, "-m", "repro.experiments.cli", "all"]
+        child = "--child-quick" if args.quick else "--child-all"
+        cmd = [sys.executable, str(Path(__file__).resolve()), child]
         env = _child_env(cache_dir, args.jobs)
         if args.engine_compare:
             # The comparison needs a known baseline: pin the main
@@ -219,6 +241,7 @@ def main(argv=None) -> int:
 
         chaos_identical = None
         chaos_s = None
+        chaos_requeues = 0
         if args.chaos:
             # Fresh cache so every task really executes rather than being
             # cache-served.
@@ -230,6 +253,8 @@ def main(argv=None) -> int:
                 chaos_s, _chaos_cpu, chaos_out = _timed_run(cmd, chaos_env)
                 print(f"[chaos: {chaos_s:.1f}s]")
                 chaos_identical = _strip_timing(chaos_out) == _strip_timing(cold_out)
+                match = _REQUEUE_LINE.search(chaos_out)
+                chaos_requeues = int(match.group(1)) if match else 0
             finally:
                 shutil.rmtree(chaos_cache, ignore_errors=True)
 
@@ -282,6 +307,7 @@ def main(argv=None) -> int:
         if args.chaos:
             report["chaos_spec"] = args.chaos
             report["chaos_seconds"] = round(chaos_s, 2)
+            report["chaos_requeues"] = chaos_requeues
             report["outputs_identical_chaos_vs_cold"] = chaos_identical
         if args.engine_compare:
             fast_s, fast_cpu, fast_ok = engine_runs["fast"]
@@ -301,6 +327,13 @@ def main(argv=None) -> int:
         if args.chaos and not chaos_identical:
             print(
                 "FAIL: chaos-run output differs from the fault-free cold run",
+                file=sys.stderr,
+            )
+            return 1
+        if args.chaos and "crash@" in args.chaos and not chaos_requeues:
+            print(
+                f"FAIL: chaos spec {args.chaos!r} requeued no task — its "
+                "crash points never fired, so the run tested nothing",
                 file=sys.stderr,
             )
             return 1

@@ -132,7 +132,7 @@ def check_sync_coverage(
 
     if dropped:
         # Rebuild reachability with the dropped edges masked out.
-        masked = graph.clone(with_mdes=False)
+        masked = graph.clone()
         masked.replace_mdes(
             e for e in graph.mdes if (e.src, e.dst) not in dropped
         )

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Set, Tuple
 from repro.compiler.aliasing.stage3 import prune_stage3
 from repro.compiler.labels import AliasLabel, AliasMatrix
 from repro.compiler.mde import insert_mdes
-from repro.ir.graph import DFGraph
+from repro.ir.graph import DFGraph, MemoryDependencyEdge
 
 
 def oracle_matrix(
@@ -61,10 +61,10 @@ def oracle_matrix(
 
 
 def compile_with_oracle(
-    graph: DFGraph, envs: Iterable[Mapping[str, int]], apply: bool = True
-):
-    """Install the oracle compiler's MDEs on *graph*; returns the edges."""
+    graph: DFGraph, envs: Iterable[Mapping[str, int]]
+) -> Tuple[MemoryDependencyEdge, ...]:
+    """The oracle compiler's MDEs for *graph*; *graph* is left as it is."""
     envs = list(envs)
     matrix, exact = oracle_matrix(graph, envs)
     plan = prune_stage3(graph, matrix)
-    return insert_mdes(graph, plan, exact, matrix, apply=apply)
+    return tuple(insert_mdes(graph, plan, exact, matrix, apply=False))

@@ -70,10 +70,6 @@ def guaranteed_reachability(graph: DFGraph) -> Dict[int, Set[int]]:
     return reach
 
 
-#: Backwards-compatible alias (the function predates its public use).
-_guaranteed_reachability = guaranteed_reachability
-
-
 def verify_enforcement(
     graph: DFGraph, labels: AliasMatrix
 ) -> List[OrderingViolation]:

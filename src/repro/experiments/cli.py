@@ -464,7 +464,8 @@ def _trace_command(rest, args) -> int:
 
         backend = sim.backend or args.system
         report = sanitize_trace(
-            run.tracer.events, run.graph, backend, region=workload.name
+            run.tracer.events, run.graph, backend, region=workload.name,
+            mdes=run.mdes,
         )
         print(report.render())
         sanitize_ok = report.ok

@@ -15,10 +15,11 @@ plus the ablation/extension systems:
 * ``oracle-sw``   — software-only with perfect trace-derived alias
   knowledge (the limit study's compiler ceiling).
 
-Compilation never mutates ``workload.graph``: every system compiles
-into a :meth:`~repro.ir.graph.DFGraph.clone`, so the workload object
-stays pristine across systems and figures (and is safe to ship to
-worker processes).
+Every system places, simulates and golden-checks ``workload.graph``
+itself and differs only in the tuple of memory dependency edges its
+backend enforces (:func:`_system_mdes`).  The compiler returns its edges
+without installing them, so the workload stays pristine across systems
+and figures (and is safe to ship to worker processes).
 
 Both compile and simulation results are memoized twice over — an
 in-process table for repeat calls within one ``nachos-repro all``, and
@@ -38,7 +39,7 @@ from repro.cgra.config import CGRAConfig
 from repro.cgra.placement import Placement, place_region
 from repro.compiler.oracle_labels import compile_with_oracle
 from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
-from repro.ir.graph import DFGraph
+from repro.ir.graph import DFGraph, MemoryDependencyEdge
 from repro.memory.config import HierarchyConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.runtime.cache import ResultCache, get_cache
@@ -74,8 +75,8 @@ class SystemRun:
     sim: SimResult
     pipeline: Optional[PipelineResult]
     correct: bool
-    #: MDE count on the graph this system actually simulated (0 for the
-    #: LSQ/serial systems, the oracle's edge count for ``oracle-sw``).
+    #: How many MDEs this system's backend enforced (0 for the LSQ/serial
+    #: systems, the oracle's edge count for ``oracle-sw``).
     n_mdes: int = 0
 
 
@@ -132,16 +133,12 @@ def _backend_for(system: str, lsq_config: Optional[LSQConfig]):
 # In-process memo tables (the on-disk cache sits underneath them)
 # ----------------------------------------------------------------------
 _compile_memo: Dict[Tuple[str, str], PipelineResult] = {}
-_oracle_memo: Dict[Tuple[str, str], Tuple[DFGraph, int]] = {}
-_bare_memo: Dict[str, DFGraph] = {}
+_oracle_memo: Dict[Tuple[str, str], Tuple[MemoryDependencyEdge, ...]] = {}
 _placement_memo: Dict[Tuple[str, str], Placement] = {}
 _sim_memo: Dict[str, Tuple[SimResult, bool, int]] = {}
-# Address streams and the golden model are MDE- and backend-blind: every
-# system simulating one workload runs a graph with the workload's ops
-# (the bare graph, the compiled graph, the oracle-annotated graph differ
-# only in MDEs), so all of them consume identical streams and check
-# against the identical golden result.  Like placement, both are keyed
-# by the workload fingerprint; the golden model runs on the bare graph.
+# Every system simulating one workload runs ``workload.graph`` itself, so
+# all of them consume one address stream and check against one golden
+# result.  Like placement, both are keyed by the workload fingerprint.
 _addr_memo: Dict[Tuple[str, str], list] = {}
 _golden_memo: Dict[Tuple[str, str], GoldenResult] = {}
 
@@ -150,7 +147,6 @@ def clear_memos() -> None:
     """Drop the in-process memo tables (tests / benchmarks)."""
     _compile_memo.clear()
     _oracle_memo.clear()
-    _bare_memo.clear()
     _placement_memo.clear()
     _sim_memo.clear()
     _addr_memo.clear()
@@ -201,19 +197,11 @@ def task_fingerprint(
     return combine(*parts)
 
 
-def _bare_graph(workload: Workload, wfp: str) -> DFGraph:
-    """The workload graph with MDEs stripped (runtime-only systems)."""
-    graph = _bare_memo.get(wfp)
-    if graph is None:
-        graph = workload.graph.clone(with_mdes=False)
-        _bare_memo[wfp] = graph
-    return graph
-
-
 def compile_workload(
     workload: Workload, cfg: PipelineConfig, cache: Optional[ResultCache] = None
 ) -> PipelineResult:
-    """Run the alias pipeline on a clone of the workload's graph.
+    """Run the alias pipeline on the workload's graph; the MDEs come back
+    as ``result.mdes`` and are never installed.
 
     Cached in-process per (workload, config) and on disk, so the full
     pipeline runs once per region per config across every figure —
@@ -230,29 +218,42 @@ def compile_workload(
     key = combine("compile", wfp, cfg_fp)
     result = cache.get(key)
     if result is ResultCache.MISS:
-        result = AliasPipeline(cfg).run(workload.graph.clone())
+        result = AliasPipeline(cfg).run(workload.graph, apply_mdes=False)
         cache.put(key, result)
     _compile_memo[memo_key] = result
     return result
 
 
-def _oracle_graph(
-    workload: Workload, wfp: str, envs, envs_fp: str, cache: ResultCache
-) -> Tuple[DFGraph, int]:
-    """Graph annotated by the trace-derived perfect compiler."""
+def _system_mdes(
+    workload: Workload,
+    wfp: str,
+    system: str,
+    pipeline_result: Optional[PipelineResult],
+    envs,
+    envs_fp: str,
+    cache: ResultCache,
+) -> Tuple[MemoryDependencyEdge, ...]:
+    """The MDEs *system*'s backend enforces over ``workload.graph``.
+
+    None for ``opt-lsq``, ``spec-lsq`` and ``serial-mem``; the compiler's
+    for ``baseline-sw``, ``nachos-sw`` and ``nachos``; for ``oracle-sw``
+    the trace-derived perfect compiler's over *envs*, memoized and
+    cached on disk as the edge tuple alone.
+    """
+    if pipeline_result is not None:
+        return tuple(pipeline_result.mdes)
+    if system != "oracle-sw":
+        return ()
     memo_key = (wfp, envs_fp)
-    entry = _oracle_memo.get(memo_key)
-    if entry is not None:
-        return entry
-    key = combine("oracle", wfp, envs_fp)
-    entry = cache.get(key)
-    if entry is ResultCache.MISS:
-        graph = workload.graph.clone(with_mdes=False)
-        edges = compile_with_oracle(graph, envs)
-        entry = (graph, len(edges))
-        cache.put(key, entry)
-    _oracle_memo[memo_key] = entry
-    return entry
+    mdes = _oracle_memo.get(memo_key)
+    if mdes is None:
+        key = combine("oracle", wfp, envs_fp)
+        mdes = cache.get(key)
+        if mdes is ResultCache.MISS:
+            mdes = compile_with_oracle(workload.graph, envs)
+            cache.put(key, mdes)
+        _oracle_memo[memo_key] = mdes
+    return mdes
 
 
 def _placement(wfp: str, graph: DFGraph, cgra_config: Optional[CGRAConfig]) -> Placement:
@@ -289,17 +290,10 @@ def run_system(
     before.  Correctness against the golden execution is part of the
     cached record; ``check=False`` merely skips *reporting* it.
     """
-    if system not in _KNOWN_SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     cache = get_cache()
-    cfg = _pipeline_for(system)
-    envs = workload.invocations(invocations)
-    wfp = workload_fingerprint(workload)
-    envs_fp = envs_fingerprint(envs)
-
-    pipeline_result: Optional[PipelineResult] = None
-    if cfg is not None:
-        pipeline_result = compile_workload(workload, cfg, cache)
+    envs, wfp, envs_fp, pipeline_result = _prepare(
+        workload, system, invocations, cache
+    )
 
     # The *resolved* mode (config > $NACHOS_ENGINE > default) is part of
     # the cache key: both modes are proven bit-exact, but a cross-mode
@@ -311,7 +305,9 @@ def run_system(
         wfp,
         envs_fp,
         system,
-        "oracle" if system == "oracle-sw" else config_fingerprint(cfg),
+        "oracle" if system == "oracle-sw" else config_fingerprint(
+            _pipeline_for(system)
+        ),
         str(invocations),
         "warm" if warm else "cold",
         config_fingerprint(hierarchy_config),
@@ -324,21 +320,22 @@ def run_system(
     if record is None:
         cached = cache.get(sim_key)
         if cached is ResultCache.MISS:
-            record = _simulate(
+            sim, correct, mdes, _placed = _simulate(
                 workload,
                 wfp,
                 system,
                 pipeline_result,
                 envs,
                 envs_fp,
+                cache,
+                warm,
                 hierarchy_config,
                 cgra_config,
                 lsq_config,
                 engine_config,
                 engine_mode,
-                warm,
-                cache,
             )
+            record = (sim, correct, len(mdes))
             cache.put(sim_key, record)
         else:
             record = cached
@@ -354,6 +351,20 @@ def run_system(
     )
 
 
+def _prepare(
+    workload: Workload, system: str, invocations: int, cache: ResultCache
+) -> Tuple[list, str, str, Optional[PipelineResult]]:
+    """Check *system*; return the trace, both fingerprints and its compile."""
+    if system not in _KNOWN_SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    envs = workload.invocations(invocations)
+    cfg = _pipeline_for(system)
+    pipeline_result = (
+        compile_workload(workload, cfg, cache) if cfg is not None else None
+    )
+    return envs, workload_fingerprint(workload), envs_fingerprint(envs), pipeline_result
+
+
 def _simulate(
     workload: Workload,
     wfp: str,
@@ -361,29 +372,32 @@ def _simulate(
     pipeline_result: Optional[PipelineResult],
     envs,
     envs_fp: str,
-    hierarchy_config: Optional[HierarchyConfig],
-    cgra_config: Optional[CGRAConfig],
-    lsq_config: Optional[LSQConfig],
-    engine_config: Optional[EngineConfig],
-    engine_mode: str,
-    warm: bool,
     cache: ResultCache,
-) -> Tuple[SimResult, bool, int]:
-    if system == "oracle-sw":
-        graph, n_mdes = _oracle_graph(workload, wfp, envs, envs_fp, cache)
-    elif pipeline_result is not None:
-        graph = pipeline_result.graph
-        n_mdes = len(graph.mdes)
-    else:
-        graph = _bare_graph(workload, wfp)
-        n_mdes = 0
+    warm: bool,
+    hierarchy_config: Optional[HierarchyConfig] = None,
+    cgra_config: Optional[CGRAConfig] = None,
+    lsq_config: Optional[LSQConfig] = None,
+    engine_config: Optional[EngineConfig] = None,
+    engine_mode: Optional[str] = None,
+    tracer=None,
+    recorder=None,
+) -> Tuple[SimResult, bool, Tuple[MemoryDependencyEdge, ...], Placement]:
+    """Place, stream, simulate and golden-check ``workload.graph`` under
+    *system*; return the result, its correctness, the enforced MDEs and
+    the placement.
 
+    ``engine_mode=None`` lets :func:`make_engine` resolve the mode, which
+    is what a traced run wants: an enabled *tracer* then gets the
+    reference engine without a fallback warning.
+    """
+    graph = workload.graph
+    mdes = _system_mdes(workload, wfp, system, pipeline_result, envs, envs_fp, cache)
     placement = _placement(wfp, graph, cgra_config)
     hierarchy = MemoryHierarchy(hierarchy_config)
     backend = _backend_for(system, lsq_config)
     engine = make_engine(
         graph, placement, hierarchy, backend, config=engine_config,
-        mode=engine_mode,
+        recorder=recorder, tracer=tracer, mode=engine_mode, mdes=mdes,
     )
 
     # Evaluate every memory op's address once per invocation: the warm
@@ -407,10 +421,10 @@ def _simulate(
 
     golden = _golden_memo.get(stream_key)
     if golden is None:
-        golden = golden_execute(_bare_graph(workload, wfp), envs)
+        golden = golden_execute(graph, envs)
         _golden_memo[stream_key] = golden
     correct = golden.matches(sim.load_values, sim.memory_image)
-    return (sim, correct, n_mdes)
+    return sim, correct, mdes, placement
 
 
 def compare_systems(

@@ -100,20 +100,20 @@ class DFGraph:
     def replace_mdes(self, edges: Iterable[MemoryDependencyEdge]) -> None:
         self._mdes = list(edges)
 
-    def clone(self, with_mdes: bool = True) -> "DFGraph":
+    def clone(self) -> "DFGraph":
         """A structurally independent copy of this graph.
 
         Operations are immutable after construction, so they are shared;
         the op table, MDE list, and user lists are fresh containers.  A
         clone can therefore be re-annotated (``replace_mdes`` /
-        ``clear_mdes``) without touching the original — this is what lets
-        :func:`repro.experiments.common.run_system` compile per system
-        while keeping the workload's graph pristine.
+        ``clear_mdes``) without touching the original.  Simulation never
+        needs one: every system runs the workload's own graph and hands
+        its MDEs to the engine as a separate edge tuple.
         """
         g = DFGraph.__new__(DFGraph)
         g.name = self.name
         g._ops = dict(self._ops)
-        g._mdes = list(self._mdes) if with_mdes else []
+        g._mdes = list(self._mdes)
         g._users = {k: list(v) for k, v in self._users.items()}
         return g
 

@@ -2,17 +2,19 @@
 
 The cached sweep path (:func:`repro.experiments.common.run_system`)
 serves most runs straight from the content-addressed store, which is
-exactly wrong for tracing — a trace needs a live engine.  This module
-compiles and places through the same shared memo/caches (those are
-trace-agnostic) but always simulates fresh, with the tracer and an
-optional :class:`~repro.sim.timeline.TimelineRecorder` wired in, and
-never writes the traced result back to the cache.
+exactly wrong for tracing — a trace needs a live engine.  A traced run
+goes through the sweep's own set-up and simulation code (compile, MDE
+choice, placement, address streams, warm-up, golden check — all
+trace-agnostic and shared through the same memos and caches), but
+always simulates fresh, with the tracer and an optional
+:class:`~repro.sim.timeline.TimelineRecorder` wired in, and never
+writes the traced result back to the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.obs.tracer import Tracer
 
@@ -27,7 +29,8 @@ class TracedRun:
 
     sim: Any                      # repro.sim.result.SimResult
     tracer: Tracer
-    graph: Any
+    graph: Any                    # the workload's graph
+    mdes: Tuple[Any, ...]         # the MDEs the backend enforced
     placement: Any
     correct: bool
     recorder: Optional[Any] = None  # repro.sim.timeline.TimelineRecorder
@@ -61,71 +64,33 @@ def traced_run(
     record_timeline: bool = False,
     warm: bool = True,
 ) -> TracedRun:
-    """Compile, place, and simulate *workload* under *system*, traced."""
-    from repro.experiments.common import (
-        DEFAULT_INVOCATIONS,
-        _KNOWN_SYSTEMS,
-        SYSTEMS,
-        _backend_for,
-        _bare_graph,
-        _oracle_graph,
-        _pipeline_for,
-        _placement,
-        compile_workload,
-        workload_fingerprint,
-    )
-    from repro.memory.hierarchy import MemoryHierarchy
+    """Compile, place, and simulate *workload* under *system*, traced.
+
+    Under the default engine rule the enabled tracer gets the reference
+    engine silently; a named ``fast`` mode falls back loudly
+    (``EngineModeFallback``).
+    """
+    from repro.experiments import common
     from repro.runtime.cache import get_cache
-    from repro.runtime.fingerprint import envs_fingerprint
-    from repro.sim.factory import make_engine
-    from repro.sim.oracle import golden_execute
     from repro.sim.timeline import TimelineRecorder
 
-    if system not in _KNOWN_SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     if invocations is None:
-        invocations = DEFAULT_INVOCATIONS
+        invocations = common.DEFAULT_INVOCATIONS
     tracer = tracer if tracer is not None else Tracer()
-    envs = workload.invocations(invocations)
-    wfp = workload_fingerprint(workload)
-
-    cfg = _pipeline_for(system)
-    if system == "oracle-sw":
-        graph, _ = _oracle_graph(
-            workload, wfp, envs, envs_fingerprint(envs), get_cache()
-        )
-    elif cfg is not None:
-        graph = compile_workload(workload, cfg).graph
-    else:
-        graph = _bare_graph(workload, wfp)
-
-    placement = _placement(wfp, graph, None)
-    hierarchy = MemoryHierarchy()
-    backend = _backend_for(system, None)
     recorder = TimelineRecorder() if record_timeline else None
-    # An enabled tracer gets the reference engine: silently under the
-    # default rule, loudly (EngineModeFallback) when fast was named.
-    engine = make_engine(
-        graph, placement, hierarchy, backend, recorder=recorder, tracer=tracer
+    cache = get_cache()
+    envs, wfp, envs_fp, pipeline = common._prepare(
+        workload, system, invocations, cache
     )
-
-    mem_ops = graph.memory_ops
-    addr_streams = [
-        {op.op_id: (op.addr.evaluate(env), op.addr.width) for op in mem_ops}
-        for env in envs
-    ]
-    if warm:
-        for amap in addr_streams:
-            for op in mem_ops:
-                hierarchy.l2.access(amap[op.op_id][0], is_write=op.is_store)
-        hierarchy.l2.stats.reset()
-    sim = engine.run(envs, region_name=workload.name, addr_streams=addr_streams)
-    golden = golden_execute(graph, envs)
-    correct = golden.matches(sim.load_values, sim.memory_image)
+    sim, correct, mdes, placement = common._simulate(
+        workload, wfp, system, pipeline, envs, envs_fp, cache, warm,
+        tracer=tracer, recorder=recorder,
+    )
     return TracedRun(
         sim=sim,
         tracer=tracer,
-        graph=graph,
+        graph=workload.graph,
+        mdes=mdes,
         placement=placement,
         correct=correct,
         recorder=recorder,

@@ -72,7 +72,7 @@ class MDEBackendBase(DisambiguationBackend):
         self._parents = {op.op_id: [] for op in graph.memory_ops}
         self._children = {op.op_id: [] for op in graph.memory_ops}
         self._forward_src = {}
-        for edge in graph.mdes:
+        for edge in engine.mdes:
             self._parents[edge.dst].append(edge)
             self._children[edge.src].append(edge)
             if edge.kind is MDEKind.FORWARD:

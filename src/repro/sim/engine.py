@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.cgra.placement import Placement
 from repro.energy.accounting import EnergyLedger
 from repro.energy.config import EnergyEvent
-from repro.ir.graph import DFGraph
+from repro.ir.graph import DFGraph, MemoryDependencyEdge
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
 from repro.memory.hierarchy import MemoryHierarchy
@@ -86,8 +86,15 @@ class DataflowEngine:
         config: Optional[EngineConfig] = None,
         recorder: Optional["TimelineRecorder"] = None,
         tracer: Optional["obs.Tracer"] = None,
+        mdes: Optional[Iterable[MemoryDependencyEdge]] = None,
     ) -> None:
         self.graph = graph
+        # The memory dependency edges the backend enforces; None means
+        # the graph's own.  Every system of a sweep runs one graph and
+        # differs only in this tuple.
+        self.mdes: Tuple[MemoryDependencyEdge, ...] = tuple(
+            graph.mdes if mdes is None else mdes
+        )
         self.placement = placement
         self.hierarchy = hierarchy
         self.backend = backend

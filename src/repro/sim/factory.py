@@ -82,12 +82,14 @@ def make_engine(
     recorder=None,
     tracer=None,
     mode: Optional[str] = None,
+    mdes=None,
 ) -> DataflowEngine:
     """Build the engine the resolved mode calls for (see the default rule).
 
     ``mode`` overrides resolution — callers that already folded the
     resolved mode into a cache key pass it back in so the key and the
-    engine can never disagree.
+    engine can never disagree.  ``mdes`` is the edge set the backend
+    enforces (``None``: the graph's own MDEs).
     """
     named = _check_mode(mode) if mode is not None else _named_mode(config)
     reason = None
@@ -118,4 +120,5 @@ def make_engine(
         config=config,
         recorder=recorder,
         tracer=tracer,
+        mdes=mdes,
     )

@@ -169,9 +169,8 @@ class _CalendarQueue:
 class _Template:
     """One region's compiled static schedule (see module docstring).
 
-    Actions and run-time tables name ops by id, never by object, so one
-    template serves every graph with the same op signature: an engine
-    binds the ids to its own graph's ops when it attaches.
+    Actions and run-time tables name ops by id, never by object: an
+    engine binds the ids to its graph's ops when it attaches.
     """
 
     __slots__ = (
@@ -535,19 +534,16 @@ class FastEngine(DataflowEngine):
     def _attach_template(self) -> _Template:
         """Fetch (or capture) this region's template and bind it.
 
-        Capture depends only on the placement, the ops' ids, opcodes and
-        inputs, and the engine config — never on the backend, the
-        hierarchy, the invocation stream or the graph's MDEs — so it is
-        cached on the placement object under the op signature.  In a
-        sweep, every system simulating one workload shares the
-        placement, and the bare and the compiled graph have the same
-        ops, so they all share one capture.
+        Capture depends only on the graph's ops, the placement and the
+        engine config — never on the backend, the hierarchy, the
+        invocation stream or the MDEs.  A placement is made for one
+        graph, so the template is cached on the placement object under
+        the engine config alone.  In a sweep every system simulating one
+        workload runs the same graph on the same placement, so they all
+        share one capture.
         """
         cache = self.placement.__dict__.setdefault("_fast_templates", {})
-        key = (
-            tuple((op.op_id, op.opcode.index, op.inputs) for op in self._ops),
-            dataclasses.astuple(self.config),
-        )
+        key = dataclasses.astuple(self.config)
         tpl = cache.get(key)
         if tpl is None:
             tpl = cache[key] = self._build_template()
@@ -635,7 +631,7 @@ class FastEngine(DataflowEngine):
                 state.complete_time = t0 + complete_off
                 run_map[op.op_id] = state
 
-        # Live static values depend only on (op signature, inv) — INPUT
+        # Live static values depend only on (graph, inv) — INPUT
         # sources mix the invocation index, never the environment — so
         # the template memoizes them: in a sweep, the systems sharing
         # this template replay each invocation's values with one dict

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ir.graph import DFGraph, MDEKind
+from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
 from repro.obs import tracer as obs
 from repro.sim.backends.base import ranges_exact, ranges_overlap
 
@@ -141,14 +141,17 @@ def sanitize_trace(
     backend: str,
     region: Optional[str] = None,
     order_signal_latency: int = 1,
+    mdes: Optional[Iterable[MemoryDependencyEdge]] = None,
 ) -> SanitizerReport:
     """Check *events* (one traced run) against the ordering contract.
 
     ``backend`` is the backend's ``name`` attribute (``opt-lsq``,
     ``spec-lsq``, ``serial-mem``, ``nachos-sw``, ``nachos``); it selects
-    which rule families apply.  ``graph`` must be the compiled graph the
-    run executed (MDEs installed for the NACHOS systems).
+    which rule families apply.  ``graph`` is the graph the run executed
+    and ``mdes`` the edges its backend enforced — as for the engine,
+    ``None`` means the graph's own MDEs.
     """
+    edges = graph.mdes if mdes is None else tuple(mdes)
     report = SanitizerReport(backend=backend, region=region or graph.name)
     mem_ops = {op.op_id: op for op in graph.memory_ops}
     rank = {oid: k for k, oid in enumerate(sorted(mem_ops))}
@@ -281,7 +284,7 @@ def sanitize_trace(
         # -- MDE rules (NACHOS / NACHOS-SW) ----------------------------
         if backend in MDE_BACKENDS:
             hardware = backend == "nachos"
-            for edge in graph.mdes:
+            for edge in edges:
                 src, dst = final.get(edge.src), final.get(edge.dst)
                 if src is None or dst is None:
                     continue  # access-count already failed

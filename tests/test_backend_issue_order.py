@@ -78,25 +78,29 @@ def _record(engine):
     return log
 
 
-def _issue_log(graph, placement, backend_cls, envs, mode, warm=None, streams=None):
+def _issue_log(graph, placement, backend_cls, envs, mode, warm=None,
+               streams=None, mdes=None):
     hierarchy = MemoryHierarchy()
     for addr, is_write in warm or ():
         hierarchy.l2.access(addr, is_write=is_write)
     hierarchy.l2.stats.reset()
-    engine = make_engine(graph, placement, hierarchy, backend_cls(), mode=mode)
+    engine = make_engine(graph, placement, hierarchy, backend_cls(), mode=mode,
+                         mdes=mdes)
     log = _record(engine)
     result = engine.run(envs, addr_streams=streams)
     return log, pickle.dumps(result)
 
 
-def _assert_same_order(graph, envs, label, warm=None, streams=None):
+def _assert_same_order(graph, envs, label, warm=None, streams=None, mdes=None):
     """Compare gated and polling runs; return how many calls were logged."""
     placement = place_region(graph)
     logged = 0
     for system, (gated, polling) in BACKENDS.items():
         for mode in MODES:
-            want = _issue_log(graph, placement, polling, envs, mode, warm, streams)
-            got = _issue_log(graph, placement, gated, envs, mode, warm, streams)
+            want = _issue_log(graph, placement, polling, envs, mode, warm,
+                              streams, mdes)
+            got = _issue_log(graph, placement, gated, envs, mode, warm,
+                             streams, mdes)
             assert got[0] == want[0], f"{label}/{system}/{mode}: issue order moved"
             assert got[1] == want[1], f"{label}/{system}/{mode}: SimResults diverge"
             logged += len(got[0])
@@ -126,8 +130,11 @@ def test_suite_regions_issue_order():
     from repro.workloads.suite import build_suite_workloads
 
     logged = 0
+    with_mdes = 0
     for workload in build_suite_workloads(1):
-        graph = compile_workload(workload, PipelineConfig.full()).graph
+        result = compile_workload(workload, PipelineConfig.full())
+        graph = result.graph
+        with_mdes += bool(result.mdes)
         envs = workload.invocations(SUITE_INVOCATIONS)
         mem_ops = graph.memory_ops
         streams = [
@@ -137,5 +144,7 @@ def test_suite_regions_issue_order():
         warm = [
             (amap[op.op_id][0], op.is_store) for amap in streams for op in mem_ops
         ]
-        logged += _assert_same_order(graph, envs, workload.name, warm, streams)
+        logged += _assert_same_order(graph, envs, workload.name, warm, streams,
+                                     result.mdes)
     assert logged
+    assert with_mdes  # the MDE backends really had edges to enforce

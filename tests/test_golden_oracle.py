@@ -4,14 +4,14 @@
 pin it to the plain per-op interpreter below (the model's definition,
 written with :func:`mix` alone), and pin what the sweep's once-per-region
 golden check relies on: ``run_system`` keys the address-stream and golden
-memos by workload fingerprint and runs the golden model on the bare
-graph, so every graph a system simulates (bare, baseline compiler, full
-compiler, trace oracle) must carry the bare graph's ops and address
-stream.
+memos by workload fingerprint, which is sound because every system
+simulates ``workload.graph`` itself and differs only in the MDE tuple
+its engine enforces.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict
 
 import pytest
@@ -109,47 +109,85 @@ def no_cache():
     configure_cache(root=prev.root, enabled=prev.enabled)
 
 
-def _signature(graph, envs):
-    ops = [(o.op_id, o.opcode, o.inputs) for o in graph.ops]
-    addrs = [(o.op_id, o.addr.evaluate(env), o.addr.width)
-             for env in envs for o in graph.memory_ops]
-    return ops, addrs
+#: The systems whose backend enforces no MDEs.
+NO_MDE_SYSTEMS = ("opt-lsq", "spec-lsq", "serial-mem")
 
 
-def test_system_graphs_agree(no_cache, suite_regions):
-    """The golden check runs once per region on the bare graph, so every
-    other graph a system simulates (MDEs installed by the baseline
-    compiler, the full compiler or the trace oracle) must execute
-    identically."""
-    from repro.experiments.common import (
-        _oracle_graph,
-        compile_workload,
-        workload_fingerprint,
-    )
+def test_every_system_simulates_the_workload_graph(no_cache, monkeypatch,
+                                                   suite_regions):
+    """Every system hands ``workload.graph`` itself to the engine; only
+    the MDE tuple differs, and its length is the run's ``n_mdes``."""
+    import repro.experiments.common as common
 
-    configs = (PipelineConfig.baseline_compiler(), PipelineConfig.full())
-    cache = get_cache()
-    for w in suite_regions:
-        bare = w.graph.clone(with_mdes=False)
-        envs = w.invocations(SUITE_INVOCATIONS)
-        graphs = [compile_workload(w, cfg).graph for cfg in configs]
-        graphs.append(_oracle_graph(
-            w, workload_fingerprint(w), envs, envs_fingerprint(envs), cache
-        )[0])
-        want_sig = _signature(bare, envs)
-        want = golden_execute(bare, envs)
-        for graph in graphs:
-            # Same ops and the same address stream (the template cache
-            # and the address-stream memo share on these too).
-            assert _signature(graph, envs) == want_sig, w.name
-            got = golden_execute(graph, envs)
-            assert got.load_values == want.load_values, w.name
-            assert got.memory_image == want.memory_image, w.name
+    seen = []
+    real = common.make_engine
+
+    def spy(graph, placement, hierarchy, backend, *args, **kwargs):
+        seen.append((graph, kwargs["mdes"]))
+        return real(graph, placement, hierarchy, backend, *args, **kwargs)
+
+    monkeypatch.setattr(common, "make_engine", spy)
+    for w in suite_regions[:3]:
+        full = tuple(common.compile_workload(w, PipelineConfig.full()).mdes)
+        for system in sorted(common._KNOWN_SYSTEMS):
+            run = common.run_system(w, system, invocations=4)
+            graph, mdes = seen.pop()
+            assert graph is w.graph, (w.name, system)
+            assert isinstance(mdes, tuple), (w.name, system)
+            assert len(mdes) == run.n_mdes, (w.name, system)
+            if system in NO_MDE_SYSTEMS:
+                assert mdes == (), (w.name, system)
+            elif system in ("nachos-sw", "nachos"):
+                assert mdes == full, (w.name, system)
+        assert not seen
+
+
+def test_traced_run_matches_the_sweep_for_every_system(no_cache):
+    """``traced_run`` shares the sweep's set-up (MDE choice, placement,
+    address streams, warm-up, golden check): its SimResult pickles
+    byte-identical to ``run_system``'s for every system, and it reports
+    the MDEs the backend enforced."""
+    from repro.experiments.common import _KNOWN_SYSTEMS, run_system
+    from repro.obs import resolve_workload, traced_run
+
+    workload = resolve_workload("micro.scatter")
+    for system in sorted(_KNOWN_SYSTEMS):
+        traced = traced_run(workload, system, invocations=6)
+        swept = run_system(workload, system, invocations=6)
+        assert pickle.dumps(traced.sim) == pickle.dumps(swept.sim), system
+        assert traced.correct and swept.correct, system
+        assert traced.graph is workload.graph, system
+        assert len(traced.mdes) == swept.n_mdes, system
+
+
+def test_oracle_cache_entry_holds_only_edges(tmp_path):
+    """The trace oracle's on-disk entry is its edge tuple, no graph."""
+    from repro.experiments.common import clear_memos, run_system, workload_fingerprint
+    from repro.ir.graph import MemoryDependencyEdge
+    from repro.runtime.fingerprint import combine
+    from repro.workloads.micro import build_micro
+
+    prev = get_cache()
+    configure_cache(root=tmp_path, enabled=True)
+    clear_memos()
+    try:
+        w = build_micro("scatter")
+        run = run_system(w, "oracle-sw", invocations=4)
+        envs = w.invocations(4)
+        entry = get_cache().get(
+            combine("oracle", workload_fingerprint(w), envs_fingerprint(envs))
+        )
+    finally:
+        clear_memos()
+        configure_cache(root=prev.root, enabled=prev.enabled)
+    assert isinstance(entry, tuple)
+    assert len(entry) == run.n_mdes > 0
+    assert all(type(e) is MemoryDependencyEdge for e in entry)
+    assert b"DFGraph" not in pickle.dumps(entry)
 
 
 def test_one_golden_run_per_region(no_cache, monkeypatch, suite_regions):
-    """Every system (bare, compiled and oracle-annotated graphs alike)
-    shares one golden execution per region."""
+    """Every system shares one golden execution per region."""
     import repro.experiments.common as common
 
     calls = []

@@ -48,9 +48,11 @@ class TestOracleMatrix:
 
         w = build_workload(get_spec("histogram"))
         envs = w.invocations(10)
-        compile_with_oracle(w.graph, envs)
+        mdes = compile_with_oracle(w.graph, envs)
+        assert w.graph.mdes == []  # returned, never installed
         engine = DataflowEngine(
-            w.graph, place_region(w.graph), MemoryHierarchy(), NachosSWBackend()
+            w.graph, place_region(w.graph), MemoryHierarchy(), NachosSWBackend(),
+            mdes=mdes,
         )
         result = engine.run(envs)
         golden = golden_execute(w.graph, envs)

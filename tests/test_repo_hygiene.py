@@ -76,7 +76,9 @@ def test_gitignore_covers_generated_artifacts():
 #: hand-bumped cache schema: a killed sweep resumes from the result
 #: cache, whose keys hash the simulator's sources.  Then the retired
 #: retry scheduler and its knobs: the simulator is deterministic, so the
-#: pool requeues only a dead worker's task, once.
+#: pool requeues only a dead worker's task, once.  Then the per-system
+#: graph clones: every system simulates ``workload.graph`` and hands its
+#: engine the MDE tuple its backend enforces.
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -95,6 +97,9 @@ RETIRED_PERF_NAMES = (
     "NACHOS_MAX_RETRIES",
     "NACHOS_BACKOFF",
     "--max-retries",
+    "_bare_graph",
+    "_oracle_graph",
+    "clone(with_mdes",
 )
 
 #: perfbench still drops the old variables from the program's
