@@ -15,7 +15,9 @@ Modes::
 
 The ``--quick`` smoke sweep is what CI runs on every push: two micro
 regions through all three paper systems, parallel, cache on, then a
-warm re-run that must be 100% cache-served and identical.
+warm re-run that must be 100% cache-served and identical.  The report's
+``warm_forked_workers`` counts the pool workers the warm run forked;
+its hits are served by the supervisor, so CI requires 0.
 
 ``--chaos SPEC`` adds a third run on a fresh cache with the given
 fault-injection profile active (``NACHOS_CHAOS``); pool workers die at
@@ -67,11 +69,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED_SERIAL_SECONDS = 200.9
 
 _TIMING_LINE = re.compile(
-    r"^\[(?:[a-z0-9_-]+: [0-9.]+s|cache: .*|requeues: [0-9]+)\]$"
+    r"^\[(?:[a-z0-9_-]+: [0-9.]+s|cache: .*|requeues: [0-9]+|forked: [0-9]+)\]$"
 )
 
-#: The child's closing line: tasks its pool requeued after a worker death.
+#: The child's closing lines: tasks its pool requeued after a worker
+#: death, and pool workers its sweeps forked.
 _REQUEUE_LINE = re.compile(r"^\[requeues: ([0-9]+)\]$", re.MULTILINE)
+_FORKED_LINE = re.compile(r"^\[forked: ([0-9]+)\]$", re.MULTILINE)
 
 #: Per-experiment stage timing as printed by the CLI: ``[fig11: 3.2s]``.
 _FIGURE_LINE = re.compile(r"^\[([a-z0-9_-]+): ([0-9.]+)s\]$")
@@ -156,12 +160,14 @@ def _cache_stats(cache_dir: Path) -> dict:
 
 def _child(body) -> int:
     """Run a child sweep *body* with sweep profiling on, then print the
-    number of requeued tasks on a line ``_strip_timing`` drops."""
+    number of requeued tasks and of forked pool workers (from the
+    profile's sweep records) on lines ``_strip_timing`` drops."""
     from repro.obs.profile import enable_profiling
 
     profile = enable_profiling()
     code = body() or 0
     print(f"[requeues: {profile.retries}]")
+    print(f"[forked: {sum(s.forked for s in profile.sweeps)}]")
     return code
 
 
@@ -238,6 +244,8 @@ def main(argv=None) -> int:
         print(f"[warm: {warm_s:.1f}s]")
 
         identical = _strip_timing(cold_out) == _strip_timing(warm_out)
+        match = _FORKED_LINE.search(warm_out)
+        warm_forked = int(match.group(1)) if match else None
 
         chaos_identical = None
         chaos_s = None
@@ -299,6 +307,9 @@ def main(argv=None) -> int:
                 None if args.quick else round(SEED_SERIAL_SECONDS / cold_s, 2)
             ),
             "outputs_identical_cold_vs_warm": identical,
+            # Cache hits are served by the pool's supervisor: an all-hit
+            # warm run forks no worker.
+            "warm_forked_workers": warm_forked,
             "cache": stats,
         }
         figure_walls = _parse_figure_walls(cold_out)

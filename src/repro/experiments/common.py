@@ -32,7 +32,7 @@ entries with ``check=True`` callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cgra.config import CGRAConfig
@@ -206,7 +206,8 @@ def compile_workload(
     Cached in-process per (workload, config) and on disk, so the full
     pipeline runs once per region per config across every figure —
     ``nachos-sw`` and ``nachos`` share the same ``PipelineConfig.full()``
-    result.
+    result.  The disk entry is stored without its graph, and
+    ``result.graph is workload.graph`` on every path.
     """
     cache = cache if cache is not None else get_cache()
     wfp = workload_fingerprint(workload)
@@ -219,7 +220,10 @@ def compile_workload(
     result = cache.get(key)
     if result is ResultCache.MISS:
         result = AliasPipeline(cfg).run(workload.graph, apply_mdes=False)
-        cache.put(key, result)
+        # The entry leaves the graph out: every reader has the workload.
+        cache.put(key, replace(result, graph=None))
+    else:
+        result = replace(result, graph=workload.graph)
     _compile_memo[memo_key] = result
     return result
 
@@ -294,27 +298,10 @@ def run_system(
     envs, wfp, envs_fp, pipeline_result = _prepare(
         workload, system, invocations, cache
     )
-
-    # The *resolved* mode (config > $NACHOS_ENGINE > default) is part of
-    # the cache key: both modes are proven bit-exact, but a cross-mode
-    # cache hit would silently turn the differential equivalence suite
-    # into a self-comparison.
     engine_mode = resolve_engine_mode(engine_config)
-    sim_key = combine(
-        "sim",
-        wfp,
-        envs_fp,
-        system,
-        "oracle" if system == "oracle-sw" else config_fingerprint(
-            _pipeline_for(system)
-        ),
-        str(invocations),
-        "warm" if warm else "cold",
-        config_fingerprint(hierarchy_config),
-        config_fingerprint(cgra_config),
-        config_fingerprint(lsq_config),
-        config_fingerprint(engine_config),
-        f"engine={engine_mode}",
+    sim_key = _sim_key(
+        wfp, envs_fp, system, invocations, warm, hierarchy_config,
+        cgra_config, lsq_config, engine_config, engine_mode,
     )
     record = _sim_memo.get(sim_key)
     if record is None:
@@ -349,6 +336,66 @@ def run_system(
         correct=correct if check else True,
         n_mdes=n_mdes,
     )
+
+
+def _sim_key(
+    wfp: str,
+    envs_fp: str,
+    system: str,
+    invocations: int,
+    warm: bool,
+    hierarchy_config: Optional[HierarchyConfig],
+    cgra_config: Optional[CGRAConfig],
+    lsq_config: Optional[LSQConfig],
+    engine_config: Optional[EngineConfig],
+    engine_mode: str,
+) -> str:
+    """The sim cache key of one :func:`run_system` call.
+
+    The *resolved* engine mode (config > $NACHOS_ENGINE > default) is
+    part of it: both modes are proven bit-exact, but a cross-mode cache
+    hit would silently turn the differential equivalence suite into a
+    self-comparison.  The compile enters only through its config, so
+    the key is known before anything compiles.
+    """
+    return combine(
+        "sim",
+        wfp,
+        envs_fp,
+        system,
+        "oracle" if system == "oracle-sw" else config_fingerprint(
+            _pipeline_for(system)
+        ),
+        str(invocations),
+        "warm" if warm else "cold",
+        config_fingerprint(hierarchy_config),
+        config_fingerprint(cgra_config),
+        config_fingerprint(lsq_config),
+        config_fingerprint(engine_config),
+        f"engine={engine_mode}",
+    )
+
+
+def sim_cached(
+    workload: Workload,
+    system: str,
+    invocations: int = DEFAULT_INVOCATIONS,
+    warm: bool = True,
+    hierarchy_config: Optional[HierarchyConfig] = None,
+    cgra_config: Optional[CGRAConfig] = None,
+    lsq_config: Optional[LSQConfig] = None,
+    engine_config: Optional[EngineConfig] = None,
+) -> bool:
+    """Whether :func:`run_system` with these arguments would read its sim
+    record (from the in-process memo or an object on disk) rather than
+    simulate; decided without compiling, placing or reading the entry."""
+    key = _sim_key(
+        workload_fingerprint(workload),
+        envs_fingerprint(workload.invocations(invocations)),
+        system, invocations, warm, hierarchy_config, cgra_config,
+        lsq_config, engine_config, resolve_engine_mode(engine_config),
+    )
+    return key in _sim_memo or get_cache().contains(key)
 
 
 def _prepare(

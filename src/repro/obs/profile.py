@@ -42,12 +42,15 @@ class SweepRecord:
     (``time.process_time()``) across the batch.  Under the pool that is
     the supervisor alone and should stay a small share of the wall; a
     serial batch simulates in-process, so there it includes the tasks.
+    ``forked`` counts the pool workers the batch started, replacements
+    included: 0 when every task was a cache hit the supervisor served.
     """
 
     tasks: int
     jobs: int
     wall_seconds: float
     supervisor_cpu_seconds: float = 0.0
+    forked: int = 0
 
 
 @dataclass
@@ -99,10 +102,10 @@ class SweepProfile:
 
     def record_sweep(
         self, tasks: int, jobs: int, wall_seconds: float,
-        supervisor_cpu_seconds: float = 0.0,
+        supervisor_cpu_seconds: float = 0.0, forked: int = 0,
     ) -> None:
         self.sweeps.append(
-            SweepRecord(tasks, jobs, wall_seconds, supervisor_cpu_seconds)
+            SweepRecord(tasks, jobs, wall_seconds, supervisor_cpu_seconds, forked)
         )
 
     def record_fault(self, region: str, system: str, kind: str) -> None:

@@ -214,6 +214,11 @@ class ResultCache:
 
     MISS = _MISS
 
+    def contains(self, key: str) -> bool:
+        """Whether an entry for *key* is on disk (not read, not counted;
+        a truncated entry still reads as a miss in :meth:`get`)."""
+        return self.enabled and self._object_path(key).is_file()
+
     # -- accounting -----------------------------------------------------
     def _count(self, hit: bool) -> None:
         with self._lock:

@@ -9,11 +9,14 @@ injection points:
 * ``crash@I[:A]`` — the pool worker that picks up task ``I`` on attempt
   ``A`` (default 0) exits hard (``os._exit``), as a segfault or OOM
   kill would.  A dead worker's task is requeued once, so ``A`` is 0 or
-  1, and ``crash@I,crash@I:1`` makes task ``I`` a terminal failure.  A
-  serial run has no worker to lose, so it ignores these points;
-* ``abort@I`` — the *supervisor* SIGKILLs itself just before first
-  dispatching task ``I`` (simulates killing a sweep mid-flight; the
-  kill-and-rerun tests are built on it).
+  1, and ``crash@I,crash@I:1`` makes task ``I`` a terminal failure.
+  The point fires only where a worker picks the task up: a serial run
+  has no worker to lose, and the pool's supervisor serves a task whose
+  result is already cached itself, so neither ever fires it;
+* ``abort@I`` — the *supervisor* SIGKILLs itself just before task ``I``
+  first runs anywhere: before it serves the task from the cache, or
+  before it dispatches the region unit holding it (simulates killing a
+  sweep mid-flight; the kill-and-rerun tests are built on it).
 
 Task indices are positions in one ``run_tasks`` batch, so a point fires
 the same way no matter which worker draws the task or when.

@@ -5,14 +5,33 @@ processes with order-preserving collection, so results come back in
 task order regardless of which worker finished first — parallel and
 serial runs are indistinguishable to callers.
 
+The pool driver splits a batch three ways before anything forks:
+
+* **Hits run in the supervisor.**  A task whose sim record is already
+  in the in-process memo or on disk (found from its sim key, without
+  compiling) runs through :func:`_execute` right here, in task order.
+  Workers are forked only when a miss remains, so an all-hit batch
+  (a figure re-render) forks nothing and pickles nothing.
+* **Misses go out by region.**  One region's missing tasks form one
+  dispatch unit, run in task order by one worker, so the region's
+  golden run, address stream, placement and compile happen once.
+  Units go out longest first by a static cost (ops x invocations x
+  tasks), and a task without a workload is a unit of its own.
+* **Forked workers name tasks by index.**  They inherited the batch, so
+  a unit is a list of ``(index, attempt)`` pairs; under spawn the
+  :class:`SimTask` rides along.  Workers still send one result envelope
+  per task.
+
 The simulator is deterministic: a task that raised or sent back a
 result that does not unpickle does the same again on a retry.  Only a
 killed worker (OOM, SIGKILL) can succeed the second time.  So the pool
 is *crash-only*, with one recovery rule.  Each worker owns a duplex
-pipe and one in-flight task at a time, and the parent
+pipe and one in-flight unit at a time, and the parent
 
-* replaces a worker that died mid-task (EOF on its pipe) and requeues
-  its task once; a second death is a terminal ``crash`` failure;
+* replaces a worker that died mid-unit (EOF on its pipe), charges one
+  death to the task it was running and requeues that task once, ahead
+  of the unit's unstarted tasks (requeued uncharged); a second death is
+  a terminal ``crash`` failure;
 * fails every other fault at once, as a terminal ``error`` on its first
   attempt: an in-task exception, a result that fails to unpickle, a
   malformed envelope.
@@ -22,7 +41,8 @@ sits idle while the workers compute instead of taking a CPU from them.
 
 A killed sweep resumes by running the same command again: each task
 that finished was already stored in the result cache by the process
-that ran it, so the rerun reads it back and computes only the rest.
+that ran it, so the rerun serves it in the supervisor and computes only
+the rest.
 
 Terminal failures never abort the sweep mid-flight: every other task
 still runs, and the :class:`SweepOutcome` carries the partial results
@@ -37,13 +57,12 @@ resume paths are pinned by deterministic tests.
 
 The default job count comes from the CLI (``--jobs``) or the
 ``NACHOS_JOBS`` environment variable and defaults to 1 (serial, no pool
-spawned).  Workers share the on-disk result cache with the parent, so a
-task that another worker already computed is a cheap unpickle.
+spawned).  Workers share the on-disk result cache with the parent.
 
 When sweep profiling is enabled (:mod:`repro.obs.profile`), every task
-reports its wall time, the pid of the worker that ran it, and its
-result-cache hit/miss delta; worker deaths, requeues and terminal
-failures are counted too.
+reports its wall time, the pid of the process that ran it, and its
+result-cache hit/miss delta; each batch reports how many workers it
+forked; worker deaths, requeues and terminal failures are counted too.
 """
 
 from __future__ import annotations
@@ -171,8 +190,8 @@ class SimTask:
     """One (workload, system) simulation request.
 
     The whole :class:`~repro.workloads.generator.Workload` rides along —
-    it is a plain picklable dataclass, and shipping it keeps workers
-    stateless (no re-derivation from specs in the child).
+    it is a plain picklable dataclass.  A forked worker inherits it with
+    the batch; a spawned one receives it with its unit.
     """
 
     workload: Any
@@ -212,15 +231,80 @@ def _sigkill_self() -> None:
     os._exit(137)
 
 
+def _cached(task: SimTask) -> bool:
+    """Whether *task*'s sim record is already in the memo or on disk.
+
+    A task without a workload, or one that cannot even be keyed, counts
+    as a miss: it then runs (and fails, if it must) where misses run.
+    """
+    if task.workload is None:
+        return False
+    from repro.experiments.common import sim_cached
+
+    try:
+        return sim_cached(
+            task.workload, task.system, task.invocations, task.warm,
+            **task.kwargs,
+        )
+    except Exception:
+        return False
+
+
+def _units(tasks: List[SimTask], indices: List[int]) -> List[List[int]]:
+    """Group task *indices* into dispatch units, longest first.
+
+    A unit is one region's tasks (those sharing a workload object) in
+    task order, so its golden run, address stream, placement and compile
+    happen once, in one worker; a task without a workload is a unit of
+    its own.  Units are ordered by a static cost, ops x invocations
+    summed over their tasks, so the longest start first and the pool's
+    tail stays short.
+    """
+    groups: Dict[Any, List[int]] = {}
+    for index in indices:
+        workload = tasks[index].workload
+        key = ("task", index) if workload is None else ("region", id(workload))
+        groups.setdefault(key, []).append(index)
+
+    def cost(unit: List[int]) -> int:
+        return sum(
+            len(tasks[i].workload.graph) * tasks[i].invocations
+            for i in unit
+            if tasks[i].workload is not None
+        )
+
+    return sorted(groups.values(), key=cost, reverse=True)
+
+
+def _envelope(index: int, task: SimTask, cache) -> tuple:
+    """Run one task; its result envelope: ``("ok", index, run, cache hits,
+    cache misses, seconds, pid)``, or ``("err", index, message)`` when
+    the task raised."""
+    h0, m0 = cache.hits, cache.misses
+    t0 = time.perf_counter()
+    try:
+        run = _execute(task)
+    except Exception as exc:
+        return ("err", index, f"{type(exc).__name__}: {exc}")
+    return (
+        "ok", index, run, cache.hits - h0, cache.misses - m0,
+        time.perf_counter() - t0, os.getpid(),
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(conn, parent_conn=None) -> None:
-    """Dedicated worker loop: recv one ``(index, attempt, task)``, run
-    it, send one result envelope; ``None`` shuts the worker down.
+def _worker_main(conn, parent_conn=None, tasks=None) -> None:
+    """Dedicated worker loop: recv one unit, a list of ``(index, attempt,
+    task)`` triples, run its tasks in order and send one result envelope
+    per task; ``None`` shuts the worker down.  A forked worker inherited
+    the batch as *tasks*, and its units name tasks by index alone (the
+    triple's task is ``None``).
 
     A chaos ``crash`` point is applied *here*, in the real worker
-    process, so the supervisor sees genuine process death.
+    process, as it picks the task up, so the supervisor sees genuine
+    process death.
 
     Fork-context children inherit every parent-side pipe end that
     existed at fork time — including their *own* — so EOF alone cannot
@@ -245,33 +329,18 @@ def _worker_main(conn, parent_conn=None) -> None:
                 if os.getppid() != supervisor:
                     break  # supervisor died; don't linger as an orphan
                 continue
-            msg = conn.recv()
+            unit = conn.recv()
         except (EOFError, OSError):
             break
-        if msg is None:
+        if unit is None:
             break
-        index, attempt, task = msg
-        if chaos and chaos.crashes_at(index, attempt):
-            os._exit(3)
-        h0, m0 = cache.hits, cache.misses
-        t0 = time.perf_counter()
         try:
-            try:
-                run = _execute(task)
-            except Exception as exc:  # the task itself raised: report, stay up
-                conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
-                continue
-            conn.send(
-                (
-                    "ok",
-                    index,
-                    run,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                    time.perf_counter() - t0,
-                    os.getpid(),
-                )
-            )
+            for index, attempt, task in unit:
+                if chaos and chaos.crashes_at(index, attempt):
+                    os._exit(3)
+                if task is None:
+                    task = tasks[index]
+                conn.send(_envelope(index, task, cache))
         except OSError:
             # The supervisor died while we ran the task (BrokenPipeError):
             # the result is already in the cache, so just stop.
@@ -286,11 +355,13 @@ def _worker_main(conn, parent_conn=None) -> None:
 class _Worker:
     proc: Any
     conn: Any
-    index: Optional[int] = None     # in-flight task index
+    #: The dispatched unit's task indices not yet reported; the first
+    #: is the one running.
+    unit: deque = field(default_factory=deque)
 
     @property
     def busy(self) -> bool:
-        return self.index is not None
+        return bool(self.unit)
 
 
 def _mp_context():
@@ -300,12 +371,14 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _spawn_worker(ctx) -> _Worker:
+def _spawn_worker(ctx, tasks: Optional[List[SimTask]] = None) -> _Worker:
+    """Start one worker; *tasks* is the batch a forked worker inherits
+    (``None`` under spawn, whose units carry their tasks)."""
     parent_conn, child_conn = ctx.Pipe(duplex=True)
     # The child gets its own parent-side end too, purely so it can close
     # it (fork inherits the fd; spawn pickles None instead).
     proc = ctx.Process(
-        target=_worker_main, args=(child_conn, parent_conn), daemon=True
+        target=_worker_main, args=(child_conn, parent_conn, tasks), daemon=True
     )
     proc.start()
     child_conn.close()
@@ -332,14 +405,18 @@ def _kill_worker(worker: _Worker) -> None:
 # ----------------------------------------------------------------------
 class _Supervision:
     """Shared bookkeeping between the serial and pooled drivers: a queue
-    of task indices (a requeued task goes to its head) and how often each
-    task's worker died under it."""
+    of dispatch units (a requeued unit goes to its head) and how often
+    each task's worker died under it."""
 
     def __init__(self, tasks: List[SimTask]) -> None:
+        from repro.runtime.cache import get_cache
+
         self.tasks = tasks
         self.profile = get_profile()
+        self.cache = get_cache()
+        self.chaos = get_chaos()
         self.sweep_stale()
-        self.queue = deque(range(len(tasks)))
+        self.queue: deque = deque()
         self.deaths = [0] * len(tasks)
         self.open = len(tasks)
         self.retries = 0
@@ -351,19 +428,29 @@ class _Supervision:
         are spared by pid check).  The cache is walked once per process
         and again after the pool kills a worker, the only way a batch can
         leave an orphan (see :func:`~repro.runtime.cache.sweep_stale_tmp_once`)."""
-        from repro.runtime.cache import get_cache, sweep_stale_tmp_once
+        from repro.runtime.cache import sweep_stale_tmp_once
 
-        sweep_stale_tmp_once(get_cache().root)
+        sweep_stale_tmp_once(self.cache.root)
 
-    def complete(
-        self,
-        index: int,
-        run: Any,
-        hits: int,
-        misses: int,
-        seconds: float,
-        pid: int,
-    ) -> None:
+    def abort_check(self, index: int) -> None:
+        """Chaos ``abort``: die before task *index* first runs anywhere."""
+        if self.chaos and self.deaths[index] == 0 and self.chaos.aborts_at(index):
+            _sigkill_self()
+
+    def run_here(self, index: int) -> None:
+        """Run task *index* in this process and settle it."""
+        self.abort_check(index)
+        self.settle(index, _envelope(index, self.tasks[index], self.cache))
+
+    def settle(self, index: int, msg: tuple, remote: bool = False) -> None:
+        """Complete or fail task *index* from its result envelope; a
+        *remote* (pool worker's) envelope brings its cache counts home."""
+        if msg[0] != "ok":
+            self.fail(index, ERROR, str(msg[2]))
+            return
+        _, _, run, hits, misses, seconds, pid = msg
+        if remote:
+            self.cache.add_counts(hits, misses)
         self.results[index] = run
         self.open -= 1
         if self.profile.enabled:
@@ -397,17 +484,22 @@ class _Supervision:
                 failure.region, failure.system, kind, failure.attempts, message
             )
 
-    def worker_died(self, index: int, message: str) -> None:
-        """Requeue the task of a worker that died under it, once."""
+    def worker_died(self, unit: deque, message: str) -> None:
+        """The worker running *unit* died under its first task: charge
+        that task one death and requeue it once, at the head of the
+        unit's unstarted rest, which is requeued uncharged."""
+        index, *rest = unit
         self.deaths[index] += 1
         if self.deaths[index] > 1:
             self.fail(index, CRASH, message)
-            return
-        self.queue.appendleft(index)
-        self.retries += 1
-        if self.profile.enabled:
-            task = self.tasks[index]
-            self.profile.record_fault(_task_label(task), task.system, CRASH)
+        else:
+            rest.insert(0, index)
+            self.retries += 1
+            if self.profile.enabled:
+                task = self.tasks[index]
+                self.profile.record_fault(_task_label(task), task.system, CRASH)
+        if rest:
+            self.queue.appendleft(rest)
 
     def outcome(self) -> SweepOutcome:
         return SweepOutcome(
@@ -421,31 +513,13 @@ def _run_serial(tasks: List[SimTask]) -> SweepOutcome:
     There is no worker to lose, so chaos ``crash`` points never fire
     here; a serial run's own death is the ``abort`` point.
     """
-    from repro.runtime.cache import get_cache
-
     sup = _Supervision(tasks)
-    chaos = get_chaos()
-    cache = get_cache()
-    pid = os.getpid()
-    profile = sup.profile
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    for index, task in enumerate(tasks):
-        if chaos and chaos.aborts_at(index):
-            _sigkill_self()
-        h0, m0 = cache.hits, cache.misses
-        t0 = time.perf_counter()
-        try:
-            run = _execute(task)
-        except Exception as exc:
-            sup.fail(index, ERROR, f"{type(exc).__name__}: {exc}")
-            continue
-        sup.complete(
-            index, run, cache.hits - h0, cache.misses - m0,
-            time.perf_counter() - t0, pid,
-        )
-    if profile.enabled:
-        profile.record_sweep(
+    for index in range(len(tasks)):
+        sup.run_here(index)
+    if sup.profile.enabled:
+        sup.profile.record_sweep(
             len(tasks), 1, time.perf_counter() - wall0,
             time.process_time() - cpu0,
         )
@@ -454,48 +528,56 @@ def _run_serial(tasks: List[SimTask]) -> SweepOutcome:
 
 def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
     """The supervised pool driver (see module docstring)."""
-    from repro.runtime.cache import get_cache
-
     sup = _Supervision(tasks)
-    chaos = get_chaos()
-    cache = get_cache()
-    profile = sup.profile
-    ctx = _mp_context()
-    jobs = min(n, len(tasks))
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
+    misses: List[int] = []
+    for index, task in enumerate(tasks):
+        if _cached(task):
+            sup.run_here(index)
+        else:
+            misses.append(index)
+    sup.queue.extend(_units(tasks, misses))
+    jobs = min(n, len(sup.queue))
+    ctx = _mp_context()
+    inherited = tasks if ctx.get_start_method() == "fork" else None
+    workers: List[_Worker] = []
+    forked = 0
+
+    def spawn() -> None:
+        nonlocal forked
+        workers.append(_spawn_worker(ctx, inherited))
+        forked += 1
 
     def replace(worker: _Worker) -> None:
         _kill_worker(worker)
         workers.remove(worker)
-        if sup.open > len(workers):
-            workers.append(_spawn_worker(ctx))
+        if len(sup.queue) > sum(1 for w in workers if not w.busy):
+            spawn()
 
-    def on_error(worker: _Worker, message: str) -> None:
-        # The worker survives (in-task exception / unusable result).
-        index, worker.index = worker.index, None
-        sup.fail(index, ERROR, message)
-
+    for _ in range(jobs):
+        spawn()
     try:
         while sup.open:
-            # -- dispatch queued tasks onto idle workers -----------------
+            # -- dispatch queued units onto idle workers -----------------
             while sup.queue:
                 worker = next((w for w in workers if not w.busy), None)
                 if worker is None:
                     break
-                index = sup.queue.popleft()
-                attempt = sup.deaths[index]
-                if chaos and attempt == 0 and chaos.aborts_at(index):
-                    _sigkill_self()
+                unit = sup.queue.popleft()
+                for index in unit:
+                    sup.abort_check(index)
                 try:
-                    worker.conn.send((index, attempt, tasks[index]))
+                    worker.conn.send([
+                        (i, sup.deaths[i], None if inherited else tasks[i])
+                        for i in unit
+                    ])
                 except (OSError, ValueError):
                     # The worker died while idle: no attempt was made.
-                    sup.queue.appendleft(index)
+                    sup.queue.appendleft(unit)
                     replace(worker)
                     continue
-                worker.index = index
+                worker.unit = deque(unit)
             busy = [w.conn for w in workers if w.busy]
             if not busy:
                 continue  # every open task is queued or running
@@ -506,24 +588,18 @@ def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    index, worker.index = worker.index, None
+                    unit, worker.unit = worker.unit, deque()
                     sup.worker_died(
-                        index, f"worker pid {worker.proc.pid} died mid-task"
+                        unit, f"worker pid {worker.proc.pid} died mid-task"
                     )
                     replace(worker)
                     continue
                 except _UNPICKLE_ERRORS as exc:
-                    on_error(worker, f"result failed to unpickle: {exc}")
-                    continue
+                    # The worker survives and goes on with its unit.
+                    msg = ("err", None, f"result failed to unpickle: {exc}")
                 if not isinstance(msg, tuple) or not msg:
-                    on_error(worker, "malformed result envelope")
-                elif msg[0] == "ok":
-                    _, index, run, hits, misses, seconds, pid = msg
-                    worker.index = None
-                    cache.add_counts(hits, misses)
-                    sup.complete(index, run, hits, misses, seconds, pid)
-                else:
-                    on_error(worker, str(msg[2]))
+                    msg = ("err", None, "malformed result envelope")
+                sup.settle(worker.unit.popleft(), msg, remote=True)
     finally:
         for worker in workers:
             try:
@@ -540,10 +616,10 @@ def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
                 except OSError:
                     pass
     sup.sweep_stale()  # walks again only if a worker was killed
-    if profile.enabled:
-        profile.record_sweep(
-            len(tasks), jobs, time.perf_counter() - wall0,
-            time.process_time() - cpu0,
+    if sup.profile.enabled:
+        sup.profile.record_sweep(
+            len(tasks), max(1, jobs), time.perf_counter() - wall0,
+            time.process_time() - cpu0, forked=forked,
         )
     return sup.outcome()
 

@@ -7,10 +7,13 @@ order — is the deterministic row-major (workload, system) order, so
 figures render identically at any ``--jobs`` value.
 
 Both entry points run under the supervised executor
-(:mod:`repro.runtime.executor`): a task whose worker dies is requeued
-once, and any other fault fails the task at once.  Every completed task
-is already in the result cache, so an interrupted sweep resumes by
-running it again.  When a task fails, a
+(:mod:`repro.runtime.executor`).  Its supervisor serves the tasks whose
+results are already cached itself, forking no worker for them, and
+sends each region's missing systems to one worker as a unit, so a
+region is compiled, placed and golden-run once per sweep.  A task whose
+worker dies is requeued once, and any other fault fails the task at
+once.  Every completed task is already in the result cache, so an
+interrupted sweep resumes by running it again.  When a task fails, a
 :class:`~repro.runtime.executor.SweepError` propagates with the partial
 results attached — the CLI catches it per figure and degrades to a
 failure report instead of aborting the whole figure set.

@@ -218,7 +218,7 @@ class NachosServeDaemon:
     # -- request execution ---------------------------------------------
     async def _resolve_task(self, req: ServeRequest, system: str, fp: str):
         """One task's payload: the batcher dedups it in flight, and the
-        pool answers from the shared result cache before it computes."""
+        pool's supervisor serves a cached task itself, forking no worker."""
         assert self.batcher is not None
         from repro.runtime.executor import SimTask
 

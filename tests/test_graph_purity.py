@@ -13,9 +13,11 @@ import pytest
 
 from repro.compiler.pipeline import PipelineConfig
 from repro.experiments.common import (
+    clear_memos,
     compare_systems,
     compile_workload,
     run_system,
+    workload_fingerprint,
 )
 from repro.ir.serialize import graph_to_dict
 from repro.workloads.generator import build_workload
@@ -61,6 +63,28 @@ def test_compile_workload_leaves_graph_untouched(monkeypatch):
     assert result.graph is workload.graph  # compiled in place, no clone
     assert result.mdes  # the edges come back beside the graph
     assert graph_to_dict(workload.graph) == before
+
+
+def test_compile_result_graph_is_the_workload_graph_on_every_path(tmp_path):
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.fingerprint import combine, config_fingerprint
+
+    cfg = PipelineConfig.full()
+    cache = ResultCache(root=tmp_path / "cache")
+    workload = build_workload(_may_heavy_spec())
+    clear_memos()
+    fresh = compile_workload(workload, cfg, cache)
+    assert compile_workload(workload, cfg, cache) is fresh  # memo hit
+    clear_memos()
+    from_disk = compile_workload(workload, cfg, cache)
+    assert (cache.hits, cache.misses) == (1, 1)
+    for result in (fresh, from_disk):
+        assert result.graph is workload.graph
+    assert from_disk.mdes == fresh.mdes
+    # The entry itself stores no graph: every reader has the workload.
+    key = combine("compile", workload_fingerprint(workload),
+                  config_fingerprint(cfg))
+    assert cache.get(key).graph is None
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)

@@ -1,4 +1,4 @@
-"""Event-loop behaviour and recovery rule of the supervised pool.
+"""Event-loop behaviour, recovery rule and dispatch of the supervised pool.
 
 The supervisor must sleep while its workers compute, waking only on a
 worker message or a worker's death.  A worker that dies mid-task is
@@ -7,11 +7,16 @@ its first attempt.  These tests swap the executor's task runner for a
 stub (before the pool forks, so workers run it too) whose tasks sleep,
 raise, die, or send back a result that does not unpickle, and count
 every call through a log file.
+
+The dispatch tests run real micro regions: the supervisor serves cache
+hits itself, and a region's missing tasks go to one worker as a unit,
+so its golden run and placement happen once per sweep.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -19,12 +24,23 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.common as common
+from repro.experiments.common import SYSTEMS, clear_memos
 from repro.obs import metrics_from_profile
-from repro.obs.profile import disable_profiling, enable_profiling, reset_profile
+from repro.obs.profile import (
+    FaultRecord,
+    disable_profiling,
+    enable_profiling,
+    reset_profile,
+)
 from repro.runtime import cache as cache_module
 from repro.runtime import executor
 from repro.runtime.chaos import set_chaos
 from repro.runtime.executor import CRASH, ERROR, SimTask, run_tasks_detailed
+from repro.runtime.sweep import sweep_comparisons
+from repro.workloads.micro import build_micro
+
+MICROS = ("stream_triad", "gather", "rmw")
 
 
 def _refuse():
@@ -224,3 +240,128 @@ def test_nachos_jobs_must_be_an_integer(monkeypatch):
     assert executor.get_jobs() == 1
     monkeypatch.setenv("NACHOS_JOBS", "3")
     assert executor.get_jobs() == 3
+
+
+# ----------------------------------------------------------------------
+# Dispatch: hits in the supervisor, misses by region
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_store(monkeypatch, tmp_path):
+    """An empty on-disk cache and memo tables, fault-free."""
+    monkeypatch.delenv("NACHOS_CHAOS", raising=False)
+    set_chaos(None)
+    store = cache_module.ResultCache(root=tmp_path / "cache")
+    monkeypatch.setattr(cache_module, "_default", store)
+    clear_memos()
+    yield store
+    clear_memos()
+
+
+def _logging(fn, log, tag):
+    """*fn*, appending ``"<tag> <graph name>"`` to *log* per call (forked
+    workers inherit the wrapper and append to the same file)."""
+
+    def wrapper(graph, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{tag} {graph.name}\n")
+        return fn(graph, *args, **kwargs)
+
+    return wrapper
+
+
+def _sigs(comparisons):
+    return [
+        (cmp.workload.name, system, pickle.dumps(cmp.runs[system].sim),
+         cmp.runs[system].correct)
+        for cmp in comparisons
+        for system in SYSTEMS
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cold_sweep_sets_each_region_up_once(fresh_store, monkeypatch,
+                                             tmp_path, jobs):
+    log = tmp_path / "calls"
+    monkeypatch.setattr(common, "golden_execute",
+                        _logging(common.golden_execute, log, "golden"))
+    monkeypatch.setattr(common, "place_region",
+                        _logging(common.place_region, log, "place"))
+    workloads = [build_micro(name) for name in MICROS]
+    results = sweep_comparisons(workloads, invocations=4, jobs=jobs)
+    assert all(cmp.all_correct for cmp in results)
+    calls = sorted(log.read_text().splitlines())
+    names = sorted(w.graph.name for w in workloads)
+    assert calls == sorted(
+        [f"golden {n}" for n in names] + [f"place {n}" for n in names]
+    )
+
+
+def test_all_hit_sweep_forks_nothing(fresh_store, monkeypatch, profiled):
+    workloads = [build_micro(name) for name in MICROS]
+    serial = sweep_comparisons(workloads, invocations=4, jobs=1)
+    clear_memos()  # every sim record now comes from disk
+
+    spawned = []
+    executed = []
+    real_spawn, real_execute = executor._spawn_worker, executor._execute
+
+    def spy_spawn(*args, **kwargs):
+        spawned.append(args)
+        return real_spawn(*args, **kwargs)
+
+    def spy_execute(task):
+        executed.append((task.workload.name, task.system))
+        return real_execute(task)
+
+    monkeypatch.setattr(executor, "_spawn_worker", spy_spawn)
+    monkeypatch.setattr(executor, "_execute", spy_execute)
+    hits0, misses0 = fresh_store.hits, fresh_store.misses
+    warm = sweep_comparisons(workloads, invocations=4, jobs=2)
+    assert spawned == []
+    assert executed == [(w.name, s) for w in workloads for s in SYSTEMS]
+    assert fresh_store.misses == misses0 and fresh_store.hits > hits0
+    assert _sigs(warm) == _sigs(serial)
+    assert [s.forked for s in profiled.sweeps] == [0, 0]
+
+
+def test_worker_killed_mid_unit_charges_its_current_task_only(
+    fresh_store, monkeypatch, profiled
+):
+    workloads = [build_micro(name) for name in MICROS[:2]]
+    serial = sweep_comparisons(workloads, invocations=4, jobs=1)
+    clear_memos()
+    fresh_store.clear()
+    reset_profile()
+
+    # Task 1 is the second system of the first region's unit: its worker
+    # dies after reporting task 0 and before starting task 2.
+    monkeypatch.setenv("NACHOS_CHAOS", "crash@1")
+    tasks = [SimTask(w, system, 4) for w in workloads for system in SYSTEMS]
+    outcome = run_tasks_detailed(tasks, jobs=2)
+    assert outcome.ok and outcome.retries == 1
+    assert profiled.faults == [
+        FaultRecord(workloads[0].name, SYSTEMS[1], CRASH)
+    ]
+    pooled = [r.sim for r in outcome.results]
+    assert [pickle.dumps(sim) for sim in pooled] == [
+        pickle.dumps(cmp.runs[system].sim)
+        for cmp in serial for system in SYSTEMS
+    ]
+    (sweep,) = profiled.sweeps
+    assert sweep.forked == 3  # two workers and one replacement
+
+
+def test_units_group_regions_longest_first():
+    small, large = build_micro("rmw"), build_micro("gather")
+    assert len(small.graph) < len(large.graph)
+    tasks = [
+        SimTask(small, "opt-lsq", 4),
+        SimTask(None, "stub", 0),
+        SimTask(large, "opt-lsq", 4),
+        SimTask(small, "nachos", 4),
+        SimTask(large, "nachos", 4),
+    ]
+    assert executor._units(tasks, [0, 1, 2, 3, 4]) == [[2, 4], [0, 3], [1]]
+    # Invocations weigh in: a long-running small region goes first.
+    tasks[0].invocations = tasks[3].invocations = 40
+    assert executor._units(tasks, [0, 2, 3, 4]) == [[0, 3], [2, 4]]

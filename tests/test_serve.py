@@ -43,6 +43,23 @@ def client(daemon):
     return ServeClient(port=daemon.port)
 
 
+@pytest.fixture
+def fresh_store(monkeypatch, tmp_path):
+    """``fresh_store()``: an empty result cache and memo tables for the
+    daemons booted after it, so their tasks really run in the pool.  A
+    cache hit is served by the supervisor and never reaches a worker, so
+    a chaos ``crash@`` point on it would never fire."""
+    from repro.experiments.common import clear_memos
+    from repro.runtime import cache as cache_module
+
+    def install() -> None:
+        store = cache_module.ResultCache(root=tmp_path / "cache")
+        monkeypatch.setattr(cache_module, "_default", store)
+        clear_memos()
+
+    return install
+
+
 def test_submit_roundtrip_matches_direct_run(client):
     """The daemon's numbers are ``run_system``'s numbers — same engine,
     same fingerprints, nothing lost over the wire."""
@@ -215,7 +232,7 @@ def test_unix_socket_roundtrip():
     assert not Path(sock).exists(), "socket file removed on shutdown"
 
 
-def test_chaos_daemon_results_match_fault_free(monkeypatch):
+def test_chaos_daemon_results_match_fault_free(monkeypatch, fresh_store):
     """A daemon whose pool workers die under ``NACHOS_CHAOS`` must
     requeue each task once and answer byte-identical to a fault-free
     daemon."""
@@ -234,6 +251,7 @@ def test_chaos_daemon_results_match_fault_free(monkeypatch):
     assert baseline["status"] == "done"
 
     # Both tasks of the request's two-task batch lose their worker once.
+    fresh_store()
     monkeypatch.setenv("NACHOS_CHAOS", "crash@0,crash@1")
     chaotic = NachosServeDaemon(port=0, quiet=True, jobs=2)
     thread = chaotic.serve_in_thread()
@@ -262,9 +280,10 @@ def test_metrics_snapshot_shape(client):
     assert metrics["serve.retained_requests"]["value"] >= 1
 
 
-def test_failed_request_reports_failure(monkeypatch):
+def test_failed_request_reports_failure(monkeypatch, fresh_store):
     """A terminally failing task yields status=failed with the
     machine-readable TaskFailure, not a hung or dropped request."""
+    fresh_store()
     d = NachosServeDaemon(port=0, quiet=True, jobs=2)
     thread = d.serve_in_thread()
     try:
