@@ -35,17 +35,6 @@ All wall times here and in the child CLI come from
 times are ``os.times()`` children deltas.  Host-speed regressions are
 gated by ``tools/perf_pairs.py`` (paired perfbench runs against the
 merge base), not by this report.
-
-The report's ``engine`` field names the mode the main cold/warm runs
-resolved to (``$NACHOS_ENGINE``, else the default rule).
-
-``--engine-compare`` adds one cold run of the fast engine on a fresh
-cache (``NACHOS_ENGINE=fast``) and pins the main cold/warm runs to the
-reference engine.  Both outputs must be byte-identical — the engines
-are bit-exact by contract — and the report gains an ``engine_compare``
-section with per-mode wall and CPU times plus
-``fast_speedup_vs_reference``.  A full run also warns when the fast
-engine was not faster; a ``--quick`` sweep is too small to say.
 """
 
 from __future__ import annotations
@@ -206,13 +195,6 @@ def main(argv=None) -> int:
         help="also run once under this NACHOS_CHAOS fault profile on a "
         "fresh cache; output must match the fault-free cold run",
     )
-    parser.add_argument(
-        "--engine-compare",
-        action="store_true",
-        help="pin the main runs to NACHOS_ENGINE=reference and also run "
-        "cold under NACHOS_ENGINE=fast on a fresh cache; outputs must "
-        "match byte-for-byte",
-    )
     parser.add_argument("--child-quick", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--child-all", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -229,11 +211,6 @@ def main(argv=None) -> int:
         child = "--child-quick" if args.quick else "--child-all"
         cmd = [sys.executable, str(Path(__file__).resolve()), child]
         env = _child_env(cache_dir, args.jobs)
-        if args.engine_compare:
-            # The comparison needs a known baseline: pin the main
-            # cold/warm runs to the reference engine even if the caller's
-            # environment says otherwise.
-            env["NACHOS_ENGINE"] = "reference"
 
         print(f"[cold run: jobs={args.jobs}, cache={cache_dir}]")
         cold_s, cold_cpu, cold_out = _timed_run(cmd, env)
@@ -266,36 +243,10 @@ def main(argv=None) -> int:
             finally:
                 shutil.rmtree(chaos_cache, ignore_errors=True)
 
-        engine_runs = {}
-        if args.engine_compare:
-            # Fresh cache: sim keys differ by design, but a shared cache
-            # would still serve compile/placement entries, making the
-            # cold times incomparable.
-            mode_cache = Path(tempfile.mkdtemp(prefix="nachos-bench-eng-"))
-            try:
-                mode_env = _child_env(mode_cache, args.jobs)
-                mode_env["NACHOS_ENGINE"] = "fast"
-                print("[engine-compare run: NACHOS_ENGINE=fast, fresh cache]")
-                mode_s, mode_cpu, mode_out = _timed_run(cmd, mode_env)
-                print(f"[fast cold: {mode_s:.1f}s wall, {mode_cpu:.1f}s cpu]")
-                engine_runs["fast"] = (
-                    mode_s,
-                    mode_cpu,
-                    _strip_timing(mode_out) == _strip_timing(cold_out),
-                )
-            finally:
-                shutil.rmtree(mode_cache, ignore_errors=True)
-
         stats = _cache_stats(cache_dir)
-        # _cache_stats put src/ on sys.path for this import.
-        from repro.sim.factory import resolve_engine_mode
-
         report = {
             "mode": "quick" if args.quick else "full",
             "jobs": args.jobs,
-            # The children see *env*; with no mode named there, the
-            # default rule picks the engine, as it does here.
-            "engine": env.get("NACHOS_ENGINE") or resolve_engine_mode(),
             "seed_serial_seconds": None if args.quick else SEED_SERIAL_SECONDS,
             "cold_seconds": round(cold_s, 2),
             "warm_seconds": round(warm_s, 2),
@@ -320,16 +271,6 @@ def main(argv=None) -> int:
             report["chaos_seconds"] = round(chaos_s, 2)
             report["chaos_requeues"] = chaos_requeues
             report["outputs_identical_chaos_vs_cold"] = chaos_identical
-        if args.engine_compare:
-            fast_s, fast_cpu, fast_ok = engine_runs["fast"]
-            report["engine_compare"] = {
-                "reference_cold_seconds": round(cold_s, 2),
-                "reference_cpu_seconds": round(cold_cpu, 2),
-                "fast_cold_seconds": round(fast_s, 2),
-                "fast_cpu_seconds": round(fast_cpu, 2),
-                "fast_speedup_vs_reference": round(cold_s / fast_s, 3),
-                "outputs_identical": fast_ok,
-            }
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
         if not identical:
@@ -348,23 +289,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        for mode, (mode_s, _mode_cpu, mode_ok) in engine_runs.items():
-            if not mode_ok:
-                print(
-                    f"FAIL: {mode}-engine output differs from the "
-                    f"reference cold run — the engines are bit-exact "
-                    f"by contract",
-                    file=sys.stderr,
-                )
-                return 1
-            # A quick sweep (2 regions x 3 systems) is too small to
-            # compare engine speed; only the full run warns.
-            if not args.quick and mode_s >= cold_s:
-                print(
-                    f"[WARNING: {mode} engine not faster this run "
-                    f"({mode_s:.1f}s vs {cold_s:.1f}s reference)]",
-                    file=sys.stderr,
-                )
         if not args.quick and SEED_SERIAL_SECONDS / warm_s < 3.0:
             print("FAIL: warm sweep is not >= 3x the seed baseline", file=sys.stderr)
             return 1

@@ -36,9 +36,6 @@ Usage::
                                        # MDE sync coverage per region
     nachos-repro verify --repro fuzz-repros/fuzz-0-41-nachos.json
                                        # rerun a shrunken failure
-    nachos-repro fig11 --engine reference
-                                       # per-event reference engine
-                                       # (bit-exact, separate cache keys)
     nachos-repro profile fig11         # per-stage/per-region wall time,
                                        # cache telemetry, worker usage
 """
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,7 +52,6 @@ from typing import Callable, Dict, Tuple
 from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.executor import SweepError, set_jobs
 from repro.runtime.fingerprint import CODE_FINGERPRINT
-from repro.sim.factory import ENGINE_MODES
 
 from repro.experiments import (
     allpaths,
@@ -121,9 +116,13 @@ def main(argv=None) -> int:
 
         return serve_main(raw[1:])
 
+    # No prefix matching: a retired flag that is a prefix of a live one
+    # (the engine flag of ``--engines``) must be an error, not a silent
+    # abbreviation.
     parser = argparse.ArgumentParser(
         prog="nachos-repro",
         description="Regenerate the tables and figures of the NACHOS paper (HPCA'18).",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "experiments",
@@ -170,16 +169,6 @@ def main(argv=None) -> int:
         "--cache-dir",
         default=None,
         help="cache root (default ~/.cache/nachos-repro or $NACHOS_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default=None,
-        help="execution engine: 'reference' (per-event heapq loop) or "
-        "'fast' (invocation schedule templates, bit-exact — see "
-        "docs/simulation.md).  Default $NACHOS_ENGINE, else the fastest "
-        "engine that can serve the run ('fast' unless tracing or link "
-        "contention needs 'reference').",
     )
     parser.add_argument(
         "--metrics",
@@ -265,10 +254,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.engine is not None:
-        # Exported (not just resolved locally) so forked sweep workers
-        # inherit the same engine mode as the parent process.
-        os.environ["NACHOS_ENGINE"] = args.engine
     if args.jobs is not None:
         set_jobs(args.jobs)
     if args.no_cache or args.cache_dir:

@@ -55,7 +55,7 @@ from repro.sim.backends.nachos_sw import NachosSWBackend
 from repro.sim.backends.serial import SerialMemBackend
 from repro.sim.backends.spec_lsq import SpecLSQBackend
 from repro.sim.config import EngineConfig
-from repro.sim.factory import make_engine, resolve_engine_mode
+from repro.sim.factory import make_engine
 from repro.sim.oracle import GoldenResult, golden_execute
 from repro.sim.result import SimResult
 from repro.workloads.generator import Workload
@@ -73,7 +73,6 @@ class SystemRun:
 
     system: str
     sim: SimResult
-    pipeline: Optional[PipelineResult]
     correct: bool
     #: How many MDEs this system's backend enforced (0 for the LSQ/serial
     #: systems, the oracle's edge count for ``oracle-sw``).
@@ -171,30 +170,24 @@ def task_fingerprint(
     system: str,
     invocations: int,
     warm: bool = True,
-    kwargs: Optional[Dict] = None,
 ) -> str:
     """Content fingerprint of one sweep task (the serve dedup key).
 
     Depends only on what determines the task's result — the pristine
-    region graph, the system, the invocation count, warmup, any config
-    overrides and, through :func:`combine`, the simulator's code —
+    region graph, the system, the invocation count, warmup and, through
+    :func:`combine`, the simulator's code —
     never on task order or process accidents, so concurrent requests
     that share a task recognize each other.  ``check`` is deliberately
     excluded: correctness is part of the simulated record either way
-    (see :func:`run_system`).  The engine mode is not part of it; the
-    serve protocol folds the effective mode in itself.
+    (see :func:`run_system`).
     """
-    parts = [
+    return combine(
         "sweeptask",
         workload_fingerprint(workload),
         system,
         str(int(invocations)),
         "warm" if warm else "cold",
-    ]
-    for key in sorted(kwargs or {}):
-        parts.append(key)
-        parts.append(config_fingerprint((kwargs or {})[key]))
-    return combine(*parts)
+    )
 
 
 def compile_workload(
@@ -232,7 +225,6 @@ def _system_mdes(
     workload: Workload,
     wfp: str,
     system: str,
-    pipeline_result: Optional[PipelineResult],
     envs,
     envs_fp: str,
     cache: ResultCache,
@@ -240,12 +232,14 @@ def _system_mdes(
     """The MDEs *system*'s backend enforces over ``workload.graph``.
 
     None for ``opt-lsq``, ``spec-lsq`` and ``serial-mem``; the compiler's
-    for ``baseline-sw``, ``nachos-sw`` and ``nachos``; for ``oracle-sw``
+    (:func:`compile_workload`) for ``baseline-sw``, ``nachos-sw`` and
+    ``nachos``; for ``oracle-sw``
     the trace-derived perfect compiler's over *envs*, memoized and
     cached on disk as the edge tuple alone.
     """
-    if pipeline_result is not None:
-        return tuple(pipeline_result.mdes)
+    cfg = _pipeline_for(system)
+    if cfg is not None:
+        return tuple(compile_workload(workload, cfg, cache).mdes)
     if system != "oracle-sw":
         return ()
     memo_key = (wfp, envs_fp)
@@ -295,44 +289,27 @@ def run_system(
     cached record; ``check=False`` merely skips *reporting* it.
     """
     cache = get_cache()
-    envs, wfp, envs_fp, pipeline_result = _prepare(
-        workload, system, invocations, cache
-    )
-    engine_mode = resolve_engine_mode(engine_config)
+    envs, wfp, envs_fp = _prepare(workload, system, invocations)
     sim_key = _sim_key(
         wfp, envs_fp, system, invocations, warm, hierarchy_config,
-        cgra_config, lsq_config, engine_config, engine_mode,
+        cgra_config, lsq_config, engine_config,
     )
     record = _sim_memo.get(sim_key)
     if record is None:
-        cached = cache.get(sim_key)
-        if cached is ResultCache.MISS:
+        record = cache.get(sim_key)
+        if record is ResultCache.MISS:
             sim, correct, mdes, _placed = _simulate(
-                workload,
-                wfp,
-                system,
-                pipeline_result,
-                envs,
-                envs_fp,
-                cache,
-                warm,
-                hierarchy_config,
-                cgra_config,
-                lsq_config,
-                engine_config,
-                engine_mode,
+                workload, wfp, system, envs, envs_fp, cache, warm,
+                hierarchy_config, cgra_config, lsq_config, engine_config,
             )
             record = (sim, correct, len(mdes))
             cache.put(sim_key, record)
-        else:
-            record = cached
         _sim_memo[sim_key] = record
 
     sim, correct, n_mdes = record
     return SystemRun(
         system=system,
         sim=sim,
-        pipeline=pipeline_result,
         correct=correct if check else True,
         n_mdes=n_mdes,
     )
@@ -348,15 +325,13 @@ def _sim_key(
     cgra_config: Optional[CGRAConfig],
     lsq_config: Optional[LSQConfig],
     engine_config: Optional[EngineConfig],
-    engine_mode: str,
 ) -> str:
     """The sim cache key of one :func:`run_system` call.
 
-    The *resolved* engine mode (config > $NACHOS_ENGINE > default) is
-    part of it: both modes are proven bit-exact, but a cross-mode cache
-    hit would silently turn the differential equivalence suite into a
-    self-comparison.  The compile enters only through its config, so
-    the key is known before anything compiles.
+    The engine config decides which engine runs, and both engines are
+    bit-exact, so the key carries no engine term.  The compile enters
+    only through its config, so the key is known before anything
+    compiles.
     """
     return combine(
         "sim",
@@ -372,7 +347,6 @@ def _sim_key(
         config_fingerprint(cgra_config),
         config_fingerprint(lsq_config),
         config_fingerprint(engine_config),
-        f"engine={engine_mode}",
     )
 
 
@@ -389,34 +363,29 @@ def sim_cached(
     """Whether :func:`run_system` with these arguments would read its sim
     record (from the in-process memo or an object on disk) rather than
     simulate; decided without compiling, placing or reading the entry."""
+    _envs, wfp, envs_fp = _prepare(workload, system, invocations)
     key = _sim_key(
-        workload_fingerprint(workload),
-        envs_fingerprint(workload.invocations(invocations)),
-        system, invocations, warm, hierarchy_config, cgra_config,
-        lsq_config, engine_config, resolve_engine_mode(engine_config),
+        wfp, envs_fp, system, invocations, warm, hierarchy_config,
+        cgra_config, lsq_config, engine_config,
     )
     return key in _sim_memo or get_cache().contains(key)
 
 
 def _prepare(
-    workload: Workload, system: str, invocations: int, cache: ResultCache
-) -> Tuple[list, str, str, Optional[PipelineResult]]:
-    """Check *system*; return the trace, both fingerprints and its compile."""
+    workload: Workload, system: str, invocations: int
+) -> Tuple[list, str, str]:
+    """Check *system*; return the trace and the workload and trace
+    fingerprints."""
     if system not in _KNOWN_SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     envs = workload.invocations(invocations)
-    cfg = _pipeline_for(system)
-    pipeline_result = (
-        compile_workload(workload, cfg, cache) if cfg is not None else None
-    )
-    return envs, workload_fingerprint(workload), envs_fingerprint(envs), pipeline_result
+    return envs, workload_fingerprint(workload), envs_fingerprint(envs)
 
 
 def _simulate(
     workload: Workload,
     wfp: str,
     system: str,
-    pipeline_result: Optional[PipelineResult],
     envs,
     envs_fp: str,
     cache: ResultCache,
@@ -425,26 +394,22 @@ def _simulate(
     cgra_config: Optional[CGRAConfig] = None,
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
-    engine_mode: Optional[str] = None,
     tracer=None,
     recorder=None,
 ) -> Tuple[SimResult, bool, Tuple[MemoryDependencyEdge, ...], Placement]:
-    """Place, stream, simulate and golden-check ``workload.graph`` under
-    *system*; return the result, its correctness, the enforced MDEs and
-    the placement.
-
-    ``engine_mode=None`` lets :func:`make_engine` resolve the mode, which
-    is what a traced run wants: an enabled *tracer* then gets the
-    reference engine without a fallback warning.
+    """Compile (as *system* requires), place, stream, simulate and
+    golden-check ``workload.graph`` under *system*; return the result, its correctness, the enforced MDEs and
+    the placement.  An enabled *tracer* gets the reference engine
+    (:func:`make_engine`).
     """
     graph = workload.graph
-    mdes = _system_mdes(workload, wfp, system, pipeline_result, envs, envs_fp, cache)
+    mdes = _system_mdes(workload, wfp, system, envs, envs_fp, cache)
     placement = _placement(wfp, graph, cgra_config)
     hierarchy = MemoryHierarchy(hierarchy_config)
     backend = _backend_for(system, lsq_config)
     engine = make_engine(
         graph, placement, hierarchy, backend, config=engine_config,
-        recorder=recorder, tracer=tracer, mode=engine_mode, mdes=mdes,
+        recorder=recorder, tracer=tracer, mdes=mdes,
     )
 
     # Evaluate every memory op's address once per invocation: the warm

@@ -21,6 +21,8 @@ from typing import Dict, List
 
 from repro.analysis.tables import ascii_table
 from repro.compiler.labels import AliasLabel
+from repro.compiler.pipeline import PipelineConfig
+from repro.experiments.common import compile_workload
 from repro.runtime.sweep import sweep_comparisons
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import BenchmarkSpec, Mechanism
@@ -78,7 +80,7 @@ def run(
     comparisons = sweep_comparisons(workloads, invocations=invocations)
     points: List[SweepPoint] = []
     for frac, cmp in zip(fractions, comparisons):
-        pipeline = cmp.runs["nachos"].pipeline
+        pipeline = compile_workload(cmp.workload, PipelineConfig.full())
         points.append(
             SweepPoint(
                 may_fraction=frac,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.tables import ascii_table
-from repro.experiments.common import run_system
+from repro.compiler.pipeline import PipelineConfig
+from repro.experiments.common import compile_workload, run_system
 from repro.workloads.micro import build_micro, micro_names
 
 SYSTEMS = ("serial-mem", "opt-lsq", "spec-lsq", "nachos-sw", "nachos")
@@ -44,13 +45,11 @@ def run(invocations: int = 16) -> MicroStudyResult:
         workload = build_micro(name)
         cycles: Dict[str, int] = {}
         correct = True
-        may_mdes = 0
         for system in SYSTEMS:
             result = run_system(workload, system, invocations=invocations)
-            if system == "nachos" and result.pipeline is not None:
-                may_mdes = len(result.pipeline.may_mdes)
             cycles[system] = result.sim.cycles
             correct = correct and result.correct
+        may_mdes = len(compile_workload(workload, PipelineConfig.full()).may_mdes)
         rows.append(
             MicroRow(name=name, cycles=cycles, may_mdes=may_mdes, correct=correct)
         )

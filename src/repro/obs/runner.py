@@ -66,9 +66,8 @@ def traced_run(
 ) -> TracedRun:
     """Compile, place, and simulate *workload* under *system*, traced.
 
-    Under the default engine rule the enabled tracer gets the reference
-    engine silently; a named ``fast`` mode falls back loudly
-    (``EngineModeFallback``).
+    An enabled tracer gets the reference engine
+    (:func:`repro.sim.factory.make_engine`).
     """
     from repro.experiments import common
     from repro.runtime.cache import get_cache
@@ -79,11 +78,9 @@ def traced_run(
     tracer = tracer if tracer is not None else Tracer()
     recorder = TimelineRecorder() if record_timeline else None
     cache = get_cache()
-    envs, wfp, envs_fp, pipeline = common._prepare(
-        workload, system, invocations, cache
-    )
+    envs, wfp, envs_fp = common._prepare(workload, system, invocations)
     sim, correct, mdes, placement = common._simulate(
-        workload, wfp, system, pipeline, envs, envs_fp, cache, warm,
+        workload, wfp, system, envs, envs_fp, cache, warm,
         tracer=tracer, recorder=recorder,
     )
     return TracedRun(

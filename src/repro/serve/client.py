@@ -132,7 +132,6 @@ class ServeClient:
         region: str,
         systems: Optional[List[str]] = None,
         invocations: Optional[int] = None,
-        engine: Optional[str] = None,
         wait: bool = False,
         wait_timeout: Optional[float] = None,
         **extra: Any,
@@ -142,8 +141,6 @@ class ServeClient:
             body["systems"] = systems
         if invocations is not None:
             body["invocations"] = invocations
-        if engine is not None:
-            body["engine"] = engine
         if wait:
             body["wait"] = True
             if wait_timeout is not None:

@@ -65,7 +65,6 @@ from repro.serve.protocol import (
     run_payload,
     workload_for,
 )
-from repro.sim.factory import ENGINE_MODES
 
 #: Ceiling on ``"wait": true`` long-polls, so a stuck request cannot pin
 #: a connection forever (the client can always re-poll).
@@ -230,7 +229,6 @@ class NachosServeDaemon:
                 invocations=req.invocations,
                 check=req.check,
                 warm=req.warm,
-                kwargs=req.task_kwargs(),
             ),
         )
         return run_payload(run)
@@ -261,7 +259,6 @@ class NachosServeDaemon:
             "status": record.status,
             "region": req.region,
             "invocations": req.invocations,
-            "engine": req.engine,
             "results": results,
             "failed": failed,
             "elapsed_seconds": elapsed,
@@ -500,11 +497,6 @@ def main(argv=None) -> int:
         help="worker-pool width per batch (default $NACHOS_JOBS or 1)",
     )
     parser.add_argument(
-        "--engine", choices=ENGINE_MODES, default=None,
-        help="default engine mode (exported as $NACHOS_ENGINE so pool "
-        "workers inherit it; per-request 'engine' overrides)",
-    )
-    parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="SECONDS",
         help="micro-batching window: how long submissions accumulate "
         "before one pool dispatch (default 0.01)",
@@ -524,9 +516,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.engine is not None:
-        os.environ["NACHOS_ENGINE"] = args.engine
 
     daemon = NachosServeDaemon(
         host=args.host,

@@ -1,8 +1,8 @@
 """Wire protocol for ``nachos-serve``: requests, fingerprints, payloads.
 
 A serve request names *what* to simulate — a workload/region spec, the
-systems to run it under, the invocation count, and optionally an engine
-mode — never *how*.  Everything about the request is content-addressed
+systems to run it under and the invocation count — never *how*: the
+run picks its own engine (:func:`repro.sim.factory.make_engine`).  Everything about the request is content-addressed
 with the same fingerprints as the result cache
 (:mod:`repro.runtime.fingerprint` via
 :func:`repro.experiments.common.task_fingerprint`):
@@ -19,7 +19,6 @@ Request JSON (``POST /submit``)::
     {"region": "bzip2" | "micro.gather" | "gather",
      "systems": ["nachos", "opt-lsq"],          # default: the 3 paper systems
      "invocations": 40,                          # default DEFAULT_INVOCATIONS
-     "engine": "reference" | "fast",             # default: daemon's mode
      "warm": true, "check": true,
      "wait": false,                              # long-poll until done
      "wait_timeout": 300}                        # seconds; daemon caps it
@@ -31,12 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
-
-from repro.sim.factory import ENGINE_MODES, resolve_engine_mode
+from typing import Any, Dict, Tuple
 
 #: Bump when the request/response JSON layout changes incompatibly.
-SERVE_SCHEMA = 1
+SERVE_SCHEMA = 2
 
 #: Hard cap on invocations per request — a service knob, not a physics
 #: one: a single huge request would head-of-line-block the shared pool.
@@ -84,21 +81,12 @@ class ServeRequest:
     region: str
     systems: Tuple[str, ...]
     invocations: int
-    engine: Optional[str]          # None = daemon default ($NACHOS_ENGINE)
     warm: bool
     check: bool
     request_id: str
     task_fps: Tuple[str, ...]      # aligned with ``systems``
     wait: bool = False             # long-poll until done
     wait_timeout: float = math.inf  # the daemon caps it
-
-    def task_kwargs(self) -> dict:
-        """``run_system`` kwargs shipped with each :class:`SimTask`."""
-        if self.engine is None:
-            return {}
-        from repro.sim.config import EngineConfig
-
-        return {"engine_config": EngineConfig(mode=self.engine)}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -113,7 +101,7 @@ def parse_request(payload: Any) -> ServeRequest:
 
     _require(isinstance(payload, dict), "request body must be a JSON object")
     unknown = set(payload) - {
-        "region", "systems", "invocations", "engine", "warm", "check", "wait",
+        "region", "systems", "invocations", "warm", "check", "wait",
         "wait_timeout",
     }
     _require(not unknown, f"unknown request field(s): {', '.join(sorted(unknown))}")
@@ -148,13 +136,6 @@ def parse_request(payload: Any) -> ServeRequest:
         f"'invocations' must be an integer in [1, {MAX_INVOCATIONS}]",
     )
 
-    engine = payload.get("engine")
-    if engine is not None:
-        _require(
-            engine in ENGINE_MODES,
-            f"unknown engine {engine!r}; expected one of {ENGINE_MODES}",
-        )
-
     warm = payload.get("warm", True)
     check = payload.get("check", True)
     _require(isinstance(warm, bool), "'warm' must be a boolean")
@@ -171,35 +152,14 @@ def parse_request(payload: Any) -> ServeRequest:
         )
 
     workload = workload_for(region)
-    request = ServeRequest(
-        region=region,
-        systems=systems,
-        invocations=invocations,
-        engine=engine,
-        warm=warm,
-        check=check,
-        request_id="",       # placeholder; frozen dataclass rebuilt below
-        task_fps=(),
-    )
-    kwargs = request.task_kwargs()
-    # The task fingerprint is the cache lineage key; folding
-    # in the *effective* engine mode keeps dedup honest when the daemon
-    # itself runs under $NACHOS_ENGINE.
-    effective_engine = engine or resolve_engine_mode(None)
     task_fps = tuple(
-        combine(
-            "serve-task",
-            task_fingerprint(workload, system, invocations, warm, kwargs),
-            f"engine={effective_engine}",
-        )
-        for system in systems
+        task_fingerprint(workload, system, invocations, warm) for system in systems
     )
     request_id = combine("serve-request", *sorted(task_fps))
     return ServeRequest(
         region=region,
         systems=systems,
         invocations=invocations,
-        engine=engine,
         warm=warm,
         check=check,
         request_id=request_id,

@@ -19,12 +19,7 @@ Memory operations are delegated to a pluggable disambiguation backend:
 
 from repro.sim.config import EngineConfig
 from repro.sim.engine import DataflowEngine
-from repro.sim.factory import (
-    ENGINE_MODES,
-    EngineModeFallback,
-    make_engine,
-    resolve_engine_mode,
-)
+from repro.sim.factory import make_engine, resolve_engine_mode
 from repro.sim.fast import FastEngine
 from repro.sim.result import SimResult
 from repro.sim.oracle import golden_execute, GoldenResult
@@ -46,9 +41,7 @@ __all__ = [
     "TimelineRecorder",
     "render_timeline",
     "DataflowEngine",
-    "ENGINE_MODES",
     "EngineConfig",
-    "EngineModeFallback",
     "FastEngine",
     "make_engine",
     "resolve_engine_mode",

@@ -1,19 +1,12 @@
-"""Engine-mode resolution and construction.
-
-One switch, three spellings, one precedence order::
-
-    EngineConfig(mode=...)   >   $NACHOS_ENGINE   >   default rule
+"""Engine choice and construction: the run picks its engine.
 
 ``reference`` is the per-event heapq engine (:class:`DataflowEngine`);
 ``fast`` is the template-replaying engine (:class:`FastEngine`), proven
 bit-exact by ``tests/test_engine_equivalence.py``.  Every simulation
-entry point (``run_system``, ``traced_run``, the fuzzer's cross-check)
-builds engines through :func:`make_engine`, and the sweep cache key
-includes the *resolved* mode — so a fast-mode result can never be
-served where a reference-mode result was requested (which would make
-the differential suite vacuous) and vice versa.
-
-The fast engine cannot serve two kinds of run:
+entry point (``run_system``, ``traced_run``) builds its engine through
+:func:`make_engine`, and no option names one: the engine is the fastest
+that can serve the run.  That is ``fast``, except for two kinds of run
+the reference engine alone can serve:
 
 * an **enabled tracer** — the one-event-per-counter trace contract is
   defined against the reference event loop;
@@ -21,52 +14,25 @@ The fast engine cannot serve two kinds of run:
   across invocations, so static timing is not invocation-invariant and
   the schedule template would be wrong.
 
-**Default rule.**  When no mode is named, the engine is the fastest one
-that can serve the run: ``fast``, or ``reference`` for those two kinds,
-silently.  A ``fast`` mode that *was* named but cannot be honoured falls
-back to the reference engine loudly (an :class:`EngineModeFallback`
-warning, so ``-W error`` turns it fatal).
+Both engines produce byte-identical results, so the sim cache key needs
+no engine term: ``model_link_contention`` is part of the engine
+config's fingerprint, and traced runs never write the cache.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional
 
 from repro.sim.config import EngineConfig
 from repro.sim.engine import DataflowEngine
 from repro.sim.fast import FastEngine
 
-ENGINE_MODES = ("reference", "fast")
 
-
-class EngineModeFallback(UserWarning):
-    """Fast mode was requested but unsupported for this run."""
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES} "
-            "(EngineConfig.mode or $NACHOS_ENGINE)"
-        )
-    return mode
-
-
-def _named_mode(config: Optional[EngineConfig]) -> Optional[str]:
-    """The mode the config or ``$NACHOS_ENGINE`` names, if any."""
-    mode = (config.mode if config is not None else None) or os.environ.get(
-        "NACHOS_ENGINE"
-    )
-    return _check_mode(mode) if mode else None
-
-
-def resolve_engine_mode(config: Optional[EngineConfig] = None) -> str:
-    """The engine mode this process would run: config, env, or default."""
-    named = _named_mode(config)
-    if named is not None:
-        return named
+def resolve_engine_mode(config: Optional[EngineConfig] = None, tracer=None) -> str:
+    """The engine a run with this config and tracer gets: ``"fast"``, or
+    ``"reference"`` for an enabled tracer or link contention."""
+    if tracer is not None and tracer.enabled:
+        return "reference"
     if config is not None and config.model_link_contention:
         return "reference"
     return "fast"
@@ -81,36 +47,15 @@ def make_engine(
     config: Optional[EngineConfig] = None,
     recorder=None,
     tracer=None,
-    mode: Optional[str] = None,
     mdes=None,
 ) -> DataflowEngine:
-    """Build the engine the resolved mode calls for (see the default rule).
+    """Build the engine :func:`resolve_engine_mode` picks for this run.
 
-    ``mode`` overrides resolution — callers that already folded the
-    resolved mode into a cache key pass it back in so the key and the
-    engine can never disagree.  ``mdes`` is the edge set the backend
-    enforces (``None``: the graph's own MDEs).
+    ``mdes`` is the edge set the backend enforces (``None``: the graph's
+    own MDEs).
     """
-    named = _check_mode(mode) if mode is not None else _named_mode(config)
-    reason = None
-    if tracer is not None and tracer.enabled:
-        reason = (
-            "event tracing is enabled (the one-event-per-counter trace "
-            "contract is defined against the reference event loop)"
-        )
-    elif config is not None and config.model_link_contention:
-        reason = (
-            "model_link_contention=True (mesh-link state persists "
-            "across invocations, so schedule templates would be wrong)"
-        )
-    cls = DataflowEngine if named == "reference" or reason else FastEngine
-    if named == "fast" and reason:
-        warnings.warn(
-            f"engine mode 'fast' ignored: {reason}; "
-            "falling back to the reference engine",
-            EngineModeFallback,
-            stacklevel=2,
-        )
+    reference = resolve_engine_mode(config, tracer) == "reference"
+    cls = DataflowEngine if reference else FastEngine
     return cls(
         graph,
         placement,

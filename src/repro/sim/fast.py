@@ -55,16 +55,15 @@ sensitive — so preserving the interleaving of every event that can
 reach the backend or the hierarchy is mandatory, and sufficient (which
 is why dropping tail events, which reach neither, is exact): the differential
 suite (``tests/test_engine_equivalence.py``) asserts byte-identical
-pickled :class:`~repro.sim.result.SimResult` across modes.
+pickled :class:`~repro.sim.result.SimResult` across the two engines.
 
 What the template may *not* assume invalidates it: an enabled tracer
 (the one-event-per-counter contract needs the reference loop) and
 ``model_link_contention`` (mesh-link state is cross-invocation, so
 static timing is no longer invocation-invariant).  The factory
 (:func:`repro.sim.factory.make_engine`) builds the reference engine
-instead in both cases — loudly when ``fast`` was named, silently under
-the default rule; constructing :class:`FastEngine` directly with either
-raises.
+instead in both cases; constructing :class:`FastEngine` directly with
+either raises.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ class FastEngine(DataflowEngine):
         if self._trace is not None:
             raise ValueError(
                 "FastEngine cannot honour the trace contract; use "
-                "make_engine(), which falls back to the reference engine"
+                "make_engine(), which builds the reference engine"
             )
         if self._contention:
             raise ValueError(

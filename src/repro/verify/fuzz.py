@@ -49,13 +49,13 @@ from repro.memory import MemoryHierarchy
 from repro.obs.tracer import Tracer
 from repro.sim import (
     DataflowEngine,
+    FastEngine,
     NachosBackend,
     NachosSWBackend,
     OptLSQBackend,
     SerialMemBackend,
     SpecLSQBackend,
     golden_execute,
-    make_engine,
 )
 from repro.verify.sanitizer import SanitizerReport, sanitize_trace
 
@@ -146,8 +146,8 @@ class FuzzFailure:
         for finding in self.static_findings[:5]:
             parts.append(f"  {finding}")
         if self.engine_divergence:
-            parts.append("  engine divergence: reference and 'fast' "
-                         "modes produced different SimResults")
+            parts.append("  engine divergence: the reference and fast "
+                         "engines produced different SimResults")
         if self.static_kind is None and not self.oracle_ok:
             parts.append("  golden-model mismatch (wrong load value or "
                          "final memory image)")
@@ -325,8 +325,9 @@ def run_spec(
     return oracle_ok, report
 
 
-def run_spec_result(spec: RegionSpec, system: str, mode: str) -> bytes:
-    """Run one region untraced under *mode*; return the pickled SimResult.
+def run_spec_result(spec: RegionSpec, system: str, engine_cls) -> bytes:
+    """Run one region untraced on *engine_cls* (:class:`DataflowEngine`
+    or :class:`FastEngine`); return the pickled SimResult.
 
     The engine-equivalence contract is byte-identity of the pickled
     :class:`~repro.sim.result.SimResult`, so this returns the bytes
@@ -338,12 +339,8 @@ def run_spec_result(spec: RegionSpec, system: str, mode: str) -> bytes:
         compile_region(graph)
     else:
         graph.clear_mdes()
-    engine = make_engine(
-        graph,
-        place_region(graph),
-        MemoryHierarchy(),
-        BACKENDS[system](),
-        mode=mode,
+    engine = engine_cls(
+        graph, place_region(graph), MemoryHierarchy(), BACKENDS[system]()
     )
     return pickle.dumps(engine.run(spec.env_dicts()))
 
@@ -355,8 +352,8 @@ _ENGINE_SELECTIONS = ("reference", "both")
 
 def _engines_differ(spec: RegionSpec, system: str) -> bool:
     """Do the reference and fast engines produce different SimResults?"""
-    return run_spec_result(spec, system, "reference") != run_spec_result(
-        spec, system, "fast"
+    return run_spec_result(spec, system, DataflowEngine) != run_spec_result(
+        spec, system, FastEngine
     )
 
 

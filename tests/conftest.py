@@ -44,6 +44,21 @@ def _isolated_result_cache(tmp_path_factory):
 
 
 @pytest.fixture
+def no_cache():
+    """No on-disk result cache and fresh experiment memos, so every
+    ``run_system`` call really computes."""
+    from repro.experiments.common import clear_memos
+    from repro.runtime.cache import configure_cache, get_cache
+
+    prev = get_cache()
+    configure_cache(enabled=False)
+    clear_memos()
+    yield
+    clear_memos()
+    configure_cache(root=prev.root, enabled=prev.enabled)
+
+
+@pytest.fixture
 def sweep_calls():
     """``sweep_calls(fn, *args)``: ``fn(*args)`` plus how many subtree
     visits (calls of a nested function named ``rec``) it made, i.e. the

@@ -26,14 +26,14 @@ from tests.test_litmus import LITMUS
 from repro.cgra.placement import place_region
 from repro.compiler import compile_region
 from repro.memory import MemoryHierarchy
-from repro.sim import NachosBackend, NachosSWBackend, make_engine
+from repro.sim import DataflowEngine, FastEngine, NachosBackend, NachosSWBackend
 from repro.verify.fuzz import build_graph, generate_spec
 
 FUZZ_SEED = 0
 FUZZ_SPECS = 200
 FUZZ_CHUNK = 50
 SUITE_INVOCATIONS = 3
-MODES = ("reference", "fast")
+ENGINES = (DataflowEngine, FastEngine)
 
 
 def _polling(base):
@@ -78,14 +78,13 @@ def _record(engine):
     return log
 
 
-def _issue_log(graph, placement, backend_cls, envs, mode, warm=None,
+def _issue_log(graph, placement, backend_cls, envs, engine_cls, warm=None,
                streams=None, mdes=None):
     hierarchy = MemoryHierarchy()
     for addr, is_write in warm or ():
         hierarchy.l2.access(addr, is_write=is_write)
     hierarchy.l2.stats.reset()
-    engine = make_engine(graph, placement, hierarchy, backend_cls(), mode=mode,
-                         mdes=mdes)
+    engine = engine_cls(graph, placement, hierarchy, backend_cls(), mdes=mdes)
     log = _record(engine)
     result = engine.run(envs, addr_streams=streams)
     return log, pickle.dumps(result)
@@ -96,13 +95,14 @@ def _assert_same_order(graph, envs, label, warm=None, streams=None, mdes=None):
     placement = place_region(graph)
     logged = 0
     for system, (gated, polling) in BACKENDS.items():
-        for mode in MODES:
-            want = _issue_log(graph, placement, polling, envs, mode, warm,
+        for engine_cls in ENGINES:
+            want = _issue_log(graph, placement, polling, envs, engine_cls, warm,
                               streams, mdes)
-            got = _issue_log(graph, placement, gated, envs, mode, warm,
+            got = _issue_log(graph, placement, gated, envs, engine_cls, warm,
                              streams, mdes)
-            assert got[0] == want[0], f"{label}/{system}/{mode}: issue order moved"
-            assert got[1] == want[1], f"{label}/{system}/{mode}: SimResults diverge"
+            where = f"{label}/{system}/{engine_cls.__name__}"
+            assert got[0] == want[0], f"{where}: issue order moved"
+            assert got[1] == want[1], f"{where}: SimResults diverge"
             logged += len(got[0])
     return logged
 

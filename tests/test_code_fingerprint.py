@@ -47,7 +47,7 @@ def _run(src: Path, cache_dir: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     env["NACHOS_CACHE_DIR"] = str(cache_dir)
-    for name in ("NACHOS_CACHE", "NACHOS_CHAOS", "NACHOS_ENGINE", "NACHOS_JOBS"):
+    for name in ("NACHOS_CACHE", "NACHOS_CHAOS", "NACHOS_JOBS"):
         env.pop(name, None)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True,

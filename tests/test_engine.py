@@ -6,7 +6,7 @@ from repro.cgra.placement import place_region
 from repro.energy.config import EnergyEvent
 from repro.ir import AffineExpr, IVar, MemObject, Opcode, RegionBuilder
 from repro.memory import MemoryHierarchy
-from repro.sim import DataflowEngine, NachosSWBackend, golden_execute
+from repro.sim import DataflowEngine, FastEngine, NachosSWBackend, golden_execute
 from tests.conftest import build_simple_region, make_engine
 
 
@@ -142,20 +142,16 @@ class TestCompletionInvariant:
             if op.op_id != self.victim:
                 super().on_addr_ready(op, t)
 
-    @pytest.mark.parametrize("mode", ["reference", "fast"])
-    def test_stuck_op_raises_naming_it(self, mode):
-        from repro.sim.factory import make_engine as build
-
+    @pytest.mark.parametrize(
+        "engine_cls", [DataflowEngine, FastEngine], ids=["reference", "fast"]
+    )
+    def test_stuck_op_raises_naming_it(self, engine_cls):
         g = build_simple_region()
         g.clear_mdes()
         victim = g.memory_ops[0].op_id
         assert g.op(victim).is_load
-        engine = build(
-            g, place_region(g), MemoryHierarchy(), self._DropsOneLoad(victim),
-            mode=mode,
-        )
-        assert type(engine).__name__ == (
-            "DataflowEngine" if mode == "reference" else "FastEngine"
+        engine = engine_cls(
+            g, place_region(g), MemoryHierarchy(), self._DropsOneLoad(victim)
         )
         with pytest.raises(RuntimeError, match=rf"op {victim} \(load\) never completed"):
             engine.run([{"i": 0}, {"i": 1}])

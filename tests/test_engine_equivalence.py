@@ -13,17 +13,16 @@ corpora:
   multi-invocation so templates actually get replayed),
 * a fixed-seed slice of the differential alias fuzzer's region
   generator (dense MAY graphs, late addresses, slow stores, ...),
-* one real compiled region per SPEC benchmark, driven through
-  ``run_system`` so the engine-mode cache-key plumbing is on the hook
-  too (a cross-mode cache hit would make this test vacuous — and sim
-  keys that carry the resolved engine mode make it fail instead),
+* one real compiled region per SPEC benchmark, plus the two micro
+  regions of the CI smoke sweep, driven through ``run_system`` against
+  the same set-up with the reference engine built directly,
 * every suite region under every backend with a timeline recorder
   attached, so the fast engine's prefilled static and dead-tail spans
   are compared op by op.
 
-Plus the seams: mode resolution precedence, the default rule, loud
-fallback for a named mode, and the fuzzer's ``engines="both"``
-cross-check wiring.
+Plus the seams: the rule by which the run picks its engine (fast,
+except for an enabled tracer or link contention), and the fuzzer's
+``engines="both"`` cross-check wiring.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.obs.tracer import Tracer
 from repro.sim import (
     DataflowEngine,
     EngineConfig,
-    EngineModeFallback,
     FastEngine,
     make_engine,
     resolve_engine_mode,
@@ -58,23 +56,16 @@ FUZZ_SEED = 0
 FUZZ_SPECS = 200
 FUZZ_CHUNK = 25
 
-#: Template-based modes checked against the reference engine.
-FAST_MODES = ("fast",)
 
-
-def _result_bytes(build_fn, backend_name, envs, mode):
-    """Pickled SimResult for one litmus pattern under one engine mode."""
+def _result_bytes(build_fn, backend_name, envs, engine_cls):
+    """Pickled SimResult for one litmus pattern on one engine class."""
     graph = build_fn()
     if backend_name in NEEDS_MDES:
         compile_region(graph)
     else:
         graph.clear_mdes()
-    engine = make_engine(
-        graph,
-        place_region(graph),
-        MemoryHierarchy(),
-        BACKENDS[backend_name](),
-        mode=mode,
+    engine = engine_cls(
+        graph, place_region(graph), MemoryHierarchy(), BACKENDS[backend_name]()
     )
     return pickle.dumps(engine.run(envs))
 
@@ -90,10 +81,9 @@ def test_litmus_equivalence(backend, litmus):
     # *replayed* on the rest, so single-invocation runs would never
     # exercise the replay path.
     envs = envs * 3
-    ref = _result_bytes(build_fn, backend, envs, "reference")
-    for mode in FAST_MODES:
-        fast = _result_bytes(build_fn, backend, envs, mode)
-        assert ref == fast, f"{litmus}/{backend}/{mode}: SimResults diverge"
+    ref = _result_bytes(build_fn, backend, envs, DataflowEngine)
+    fast = _result_bytes(build_fn, backend, envs, FastEngine)
+    assert ref == fast, f"{litmus}/{backend}: SimResults diverge"
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +94,9 @@ def test_fuzz_corpus_equivalence(chunk):
     for index in range(chunk * FUZZ_CHUNK, (chunk + 1) * FUZZ_CHUNK):
         spec = generate_spec(FUZZ_SEED, index)
         for system in sorted(BACKENDS):
-            ref = run_spec_result(spec, system, "reference")
-            for mode in FAST_MODES:
-                fast = run_spec_result(spec, system, mode)
-                assert ref == fast, (
-                    f"{spec.name}/{system}/{mode}: SimResults diverge"
-                )
+            ref = run_spec_result(spec, system, DataflowEngine)
+            fast = run_spec_result(spec, system, FastEngine)
+            assert ref == fast, f"{spec.name}/{system}: SimResults diverge"
 
 
 def test_fuzz_engines_both_wiring():
@@ -125,27 +112,44 @@ def test_fuzz_engines_rejects_unknown():
 
 
 # ---------------------------------------------------------------------------
-# Corpus 3: real compiled regions through run_system (cache-key plumbing)
+# Corpus 3: real compiled regions through run_system
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("bench", benchmark_names())
-def test_real_region_equivalence(bench):
-    from repro.experiments.common import run_system
+#: The CI smoke sweep's two micro regions, at its invocation count.
+SMOKE_REGIONS = {"micro.stream_triad": 8, "micro.scatter": 8}
 
-    workload = build_workload(get_spec(bench), path_index=0)
+
+@pytest.mark.parametrize("region", benchmark_names() + sorted(SMOKE_REGIONS))
+def test_real_region_equivalence(region, no_cache, monkeypatch):
+    """Each system's ``run_system`` result equals the one the same set-up
+    gives with the reference engine built directly in place of
+    ``make_engine``."""
+    from repro.experiments import common
+    from repro.obs.runner import resolve_workload
+
+    workload = resolve_workload(region)
+    invocations = SMOKE_REGIONS.get(region, 4)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(make_engine(*args, **kwargs))
+        return built[-1]
+
+    def reference(*args, **kwargs):
+        built.append(DataflowEngine(*args, **kwargs))
+        return built[-1]
+
     for system in sorted(BACKENDS):
-        ref = run_system(
-            workload, system, invocations=4,
-            engine_config=EngineConfig(mode="reference"),
+        monkeypatch.setattr(common, "make_engine", spy)
+        fast = common.run_system(workload, system, invocations=invocations)
+        monkeypatch.setattr(common, "make_engine", reference)
+        common._sim_memo.clear()
+        ref = common.run_system(workload, system, invocations=invocations)
+        assert [type(e) for e in built] == [FastEngine, DataflowEngine], system
+        built.clear()
+        assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), (
+            f"{region}/{system}: SimResults diverge"
         )
-        for mode in FAST_MODES:
-            fast = run_system(
-                workload, system, invocations=4,
-                engine_config=EngineConfig(mode=mode),
-            )
-            assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), (
-                f"{bench}/{system}/{mode}: SimResults diverge"
-            )
-            assert fast.correct
+        assert fast.correct
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +169,14 @@ def _suite_graphs(bench):
     return workload, bare, compiled
 
 
-def _recorded_run(graph, envs, backend_name, mode):
+def _recorded_run(graph, envs, backend_name, engine_cls):
     recorder = TimelineRecorder()
-    engine = make_engine(
+    engine = engine_cls(
         graph,
         place_region(graph),
         MemoryHierarchy(),
         BACKENDS[backend_name](),
         recorder=recorder,
-        mode=mode,
     )
     result = pickle.dumps(engine.run(envs))
     return result, recorder.invocations, engine
@@ -187,8 +190,8 @@ def test_suite_recorded_equivalence(chunk):
         envs = workload.invocations(SUITE_INVOCATIONS)
         for backend in sorted(BACKENDS):
             graph = compiled if backend in NEEDS_MDES else bare
-            ref, ref_tl, _ = _recorded_run(graph, envs, backend, "reference")
-            fast, fast_tl, engine = _recorded_run(graph, envs, backend, "fast")
+            ref, ref_tl, _ = _recorded_run(graph, envs, backend, DataflowEngine)
+            fast, fast_tl, engine = _recorded_run(graph, envs, backend, FastEngine)
             assert ref == fast, f"{bench}/{backend}: SimResults diverge"
             assert ref_tl == fast_tl, f"{bench}/{backend}: timelines diverge"
             n_tails += len(engine._template.tail_ids)
@@ -202,9 +205,8 @@ def test_dead_tails_run_no_live_events():
     n_tails = 0
     for bench in benchmark_names():
         workload, bare, _ = _suite_graphs(bench)
-        engine = make_engine(
-            bare, place_region(bare), MemoryHierarchy(),
-            BACKENDS["opt-lsq"](), mode="fast",
+        engine = FastEngine(
+            bare, place_region(bare), MemoryHierarchy(), BACKENDS["opt-lsq"]()
         )
         engine.run(workload.invocations(1))
         tpl = engine._template
@@ -247,8 +249,8 @@ def _late_static_tail_region():
 def test_tail_start_from_static_arrival(backend):
     graph, loaded, head = _late_static_tail_region()
     envs = [{"x": 3}] * 3
-    ref, ref_tl, _ = _recorded_run(graph, envs, backend, "reference")
-    fast, fast_tl, engine = _recorded_run(graph, envs, backend, "fast")
+    ref, ref_tl, _ = _recorded_run(graph, envs, backend, DataflowEngine)
+    fast, fast_tl, engine = _recorded_run(graph, envs, backend, FastEngine)
     assert ref == fast
     assert ref_tl == fast_tl
     # Both adds are tails, and each waits on its static input.
@@ -283,10 +285,7 @@ def test_one_template_capture_per_region(monkeypatch):
             workload = build_workload(get_spec(bench), path_index=0)
             names.append(workload.graph.name)
             for system in common.SYSTEMS:
-                run = common.run_system(
-                    workload, system, invocations=3,
-                    engine_config=EngineConfig(mode="fast"),
-                )
+                run = common.run_system(workload, system, invocations=3)
                 assert run.correct
     finally:
         common.clear_memos()
@@ -295,7 +294,7 @@ def test_one_template_capture_per_region(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Mode resolution and fallback seams
+# The run picks its engine
 # ---------------------------------------------------------------------------
 def _micro_engine_parts():
     build_fn, envs = LITMUS["forwarding_chain"]
@@ -304,46 +303,17 @@ def _micro_engine_parts():
     return graph, place_region(graph), MemoryHierarchy(), BACKENDS["opt-lsq"]()
 
 
-def test_mode_precedence_config_beats_env(monkeypatch):
-    monkeypatch.setenv("NACHOS_ENGINE", "fast")
-    assert resolve_engine_mode(EngineConfig(mode="reference")) == "reference"
-    assert resolve_engine_mode(EngineConfig()) == "fast"
-    monkeypatch.delenv("NACHOS_ENGINE")
-    assert resolve_engine_mode(EngineConfig()) == "fast"
-    assert resolve_engine_mode(None) == "fast"
-
-
-#: The batch-replay engine mode this package used to offer.
-RETIRED_MODE = "fast-" + "vector"
-
-
-def test_mode_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown engine mode"):
-        resolve_engine_mode(EngineConfig(mode="turbo"))
-    for env_mode in ("warp", RETIRED_MODE):
-        monkeypatch.setenv("NACHOS_ENGINE", env_mode)
-        with pytest.raises(ValueError, match="unknown engine mode"):
-            resolve_engine_mode(None)
-        graph, placement, hierarchy, backend = _micro_engine_parts()
-        with pytest.raises(ValueError, match="unknown engine mode"):
-            make_engine(graph, placement, hierarchy, backend)
-
-
-def test_default_rule_resolves_contention_to_reference(monkeypatch):
-    """With no mode named, link contention resolves (and keys) as
-    ``reference``; a named mode still wins."""
-    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+def test_default_rule_resolves_contention_to_reference():
+    """Link contention resolves to ``reference`` before any engine is
+    built; a plain config, and no config at all, resolve to ``fast``."""
     assert resolve_engine_mode(EngineConfig(model_link_contention=True)) == (
         "reference"
     )
-    monkeypatch.setenv("NACHOS_ENGINE", "fast")
-    assert resolve_engine_mode(EngineConfig(model_link_contention=True)) == (
-        "fast"
-    )
+    assert resolve_engine_mode(EngineConfig()) == "fast"
+    assert resolve_engine_mode() == "fast"
 
 
-def test_default_rule_builds_fast_engine(monkeypatch):
-    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+def test_default_rule_builds_fast_engine():
     graph, placement, hierarchy, backend = _micro_engine_parts()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -351,8 +321,7 @@ def test_default_rule_builds_fast_engine(monkeypatch):
     assert type(eng) is FastEngine
 
 
-def test_default_rule_tracer_builds_reference_silently(monkeypatch):
-    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+def test_default_rule_tracer_builds_reference_silently():
     graph, placement, hierarchy, backend = _micro_engine_parts()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -362,28 +331,21 @@ def test_default_rule_tracer_builds_reference_silently(monkeypatch):
     assert type(eng) is DataflowEngine
 
 
-def test_default_rule_link_contention_builds_reference_silently(monkeypatch):
-    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
+def test_default_rule_link_contention_builds_reference_silently():
     graph, placement, hierarchy, backend = _micro_engine_parts()
     cfg = EngineConfig(model_link_contention=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eng = make_engine(graph, placement, hierarchy, backend, config=cfg)
-        # run_system passes the resolved mode back in: same engine.
-        keyed = make_engine(
-            *_micro_engine_parts(), config=cfg, mode=resolve_engine_mode(cfg)
-        )
     assert type(eng) is DataflowEngine
-    assert type(keyed) is DataflowEngine
 
 
-def test_traced_run_default_raises_no_fallback(monkeypatch):
-    """``nachos-repro trace`` / ``traced_run`` under the default rule
-    runs the reference engine with no EngineModeFallback."""
+def test_traced_run_default_raises_no_fallback():
+    """``nachos-repro trace`` / ``traced_run`` runs the reference engine
+    and warns about nothing."""
     from repro.obs.runner import traced_run
     from repro.workloads.micro import build_micro
 
-    monkeypatch.delenv("NACHOS_ENGINE", raising=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = traced_run(build_micro("gather"), "nachos", invocations=2)
@@ -392,31 +354,23 @@ def test_traced_run_default_raises_no_fallback(monkeypatch):
 
 
 def test_make_engine_builds_requested_class():
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="fast")
-    assert type(eng) is FastEngine
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="reference")
-    assert type(eng) is DataflowEngine
-
-
-@pytest.mark.parametrize("mode", FAST_MODES)
-def test_fast_with_tracer_falls_back_loudly(mode):
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    with pytest.warns(EngineModeFallback, match="tracing"):
+    """The tracer and the config are the whole request: fast for neither,
+    reference for an enabled tracer or link contention, and
+    ``resolve_engine_mode`` names the class ``make_engine`` builds."""
+    contention = EngineConfig(model_link_contention=True)
+    for config, tracer, cls in [
+        (None, None, FastEngine),
+        (EngineConfig(), None, FastEngine),
+        (None, Tracer(), DataflowEngine),
+        (contention, None, DataflowEngine),
+        (contention, Tracer(), DataflowEngine),
+    ]:
         eng = make_engine(
-            graph, placement, hierarchy, backend, tracer=Tracer(), mode=mode
+            *_micro_engine_parts(), config=config, tracer=tracer
         )
-    assert type(eng) is DataflowEngine
-
-
-@pytest.mark.parametrize("mode", FAST_MODES)
-def test_fast_with_link_contention_falls_back_loudly(mode):
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    cfg = EngineConfig(mode=mode, model_link_contention=True)
-    with pytest.warns(EngineModeFallback, match="contention"):
-        eng = make_engine(graph, placement, hierarchy, backend, config=cfg)
-    assert type(eng) is DataflowEngine
+        assert type(eng) is cls, (config, tracer)
+        mode = resolve_engine_mode(config, tracer)
+        assert mode == ("fast" if cls is FastEngine else "reference")
 
 
 @pytest.mark.parametrize("cls", [FastEngine])
@@ -426,27 +380,18 @@ def test_fast_engine_direct_construction_refuses_tracer(cls):
         cls(graph, placement, hierarchy, backend, tracer=Tracer())
 
 
+def test_fast_engine_direct_construction_refuses_link_contention():
+    graph, placement, hierarchy, backend = _micro_engine_parts()
+    with pytest.raises(ValueError, match="model_link_contention"):
+        FastEngine(
+            graph, placement, hierarchy, backend,
+            config=EngineConfig(model_link_contention=True),
+        )
+
+
 def test_disabled_tracer_does_not_trigger_fallback():
     graph, placement, hierarchy, backend = _micro_engine_parts()
     tracer = Tracer()
     tracer.enabled = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EngineModeFallback)
-        eng = make_engine(
-            graph, placement, hierarchy, backend, tracer=tracer, mode="fast"
-        )
+    eng = make_engine(graph, placement, hierarchy, backend, tracer=tracer)
     assert type(eng) is FastEngine
-
-
-def test_env_mode_reaches_run_system(monkeypatch):
-    """$NACHOS_ENGINE alone must steer run_system (and its cache key)."""
-    from repro.experiments.common import run_system
-    from repro.workloads.micro import build_micro
-
-    workload = build_micro("gather")
-    monkeypatch.setenv("NACHOS_ENGINE", "reference")
-    ref = run_system(workload, "nachos", invocations=3)
-    for mode in FAST_MODES:
-        monkeypatch.setenv("NACHOS_ENGINE", mode)
-        fast = run_system(workload, "nachos", invocations=3)
-        assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), mode

@@ -97,18 +97,6 @@ def test_matches_reference_on_fuzz_corpus():
         _assert_same(build_graph(spec), spec.env_dicts(), spec.name)
 
 
-@pytest.fixture
-def no_cache():
-    from repro.experiments.common import clear_memos
-
-    prev = get_cache()
-    configure_cache(enabled=False)
-    clear_memos()
-    yield
-    clear_memos()
-    configure_cache(root=prev.root, enabled=prev.enabled)
-
-
 #: The systems whose backend enforces no MDEs.
 NO_MDE_SYSTEMS = ("opt-lsq", "spec-lsq", "serial-mem")
 

@@ -28,13 +28,13 @@ from tests.test_litmus import BACKENDS, LITMUS, NEEDS_MDES
 from repro.cgra.placement import place_region
 from repro.compiler import compile_region
 from repro.memory import MemoryHierarchy
-from repro.sim import TimelineRecorder, make_engine
+from repro.sim import DataflowEngine, FastEngine, TimelineRecorder
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INVOCATION_REPEATS = 2  # template captured on inv 0, replayed on inv 1
 
 
-def _record_timelines(name: str, mode: str) -> dict:
+def _record_timelines(name: str, engine_cls) -> dict:
     """One pattern's serialized timelines for every backend."""
     build_fn, envs = LITMUS[name]
     envs = envs * INVOCATION_REPEATS
@@ -46,13 +46,12 @@ def _record_timelines(name: str, mode: str) -> dict:
         else:
             graph.clear_mdes()
         recorder = TimelineRecorder()
-        engine = make_engine(
+        engine = engine_cls(
             graph,
             place_region(graph),
             MemoryHierarchy(),
             BACKENDS[backend_name](),
             recorder=recorder,
-            mode=mode,
         )
         engine.run(envs)
         per_backend[backend_name] = [
@@ -72,7 +71,7 @@ def _record_timelines(name: str, mode: str) -> dict:
 
 @pytest.mark.parametrize("litmus", sorted(LITMUS))
 def test_golden_timeline(litmus, update_golden):
-    current = _record_timelines(litmus, "reference")
+    current = _record_timelines(litmus, DataflowEngine)
     path = GOLDEN_DIR / f"{litmus}.json"
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -99,4 +98,4 @@ def test_fast_engine_matches_golden(litmus, update_golden):
         f"missing golden file {path}; generate with pytest --update-golden"
     )
     golden = json.loads(path.read_text())
-    assert _record_timelines(litmus, "fast") == golden
+    assert _record_timelines(litmus, FastEngine) == golden

@@ -22,17 +22,6 @@ MICROS = ("stream_triad", "gather", "rmw")
 INVOCATIONS = 4
 
 
-@pytest.fixture
-def no_cache():
-    """Disable the on-disk cache so parallel workers really compute."""
-    prev = get_cache()
-    configure_cache(enabled=False)
-    clear_memos()
-    yield
-    clear_memos()
-    configure_cache(root=prev.root, enabled=prev.enabled)
-
-
 def _signature(run):
     sim = run.sim
     return (

@@ -6,6 +6,7 @@ that class of accident fail CI instead of bloating every future clone.
 """
 
 import ast
+import re
 import subprocess
 from pathlib import Path
 
@@ -78,7 +79,8 @@ def test_gitignore_covers_generated_artifacts():
 #: retry scheduler and its knobs: the simulator is deterministic, so the
 #: pool requeues only a dead worker's task, once.  Then the per-system
 #: graph clones: every system simulates ``workload.graph`` and hands its
-#: engine the MDE tuple its backend enforces.
+#: engine the MDE tuple its backend enforces.  Then the engine-mode knob:
+#: the run picks its engine (``repro.sim.factory.make_engine``).
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -100,6 +102,17 @@ RETIRED_PERF_NAMES = (
     "_bare_graph",
     "_oracle_graph",
     "clone(with_mdes",
+    "NACHOS_ENGINE",
+    "EngineModeFallback",
+    "ENGINE_MODES",
+)
+
+#: The retired engine flag and config field, matched so that
+#: ``--engines`` (the fuzzer's cross-check selection) and
+#: ``EngineConfig(model_link_contention=...)`` do not trip them.
+RETIRED_PERF_PATTERNS = (
+    re.compile(r"--engine(?!s)"),
+    re.compile(r"EngineConfig\(mode\b"),
 )
 
 #: perfbench still drops the old variables from the program's
@@ -121,6 +134,8 @@ def test_no_tracked_file_names_the_retired_perf_observatory():
             continue  # deleted in the index but not yet committed
         offenders += [f"{name}: {word!r}" for word in RETIRED_PERF_NAMES
                       if word in text]
+        offenders += [f"{name}: {p.pattern!r}" for p in RETIRED_PERF_PATTERNS
+                      if p.search(text)]
     assert not offenders, "retired perf names still in use: " + ", ".join(offenders)
 
 
@@ -163,6 +178,28 @@ def test_cli_rejects_retired_retry_flags(entry, argv, capsys):
     assert excinfo.value.code == 2
     flags = " ".join(a for a in argv if a != "all")
     assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry,argv",
+    [
+        ("nachos-repro", ["fig11", "--engine", "reference"]),
+        ("nachos-serve", ["--engine", "reference"]),
+    ],
+    ids=["repro-engine", "serve-engine"],
+)
+def test_cli_rejects_retired_engine_flag(entry, argv, capsys):
+    """The run picks its engine, so ``--engine`` is an error on both
+    CLIs; ``nachos-repro`` must not take it as a prefix of ``--engines``."""
+    if entry == "nachos-repro":
+        from repro.experiments.cli import main
+    else:
+        from repro.serve.daemon import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine reference" in capsys.readouterr().err
 
 
 def _imported_roots(tree):
@@ -211,3 +248,7 @@ def test_perfbench_span_hooks_rebind_and_restore(monkeypatch):
         assert getattr(owner, attr) is original, (
             f"{owner.__name__}.{attr} not restored by uninstall()"
         )
+    # perfbench/run.py prints the engine the program's own rule picks.
+    from repro.sim.factory import resolve_engine_mode
+
+    assert resolve_engine_mode() == "fast"

@@ -88,7 +88,7 @@ def _run_child(script: Path, cache_dir: Path, env_extra=None):
     )
     env["NACHOS_CACHE_DIR"] = str(cache_dir)
     env["PYTHONHASHSEED"] = "0"
-    for name in ("NACHOS_CACHE", "NACHOS_CHAOS", "NACHOS_ENGINE"):
+    for name in ("NACHOS_CACHE", "NACHOS_CHAOS"):
         env.pop(name, None)
     env.update(env_extra or {})
     return subprocess.run(
@@ -101,7 +101,7 @@ def _run_child(script: Path, cache_dir: Path, env_extra=None):
 
 
 def _interrupt(script: Path, cache_dir: Path):
-    """A fast-engine run SIGKILLed at the dispatch of task 4."""
+    """A run SIGKILLed at the dispatch of task 4."""
     interrupted = _run_child(
         script, cache_dir, env_extra={"NACHOS_CHAOS": "abort@4"}
     )
@@ -132,23 +132,3 @@ def test_killed_sweep_resumes_byte_identical(tmp_path):
     # the rest are computed.
     assert 0 < _served(resumed.stdout) < TASKS
     assert _cache_hits(resumed.stdout) > 0
-
-
-def test_rerun_under_another_engine_hits_no_sim_entry(tmp_path):
-    """Sim keys carry the resolved engine mode, so a reference-engine
-    rerun of an interrupted fast run recomputes every task (compile
-    entries are engine-blind and may still hit)."""
-    script = tmp_path / "child.py"
-    script.write_text(CHILD_SCRIPT)
-
-    control = _run_child(script, tmp_path / "cache-control")
-    assert control.returncode == 0, control.stderr
-
-    _interrupt(script, tmp_path / "cache")
-    rerun = _run_child(
-        script, tmp_path / "cache", env_extra={"NACHOS_ENGINE": "reference"}
-    )
-    assert rerun.returncode == 0, rerun.stderr
-    assert _served(rerun.stdout) == 0
-    # Both engines are bit-exact, so the output still matches.
-    assert _strip_status(rerun.stdout) == _strip_status(control.stdout)

@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from repro.experiments.common import clear_memos
-from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.chaos import get_chaos, parse_chaos, set_chaos
 from repro.runtime.executor import (
     CRASH,
@@ -26,17 +25,6 @@ from repro.runtime.executor import (
 from repro.workloads.micro import build_micro
 
 INVOCATIONS = 4
-
-
-@pytest.fixture
-def no_cache():
-    """Disable the result cache so chaos-hit tasks genuinely recompute."""
-    prev = get_cache()
-    configure_cache(enabled=False)
-    clear_memos()
-    yield
-    clear_memos()
-    configure_cache(root=prev.root, enabled=prev.enabled)
 
 
 @pytest.fixture

@@ -141,8 +141,8 @@ def test_protocol_rejections():
         parse_request({"region": "gather", "systems": ["quantum"]})
     with pytest.raises(ProtocolError, match="invocations"):
         parse_request({"region": "gather", "invocations": 0})
-    with pytest.raises(ProtocolError, match="engine"):
-        parse_request({"region": "gather", "engine": "warp"})
+    with pytest.raises(ProtocolError, match="unknown request field.*engine"):
+        parse_request({"region": "gather", "engine": "fast"})
     with pytest.raises(ProtocolError, match="unknown region"):
         parse_request({"region": "does-not-exist"})
     with pytest.raises(ProtocolError, match="'wait' must be a boolean"):
@@ -183,18 +183,13 @@ def test_http_error_paths(client):
     assert health["ok"] is True
 
 
-def test_unknown_engine_is_a_400_naming_the_modes(client):
-    """The removed vector mode is rejected like any unknown engine, and
-    the error lists the modes the daemon does accept."""
-    from repro.sim.factory import ENGINE_MODES
-
-    retired = "fast-" + "vector"
+def test_engine_field_is_a_400_naming_it(client):
+    """The run picks its engine: a request naming one is rejected like
+    any unknown field, and the error names the field."""
     with pytest.raises(ServeError) as excinfo:
-        client.submit("gather", engine=retired)
+        client.submit("gather", engine="reference")
     assert excinfo.value.status == 400
-    error = excinfo.value.payload["error"]
-    assert retired in error
-    assert str(ENGINE_MODES) in error
+    assert excinfo.value.payload["error"] == "unknown request field(s): engine"
 
 
 def test_stop_hangs_up_on_open_connections():
