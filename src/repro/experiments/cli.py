@@ -25,16 +25,13 @@ Usage::
     nachos-repro trace bzip2 --system nachos --sanitize
                                        # + check ordering invariants
     nachos-repro verify --fuzz 200 --seed 0
-                                       # differential alias fuzzing over
-                                       # all five backends + sanitizer
-    nachos-repro verify --fuzz 200 --engines both
-                                       # + reference/fast engine
-                                       # equivalence cross-check
-    nachos-repro verify --fuzz 200 --oracle --coverage
-                                       # + static cross-checks: stage
-                                       # verdicts vs the stage-5 oracle,
-                                       # MDE sync coverage per region
-    nachos-repro verify --repro fuzz-repros/fuzz-0-41-nachos.json
+                                       # alias fuzzing, every check on
+                                       # every region: golden model +
+                                       # sanitizer and reference/fast
+                                       # engines per backend, stage
+                                       # verdicts vs the stage-5 oracle
+                                       # and MDE sync coverage per region
+    nachos-repro verify --repro fuzz-repros/fuzz-0-41-golden-nachos.json
                                        # rerun a shrunken failure
     nachos-repro profile fig11         # per-stage/per-region wall time,
                                        # cache telemetry, worker usage
@@ -117,8 +114,7 @@ def main(argv=None) -> int:
         return serve_main(raw[1:])
 
     # No prefix matching: a retired flag that is a prefix of a live one
-    # (the engine flag of ``--engines``) must be an error, not a silent
-    # abbreviation.
+    # must be an error, not a silent abbreviation.
     parser = argparse.ArgumentParser(
         prog="nachos-repro",
         description="Regenerate the tables and figures of the NACHOS paper (HPCA'18).",
@@ -187,12 +183,6 @@ def main(argv=None) -> int:
         help="output path for 'trace' (default trace.json)",
     )
     parser.add_argument(
-        "--coverage",
-        action="store_true",
-        help="for 'verify': prove each fuzzed region's installed MDE set "
-        "covers every oracle-required happens-before pair",
-    )
-    parser.add_argument(
         "--sanitize",
         action="store_true",
         help="for 'trace': run the ordering sanitizer over the event stream",
@@ -218,14 +208,6 @@ def main(argv=None) -> int:
         help="for 'verify': backends to fuzz (default: all five)",
     )
     parser.add_argument(
-        "--engines",
-        choices=["reference", "both"],
-        default="reference",
-        help="for 'verify': 'both' cross-checks each clean region between "
-        "the reference and fast engines (pickled SimResults must be "
-        "byte-identical)",
-    )
-    parser.add_argument(
         "--repro",
         default=None,
         metavar="PATH",
@@ -238,19 +220,13 @@ def main(argv=None) -> int:
         help="for 'verify': where shrunken failing regions are dumped",
     )
     parser.add_argument(
-        "--oracle",
-        action="store_true",
-        help="for 'verify': statically cross-check every stage-1..4 "
-        "NO/MUST verdict against the stage-5 separation-logic oracle",
-    )
-    parser.add_argument(
         "--inject-stage-fault",
         type=int,
         default=None,
         metavar="SEED",
-        help="for 'verify' with --oracle: flip one oracle-refutable MAY "
-        "verdict to NO per region at check time — a self-test that the "
-        "detection path fires end to end",
+        help="for 'verify': flip one oracle-refutable MAY verdict to NO "
+        "per region at check time — a self-test that the oracle check "
+        "fires end to end",
     )
     args = parser.parse_args(argv)
 
@@ -263,21 +239,24 @@ def main(argv=None) -> int:
         )
 
     names = args.experiments or ["list"]
-    if names and names[0] == "cache":
+    if names[0] == "cache":
         return _cache_command(names[1:])
-    if names and names[0] == "trace":
+    if names[0] == "trace":
         return _trace_command(names[1:], args)
-    if names and names[0] == "verify":
+    if names[0] == "verify":
         return _verify_command(args)
-    if names and names[0] == "profile":
-        return _profile_command(names[1:], args)
-    if names == ["list"] or names == []:
+    if names == ["list"]:
         print("Available experiments:")
         for name in EXPERIMENTS:
             print(f"  {name}")
         print("  all")
         return 0
 
+    # ``profile`` runs the same loop with rendering off, then prints the
+    # sweep profile.
+    profiling = names[0] == "profile"
+    if profiling:
+        names = names[1:] or ["all"]
     if names == ["all"]:
         names = list(EXPERIMENTS)
 
@@ -287,7 +266,7 @@ def main(argv=None) -> int:
         return 2
 
     stage_seconds = {}
-    if args.metrics:
+    if profiling or args.metrics:
         from repro.obs import enable_profiling
 
         enable_profiling()
@@ -317,6 +296,8 @@ def main(argv=None) -> int:
             )
             continue
         stage_seconds[name] = time.perf_counter() - start
+        if profiling:
+            continue
         print(render(result))
         print(f"[{name}: {stage_seconds[name]:.1f}s]")
         if args.svg_dir:
@@ -325,6 +306,8 @@ def main(argv=None) -> int:
             _write_json(name, result, args.json_dir)
         print()
 
+    if profiling:
+        _print_profile(stage_seconds)
     if args.metrics:
         _dump_metrics(args.metrics, stage_seconds)
 
@@ -460,119 +443,77 @@ def _trace_command(rest, args) -> int:
 def _verify_command(args) -> int:
     """``nachos-repro verify [--fuzz N --seed S --systems ...]``.
 
-    Differentially fuzzes all (or the named) backends against the golden
-    model and the ordering sanitizer; failures are shrunk and dumped as
-    standalone repros.  ``--repro FILE`` reruns a saved repro instead.
+    Runs every check of :data:`repro.verify.fuzz.CHECKS` on each fuzzed
+    region; failures are shrunk and dumped as standalone repros.
+    ``--repro FILE`` reruns a saved repro's check instead.
     """
-    from repro.verify import fuzz, rerun, save_failure
+    from repro.verify import CHECKS, fuzz, load_repro, rerun, save_failure
 
     if args.repro:
-        import json as _json
-
-        oracle_ok, report = rerun(Path(args.repro))
-        print(report.render())
-        if _json.loads(Path(args.repro).read_text()).get("static"):
-            print(f"static check: {'clean' if oracle_ok else 'FIRING'}")
-        else:
-            print(f"golden model: {'match' if oracle_ok else 'MISMATCH'}")
-        ok = oracle_ok and report.ok
-        print(f"repro {args.repro}: {'no longer fails' if ok else 'still failing'}")
-        return 0 if ok else 1
+        try:
+            failure = load_repro(Path(args.repro))
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        findings = rerun(Path(args.repro))
+        where = f" under {failure.system}" if failure.system else ""
+        print(f"{failure.check} check on {failure.spec.name}{where}: "
+              f"{len(findings)} finding(s)")
+        for finding in findings:
+            print(f"  {finding}")
+        print(f"repro {args.repro}: "
+              f"{'still failing' if findings else 'no longer fails'}")
+        return 1 if findings else 0
 
     from repro.verify.fuzz import BACKENDS as FUZZ_BACKENDS
 
-    if args.inject_stage_fault is not None and not args.oracle:
-        print("--inject-stage-fault requires --oracle", file=sys.stderr)
-        return 2
     systems = list(args.systems) if args.systems else sorted(FUZZ_BACKENDS)
-    engines_note = ""
-    if args.engines == "both":
-        engines_note = " [engines: reference+fast]"
-    static_note = "".join(
-        f" [{name}]"
-        for name, on in (("oracle", args.oracle), ("coverage", args.coverage))
-        if on
+    fault_note = (
+        f" [injected stage fault seed {args.inject_stage_fault}]"
+        if args.inject_stage_fault is not None else ""
     )
-    print(f"fuzzing systems: {', '.join(systems)}" + engines_note + static_note)
+    print(f"fuzzing systems: {', '.join(systems)}{fault_note}")
     start = time.perf_counter()
-    done = {"n": 0}
 
     def progress(k, n):
-        done["n"] = k
         if k and k % 50 == 0:
             print(f"  ... {k}/{n} regions")
 
     result = fuzz(
         args.fuzz, seed=args.seed, systems=systems, progress=progress,
-        engines=args.engines, oracle=args.oracle, coverage=args.coverage,
         fault_seed=args.inject_stage_fault,
     )
     elapsed = time.perf_counter() - start
-    static_summary = (
-        f" + {result.static_checks} statically cross-checked"
-        if result.static_checks
-        else ""
-    )
     print(
         f"fuzzed {result.regions} region(s) x {len(systems)} system(s) "
-        f"({result.runs} differential runs{static_summary}) in {elapsed:.1f}s "
-        f"[seed {args.seed}]"
+        f"in {elapsed:.1f}s [seed {args.seed}]"
     )
+    for name, runs in result.checks.items():
+        scope = "(region, backend)" if CHECKS[name].per_backend else "region"
+        print(f"  {name:<9} {runs:>5} run(s), one per {scope}: "
+              f"{CHECKS[name].title}")
     if result.ok:
-        checks = ["golden-model match", "sanitizer clean"]
-        if args.oracle:
-            checks.append("no stage-1..4 oracle contradiction")
-        if args.coverage:
-            checks.append("MDE sync coverage complete")
-        print("all runs clean: " + " + ".join(checks))
+        print("all checks clean")
         return 0
     repro_dir = Path(args.repro_dir)
-    for i, failure in enumerate(result.failures):
+    for failure in result.failures:
         print(failure.describe())
-        path = save_failure(
-            failure, repro_dir / f"{failure.spec.name}-{failure.system}.json"
+        stem = "-".join(
+            p for p in (failure.spec.name, failure.check, failure.system) if p
         )
+        path = save_failure(failure, repro_dir / f"{stem}.json")
         print(f"  repro written to {path} "
               f"(rerun: nachos-repro verify --repro {path})")
-    print(f"{len(result.failures)} failing (region, system) pair(s)")
+    print(f"{len(result.failures)} failure(s)")
     return 1
 
 
-def _profile_command(rest, args) -> int:
-    """``nachos-repro profile [figure ...|all]`` — wall-time and cache
-    telemetry for experiment stages, plus worker utilization when
-    ``--jobs`` fans the sweep out."""
-    from repro.obs import enable_profiling, get_profile
+def _print_profile(stage_seconds: Dict[str, float]) -> None:
+    """``nachos-repro profile``'s tables: per-stage and per-region wall
+    time, the sweep's supervisor CPU, worker usage and supervision."""
+    from repro.obs import get_profile
 
-    names = rest or ["all"]
-    if names == ["all"]:
-        names = list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-
-    profile = enable_profiling()
-    cache = get_cache()
-    stage_seconds: Dict[str, float] = {}
-    failed: Dict[str, dict] = {}
-    for name in names:
-        run, _render, takes_inv = EXPERIMENTS[name]
-        start = time.perf_counter()
-        try:
-            if takes_inv and args.invocations is not None:
-                run(invocations=args.invocations)
-            else:
-                run()
-        except SweepError as exc:
-            failed[name] = exc.outcome.as_report()
-            print(
-                f"[{name}: FAILED — "
-                f"{len(exc.outcome.failures)} task(s) failed]",
-                file=sys.stderr,
-            )
-        stage_seconds[name] = time.perf_counter() - start
-
+    profile = get_profile()
     # Every table below sorts by *name*, never by measured time or by
     # collection order: task records arrive in worker completion order
     # and wall times are noisy, so any time-keyed ordering shuffles from
@@ -582,7 +523,7 @@ def _profile_command(rest, args) -> int:
         print(f"  {name:<14} {stage_seconds[name]:8.2f}s")
     print(f"  {'total':<14} {sum(stage_seconds.values()):8.2f}s")
 
-    regions = get_profile().per_region()
+    regions = profile.per_region()
     if regions:
         heaviest = max(regions.items(), key=lambda kv: kv[1][1])
         print("\nper-region simulation time:")
@@ -605,11 +546,6 @@ def _profile_command(rest, args) -> int:
             print(f"  worker {i:<3} {busy:8.2f}s")
         print(f"  utilization: {100.0 * profile.utilization():.0f}%")
 
-    total = cache.hits + cache.misses
-    if total:
-        print(f"\ncache: {cache.hits}/{total} hits "
-              f"({100.0 * cache.hits / total:.0f}%)")
-
     counts = profile.fault_counts()
     if counts:
         print("\nsupervision:")
@@ -617,16 +553,7 @@ def _profile_command(rest, args) -> int:
             print(f"  {kind + ' faults':<18} {counts[kind]}")
         print(f"  {'retries':<18} {profile.retries}")
         print(f"  {'terminal failures':<18} {len(profile.failures)}")
-
-    if args.metrics:
-        _dump_metrics(args.metrics, stage_seconds)
-
-    if failed:
-        report_path = args.failure_report or "nachos-failure-report.json"
-        _write_failure_report(report_path, names, failed)
-        print(f"[failure report written to {report_path}]", file=sys.stderr)
-        return 3
-    return 0
+    print()
 
 
 def _cache_command(rest) -> int:

@@ -375,11 +375,25 @@ def _prepare(
     workload: Workload, system: str, invocations: int
 ) -> Tuple[list, str, str]:
     """Check *system*; return the trace and the workload and trace
-    fingerprints."""
+    fingerprints.
+
+    The trace and its fingerprint are memoized on the workload per
+    invocation count, like ``_content_fp``: a pool batch keys each cache
+    hit and then serves it, and every system of a region shares one
+    trace, so each is built and hashed once.  Valid because no consumer
+    mutates the envs.
+    """
     if system not in _KNOWN_SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    envs = workload.invocations(invocations)
-    return envs, workload_fingerprint(workload), envs_fingerprint(envs)
+    traces = getattr(workload, "_traces", None)
+    if traces is None:
+        traces = workload._traces = {}
+    trace = traces.get(invocations)
+    if trace is None:
+        envs = workload.invocations(invocations)
+        trace = traces[invocations] = (envs, envs_fingerprint(envs))
+    envs, envs_fp = trace
+    return envs, workload_fingerprint(workload), envs_fp
 
 
 def _simulate(

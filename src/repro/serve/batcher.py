@@ -8,10 +8,10 @@ PR-4 process-pool runtime (:func:`repro.runtime.executor.run_tasks_detailed`):
   to the running computation instead of queueing a duplicate — the
   speculative-allocation idea from the LSQ literature applied to
   requests: claim the slot first, compute once.
-* **Micro-batching.**  Pending tasks accumulate for ``batch_window``
+* **Micro-batching.**  Pending tasks accumulate for :data:`BATCH_WINDOW`
   seconds (and while a previous batch occupies the pool), then ship as
-  one ``run_tasks_detailed`` call — one supervised pool dispatch per
-  burst, not per request.
+  one ``run_tasks_detailed`` call of at most :data:`MAX_BATCH` tasks —
+  one supervised pool dispatch per burst, not per request.
 * **Fault story inherited.**  The pool's supervision is the service's:
   a task whose worker dies is requeued once, and any other fault fails
   it at once; a terminally failed task resolves its waiters with
@@ -31,6 +31,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.runtime.executor import SimTask, run_tasks_detailed
+
+#: Seconds pending submissions accumulate before one pool dispatch.
+BATCH_WINDOW = 0.01
+#: Most tasks one pool dispatch takes.
+MAX_BATCH = 32
 
 
 class ServeTaskError(RuntimeError):
@@ -66,15 +71,8 @@ class BatcherStats:
 class Batcher:
     """Fingerprint-deduplicating micro-batcher over the supervised pool."""
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        batch_window: float = 0.01,
-        max_batch: int = 32,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs
-        self.batch_window = max(0.0, batch_window)
-        self.max_batch = max(1, max_batch)
         self.stats = BatcherStats()
         self._inflight: Dict[str, _Entry] = {}
         self._pending: List[_Entry] = []
@@ -141,9 +139,8 @@ class Batcher:
             if self._stopping:
                 self._fail_pending("daemon stopping")
                 break
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)  # gather the burst
-            batch = self._pending[: self.max_batch]
+            await asyncio.sleep(BATCH_WINDOW)  # gather the burst
+            batch = self._pending[:MAX_BATCH]
             del self._pending[: len(batch)]
             await self._dispatch(batch)
         self._fail_pending("daemon stopped")

@@ -96,8 +96,6 @@ class NachosServeDaemon:
         port: int = 8737,
         socket_path: Optional[str] = None,
         jobs: Optional[int] = None,
-        batch_window: float = 0.01,
-        max_batch: int = 32,
         retain_results: int = 1024,
         quiet: bool = False,
     ) -> None:
@@ -105,8 +103,6 @@ class NachosServeDaemon:
         self.port = port
         self.socket_path = socket_path
         self.jobs = jobs
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.retain_results = max(1, retain_results)
         self.quiet = quiet
         self.metrics = MetricsRegistry()
@@ -131,11 +127,7 @@ class NachosServeDaemon:
 
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self.batcher = Batcher(
-            jobs=self.jobs,
-            batch_window=self.batch_window,
-            max_batch=self.max_batch,
-        )
+        self.batcher = Batcher(jobs=self.jobs)
         await self.batcher.start()
         if self.socket_path:
             self._server = await asyncio.start_unix_server(
@@ -497,15 +489,6 @@ def main(argv=None) -> int:
         help="worker-pool width per batch (default $NACHOS_JOBS or 1)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.01, metavar="SECONDS",
-        help="micro-batching window: how long submissions accumulate "
-        "before one pool dispatch (default 0.01)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=32,
-        help="max tasks per pool dispatch (default 32)",
-    )
-    parser.add_argument(
         "--retain", type=int, default=1024, metavar="N",
         help="completed request payloads kept for /result (LRU, default 1024)",
     )
@@ -522,8 +505,6 @@ def main(argv=None) -> int:
         port=args.port,
         socket_path=args.socket,
         jobs=args.jobs,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         retain_results=args.retain,
         quiet=args.quiet,
     )

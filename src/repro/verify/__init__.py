@@ -5,20 +5,23 @@ The static layer (:mod:`repro.compiler.verify`) audits the enforcement
 
 * :func:`repro.verify.sanitizer.sanitize_trace` — replay a traced run
   against the per-backend happens-before contract.
-* :func:`repro.verify.fuzz.fuzz` — generate adversarial regions and
-  differentially run every backend against ``golden_execute`` and the
-  sanitizer, shrinking failures to minimal repros.  With
-  ``oracle=True`` / ``coverage=True`` each region is additionally
-  cross-checked *statically*: every stage-1..4 NO/MUST verdict against
-  the stage-5 separation-logic oracle, and the installed MDE set
-  against the oracle's required happens-before pairs.
-* :mod:`repro.verify.reproduce` — save/load/rerun shrunken repros.
+* :func:`repro.verify.fuzz.fuzz` — generate adversarial regions and run
+  every check of :data:`repro.verify.fuzz.CHECKS` on each: every backend
+  against ``golden_execute`` and the sanitizer, the reference engine
+  against the fast one, every stage-1..4 NO/MUST verdict against the
+  stage-5 separation-logic oracle, and the installed MDE set against the
+  oracle's required happens-before pairs.  Each failure is one (check,
+  findings) record, shrunk to a minimal repro.
+* :mod:`repro.verify.reproduce` — save/load/rerun shrunken repros; a
+  rerun returns that check's findings.
 
 See ``docs/verification.md``.
 """
 
 from repro.verify.fuzz import (
     BACKENDS,
+    CHECKS,
+    Check,
     FuzzFailure,
     FuzzResult,
     MemOpSpec,
@@ -41,6 +44,8 @@ from repro.verify.sanitizer import (
 
 __all__ = [
     "BACKENDS",
+    "CHECKS",
+    "Check",
     "FuzzFailure",
     "FuzzResult",
     "MemOpSpec",

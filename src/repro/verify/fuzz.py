@@ -3,28 +3,31 @@
 Generates adversarial little regions — dense MAY graphs from symbolic
 offsets, exact/partial overlap mixes, narrow-within-wide widths,
 cache-line-straddling accesses, slow store values, late addresses — and
-runs each one under every backend, checking both oracles:
+runs every check of :data:`CHECKS` on each one.  A check maps
+``(spec, system, fault_seed)`` to a list of findings; an empty list is
+a pass.
 
-* **value**: ``golden_execute(graph, envs).matches(...)`` (program-order
-  hash-token execution), and
-* **timing**: :func:`repro.verify.sanitizer.sanitize_trace` over the
-  traced event stream.
+Per backend:
 
-and — when enabled — two *static* cross-checks that need no execution
-at all:
+* **golden**: ``golden_execute(graph, envs).matches(...)`` (program-order
+  hash-token execution) and :func:`repro.verify.sanitizer.sanitize_trace`
+  over the traced event stream;
+* **engines**: the reference and fast engines' pickled
+  :class:`~repro.sim.result.SimResult` are byte-identical.
 
-* **alias oracle** (``oracle=True``): every stage-1..4 NO/MUST verdict
-  is compared against the independent stage-5 separation-logic oracle
+Per region, statically:
+
+* **oracle**: every stage-1..4 NO/MUST verdict agrees with the
+  independent stage-5 separation-logic oracle
   (:func:`repro.compiler.aliasing.stage5.oracle_verdict`); a
-  contradiction means a compiler stage is unsound.
-* **sync coverage** (``coverage=True``): the compiled MDE set must
-  cover every happens-before pair the oracle requires
-  (:func:`repro.compiler.coverage.check_sync_coverage`).
+  contradiction means a compiler stage is unsound;
+* **coverage**: the compiled MDE set covers every happens-before pair
+  the oracle requires (:func:`repro.compiler.coverage.check_sync_coverage`).
 
-Any failure is shrunk to a locally-minimal region (greedy delta
-debugging over ops, invocations, and op attributes) and reported as a
-:class:`FuzzFailure` that :mod:`repro.verify.reproduce` can serialize
-into a standalone JSON repro.
+Each failure is shrunk to a locally-minimal region on which its check
+still has findings (greedy delta debugging over ops, invocations, and op
+attributes) and reported as a :class:`FuzzFailure` that
+:mod:`repro.verify.reproduce` can serialize into a standalone JSON repro.
 
 Everything is deterministic in the seed: region *k* of ``--seed S`` is
 ``RegionSpec`` generated from ``random.Random(S * 1_000_003 + k)``;
@@ -114,46 +117,32 @@ class RegionSpec:
 
 @dataclass
 class FuzzFailure:
-    """One backend (or static checker) disagreeing with an oracle.
+    """One check that has findings on one fuzzed region.
 
-    Dynamic failures (a backend against the golden model / sanitizer /
-    engine equivalence) have ``static_kind is None``.  Static failures
-    carry ``system="static"``, ``static_kind`` in ``{"oracle",
-    "coverage"}``, the located findings, and — for injected faults —
-    the ``fault_seed`` that reproduces the flipped verdict.
+    ``system`` names the backend for the per-backend checks (``golden``
+    and ``engines``) and is ``None`` for the per-region ones (``oracle``
+    and ``coverage``).  ``fault_seed`` is the campaign's injected stage
+    fault, which only the ``oracle`` check reads.
     """
 
     spec: RegionSpec
-    system: str
-    oracle_ok: bool
-    sanitizer: SanitizerReport
+    check: str
+    system: Optional[str]
+    findings: Tuple[str, ...]
     shrunk_from: Optional[int] = None  # op count before shrinking
-    engine_divergence: bool = False    # reference vs fast results differ
-    static_kind: Optional[str] = None    # "oracle" | "coverage"
-    static_findings: Tuple[str, ...] = ()
-    fault_seed: Optional[int] = None     # seeded stage-fault that was injected
+    fault_seed: Optional[int] = None
 
     def describe(self) -> str:
-        parts = [f"{self.system} failed on {self.spec.name} "
-                 f"({len(self.spec.ops)} mem ops, {len(self.spec.envs)} inv)"]
-        if self.static_kind == "oracle":
-            parts.append("  stage verdict contradicts the separation-logic "
-                         "oracle" + (f" [injected fault seed {self.fault_seed}]"
-                                     if self.fault_seed is not None else ""))
-        elif self.static_kind == "coverage":
-            parts.append("  compiled MDE set leaves oracle-required "
-                         "happens-before pairs uncovered")
-        for finding in self.static_findings[:5]:
+        where = f" under {self.system}" if self.system is not None else ""
+        parts = [f"{self.check} check failed on {self.spec.name}{where} "
+                 f"({len(self.spec.ops)} mem ops, {len(self.spec.envs)} inv); "
+                 f"the check wants {CHECKS[self.check].title}"]
+        if self.fault_seed is not None:
+            parts.append(f"  [injected fault seed {self.fault_seed}]")
+        for finding in self.findings[:5]:
             parts.append(f"  {finding}")
-        if self.engine_divergence:
-            parts.append("  engine divergence: the reference and fast "
-                         "engines produced different SimResults")
-        if self.static_kind is None and not self.oracle_ok:
-            parts.append("  golden-model mismatch (wrong load value or "
-                         "final memory image)")
-        if not self.sanitizer.ok:
-            for v in self.sanitizer.violations[:5]:
-                parts.append(f"  {v}")
+        if len(self.findings) > 5:
+            parts.append(f"  ... and {len(self.findings) - 5} more")
         if self.shrunk_from is not None:
             parts.append(f"  (shrunk from {self.shrunk_from} ops)")
         return "\n".join(parts)
@@ -161,11 +150,10 @@ class FuzzFailure:
 
 @dataclass
 class FuzzResult:
-    """Outcome of a fuzzing campaign."""
+    """Outcome of a fuzzing campaign: regions generated, runs per check."""
 
     regions: int = 0
-    runs: int = 0
-    static_checks: int = 0  # regions also cross-checked statically
+    checks: Dict[str, int] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -345,46 +333,6 @@ def run_spec_result(spec: RegionSpec, system: str, engine_cls) -> bytes:
     return pickle.dumps(engine.run(spec.env_dicts()))
 
 
-#: ``engines`` selections: the reference engine alone, or ``both`` —
-#: every clean pair cross-checked between the reference and fast engines.
-_ENGINE_SELECTIONS = ("reference", "both")
-
-
-def _engines_differ(spec: RegionSpec, system: str) -> bool:
-    """Do the reference and fast engines produce different SimResults?"""
-    return run_spec_result(spec, system, DataflowEngine) != run_spec_result(
-        spec, system, FastEngine
-    )
-
-
-def _modes_diverge(spec: RegionSpec, system: str) -> bool:
-    """Shrink predicate: do reference and fast disagree on *spec*?"""
-    try:
-        return _engines_differ(spec, system)
-    except Exception:
-        return False  # a repro must diverge, not crash elsewhere
-
-
-def check_spec(
-    spec: RegionSpec,
-    systems: Sequence[str],
-    engines: str = "reference",
-) -> List[FuzzFailure]:
-    failures = []
-    for system in systems:
-        oracle_ok, report = run_spec(spec, system)
-        if not oracle_ok or not report.ok:
-            failures.append(FuzzFailure(spec, system, oracle_ok, report))
-            continue
-        if engines == "both" and _engines_differ(spec, system):
-            failures.append(
-                FuzzFailure(
-                    spec, system, oracle_ok, report, engine_divergence=True
-                )
-            )
-    return failures
-
-
 # ----------------------------------------------------------------------
 # Static cross-checks: stage verdicts vs the oracle, MDE sync coverage
 # ----------------------------------------------------------------------
@@ -511,51 +459,84 @@ def coverage_gaps_spec(spec: RegionSpec) -> List[CoverageGap]:
     return list(check_sync_coverage(graph).gaps)
 
 
-def _static_oracle_fails(
-    fault_seed: Optional[int],
-) -> Callable[[RegionSpec, str], bool]:
-    """Shrink predicate factory for oracle contradictions."""
+# ----------------------------------------------------------------------
+# The checks: each maps (spec, system, fault_seed) to its findings
+# ----------------------------------------------------------------------
+def _golden_findings(
+    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+) -> List[str]:
+    """The traced reference run against the golden model and sanitizer."""
+    oracle_ok, report = run_spec(spec, system)
+    findings = [] if oracle_ok else [
+        "golden-model mismatch (wrong load value or final memory image)"
+    ]
+    return findings + [str(v) for v in report.violations]
 
-    def fails(spec: RegionSpec, system: str) -> bool:
-        try:
-            return bool(crosscheck_stages(spec, fault_seed=fault_seed))
-        except Exception:
-            return False  # a repro must contradict, not crash elsewhere
-    return fails
+
+def _engines_findings(
+    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+) -> List[str]:
+    """Reference vs fast: the pickled SimResults must be byte-identical."""
+    if run_spec_result(spec, system, DataflowEngine) == run_spec_result(
+        spec, system, FastEngine
+    ):
+        return []
+    return ["engine divergence: the reference and fast engines produced "
+            "different SimResults"]
 
 
-def _static_coverage_fails(spec: RegionSpec, system: str) -> bool:
-    """Shrink predicate: does *spec* still have a coverage gap?"""
-    try:
-        return bool(coverage_gaps_spec(spec))
-    except Exception:
-        return False
+def _oracle_findings(
+    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+) -> List[str]:
+    return [str(c) for c in crosscheck_stages(spec, fault_seed=fault_seed)]
+
+
+def _coverage_findings(
+    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+) -> List[str]:
+    return [str(g) for g in coverage_gaps_spec(spec)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One contract the campaign checks on every region.
+
+    A per-backend check runs once per (region, backend); the others run
+    once per region, with ``system=None``.
+    """
+
+    per_backend: bool
+    findings: Callable[[RegionSpec, Optional[str], Optional[int]], List[str]]
+    title: str
+
+
+#: Every check, in the order a campaign runs them on each region.
+CHECKS: Dict[str, Check] = {
+    "golden": Check(
+        True, _golden_findings,
+        "golden-model values and a clean ordering sanitizer",
+    ),
+    "engines": Check(
+        True, _engines_findings,
+        "byte-identical SimResults from the reference and fast engines",
+    ),
+    "oracle": Check(
+        False, _oracle_findings,
+        "no stage-1..4 NO/MUST verdict the stage-5 oracle refutes",
+    ),
+    "coverage": Check(
+        False, _coverage_findings,
+        "installed MDEs cover every oracle-required happens-before pair",
+    ),
+}
 
 
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
-def _still_fails(spec: RegionSpec, system: str) -> bool:
-    try:
-        oracle_ok, report = run_spec(spec, system)
-    except Exception:
-        return False  # a repro must fail the oracles, not crash elsewhere
-    return not oracle_ok or not report.ok
-
-
-def shrink(
-    spec: RegionSpec,
-    system: str,
-    fails: Optional[Callable[[RegionSpec, str], bool]] = None,
-) -> RegionSpec:
-    """Greedy delta-debugging to a locally-minimal failing region.
-
-    ``fails`` defaults to the differential check (:func:`run_spec` with
-    the golden oracle and sanitizer); tests may supply their own
-    predicate to exercise the shrink loop in isolation.
-    """
-    if fails is None:
-        fails = _still_fails
+def shrink(spec: RegionSpec, fails: Callable[[RegionSpec], bool]) -> RegionSpec:
+    """Greedy delta-debugging to a locally-minimal region on which
+    ``fails`` still holds."""
     current = spec
     changed = True
     while changed:
@@ -567,7 +548,7 @@ def shrink(
             cand = replace(
                 current, ops=current.ops[:i] + current.ops[i + 1:]
             )
-            if fails(cand, system):
+            if fails(cand):
                 current, changed = cand, True
                 break
         if changed:
@@ -575,7 +556,7 @@ def shrink(
         # Truncate invocations.
         if len(current.envs) > 1:
             cand = replace(current, envs=current.envs[:1])
-            if fails(cand, system):
+            if fails(cand):
                 current, changed = cand, True
                 continue
         # Simplify op attributes: drop slow chains, late addresses,
@@ -597,12 +578,34 @@ def shrink(
                     current,
                     ops=current.ops[:i] + (cand_op,) + current.ops[i + 1:],
                 )
-                if fails(cand, system):
+                if fails(cand):
                     current, changed = cand, True
                     break
             if changed:
                 break
     return current
+
+
+def _shrunk(failure: FuzzFailure) -> FuzzFailure:
+    """*failure* on a locally-minimal region that keeps its check's
+    findings; a candidate that crashes instead does not count."""
+    check = CHECKS[failure.check]
+
+    def fails(spec: RegionSpec) -> bool:
+        try:
+            return bool(check.findings(spec, failure.system, failure.fault_seed))
+        except Exception:
+            return False
+
+    small = shrink(failure.spec, fails)
+    return replace(
+        failure,
+        spec=small,
+        findings=tuple(
+            check.findings(small, failure.system, failure.fault_seed)
+        ),
+        shrunk_from=len(failure.spec.ops),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -613,28 +616,16 @@ def fuzz(
     seed: int = 0,
     systems: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    shrink_failures: bool = True,
     max_failures: int = 5,
-    engines: str = "reference",
-    oracle: bool = False,
-    coverage: bool = False,
     fault_seed: Optional[int] = None,
 ) -> FuzzResult:
-    """Run *count* regions through the differential harness.
+    """Run every check of :data:`CHECKS` on *count* generated regions.
 
-    ``engines="both"`` additionally cross-checks every clean
-    (spec, system) pair between the reference and fast execution
-    engines, and the pickled SimResults must be byte-identical.  A
-    divergence is reported (and shrunk) like any other failure, with
-    :attr:`FuzzFailure.engine_divergence` set.
-
-    ``oracle=True`` cross-checks every stage-1..4 NO/MUST verdict of
-    every region against the separation-logic oracle;
-    ``coverage=True`` sync-coverage-checks each region's installed MDE
-    set.  Both are static — no extra executions.  ``fault_seed``
-    (requires ``oracle``) flips one oracle-refutable MAY verdict to NO
-    per region at check time, exercising the detection path end to end;
-    regions with no refutable pair pass through unchanged.
+    The per-backend checks run under each of *systems* (default: all
+    five backends).  Each failure is shrunk.  ``fault_seed`` flips one
+    oracle-refutable MAY verdict to NO per region at check time, which
+    exercises the oracle check's detection path end to end; regions with
+    no refutable pair pass through unchanged.
     """
     systems = list(systems) if systems else sorted(BACKENDS)
     for s in systems:
@@ -642,98 +633,21 @@ def fuzz(
             raise ValueError(
                 f"unknown system {s!r}; expected one of {sorted(BACKENDS)}"
             )
-    if engines not in _ENGINE_SELECTIONS:
-        raise ValueError(
-            f"unknown engines selection {engines!r}; "
-            f"expected one of {_ENGINE_SELECTIONS}"
-        )
-    if fault_seed is not None and not oracle:
-        raise ValueError("fault_seed requires oracle=True")
-    result = FuzzResult()
-    runs_per_pair = 2 if engines == "both" else 1
+    result = FuzzResult(checks=dict.fromkeys(CHECKS, 0))
     for k in range(count):
         if progress is not None:
             progress(k, count)
         spec = generate_spec(seed, k)
         result.regions += 1
-        result.runs += len(systems) * runs_per_pair
-        if oracle or coverage:
-            result.static_checks += 1
-            static_failures: List[FuzzFailure] = []
-            if oracle:
-                contras = crosscheck_stages(spec, fault_seed=fault_seed)
-                if contras:
-                    static_failures.append(
-                        FuzzFailure(
-                            spec,
-                            "static",
-                            True,
-                            SanitizerReport(backend="static", region=spec.name),
-                            static_kind="oracle",
-                            static_findings=tuple(str(c) for c in contras),
-                            fault_seed=fault_seed,
-                        )
-                    )
-            if coverage:
-                gaps = coverage_gaps_spec(spec)
-                if gaps:
-                    static_failures.append(
-                        FuzzFailure(
-                            spec,
-                            "static",
-                            True,
-                            SanitizerReport(backend="static", region=spec.name),
-                            static_kind="coverage",
-                            static_findings=tuple(str(g) for g in gaps),
-                        )
-                    )
-            for failure in static_failures:
-                if shrink_failures:
-                    n_before = len(failure.spec.ops)
-                    if failure.static_kind == "oracle":
-                        small = shrink(
-                            failure.spec,
-                            "static",
-                            fails=_static_oracle_fails(fault_seed),
-                        )
-                        findings = tuple(
-                            str(c)
-                            for c in crosscheck_stages(small, fault_seed=fault_seed)
-                        )
-                    else:
-                        small = shrink(
-                            failure.spec, "static", fails=_static_coverage_fails
-                        )
-                        findings = tuple(str(g) for g in coverage_gaps_spec(small))
-                    failure = replace(
-                        failure,
-                        spec=small,
-                        shrunk_from=n_before,
-                        static_findings=findings,
-                    )
-                result.failures.append(failure)
+        for name, check in CHECKS.items():
+            for system in systems if check.per_backend else [None]:
+                result.checks[name] += 1
+                findings = check.findings(spec, system, fault_seed)
+                if not findings:
+                    continue
+                result.failures.append(_shrunk(FuzzFailure(
+                    spec, name, system, tuple(findings), fault_seed=fault_seed,
+                )))
                 if len(result.failures) >= max_failures:
                     return result
-        for failure in check_spec(spec, systems, engines=engines):
-            if shrink_failures and failure.engine_divergence:
-                n_before = len(failure.spec.ops)
-                small = shrink(
-                    failure.spec, failure.system, fails=_modes_diverge
-                )
-                failure = FuzzFailure(
-                    small, failure.system, failure.oracle_ok,
-                    failure.sanitizer, shrunk_from=n_before,
-                    engine_divergence=True,
-                )
-            elif shrink_failures:
-                n_before = len(failure.spec.ops)
-                small = shrink(failure.spec, failure.system)
-                oracle_ok, report = run_spec(small, failure.system)
-                failure = FuzzFailure(
-                    small, failure.system, oracle_ok, report,
-                    shrunk_from=n_before,
-                )
-            result.failures.append(failure)
-            if len(result.failures) >= max_failures:
-                return result
     return result

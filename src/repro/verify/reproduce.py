@@ -1,17 +1,13 @@
 """Standalone JSON repros for shrunken fuzz failures.
 
-A repro file is a complete, self-describing record of one failing
-(region, system) pair: the declarative :class:`~repro.verify.fuzz.RegionSpec`
-(ops, environments, object size, symbol bounds) plus the failing system
-and the violations observed when it was captured.  ``nachos-repro verify
---repro FILE`` re-materializes the region and re-runs the differential
-check, so a failure found on one machine replays exactly anywhere —
-the spec is content, not pickled state.
-
-Static failures (the oracle cross-check and the sync-coverage check)
-serialize the same way, with a ``static`` block recording which checker
-fired and — for injected stage faults — the ``fault_seed`` that
-deterministically re-flips the same verdict on replay.
+A repro file is a complete, self-describing record of one failure: the
+check that failed, the backend it ran under (``null`` for the
+per-region checks), the injected stage-fault seed (if any), the findings
+observed when it was captured, and the declarative
+:class:`~repro.verify.fuzz.RegionSpec` (ops, environments, object size,
+symbol bounds).  ``nachos-repro verify --repro FILE`` re-materializes
+the region and reruns that check, so a failure found on one machine
+replays exactly anywhere — the spec is content, not pickled state.
 """
 
 from __future__ import annotations
@@ -19,28 +15,20 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Tuple
+from typing import List
 
-from repro.verify.fuzz import (
-    FuzzFailure,
-    MemOpSpec,
-    RegionSpec,
-    coverage_gaps_spec,
-    crosscheck_stages,
-    run_spec,
-)
-from repro.verify.sanitizer import SanitizerReport
+from repro.verify.fuzz import CHECKS, FuzzFailure, MemOpSpec, RegionSpec
 
-FORMAT = "nachos-repro/fuzz-repro@1"
+FORMAT = "nachos-repro/fuzz-repro@2"
 
 
 def failure_to_dict(failure: FuzzFailure) -> dict:
-    payload = {
+    return {
         "format": FORMAT,
+        "check": failure.check,
         "system": failure.system,
-        "oracle_ok": failure.oracle_ok,
-        "engine_divergence": failure.engine_divergence,
-        "violations": [str(v) for v in failure.sanitizer.violations],
+        "fault_seed": failure.fault_seed,
+        "findings": list(failure.findings),
         "spec": {
             "name": failure.spec.name,
             "size": failure.spec.size,
@@ -53,13 +41,6 @@ def failure_to_dict(failure: FuzzFailure) -> dict:
             },
         },
     }
-    if failure.static_kind is not None:
-        payload["static"] = {
-            "kind": failure.static_kind,
-            "fault_seed": failure.fault_seed,
-            "findings": list(failure.static_findings),
-        }
-    return payload
 
 
 def save_failure(failure: FuzzFailure, path: Path) -> Path:
@@ -69,13 +50,17 @@ def save_failure(failure: FuzzFailure, path: Path) -> Path:
     return path
 
 
-def load_repro(path: Path) -> Tuple[RegionSpec, str]:
-    """Read a repro file back into a (spec, system) pair."""
+def load_repro(path: Path) -> FuzzFailure:
+    """Read a repro file back into the :class:`FuzzFailure` it saved."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != FORMAT:
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != FORMAT:
         raise ValueError(
-            f"{path}: not a fuzz repro (format={payload.get('format')!r})"
+            f"{path}: repro format {fmt!r} is not {FORMAT!r}; "
+            "capture the failure again with 'nachos-repro verify'"
         )
+    if payload["check"] not in CHECKS:
+        raise ValueError(f"{path}: unknown check {payload['check']!r}")
     raw = payload["spec"]
     spec = RegionSpec(
         name=raw["name"],
@@ -91,32 +76,19 @@ def load_repro(path: Path) -> Tuple[RegionSpec, str]:
             )
         ),
     )
-    return spec, payload["system"]
+    return FuzzFailure(
+        spec=spec,
+        check=payload["check"],
+        system=payload["system"],
+        findings=tuple(payload["findings"]),
+        fault_seed=payload["fault_seed"],
+    )
 
 
-def rerun(path: Path) -> Tuple[bool, SanitizerReport]:
-    """Re-execute a saved repro; returns (oracle_ok, sanitizer_report).
-
-    A repro saved from an engine-divergence failure re-checks
-    reference-vs-fast equivalence as well — it "still fails" until the
-    modes agree again, folded into the returned ok flag.  A *static*
-    repro re-runs its checker (re-injecting the recorded fault seed, if
-    any) instead of executing: ok means the checker no longer fires.
-    """
-    spec, system = load_repro(path)
-    payload = json.loads(Path(path).read_text())
-    static = payload.get("static")
-    if static is not None:
-        if static["kind"] == "oracle":
-            findings = crosscheck_stages(spec, fault_seed=static["fault_seed"])
-        else:
-            findings = coverage_gaps_spec(spec)
-        report = SanitizerReport(backend="static", region=spec.name)
-        report.violations.extend(str(f) for f in findings)
-        return not findings, report
-    oracle_ok, report = run_spec(spec, system)
-    if payload.get("engine_divergence"):
-        from repro.verify.fuzz import _modes_diverge
-
-        oracle_ok = oracle_ok and not _modes_diverge(spec, system)
-    return oracle_ok, report
+def rerun(path: Path) -> List[str]:
+    """Rerun a saved repro's check; its findings now.  An empty list
+    means the repro no longer fails."""
+    failure = load_repro(path)
+    return CHECKS[failure.check].findings(
+        failure.spec, failure.system, failure.fault_seed
+    )

@@ -22,7 +22,7 @@ corpora:
 
 Plus the seams: the rule by which the run picks its engine (fast,
 except for an enabled tracer or link contention), and the fuzzer's
-``engines="both"`` cross-check wiring.
+``engines`` check, which every campaign runs on each (region, backend).
 """
 
 from __future__ import annotations
@@ -100,15 +100,11 @@ def test_fuzz_corpus_equivalence(chunk):
 
 
 def test_fuzz_engines_both_wiring():
-    """``fuzz(engines='both')`` doubles the run count and stays clean."""
-    result = fuzz(5, seed=3, engines="both", shrink_failures=False)
+    """Every campaign runs the ``engines`` check once per (region,
+    backend) and stays clean."""
+    result = fuzz(5, seed=3)
     assert result.ok, [f.describe() for f in result.failures]
-    assert result.runs == 5 * len(BACKENDS) * 2
-
-
-def test_fuzz_engines_rejects_unknown():
-    with pytest.raises(ValueError, match="engines"):
-        fuzz(1, engines="fast")
+    assert result.checks["engines"] == 5 * len(BACKENDS)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ def test_gitignore_covers_generated_artifacts():
 #: pool requeues only a dead worker's task, once.  Then the per-system
 #: graph clones: every system simulates ``workload.graph`` and hands its
 #: engine the MDE tuple its backend enforces.  Then the engine-mode knob:
-#: the run picks its engine (``repro.sim.factory.make_engine``).
+#: the run picks its engine (``repro.sim.factory.make_engine``).  Then the
+#: fuzzer's check selection: every campaign runs every check.
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -105,13 +106,18 @@ RETIRED_PERF_NAMES = (
     "NACHOS_ENGINE",
     "EngineModeFallback",
     "ENGINE_MODES",
+    "engine_divergence",
+    "static_kind",
+    "_ENGINE_SELECTIONS",
 )
 
-#: The retired engine flag and config field, matched so that
-#: ``--engines`` (the fuzzer's cross-check selection) and
-#: ``EngineConfig(model_link_contention=...)`` do not trip them.
+#: The retired engine flags, the fuzzer's check-selection flags and the
+#: engine config field, matched as whole words so that
+#: ``EngineConfig(model_link_contention=...)`` does not trip them.
 RETIRED_PERF_PATTERNS = (
-    re.compile(r"--engine(?!s)"),
+    re.compile(r"--engines?\b"),
+    re.compile(r"--oracle\b"),
+    re.compile(r"--coverage\b"),
     re.compile(r"EngineConfig\(mode\b"),
 )
 
@@ -185,12 +191,22 @@ def test_cli_rejects_retired_retry_flags(entry, argv, capsys):
     [
         ("nachos-repro", ["fig11", "--engine", "reference"]),
         ("nachos-serve", ["--engine", "reference"]),
+        ("nachos-repro", ["verify", "--engines", "both"]),
+        ("nachos-repro", ["verify", "--oracle"]),
+        ("nachos-repro", ["verify", "--coverage"]),
+        ("nachos-serve", ["--batch-window", "0"]),
+        ("nachos-serve", ["--max-batch", "1"]),
     ],
-    ids=["repro-engine", "serve-engine"],
+    ids=[
+        "repro-engine", "serve-engine", "repro-engines", "repro-oracle",
+        "repro-coverage", "serve-batch-window", "serve-max-batch",
+    ],
 )
 def test_cli_rejects_retired_engine_flag(entry, argv, capsys):
-    """The run picks its engine, so ``--engine`` is an error on both
-    CLIs; ``nachos-repro`` must not take it as a prefix of ``--engines``."""
+    """Knobs with one value in use are gone, and argparse rejects them
+    before anything runs: the run picks its engine, every ``verify``
+    campaign runs every check, and the serve batcher's window and batch
+    cap are constants."""
     if entry == "nachos-repro":
         from repro.experiments.cli import main
     else:
@@ -199,7 +215,8 @@ def test_cli_rejects_retired_engine_flag(entry, argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --engine reference" in capsys.readouterr().err
+    flags = " ".join(a for a in argv if a not in ("fig11", "verify"))
+    assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
 
 def _imported_roots(tree):

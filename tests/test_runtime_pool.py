@@ -324,6 +324,46 @@ def test_all_hit_sweep_forks_nothing(fresh_store, monkeypatch, profiled):
     assert [s.forked for s in profiled.sweeps] == [0, 0]
 
 
+def test_pool_batch_builds_each_trace_once(fresh_store, monkeypatch, tmp_path):
+    """A pool batch keys each task (to tell hits from misses) and then
+    serves or computes it; the region's trace is built once per
+    (workload, invocations) across all of that, in every process."""
+    from repro.workloads.generator import Workload
+
+    log = tmp_path / "calls"
+    real = Workload.invocations
+
+    def spy(workload, n):
+        with open(log, "a") as fh:
+            fh.write(f"{workload.name} {n}\n")
+        return real(workload, n)
+
+    monkeypatch.setattr(Workload, "invocations", spy)
+    workloads = [build_micro(name) for name in MICROS]
+    sweep_comparisons(workloads, invocations=4, jobs=2)  # misses, forked
+    clear_memos()
+    sweep_comparisons(workloads, invocations=4, jobs=2)  # hits, in place
+    assert sorted(log.read_text().splitlines()) == sorted(
+        f"{w.name} 4" for w in workloads
+    )
+
+
+def test_systems_leave_the_shared_trace_untouched(fresh_store):
+    """Every system (and a traced run) reads the one memoized trace of a
+    region, so none may mutate it."""
+    from repro.obs import traced_run
+    from repro.runtime.fingerprint import envs_fingerprint
+
+    workload = build_micro("gather")
+    envs, _wfp, envs_fp = common._prepare(workload, "nachos", 4)
+    for system in sorted(common._KNOWN_SYSTEMS):
+        common.run_system(workload, system, invocations=4)
+    traced_run(workload, "nachos", invocations=4)
+    assert common._prepare(workload, "opt-lsq", 4)[0] is envs
+    assert envs_fingerprint(envs) == envs_fp
+    assert envs_fingerprint(workload.invocations(4)) == envs_fp
+
+
 def test_worker_killed_mid_unit_charges_its_current_task_only(
     fresh_store, monkeypatch, profiled
 ):

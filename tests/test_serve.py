@@ -28,7 +28,7 @@ from repro.serve import (
 @pytest.fixture
 def daemon():
     """One live daemon on an ephemeral port; stopped at teardown."""
-    d = NachosServeDaemon(port=0, quiet=True, batch_window=0.005)
+    d = NachosServeDaemon(port=0, quiet=True)
     thread = d.serve_in_thread()
     try:
         yield d
@@ -212,7 +212,7 @@ def test_stop_hangs_up_on_open_connections():
 def test_unix_socket_roundtrip():
     sock_dir = tempfile.mkdtemp(prefix="nachos-sock-")  # short AF_UNIX path
     sock = str(Path(sock_dir) / "serve.sock")
-    d = NachosServeDaemon(socket_path=sock, quiet=True, batch_window=0.0)
+    d = NachosServeDaemon(socket_path=sock, quiet=True)
     thread = d.serve_in_thread()
     try:
         client = ServeClient(socket_path=sock)

@@ -208,6 +208,41 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --peers" in capsys.readouterr().err
 
+    def test_profile_runs_the_experiment_loop_without_rendering(self, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["profile", "fig14"]) == 0
+        out = capsys.readouterr().out
+        assert "per-stage wall time:" in out and "fig14" in out
+        assert "Figure 14" not in out
+
+    @pytest.mark.parametrize("command", [[], ["profile"]])
+    def test_failed_sweep_degrades_in_one_loop(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """``profile`` and a plain run share the experiment loop: a sweep
+        failure is recorded, the next experiment still runs, and the
+        failure report is written."""
+        from repro.experiments import cli
+        from repro.runtime.executor import SweepError, SweepOutcome, TaskFailure
+
+        def fail():
+            raise SweepError(SweepOutcome(
+                results=[None],
+                failures=[TaskFailure(0, "r", "nachos", "error", 1, "boom")],
+            ))
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig14", (fail, None, False))
+        report = tmp_path / "failures.json"
+        rc = cli.main(command + [
+            "fig14", "table2", "--failure-report", str(report),
+        ])
+        assert rc == 3
+        assert "fig14: FAILED" in capsys.readouterr().err
+        payload = json.loads(report.read_text())
+        assert payload["completed"] == ["table2"]
+        assert payload["failed"]["fig14"]["failures"][0]["message"] == "boom"
+
     def test_svg_and_json_output(self, tmp_path, capsys):
         from repro.experiments.cli import main
 

@@ -1,13 +1,19 @@
 """The differential alias fuzzer: deterministic generation, valid
 graphs, clean campaigns on honest backends, shrinking, and the
-save/load/rerun repro round-trip."""
+save/load/rerun repro round-trip of every check."""
 
 from __future__ import annotations
+
+import importlib
+import json
+import re
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.cli import main
 from repro.verify import (
+    CHECKS,
     build_graph,
     fuzz,
     generate_spec,
@@ -18,6 +24,10 @@ from repro.verify import (
     shrink,
 )
 from repro.verify.fuzz import BACKENDS, FuzzFailure, MemOpSpec, RegionSpec
+
+#: The module itself: ``repro.verify.fuzz`` as an attribute is the
+#: campaign function the package re-exports.
+fuzz_module = importlib.import_module("repro.verify.fuzz")
 
 
 def test_generate_spec_is_deterministic():
@@ -47,17 +57,24 @@ def test_run_spec_clean_on_honest_backend(system):
 
 
 def test_small_campaign_is_clean():
+    """Every check runs on every region: the per-backend ones under each
+    of the five backends, the per-region ones once."""
     result = fuzz(count=10, seed=0)
-    assert not result.failures
+    assert result.ok, [f.describe() for f in result.failures]
     assert result.regions == 10
-    assert result.runs == 10 * len(BACKENDS)
+    assert result.checks == {
+        "golden": 10 * len(BACKENDS),
+        "engines": 10 * len(BACKENDS),
+        "oracle": 10,
+        "coverage": 10,
+    }
 
 
 def test_shrink_preserves_failure():
     """Shrinking a failing spec keeps it failing and never grows it."""
     base = generate_spec(seed=0, index=0)
 
-    def fails(spec, system):
+    def fails(spec):
         # Synthetic predicate: "fails" iff it still has a store to
         # offset of the first op.  Exercises the shrink loop without
         # needing a live simulator bug.
@@ -65,7 +82,7 @@ def test_shrink_preserves_failure():
             op.is_store and op.offset == base.ops[0].offset for op in spec.ops
         )
 
-    if not fails(base, "nachos"):
+    if not fails(base):
         base = RegionSpec(
             name=base.name,
             ops=(MemOpSpec(is_store=True, offset=base.ops[0].offset, width=8),)
@@ -73,25 +90,21 @@ def test_shrink_preserves_failure():
             envs=base.envs,
             size=base.size,
         )
-    small = shrink(base, "nachos", fails)
-    assert fails(small, "nachos")
+    small = shrink(base, fails)
+    assert fails(small)
     assert len(small.ops) <= len(base.ops)
     assert len(small.envs) <= len(base.envs)
 
 
 def test_repro_round_trip(tmp_path):
     spec = generate_spec(seed=0, index=1)
-    oracle_ok, report = run_spec(spec, "nachos")
+    findings = CHECKS["golden"].findings(spec, "nachos", None)
     failure = FuzzFailure(
-        spec=spec, system="nachos", oracle_ok=oracle_ok, sanitizer=report
+        spec=spec, check="golden", system="nachos", findings=tuple(findings)
     )
     path = save_failure(failure, tmp_path / "repro.json")
-    loaded_spec, system = load_repro(path)
-    assert loaded_spec == spec
-    assert system == "nachos"
-    ok2, report2 = rerun(path)
-    assert ok2 == oracle_ok
-    assert report2.ok == report.ok
+    assert load_repro(path) == failure
+    assert rerun(path) == findings == []
 
 
 def test_load_repro_rejects_other_json(tmp_path):
@@ -101,25 +114,32 @@ def test_load_repro_rejects_other_json(tmp_path):
         load_repro(path)
 
 
+def test_load_repro_rejects_the_first_format(tmp_path):
+    """A ``@1`` repro (one golden/engines/static record per failure) is
+    refused by name: its fields do not map onto a (check, findings)
+    record."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "format": "nachos-repro/fuzz-repro@1", "system": "nachos",
+        "oracle_ok": False, "violations": [], "spec": {},
+    }))
+    with pytest.raises(ValueError, match="nachos-repro/fuzz-repro@1"):
+        load_repro(path)
+
+
 def test_cli_verify_smoke(capsys):
     rc = main(["verify", "--fuzz", "5", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "clean" in out.lower()
+    assert "all checks clean" in out
+    for name in CHECKS:
+        assert f"  {name} " in out
 
 
 def test_cli_verify_subset_of_systems(capsys):
     rc = main(["verify", "--fuzz", "3", "--seed", "1", "--systems", "nachos"])
     assert rc == 0
     assert "nachos" in capsys.readouterr().out
-
-
-def test_cli_coverage_flag_before_subcommand(capsys):
-    """``--coverage`` is a bare flag: placed before ``verify`` it must not
-    swallow the subcommand as a value."""
-    rc = main(["--coverage", "verify", "--fuzz", "2", "--seed", "0"])
-    assert rc == 0
-    assert "MDE sync coverage complete" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -130,28 +150,22 @@ class TestStaticCrossChecks:
         """The acceptance campaign: every stage-1..4 NO/MUST verdict of
         200 fixed-seed regions agrees with the separation-logic oracle,
         and every compiled MDE set covers the oracle's required pairs."""
-        from repro.verify import fuzz as fuzz_fn
-
-        result = fuzz_fn(
-            200, seed=0, systems=["serial-mem"], oracle=True, coverage=True
-        )
-        assert result.static_checks == 200
+        result = fuzz(200, seed=0, systems=["serial-mem"])
+        assert result.checks["oracle"] == result.checks["coverage"] == 200
         assert result.ok, [f.describe() for f in result.failures]
 
     def test_fault_injection_is_caught_shrunk_and_recheckable(self, tmp_path):
         from repro.verify import crosscheck_stages
-        from repro.verify import fuzz as fuzz_fn
 
-        result = fuzz_fn(
-            20, seed=7, systems=["serial-mem"], oracle=True,
-            fault_seed=3, max_failures=1,
+        result = fuzz(
+            20, seed=7, systems=["serial-mem"], fault_seed=3, max_failures=1,
         )
         assert result.failures, "an eligible region must trip the fault"
         failure = result.failures[0]
-        assert failure.system == "static"
-        assert failure.static_kind == "oracle"
+        assert failure.check == "oracle"
+        assert failure.system is None
         assert failure.fault_seed == 3
-        assert failure.static_findings  # located finding survives the shrink
+        assert failure.findings  # located finding survives the shrink
         assert "oracle" in failure.describe()
         assert failure.shrunk_from is not None
         assert len(failure.spec.ops) <= failure.shrunk_from
@@ -159,24 +173,17 @@ class TestStaticCrossChecks:
 
         # The standalone JSON repro re-checks: still failing with the
         # recorded fault seed, clean without it.
-        path = save_failure(failure, tmp_path / "static-repro.json")
-        still_ok, report = rerun(path)
-        assert not still_ok
-        assert not report.ok and report.backend == "static"
+        path = save_failure(failure, tmp_path / "oracle-repro.json")
+        assert load_repro(path) == replace(failure, shrunk_from=None)
+        assert rerun(path) == list(failure.findings)
         assert crosscheck_stages(failure.spec) == []
 
     def test_coverage_only_campaign(self):
-        from repro.verify import fuzz as fuzz_fn
-
-        result = fuzz_fn(25, seed=3, systems=["serial-mem"], coverage=True)
-        assert result.static_checks == 25
-        assert result.ok
-
-    def test_fault_seed_requires_oracle(self):
-        from repro.verify import fuzz as fuzz_fn
-
-        with pytest.raises(ValueError):
-            fuzz_fn(1, systems=["serial-mem"], fault_seed=1)
+        """A campaign over one backend still runs the coverage check once
+        per region."""
+        result = fuzz(25, seed=3, systems=["serial-mem"])
+        assert result.checks["coverage"] == 25
+        assert result.ok, [f.describe() for f in result.failures]
 
     def test_sym_bounds_contain_every_env_value(self):
         # The invariant the static checkers lean on: a declared bound
@@ -193,33 +200,100 @@ class TestStaticCrossChecks:
 
 class TestStaticCLI:
     def test_cli_oracle_coverage_clean(self, capsys):
-        rc = main([
-            "verify", "--fuzz", "10", "--systems", "serial-mem",
-            "--oracle", "--coverage",
-        ])
+        """A plain campaign runs the static checks too, once per region."""
+        rc = main(["verify", "--fuzz", "10", "--systems", "serial-mem"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "statically cross-checked" in out
-        assert "oracle contradiction" in out
-        assert "sync coverage" in out
+        for name in ("oracle", "coverage"):
+            assert re.search(rf"{name} +10 run\(s\), one per region:", out)
+        assert "all checks clean" in out
 
     def test_cli_fault_injection_writes_repro(self, tmp_path, capsys):
         rc = main([
             "verify", "--fuzz", "5", "--seed", "7", "--systems", "serial-mem",
-            "--oracle", "--inject-stage-fault", "3",
-            "--repro-dir", str(tmp_path),
+            "--inject-stage-fault", "3", "--repro-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert rc == 1
         assert "injected fault seed 3" in out
-        repros = list(tmp_path.glob("*.json"))
+        repros = sorted(tmp_path.glob("*-oracle.json"))
         assert repros
-        still_ok, report = rerun(repros[0])
-        assert not still_ok and not report.ok
+        assert rerun(repros[0])
 
-    def test_cli_fault_without_oracle_is_an_error(self, capsys):
-        rc = main([
-            "verify", "--fuzz", "1", "--systems", "serial-mem",
-            "--inject-stage-fault", "3",
-        ])
-        assert rc == 2
+        rc = main(["verify", "--repro", str(repros[0])])
+        assert rc == 1
+        assert "still failing" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One repro per check: caught by a campaign, saved, loaded, and still
+# failing on rerun while the fault stays in
+# ----------------------------------------------------------------------
+def _round_trip(result, check, tmp_path):
+    failure = next(f for f in result.failures if f.check == check)
+    assert failure.findings
+    assert failure.shrunk_from is not None
+    path = save_failure(failure, tmp_path / f"{check}.json")
+    loaded = load_repro(path)
+    assert loaded == replace(failure, shrunk_from=None)
+    assert rerun(path) == list(failure.findings)
+    return failure
+
+
+def test_oracle_repro_round_trips(tmp_path):
+    """The injected stage fault is the oracle check's bug; the repro
+    carries its seed, so the rerun re-injects it."""
+    result = fuzz(20, seed=7, systems=["serial-mem"], fault_seed=3,
+                  max_failures=1)
+    failure = _round_trip(result, "oracle", tmp_path)
+    assert failure.system is None and failure.fault_seed == 3
+
+
+def test_coverage_repro_round_trips(monkeypatch, tmp_path):
+    """Mask one installed MAY edge, as an MDE-insertion bug would."""
+    from repro.compiler.mde import MDEKind
+
+    check_sync_coverage = fuzz_module.check_sync_coverage
+
+    def drop_first_may(graph):
+        may = [(e.src, e.dst) for e in graph.mdes if e.kind is MDEKind.MAY]
+        return check_sync_coverage(graph, dropped_mdes=set(may[:1]))
+
+    monkeypatch.setattr(fuzz_module, "check_sync_coverage", drop_first_may)
+    result = fuzz(30, seed=0, systems=["opt-lsq"], max_failures=1)
+    failure = _round_trip(result, "coverage", tmp_path)
+    assert failure.system is None
+    assert "uncovered" in failure.findings[0]
+    monkeypatch.undo()
+    assert rerun(tmp_path / "coverage.json") == []
+
+
+def test_golden_repro_round_trips(monkeypatch, tmp_path):
+    """A NACHOS comparator that reports every ==? check as
+    non-conflicting, as the sanitizer's mutation tests use."""
+    from tests.test_verify_sanitizer import LiarComparator
+
+    monkeypatch.setitem(fuzz_module.BACKENDS, "nachos", LiarComparator)
+    result = fuzz(30, seed=0, systems=["nachos"], max_failures=1)
+    failure = _round_trip(result, "golden", tmp_path)
+    assert failure.system == "nachos"
+    monkeypatch.undo()
+    assert rerun(tmp_path / "golden.json") == []
+
+
+def test_engines_repro_round_trips(monkeypatch, tmp_path):
+    """A fast engine that charges one cycle too many."""
+
+    class OffByOne(fuzz_module.FastEngine):
+        def run(self, envs):
+            result = super().run(envs)
+            result.cycles += 1
+            return result
+
+    monkeypatch.setattr(fuzz_module, "FastEngine", OffByOne)
+    result = fuzz(3, seed=0, systems=["opt-lsq"], max_failures=1)
+    failure = _round_trip(result, "engines", tmp_path)
+    assert failure.system == "opt-lsq"
+    assert len(failure.spec.ops) == 2  # any region diverges: shrunk to a pair
+    monkeypatch.undo()
+    assert rerun(tmp_path / "engines.json") == []
