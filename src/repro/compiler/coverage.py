@@ -27,13 +27,13 @@ hand-dropped MDE and assert both surface here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.compiler.aliasing.stage5 import OracleVerdict, oracle_verdict
 from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
 from repro.compiler.labels import AliasLabel, PairKind, pair_kind
 from repro.compiler.verify import guaranteed_reachability
-from repro.ir.graph import DFGraph
+from repro.ir.graph import DFGraph, MemoryDependencyEdge
 
 
 @dataclass(frozen=True)
@@ -117,32 +117,21 @@ def required_pairs(
 
 def check_sync_coverage(
     graph: DFGraph,
+    mdes: Optional[Iterable[MemoryDependencyEdge]] = None,
     use_tbaa: bool = True,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-    dropped_mdes: Optional[Set[Tuple[int, int]]] = None,
 ) -> CoverageReport:
-    """Prove the installed MDE set covers every oracle-required pair.
+    """Prove the MDE set *mdes* covers every oracle-required pair of
+    *graph*.
 
-    ``dropped_mdes`` (a set of ``(src, dst)``) simulates lost edges
-    without mutating the graph — the fault-injection hook the mutation
-    and fuzzer tests use.
+    ``mdes`` is the edge tuple a backend enforces (``None``: the graph's
+    own MDEs).  A lost edge is simply a tuple without it, which is how
+    the mutation and fuzzer tests inject one.
     """
-    dropped = dropped_mdes or set()
+    edges = graph.mdes if mdes is None else tuple(mdes)
     report = CoverageReport(region=graph.name)
-
-    if dropped:
-        # Rebuild reachability with the dropped edges masked out.
-        masked = graph.clone()
-        masked.replace_mdes(
-            e for e in graph.mdes if (e.src, e.dst) not in dropped
-        )
-        reach = guaranteed_reachability(masked)
-    else:
-        reach = guaranteed_reachability(graph)
-
-    own_edge: Set[Tuple[int, int]] = {
-        (e.src, e.dst) for e in graph.mdes if (e.src, e.dst) not in dropped
-    }
+    reach = guaranteed_reachability(graph, edges)
+    own_edge: Set[Tuple[int, int]] = {(e.src, e.dst) for e in edges}
 
     for older, younger, kind, verdict in required_pairs(
         graph, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit

@@ -18,11 +18,11 @@ can be audited with the same function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.compiler.labels import AliasLabel, AliasMatrix
 from repro.compiler.ordering import edge_guarantees_order
-from repro.ir.graph import DFGraph, MDEKind
+from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,12 @@ class OrderingViolation:
         )
 
 
-def guaranteed_reachability(graph: DFGraph) -> Dict[int, Set[int]]:
+def guaranteed_reachability(
+    graph: DFGraph, mdes: Optional[Iterable[MemoryDependencyEdge]] = None
+) -> Dict[int, Set[int]]:
     """Reachability over data edges + ordering-guaranteeing MDEs only.
+
+    ``mdes`` is the edge set to follow (``None``: the graph's own MDEs).
 
     Which installed edge kinds guarantee ordering is decided by
     :func:`repro.compiler.ordering.edge_guarantees_order` (ORDER edges
@@ -59,7 +63,7 @@ def guaranteed_reachability(graph: DFGraph) -> Dict[int, Set[int]]:
     for op in graph.ops:
         for src in op.inputs:
             succ[src].add(op.op_id)
-    for edge in graph.mdes:
+    for edge in graph.mdes if mdes is None else mdes:
         if edge_guarantees_order(edge.kind):
             succ[edge.src].add(edge.dst)
     reach: Dict[int, Set[int]] = {op.op_id: set() for op in graph.ops}

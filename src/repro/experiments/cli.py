@@ -447,7 +447,8 @@ def _verify_command(args) -> int:
     region; failures are shrunk and dumped as standalone repros.
     ``--repro FILE`` reruns a saved repro's check instead.
     """
-    from repro.verify import CHECKS, fuzz, load_repro, rerun, save_failure
+    from repro.verify import CHECKS, SYSTEMS, load_repro, rerun, save_failure
+    from repro.verify.fuzz import fuzz
 
     if args.repro:
         try:
@@ -465,9 +466,12 @@ def _verify_command(args) -> int:
               f"{'still failing' if findings else 'no longer fails'}")
         return 1 if findings else 0
 
-    from repro.verify.fuzz import BACKENDS as FUZZ_BACKENDS
-
-    systems = list(args.systems) if args.systems else sorted(FUZZ_BACKENDS)
+    systems = list(args.systems) if args.systems else list(SYSTEMS)
+    unknown = [s for s in systems if s not in SYSTEMS]
+    if unknown:
+        print(f"unknown system(s) {', '.join(unknown)}; "
+              f"expected any of {', '.join(SYSTEMS)}", file=sys.stderr)
+        return 2
     fault_note = (
         f" [injected stage fault seed {args.inject_stage_fault}]"
         if args.inject_stage_fault is not None else ""

@@ -411,46 +411,85 @@ def _simulate(
     tracer=None,
     recorder=None,
 ) -> Tuple[SimResult, bool, Tuple[MemoryDependencyEdge, ...], Placement]:
-    """Compile (as *system* requires), place, stream, simulate and
-    golden-check ``workload.graph`` under *system*; return the result, its correctness, the enforced MDEs and
-    the placement.  An enabled *tracer* gets the reference engine
-    (:func:`make_engine`).
+    """Simulate and golden-check ``workload.graph`` under *system*; return
+    the result, its correctness, the enforced MDEs and the placement.
+
+    The set-up comes from the workload-keyed memos and caches: the MDEs
+    (compiled as *system* requires) and the placement, and, per trace,
+    the address stream and the golden result that every system over
+    this workload shares.  :func:`simulate_region` runs it.
     """
     graph = workload.graph
     mdes = _system_mdes(workload, wfp, system, envs, envs_fp, cache)
     placement = _placement(wfp, graph, cgra_config)
+
+    # Evaluate every memory op's address once per invocation: the warm
+    # loop and the engine consume the same stream, and every system over
+    # this workload and trace reuses it.
+    stream_key = (wfp, envs_fp)
+    addr_streams = _addr_memo.get(stream_key)
+    if addr_streams is None:
+        mem_ops = graph.memory_ops
+        addr_streams = [
+            {op.op_id: (op.addr.evaluate(env), op.addr.width) for op in mem_ops}
+            for env in envs
+        ]
+        _addr_memo[stream_key] = addr_streams
+    golden = _golden_memo.get(stream_key)
+    if golden is None:
+        golden = golden_execute(graph, envs)
+        _golden_memo[stream_key] = golden
+
+    sim, correct = simulate_region(
+        graph, envs, system, mdes, placement, golden,
+        addr_streams=addr_streams, warm=warm, region_name=workload.name,
+        hierarchy_config=hierarchy_config, lsq_config=lsq_config,
+        engine_config=engine_config, tracer=tracer, recorder=recorder,
+    )
+    return sim, correct, mdes, placement
+
+
+def simulate_region(
+    graph: DFGraph,
+    envs,
+    system: str,
+    mdes: Tuple[MemoryDependencyEdge, ...],
+    placement: Placement,
+    golden: GoldenResult,
+    *,
+    addr_streams: Optional[list] = None,
+    warm: bool = False,
+    region_name: Optional[str] = None,
+    hierarchy_config: Optional[HierarchyConfig] = None,
+    lsq_config: Optional[LSQConfig] = None,
+    engine_config: Optional[EngineConfig] = None,
+    tracer=None,
+    recorder=None,
+) -> Tuple[SimResult, bool]:
+    """Run *graph* over *envs* under *system*, whose backend enforces
+    *mdes*, and check it against *golden*; return the result and its
+    correctness.
+
+    The one simulation core: the sweep (:func:`_simulate`), traced runs
+    and the fuzzer's checks each bring a set-up and run it here, and no
+    memo or cache is read or written.  ``warm`` pre-touches the working
+    set (*addr_streams*, which it then needs) in the shared L2 first.
+    An enabled *tracer* gets the reference engine (:func:`make_engine`).
+    """
     hierarchy = MemoryHierarchy(hierarchy_config)
     backend = _backend_for(system, lsq_config)
     engine = make_engine(
         graph, placement, hierarchy, backend, config=engine_config,
         recorder=recorder, tracer=tracer, mdes=mdes,
     )
-
-    # Evaluate every memory op's address once per invocation: the warm
-    # loop and the engine consume the same stream, and every system over
-    # this workload and trace reuses it.
-    mem_ops = graph.memory_ops
-    stream_key = (wfp, envs_fp)
-    addr_streams = _addr_memo.get(stream_key)
-    if addr_streams is None:
-        addr_streams = [
-            {op.op_id: (op.addr.evaluate(env), op.addr.width) for op in mem_ops}
-            for env in envs
-        ]
-        _addr_memo[stream_key] = addr_streams
     if warm:
+        mem_ops = graph.memory_ops
         for amap in addr_streams:
             for op in mem_ops:
                 hierarchy.l2.access(amap[op.op_id][0], is_write=op.is_store)
         hierarchy.l2.stats.reset()
-    sim = engine.run(envs, region_name=workload.name, addr_streams=addr_streams)
-
-    golden = _golden_memo.get(stream_key)
-    if golden is None:
-        golden = golden_execute(graph, envs)
-        _golden_memo[stream_key] = golden
-    correct = golden.matches(sim.load_values, sim.memory_image)
-    return sim, correct, mdes, placement
+    sim = engine.run(envs, region_name=region_name, addr_streams=addr_streams)
+    return sim, golden.matches(sim.load_values, sim.memory_image)
 
 
 def compare_systems(

@@ -3,25 +3,34 @@
 Generates adversarial little regions — dense MAY graphs from symbolic
 offsets, exact/partial overlap mixes, narrow-within-wide widths,
 cache-line-straddling accesses, slow store values, late addresses — and
-runs every check of :data:`CHECKS` on each one.  A check maps
-``(spec, system, fault_seed)`` to a list of findings; an empty list is
-a pass.
+runs every check of :data:`CHECKS` on each one.
+
+Each region is set up once, the way the sweep sets up a workload
+(:func:`build_setup`): one graph with no MDEs installed, one placement,
+one full-pipeline compile and one golden run.  Every system runs that
+graph and is handed its MDE edge tuple — the compile's for
+``nachos-sw``/``nachos``, none for the rest (:meth:`RegionSetup.mdes`).
+A check maps ``(setup, system, fault_seed)`` to a list of findings; an
+empty list is a pass.  Runs are cold (no L2 pre-touch) and nothing is
+read from or written to the sweep's memos or result cache.
 
 Per backend:
 
-* **golden**: ``golden_execute(graph, envs).matches(...)`` (program-order
-  hash-token execution) and :func:`repro.verify.sanitizer.sanitize_trace`
-  over the traced event stream;
-* **engines**: the reference and fast engines' pickled
-  :class:`~repro.sim.result.SimResult` are byte-identical.
+* **golden**: a traced run of the sweep's simulation core
+  (:func:`repro.experiments.common.simulate_region`) against the
+  program-order golden result, and
+  :func:`repro.verify.sanitizer.sanitize_trace` over its event stream;
+* **engines**: the fast engine's pickled
+  :class:`~repro.sim.result.SimResult` is byte-identical to the
+  reference engine's, each built by name.
 
 Per region, statically:
 
-* **oracle**: every stage-1..4 NO/MUST verdict agrees with the
-  independent stage-5 separation-logic oracle
+* **oracle**: every stage-1..4 NO/MUST verdict of the compile agrees
+  with the independent stage-5 separation-logic oracle
   (:func:`repro.compiler.aliasing.stage5.oracle_verdict`); a
   contradiction means a compiler stage is unsound;
-* **coverage**: the compiled MDE set covers every happens-before pair
+* **coverage**: the compiled MDE tuple covers every happens-before pair
   the oracle requires (:func:`repro.compiler.coverage.check_sync_coverage`).
 
 Each failure is shrunk to a locally-minimal region on which its check
@@ -42,35 +51,24 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cgra.placement import place_region
-from repro.compiler import compile_region
+from repro.cgra.placement import Placement
 from repro.compiler.aliasing.stage5 import OracleVerdict, oracle_verdict
-from repro.compiler.coverage import CoverageGap, check_sync_coverage
+from repro.compiler.coverage import check_sync_coverage
 from repro.compiler.labels import AliasLabel, AliasMatrix
+from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
+from repro.experiments import common
 from repro.ir import AffineExpr, MemObject, RegionBuilder, Sym
+from repro.ir.graph import DFGraph, MemoryDependencyEdge
 from repro.memory import MemoryHierarchy
 from repro.obs.tracer import Tracer
-from repro.sim import (
-    DataflowEngine,
-    FastEngine,
-    NachosBackend,
-    NachosSWBackend,
-    OptLSQBackend,
-    SerialMemBackend,
-    SpecLSQBackend,
-    golden_execute,
-)
-from repro.verify.sanitizer import SanitizerReport, sanitize_trace
+from repro.sim import DataflowEngine, FastEngine, GoldenResult
+from repro.verify.sanitizer import sanitize_trace
 
-BACKENDS: Dict[str, Callable] = {
-    "opt-lsq": OptLSQBackend,
-    "spec-lsq": SpecLSQBackend,
-    "serial-mem": SerialMemBackend,
-    "nachos-sw": NachosSWBackend,
-    "nachos": NachosBackend,
-}
-#: Systems whose compiled MDEs are part of the contract under test.
-NEEDS_MDES = frozenset({"nachos-sw", "nachos"})
+#: The systems a campaign runs the per-backend checks under: each one
+#: whose backend enforces the full compile's MDEs or none
+#: (``common._pipeline_for``).  ``baseline-sw`` and ``oracle-sw`` need a
+#: compile of their own.
+SYSTEMS = ("nachos", "nachos-sw", "opt-lsq", "serial-mem", "spec-lsq")
 
 #: Offsets chosen to collide: exact duplicates, partial overlaps at
 #: every width, and accesses straddling the 64-byte line boundary.
@@ -284,53 +282,46 @@ def build_graph(spec: RegionSpec):
 
 
 # ----------------------------------------------------------------------
-# Differential execution
+# The region set-up every check reads
 # ----------------------------------------------------------------------
-def run_spec(
-    spec: RegionSpec, system: str
-) -> Tuple[bool, SanitizerReport]:
-    """Run one region under one backend; return (oracle_ok, sanitizer)."""
-    graph = build_graph(spec)
-    if system in NEEDS_MDES:
-        compile_region(graph)
-    else:
-        graph.clear_mdes()
-    tracer = Tracer()
-    engine = DataflowEngine(
-        graph,
-        place_region(graph),
-        MemoryHierarchy(),
-        BACKENDS[system](),
-        tracer=tracer,
-    )
-    envs = spec.env_dicts()
-    result = engine.run(envs)
-    golden = golden_execute(graph, envs)
-    oracle_ok = golden.matches(result.load_values, result.memory_image)
-    report = sanitize_trace(
-        tracer.events, graph, system, region=spec.name
-    )
-    return oracle_ok, report
+@dataclass(frozen=True)
+class RegionSetup:
+    """One fuzzed region, set up once for every check and system.
+
+    ``graph`` has no MDEs installed; ``compiled`` is its one
+    ``PipelineConfig.full()`` compile, whose edges come back as
+    ``compiled.mdes`` and are handed to the backends that enforce them.
+    """
+
+    graph: DFGraph
+    envs: List[Dict[str, int]]
+    placement: Placement
+    compiled: PipelineResult
+    golden: GoldenResult
+
+    def mdes(self, system: str) -> Tuple[MemoryDependencyEdge, ...]:
+        """The edges *system*'s backend enforces: the compile's for the
+        systems the sweep compiles for, none for the rest."""
+        if common._pipeline_for(system) is None:
+            return ()
+        return tuple(self.compiled.mdes)
 
 
-def run_spec_result(spec: RegionSpec, system: str, engine_cls) -> bytes:
-    """Run one region untraced on *engine_cls* (:class:`DataflowEngine`
-    or :class:`FastEngine`); return the pickled SimResult.
+def build_setup(spec: RegionSpec) -> RegionSetup:
+    """Build, place, compile and golden-run *spec*, once.
 
-    The engine-equivalence contract is byte-identity of the pickled
-    :class:`~repro.sim.result.SimResult`, so this returns the bytes
-    directly — comparing them compares every field (cycles, load
-    values, memory image, energy counts, cache stats, ...) at once.
+    Placement and the golden run go through ``common``'s names, as the
+    sweep's do; nothing is memoized or cached.
     """
     graph = build_graph(spec)
-    if system in NEEDS_MDES:
-        compile_region(graph)
-    else:
-        graph.clear_mdes()
-    engine = engine_cls(
-        graph, place_region(graph), MemoryHierarchy(), BACKENDS[system]()
+    envs = spec.env_dicts()
+    return RegionSetup(
+        graph=graph,
+        envs=envs,
+        placement=common.place_region(graph),
+        compiled=AliasPipeline(PipelineConfig.full()).run(graph, apply_mdes=False),
+        golden=common.golden_execute(graph, envs),
     )
-    return pickle.dumps(engine.run(spec.env_dicts()))
 
 
 # ----------------------------------------------------------------------
@@ -402,17 +393,17 @@ def _eligible_fault_pairs(graph, matrix: AliasMatrix) -> List[Tuple[int, int]]:
 
 
 def crosscheck_stages(
-    spec: RegionSpec, fault_seed: Optional[int] = None
+    setup: RegionSetup, fault_seed: Optional[int] = None
 ) -> List[StaticContradiction]:
-    """Cross-check every stage-1..4 NO/MUST verdict against the oracle.
+    """Cross-check every stage-1..4 NO/MUST verdict of the region's
+    compile against the oracle.
 
     With ``fault_seed`` set, one eligible MAY pair of the final
     stage-1..4 matrix is flipped to NO *in a copy, at check time* — the
     executed enforcement is untouched — which must surface as a
     contradiction whenever the region has an eligible pair at all.
     """
-    graph = build_graph(spec)
-    result = compile_region(graph)
+    graph, result = setup.graph, setup.compiled
     matrices = _stage_matrices(result)
     if fault_seed is not None:
         faulted = result.pre_stage5_labels.copy()
@@ -452,33 +443,46 @@ def crosscheck_stages(
     return contradictions
 
 
-def coverage_gaps_spec(spec: RegionSpec) -> List[CoverageGap]:
-    """Compile *spec* and sync-coverage-check the installed MDE set."""
-    graph = build_graph(spec)
-    compile_region(graph)
-    return list(check_sync_coverage(graph).gaps)
-
-
 # ----------------------------------------------------------------------
-# The checks: each maps (spec, system, fault_seed) to its findings
+# The checks: each maps (setup, system, fault_seed) to its findings
 # ----------------------------------------------------------------------
 def _golden_findings(
-    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+    setup: RegionSetup, system: Optional[str], fault_seed: Optional[int]
 ) -> List[str]:
-    """The traced reference run against the golden model and sanitizer."""
-    oracle_ok, report = run_spec(spec, system)
-    findings = [] if oracle_ok else [
+    """The traced run against the golden result and the sanitizer."""
+    tracer = Tracer()
+    mdes = setup.mdes(system)
+    _sim, correct = common.simulate_region(
+        setup.graph, setup.envs, system, mdes, setup.placement, setup.golden,
+        tracer=tracer,
+    )
+    findings = [] if correct else [
         "golden-model mismatch (wrong load value or final memory image)"
     ]
+    report = sanitize_trace(tracer.events, setup.graph, system, mdes=mdes)
     return findings + [str(v) for v in report.violations]
 
 
+def _sim_bytes(setup: RegionSetup, system: str, engine_cls) -> bytes:
+    """The pickled SimResult of an untraced run on *engine_cls*.
+
+    Pickled bytes compare every field (cycles, load values, memory
+    image, energy counts, cache stats, ...) at once.
+    """
+    engine = engine_cls(
+        setup.graph, setup.placement, MemoryHierarchy(),
+        common._backend_for(system, None), mdes=setup.mdes(system),
+    )
+    return pickle.dumps(engine.run(setup.envs))
+
+
 def _engines_findings(
-    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+    setup: RegionSetup, system: Optional[str], fault_seed: Optional[int]
 ) -> List[str]:
-    """Reference vs fast: the pickled SimResults must be byte-identical."""
-    if run_spec_result(spec, system, DataflowEngine) == run_spec_result(
-        spec, system, FastEngine
+    """Fast vs the reference engine, which is the oracle: both are built
+    by name, whatever engine a run would pick."""
+    if _sim_bytes(setup, system, DataflowEngine) == _sim_bytes(
+        setup, system, FastEngine
     ):
         return []
     return ["engine divergence: the reference and fast engines produced "
@@ -486,15 +490,16 @@ def _engines_findings(
 
 
 def _oracle_findings(
-    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+    setup: RegionSetup, system: Optional[str], fault_seed: Optional[int]
 ) -> List[str]:
-    return [str(c) for c in crosscheck_stages(spec, fault_seed=fault_seed)]
+    return [str(c) for c in crosscheck_stages(setup, fault_seed=fault_seed)]
 
 
 def _coverage_findings(
-    spec: RegionSpec, system: Optional[str], fault_seed: Optional[int]
+    setup: RegionSetup, system: Optional[str], fault_seed: Optional[int]
 ) -> List[str]:
-    return [str(g) for g in coverage_gaps_spec(spec)]
+    report = check_sync_coverage(setup.graph, tuple(setup.compiled.mdes))
+    return [str(g) for g in report.gaps]
 
 
 @dataclass(frozen=True)
@@ -506,7 +511,7 @@ class Check:
     """
 
     per_backend: bool
-    findings: Callable[[RegionSpec, Optional[str], Optional[int]], List[str]]
+    findings: Callable[[RegionSetup, Optional[str], Optional[int]], List[str]]
     title: str
 
 
@@ -526,7 +531,7 @@ CHECKS: Dict[str, Check] = {
     ),
     "coverage": Check(
         False, _coverage_findings,
-        "installed MDEs cover every oracle-required happens-before pair",
+        "compiled MDEs cover every oracle-required happens-before pair",
     ),
 }
 
@@ -589,11 +594,9 @@ def shrink(spec: RegionSpec, fails: Callable[[RegionSpec], bool]) -> RegionSpec:
 def _shrunk(failure: FuzzFailure) -> FuzzFailure:
     """*failure* on a locally-minimal region that keeps its check's
     findings; a candidate that crashes instead does not count."""
-    check = CHECKS[failure.check]
-
     def fails(spec: RegionSpec) -> bool:
         try:
-            return bool(check.findings(spec, failure.system, failure.fault_seed))
+            return bool(recheck(failure, spec))
         except Exception:
             return False
 
@@ -601,10 +604,15 @@ def _shrunk(failure: FuzzFailure) -> FuzzFailure:
     return replace(
         failure,
         spec=small,
-        findings=tuple(
-            check.findings(small, failure.system, failure.fault_seed)
-        ),
+        findings=tuple(recheck(failure, small)),
         shrunk_from=len(failure.spec.ops),
+    )
+
+
+def recheck(failure: FuzzFailure, spec: RegionSpec) -> List[str]:
+    """*failure*'s check, system and fault seed on *spec*, set up anew."""
+    return CHECKS[failure.check].findings(
+        build_setup(spec), failure.system, failure.fault_seed
     )
 
 
@@ -627,22 +635,23 @@ def fuzz(
     exercises the oracle check's detection path end to end; regions with
     no refutable pair pass through unchanged.
     """
-    systems = list(systems) if systems else sorted(BACKENDS)
+    systems = list(systems) if systems else list(SYSTEMS)
     for s in systems:
-        if s not in BACKENDS:
+        if s not in SYSTEMS:
             raise ValueError(
-                f"unknown system {s!r}; expected one of {sorted(BACKENDS)}"
+                f"unknown system {s!r}; expected one of {list(SYSTEMS)}"
             )
     result = FuzzResult(checks=dict.fromkeys(CHECKS, 0))
     for k in range(count):
         if progress is not None:
             progress(k, count)
         spec = generate_spec(seed, k)
+        setup = build_setup(spec)
         result.regions += 1
         for name, check in CHECKS.items():
             for system in systems if check.per_backend else [None]:
                 result.checks[name] += 1
-                findings = check.findings(spec, system, fault_seed)
+                findings = check.findings(setup, system, fault_seed)
                 if not findings:
                     continue
                 result.failures.append(_shrunk(FuzzFailure(

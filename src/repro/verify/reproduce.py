@@ -6,8 +6,9 @@ per-region checks), the injected stage-fault seed (if any), the findings
 observed when it was captured, and the declarative
 :class:`~repro.verify.fuzz.RegionSpec` (ops, environments, object size,
 symbol bounds).  ``nachos-repro verify --repro FILE`` re-materializes
-the region and reruns that check, so a failure found on one machine
-replays exactly anywhere — the spec is content, not pickled state.
+the region, sets it up as a campaign does, and reruns that check, so a
+failure found on one machine replays exactly anywhere — the spec is
+content, not pickled state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import List
 
-from repro.verify.fuzz import CHECKS, FuzzFailure, MemOpSpec, RegionSpec
+from repro.verify.fuzz import CHECKS, FuzzFailure, MemOpSpec, RegionSpec, recheck
 
 FORMAT = "nachos-repro/fuzz-repro@2"
 
@@ -89,6 +90,4 @@ def rerun(path: Path) -> List[str]:
     """Rerun a saved repro's check; its findings now.  An empty list
     means the repro no longer fails."""
     failure = load_repro(path)
-    return CHECKS[failure.check].findings(
-        failure.spec, failure.system, failure.fault_seed
-    )
+    return recheck(failure, failure.spec)

@@ -70,6 +70,23 @@ class TestCleanOnHonestCompilations:
             report = check_sync_coverage(graph)
             assert report.ok, f"region {k}: {report.describe()}"
 
+    def test_edge_tuple_form_matches_installed_edges(self):
+        """``check_sync_coverage(graph, mdes)`` on a pristine graph reads
+        the compile's edge tuple exactly as the one-argument form reads
+        the same edges installed on a copy."""
+        for k in range(20):
+            graph = build_graph(generate_spec(5, k))
+            mdes = tuple(AliasPipeline().run(graph, apply_mdes=False).mdes)
+            assert not graph.mdes
+            installed = graph.clone()
+            installed.replace_mdes(mdes)
+            assert guaranteed_reachability(graph, mdes) == (
+                guaranteed_reachability(installed)
+            )
+            tuple_form = check_sync_coverage(graph, mdes)
+            assert tuple_form.ok, tuple_form.describe()
+            assert tuple_form == check_sync_coverage(installed)
+
     def test_required_set_is_oracle_defined(self):
         graph = may_region()
         compile_region(graph)
@@ -123,16 +140,19 @@ class TestMutationUnsoundStage3Pruning:
 
 class TestMutationDroppedMDE:
     def test_hand_dropped_mde_caught(self):
-        """Simulate an MDE-insertion bug by masking one installed MAY
-        edge: its pair loses its only enforcement and must surface."""
+        """Simulate an MDE-insertion bug by leaving one installed MAY
+        edge out of the tuple: its pair loses its only enforcement and
+        must surface."""
         graph = may_region()
         result = compile_region(graph)
         edge = next(e for e in result.mdes if e.kind is MDEKind.MAY)
-        report = check_sync_coverage(graph, dropped_mdes={(edge.src, edge.dst)})
+        report = check_sync_coverage(
+            graph, tuple(e for e in graph.mdes if e is not edge)
+        )
         assert not report.ok
         assert [(g.older, g.younger) for g in report.gaps] == [(edge.src, edge.dst)]
         assert "uncovered" in str(report.gaps[0])
-        # The mask is non-destructive: the graph itself still checks clean.
+        # The graph itself is untouched and still checks clean.
         assert check_sync_coverage(graph).ok
 
     def test_dropping_a_redundant_edge_is_clean(self):
@@ -148,8 +168,11 @@ class TestMutationDroppedMDE:
         compile_region(graph)
         mem = [op.op_id for op in graph.memory_ops]
         # (st0, st2) is ordered through st1 by the retained ORDER chain,
-        # so masking a direct (st0, st2) edge (if any) changes nothing.
-        report = check_sync_coverage(graph, dropped_mdes={(mem[0], mem[2])})
+        # so dropping a direct (st0, st2) edge (if any) changes nothing.
+        report = check_sync_coverage(
+            graph,
+            tuple(e for e in graph.mdes if (e.src, e.dst) != (mem[0], mem[2])),
+        )
         assert report.ok, report.describe()
 
 

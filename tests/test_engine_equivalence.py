@@ -13,6 +13,7 @@ corpora:
   multi-invocation so templates actually get replayed),
 * a fixed-seed slice of the differential alias fuzzer's region
   generator (dense MAY graphs, late addresses, slow stores, ...),
+  through the fuzzer's own ``engines`` check on each region's set-up,
 * one real compiled region per SPEC benchmark, plus the two micro
   regions of the CI smoke sweep, driven through ``run_system`` against
   the same set-up with the reference engine built directly,
@@ -48,7 +49,7 @@ from repro.sim import (
 )
 from repro.sim.fast import _PUSH
 from repro.sim.timeline import TimelineRecorder
-from repro.verify.fuzz import fuzz, generate_spec, run_spec_result
+from repro.verify.fuzz import CHECKS, SYSTEMS, build_setup, fuzz, generate_spec
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import benchmark_names, get_spec
 
@@ -91,12 +92,14 @@ def test_litmus_equivalence(backend, litmus):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("chunk", range(FUZZ_SPECS // FUZZ_CHUNK))
 def test_fuzz_corpus_equivalence(chunk):
+    """The fuzzer's ``engines`` check over each region's one set-up."""
+    engines = CHECKS["engines"]
     for index in range(chunk * FUZZ_CHUNK, (chunk + 1) * FUZZ_CHUNK):
         spec = generate_spec(FUZZ_SEED, index)
-        for system in sorted(BACKENDS):
-            ref = run_spec_result(spec, system, DataflowEngine)
-            fast = run_spec_result(spec, system, FastEngine)
-            assert ref == fast, f"{spec.name}/{system}: SimResults diverge"
+        setup = build_setup(spec)
+        for system in SYSTEMS:
+            findings = engines.findings(setup, system, None)
+            assert findings == [], f"{spec.name}/{system}: {findings}"
 
 
 def test_fuzz_engines_both_wiring():
@@ -104,7 +107,7 @@ def test_fuzz_engines_both_wiring():
     backend) and stays clean."""
     result = fuzz(5, seed=3)
     assert result.ok, [f.describe() for f in result.failures]
-    assert result.checks["engines"] == 5 * len(BACKENDS)
+    assert result.checks["engines"] == 5 * len(SYSTEMS)
 
 
 # ---------------------------------------------------------------------------

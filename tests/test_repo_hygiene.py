@@ -240,6 +240,19 @@ def test_package_does_not_import_numpy():
     assert not offenders, "numpy imported at " + ", ".join(offenders)
 
 
+def test_verify_fuzz_names_the_module():
+    """``repro.verify`` leaves the name ``fuzz`` to its submodule, so
+    ``import repro.verify.fuzz as m`` binds the module, not the
+    campaign function."""
+    import types
+
+    import repro.verify.fuzz as fuzz_module
+
+    assert isinstance(fuzz_module, types.ModuleType)
+    assert fuzz_module.__name__ == "repro.verify.fuzz"
+    assert callable(fuzz_module.fuzz)
+
+
 def test_perfbench_span_hooks_rebind_and_restore(monkeypatch):
     """The benchmark's spans rebind named functions in ``src/repro``
     (stage functions, ``runner.resolve_workload``, ``common.place_region``

@@ -4,30 +4,27 @@ save/load/rerun repro round-trip of every check."""
 
 from __future__ import annotations
 
-import importlib
 import json
 import re
 from dataclasses import replace
 
 import pytest
 
+import repro.verify.fuzz as fuzz_module
+from repro.experiments import common
 from repro.experiments.cli import main
 from repro.verify import (
     CHECKS,
+    SYSTEMS,
     build_graph,
-    fuzz,
+    build_setup,
     generate_spec,
     load_repro,
     rerun,
-    run_spec,
     save_failure,
     shrink,
 )
-from repro.verify.fuzz import BACKENDS, FuzzFailure, MemOpSpec, RegionSpec
-
-#: The module itself: ``repro.verify.fuzz`` as an attribute is the
-#: campaign function the package re-exports.
-fuzz_module = importlib.import_module("repro.verify.fuzz")
+from repro.verify.fuzz import FuzzFailure, MemOpSpec, RegionSpec, fuzz
 
 
 def test_generate_spec_is_deterministic():
@@ -48,12 +45,74 @@ def test_generated_graphs_are_valid():
             assert all(isinstance(v, int) for v in env.values())
 
 
-@pytest.mark.parametrize("system", sorted(BACKENDS))
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_run_spec_clean_on_honest_backend(system):
-    spec = generate_spec(seed=0, index=0)
-    oracle_ok, report = run_spec(spec, system)
-    assert oracle_ok
-    assert report.ok, report.render()
+    """The golden check (golden result + sanitizer) is clean on the
+    shared set-up of one region under every honest backend."""
+    setup = build_setup(generate_spec(seed=0, index=0))
+    assert CHECKS["golden"].findings(setup, system, None) == []
+
+
+def test_each_system_gets_its_edge_tuple():
+    """The set-up's graph carries no MDEs; ``nachos-sw``/``nachos`` are
+    handed the compile's edges and every other system none, as in the
+    sweep (``common._pipeline_for``)."""
+    setup = build_setup(generate_spec(seed=0, index=0))
+    assert not setup.graph.mdes
+    compiled = tuple(setup.compiled.mdes)
+    assert compiled
+    for system in SYSTEMS:
+        want = compiled if system in ("nachos-sw", "nachos") else ()
+        assert setup.mdes(system) == want, system
+
+
+def test_campaign_sets_each_region_up_once(monkeypatch):
+    """Across all four checks and five backends, a clean campaign places,
+    compiles and golden-runs each region exactly once."""
+    from repro.compiler.pipeline import AliasPipeline
+
+    calls = {"place": 0, "compile": 0, "golden": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(common, "place_region",
+                        counting("place", common.place_region))
+    monkeypatch.setattr(common, "golden_execute",
+                        counting("golden", common.golden_execute))
+    monkeypatch.setattr(AliasPipeline, "run",
+                        counting("compile", AliasPipeline.run))
+    result = fuzz(12, seed=0)
+    assert result.ok, [f.describe() for f in result.failures]
+    assert sum(result.checks.values()) == 12 * (2 * len(SYSTEMS) + 2)
+    assert calls == {"place": 12, "compile": 12, "golden": 12}
+
+
+def test_campaign_leaves_the_sweep_memos_and_cache_alone(monkeypatch):
+    """Fuzzed runs are private: no memo entry, and the result cache is
+    neither read nor written."""
+    from repro.runtime.cache import ResultCache
+
+    touched = []
+
+    def refuse(name):
+        def spy(self, *args, **kwargs):
+            touched.append(name)
+            raise AssertionError(f"the campaign called ResultCache.{name}")
+        return spy
+
+    monkeypatch.setattr(ResultCache, "get", refuse("get"))
+    monkeypatch.setattr(ResultCache, "put", refuse("put"))
+    common.clear_memos()
+    assert fuzz(3, seed=0).ok
+    assert touched == []
+    for memo in (common._compile_memo, common._oracle_memo,
+                 common._placement_memo, common._sim_memo,
+                 common._addr_memo, common._golden_memo):
+        assert not memo
 
 
 def test_small_campaign_is_clean():
@@ -63,8 +122,8 @@ def test_small_campaign_is_clean():
     assert result.ok, [f.describe() for f in result.failures]
     assert result.regions == 10
     assert result.checks == {
-        "golden": 10 * len(BACKENDS),
-        "engines": 10 * len(BACKENDS),
+        "golden": 10 * len(SYSTEMS),
+        "engines": 10 * len(SYSTEMS),
         "oracle": 10,
         "coverage": 10,
     }
@@ -98,7 +157,7 @@ def test_shrink_preserves_failure():
 
 def test_repro_round_trip(tmp_path):
     spec = generate_spec(seed=0, index=1)
-    findings = CHECKS["golden"].findings(spec, "nachos", None)
+    findings = CHECKS["golden"].findings(build_setup(spec), "nachos", None)
     failure = FuzzFailure(
         spec=spec, check="golden", system="nachos", findings=tuple(findings)
     )
@@ -142,6 +201,21 @@ def test_cli_verify_subset_of_systems(capsys):
     assert "nachos" in capsys.readouterr().out
 
 
+def test_cli_verify_rejects_an_unknown_system(capsys):
+    """A bad ``--systems`` name is a usage error (exit 2, the valid list
+    printed) before any region runs, not a traceback that exits 1 like a
+    failed campaign."""
+    rc = main(["verify", "--fuzz", "1", "--systems", "bogus", "nachos"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "fuzzing systems" not in captured.out
+    assert "bogus" in captured.err
+    for system in SYSTEMS:
+        assert system in captured.err
+    with pytest.raises(ValueError, match="bogus"):
+        fuzz(1, systems=["bogus"])
+
+
 # ----------------------------------------------------------------------
 # Static cross-checks: the stage-5 oracle + sync coverage in the loop
 # ----------------------------------------------------------------------
@@ -176,7 +250,7 @@ class TestStaticCrossChecks:
         path = save_failure(failure, tmp_path / "oracle-repro.json")
         assert load_repro(path) == replace(failure, shrunk_from=None)
         assert rerun(path) == list(failure.findings)
-        assert crosscheck_stages(failure.spec) == []
+        assert crosscheck_stages(build_setup(failure.spec)) == []
 
     def test_coverage_only_campaign(self):
         """A campaign over one backend still runs the coverage check once
@@ -250,14 +324,16 @@ def test_oracle_repro_round_trips(tmp_path):
 
 
 def test_coverage_repro_round_trips(monkeypatch, tmp_path):
-    """Mask one installed MAY edge, as an MDE-insertion bug would."""
+    """Drop one compiled MAY edge, as an MDE-insertion bug would."""
     from repro.compiler.mde import MDEKind
 
     check_sync_coverage = fuzz_module.check_sync_coverage
 
-    def drop_first_may(graph):
-        may = [(e.src, e.dst) for e in graph.mdes if e.kind is MDEKind.MAY]
-        return check_sync_coverage(graph, dropped_mdes=set(may[:1]))
+    def drop_first_may(graph, mdes):
+        may = [e for e in mdes if e.kind is MDEKind.MAY]
+        return check_sync_coverage(
+            graph, tuple(e for e in mdes if e not in may[:1])
+        )
 
     monkeypatch.setattr(fuzz_module, "check_sync_coverage", drop_first_may)
     result = fuzz(30, seed=0, systems=["opt-lsq"], max_failures=1)
@@ -273,7 +349,14 @@ def test_golden_repro_round_trips(monkeypatch, tmp_path):
     non-conflicting, as the sanitizer's mutation tests use."""
     from tests.test_verify_sanitizer import LiarComparator
 
-    monkeypatch.setitem(fuzz_module.BACKENDS, "nachos", LiarComparator)
+    backend_for = common._backend_for
+
+    def lying_nachos(system, lsq_config):
+        if system == "nachos":
+            return LiarComparator()
+        return backend_for(system, lsq_config)
+
+    monkeypatch.setattr(common, "_backend_for", lying_nachos)
     result = fuzz(30, seed=0, systems=["nachos"], max_failures=1)
     failure = _round_trip(result, "golden", tmp_path)
     assert failure.system == "nachos"
