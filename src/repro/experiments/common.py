@@ -33,6 +33,7 @@ entries with ``check=True`` callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.cgra.config import CGRAConfig
@@ -101,9 +102,11 @@ class ComparisonResult:
         return all(r.correct for r in self.runs.values())
 
 
-_KNOWN_SYSTEMS = frozenset(
-    SYSTEMS + ("baseline-sw", "spec-lsq", "serial-mem", "oracle-sw")
-)
+_KNOWN_SYSTEMS = SYSTEMS + ("baseline-sw", "spec-lsq", "serial-mem", "oracle-sw")
+
+
+def _unknown_system(system: str) -> ValueError:
+    return ValueError(f"unknown system {system!r}; expected one of {_KNOWN_SYSTEMS}")
 
 
 def _pipeline_for(system: str) -> Optional[PipelineConfig]:
@@ -125,7 +128,7 @@ def _backend_for(system: str, lsq_config: Optional[LSQConfig]):
         return NachosBackend()
     if system == "serial-mem":
         return SerialMemBackend()
-    raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    raise _unknown_system(system)
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +341,7 @@ def _sim_key(
         wfp,
         envs_fp,
         system,
-        "oracle" if system == "oracle-sw" else config_fingerprint(
-            _pipeline_for(system)
-        ),
+        _compile_fingerprint(system),
         str(invocations),
         "warm" if warm else "cold",
         config_fingerprint(hierarchy_config),
@@ -348,6 +349,15 @@ def _sim_key(
         config_fingerprint(lsq_config),
         config_fingerprint(engine_config),
     )
+
+
+@lru_cache(maxsize=None)
+def _compile_fingerprint(system: str) -> str:
+    """The sim key's compile term for *system*: its pipeline config's
+    fingerprint, a constant, so each process hashes it once per system."""
+    if system == "oracle-sw":
+        return "oracle"
+    return config_fingerprint(_pipeline_for(system))
 
 
 def sim_cached(
@@ -384,7 +394,7 @@ def _prepare(
     mutates the envs.
     """
     if system not in _KNOWN_SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+        raise _unknown_system(system)
     traces = getattr(workload, "_traces", None)
     if traces is None:
         traces = workload._traces = {}

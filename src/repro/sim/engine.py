@@ -35,7 +35,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs
 from repro.sim.config import EngineConfig
 from repro.sim.result import BackendStats, SimResult
-from repro.sim.values import ValueMemory, forwarded_value, mix
+from repro.sim.values import LoadValues, ValueMemory, forwarded_value, mix
 
 # Op kinds (``DataflowEngine._kind``); sources count as compute: nothing
 # delivers to them.
@@ -251,7 +251,7 @@ class DataflowEngine:
             per_invocation_cycles=per_inv,
             energy=self.energy,
             backend_stats=self.backend.stats,
-            load_values=dict(self.load_values),
+            load_values=LoadValues.pack(self.load_values),
             memory_image=self.memory.snapshot(),
             l1_hits=self.hierarchy.l1.stats.hits,
             l1_misses=self.hierarchy.l1.stats.misses,

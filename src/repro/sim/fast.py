@@ -50,12 +50,12 @@ per static op that still *does* something (pushes a later template event
 or delivers an operand to a dynamic op that is not a tail), pushed at
 the exact moment the reference engine would have pushed it.  Push
 chronology is what breaks same-cycle ties, and the memory hierarchy
-(LRU, ports, MSHRs) plus ``load_values`` insertion order are call-order
-sensitive — so preserving the interleaving of every event that can
-reach the backend or the hierarchy is mandatory, and sufficient (which
-is why dropping tail events, which reach neither, is exact): the differential
-suite (``tests/test_engine_equivalence.py``) asserts byte-identical
-pickled :class:`~repro.sim.result.SimResult` across the two engines.
+(LRU, ports, MSHRs) is call-order sensitive — so preserving the
+interleaving of every event that can reach the backend or the hierarchy
+is mandatory, and sufficient (which is why dropping tail events, which
+reach neither, is exact): the differential suite
+(``tests/test_engine_equivalence.py``) asserts byte-identical pickled
+:class:`~repro.sim.result.SimResult` across the two engines.
 
 What the template may *not* assume invalidates it: an enabled tracer
 (the one-event-per-counter contract needs the reference loop) and

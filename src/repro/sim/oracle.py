@@ -9,12 +9,12 @@ the property-based tests check for all three disambiguation schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.ir.graph import DFGraph
 from repro.ir.opcodes import Opcode
-from repro.sim.values import ValueMemory, mix, mix_on
+from repro.sim.values import LoadValues, MemoryImage, ValueMemory, mix, mix_on
 
 # Op-program kinds.
 _COMPUTE = 0
@@ -25,16 +25,19 @@ _INPUT = 3
 
 @dataclass
 class GoldenResult:
-    """Reference outputs of program-order execution."""
+    """Reference outputs of program-order execution, packed like a run's."""
 
-    load_values: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    memory_image: Tuple[Tuple[int, int], ...] = ()
+    load_values: LoadValues
+    memory_image: MemoryImage
 
-    def matches(self, load_values: Mapping[Tuple[int, int], int], memory_image) -> bool:
-        return (
-            dict(self.load_values) == dict(load_values)
-            and tuple(self.memory_image) == tuple(memory_image)
-        )
+    def matches(
+        self,
+        load_values: Mapping[Tuple[int, int], int],
+        memory_image: Sequence[Tuple[int, int]],
+    ) -> bool:
+        """Whether a run's evidence equals this one: two array comparisons
+        for packed evidence, element-wise for a plain dict and tuple."""
+        return self.load_values == load_values and self.memory_image == memory_image
 
 
 def _compile(graph: DFGraph) -> Tuple[List[int], List[tuple]]:
@@ -92,4 +95,6 @@ def golden_execute(
                 memory.store(b.evaluate(env), c, value)
             else:
                 values[slot] = mix_on(a, (inv,))
-    return GoldenResult(load_values=load_values, memory_image=memory.snapshot())
+    return GoldenResult(
+        load_values=LoadValues.pack(load_values), memory_image=memory.snapshot()
+    )

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.energy.accounting import EnergyBreakdown, EnergyLedger
+from repro.sim.values import LoadValues, MemoryImage
 
 
 @dataclass
@@ -117,8 +118,9 @@ class SimResult:
     per_invocation_cycles: List[int]
     energy: EnergyLedger
     backend_stats: BackendStats
-    load_values: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    memory_image: Tuple[Tuple[int, int], ...] = ()
+    #: The value evidence the golden model checks, packed.
+    load_values: LoadValues
+    memory_image: MemoryImage
     l1_hits: int = 0
     l1_misses: int = 0
 

@@ -12,7 +12,7 @@ its engine enforces.
 from __future__ import annotations
 
 import pickle
-from typing import Dict
+from typing import Dict, Tuple
 
 import pytest
 
@@ -38,7 +38,7 @@ SUITE_INVOCATIONS = 8
 def reference_golden(graph, invocations) -> GoldenResult:
     """Run *graph* in strict program order, one op at a time."""
     memory: Dict[int, int] = {}
-    result = GoldenResult()
+    load_values: Dict[Tuple[int, int], int] = {}
     for inv, env in enumerate(invocations):
         values: Dict[int, int] = {}
         for op in graph.ops:
@@ -51,7 +51,7 @@ def reference_golden(graph, invocations) -> GoldenResult:
                 values[op.op_id] = mix(
                     *(memory.get(addr + k, 0) for k in range(width))
                 )
-                result.load_values[(inv, op.op_id)] = values[op.op_id]
+                load_values[(inv, op.op_id)] = values[op.op_id]
             elif op.is_store:
                 addr, width = op.addr.evaluate(env), op.addr.width
                 value = values[op.inputs[-1]]
@@ -62,8 +62,7 @@ def reference_golden(graph, invocations) -> GoldenResult:
                 values[op.op_id] = mix(
                     _OPCODE_ID[op.opcode], *(values[i] for i in op.inputs)
                 )
-    result.memory_image = tuple(sorted(memory.items()))
-    return result
+    return GoldenResult(load_values, tuple(sorted(memory.items())))
 
 
 def _assert_same(graph, envs, label):
@@ -191,3 +190,29 @@ def test_one_golden_run_per_region(no_cache, monkeypatch, suite_regions):
         for system in sorted(common._KNOWN_SYSTEMS):
             assert common.run_system(w, system, invocations=4).correct
     assert calls == [w.graph.name for w in regions]
+
+
+def test_unknown_system_names_every_known_system():
+    """``run_system`` rejects an unknown system and lists all seven."""
+    from repro.experiments.common import _KNOWN_SYSTEMS, run_system
+    from repro.workloads.micro import build_micro
+
+    with pytest.raises(ValueError) as excinfo:
+        run_system(build_micro("gather"), "bogus")
+    assert len(_KNOWN_SYSTEMS) == 7
+    for system in _KNOWN_SYSTEMS:
+        assert repr(system) in str(excinfo.value), system
+
+
+def test_compile_fingerprint_is_the_pipeline_config_fingerprint():
+    """The memoized compile term of the sim key is each system's
+    pipeline config fingerprint (``oracle`` for the trace oracle)."""
+    import repro.experiments.common as common
+    from repro.runtime.fingerprint import config_fingerprint
+
+    for system in common._KNOWN_SYSTEMS:
+        want = "oracle" if system == "oracle-sw" else config_fingerprint(
+            common._pipeline_for(system)
+        )
+        assert common._compile_fingerprint(system) == want, system
+        assert common._compile_fingerprint(system) is common._compile_fingerprint(system)

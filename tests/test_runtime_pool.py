@@ -376,6 +376,16 @@ def test_worker_killed_mid_unit_charges_its_current_task_only(
     # Task 1 is the second system of the first region's unit: its worker
     # dies after reporting task 0 and before starting task 2.
     monkeypatch.setenv("NACHOS_CHAOS", "crash@1")
+    # Keep the other region's worker busy until the death is seen: an
+    # idle survivor would take the requeued task, and nothing would fork.
+    execute = executor._execute
+
+    def other_region_waits(task):
+        if task.workload.name == workloads[1].name:
+            time.sleep(0.3)
+        return execute(task)
+
+    monkeypatch.setattr(executor, "_execute", other_region_waits)
     tasks = [SimTask(w, system, 4) for w in workloads for system in SYSTEMS]
     outcome = run_tasks_detailed(tasks, jobs=2)
     assert outcome.ok and outcome.retries == 1

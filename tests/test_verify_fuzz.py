@@ -46,7 +46,7 @@ def test_generated_graphs_are_valid():
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_run_spec_clean_on_honest_backend(system):
+def test_golden_check_clean_on_honest_backend(system):
     """The golden check (golden result + sanitizer) is clean on the
     shared set-up of one region under every honest backend."""
     setup = build_setup(generate_spec(seed=0, index=0))
