@@ -274,9 +274,8 @@ def main(argv=None) -> int:
     failed: Dict[str, dict] = {}
     for name in names:
         run, render, takes_inv = EXPERIMENTS[name]
-        # perf_counter, not time.time(): these stage timings feed
-        # bench_sweep's per-figure breakdown, which must share one
-        # monotonic clock source with the bench harness.
+        # perf_counter, not time.time(): stage timings need a monotonic
+        # clock.
         start = time.perf_counter()
         try:
             if takes_inv and args.invocations is not None:

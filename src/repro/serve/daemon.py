@@ -20,7 +20,7 @@ Endpoints (JSON over HTTP/1.1, TCP or a unix socket):
 ``GET /metrics``         the request-metrics registry + read-through
                          cache counters, JSON
 ``GET /healthz``         liveness + uptime
-``POST /shutdown``       graceful stop (the bench/CI harnesses use it)
+``POST /shutdown``       graceful stop
 =======================  ==============================================
 
 Dedup happens twice: identical *requests* attach to the retained
@@ -36,8 +36,8 @@ fails the task at once (the simulator is deterministic, so a retry
 would fail the same way).  A ``NACHOS_CHAOS`` spec in the daemon's
 environment is inherited by pool workers — a campaign of ``crash@``
 points that each kill a task's worker once must return results
-byte-identical to a fault-free daemon (``benchmarks/bench_serve.py
---chaos`` enforces it).  Do not use the chaos ``abort@`` point with the
+byte-identical to a fault-free daemon (``tests/test_serve.py`` checks
+it).  Do not use the chaos ``abort@`` point with the
 daemon: it SIGKILLs the supervisor, i.e. the daemon itself.
 """
 

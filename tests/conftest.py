@@ -59,6 +59,27 @@ def no_cache():
 
 
 @pytest.fixture
+def fresh_store(monkeypatch, tmp_path):
+    """``fresh_store()``: a new empty on-disk result cache and fresh memo
+    tables for the runs after it, so their tasks really run in the pool.
+    A cache hit is served by the supervisor and never reaches a worker,
+    so a chaos ``crash@`` point on it would never fire."""
+    from repro.experiments.common import clear_memos
+    from repro.runtime import cache as cache_module
+
+    stores = []
+
+    def install() -> None:
+        root = tmp_path / f"cache{len(stores)}"
+        stores.append(cache_module.ResultCache(root=root))
+        monkeypatch.setattr(cache_module, "_default", stores[-1])
+        clear_memos()
+
+    yield install
+    clear_memos()
+
+
+@pytest.fixture
 def sweep_calls():
     """``sweep_calls(fn, *args)``: ``fn(*args)`` plus how many subtree
     visits (calls of a nested function named ``rec``) it made, i.e. the

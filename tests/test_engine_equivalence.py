@@ -15,8 +15,8 @@ corpora:
   generator (dense MAY graphs, late addresses, slow stores, ...),
   through the fuzzer's own ``engines`` check on each region's set-up,
 * one real compiled region per SPEC benchmark, plus the two micro
-  regions of the CI smoke sweep, driven through ``run_system`` against
-  the same set-up with the reference engine built directly,
+  regions of the cache-on chaos sweep, driven through ``run_system``
+  against the same set-up with the reference engine built directly,
 * every suite region under every backend with a timeline recorder
   attached, so the fast engine's prefilled static and dead-tail spans
   are compared op by op.
@@ -113,11 +113,12 @@ def test_fuzz_engines_both_wiring():
 # ---------------------------------------------------------------------------
 # Corpus 3: real compiled regions through run_system
 # ---------------------------------------------------------------------------
-#: The CI smoke sweep's two micro regions, at its invocation count.
-SMOKE_REGIONS = {"micro.stream_triad": 8, "micro.scatter": 8}
+#: The two micro regions of the cache-on chaos sweep
+#: (``tests/test_runtime_chaos.py``), at its invocation count.
+MICRO_REGIONS = {"micro.stream_triad": 8, "micro.scatter": 8}
 
 
-@pytest.mark.parametrize("region", benchmark_names() + sorted(SMOKE_REGIONS))
+@pytest.mark.parametrize("region", benchmark_names() + sorted(MICRO_REGIONS))
 def test_real_region_equivalence(region, no_cache, monkeypatch):
     """Each system's ``run_system`` result equals the one the same set-up
     gives with the reference engine built directly in place of
@@ -126,7 +127,7 @@ def test_real_region_equivalence(region, no_cache, monkeypatch):
     from repro.obs.runner import resolve_workload
 
     workload = resolve_workload(region)
-    invocations = SMOKE_REGIONS.get(region, 4)
+    invocations = MICRO_REGIONS.get(region, 4)
     built = []
 
     def spy(*args, **kwargs):

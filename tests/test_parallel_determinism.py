@@ -82,9 +82,9 @@ def test_run_tasks_serial_and_pool_agree_on_extension_systems(no_cache):
         assert _signature(s) == _signature(p)
 
 
-def test_supervised_pool_with_timeout_matches_serial(no_cache):
+def test_supervised_pool_matches_serial(no_cache):
     # Supervision must not perturb results when nothing actually
-    # faults.  (The name predates the per-task timeout's removal.)
+    # faults.
     tasks = [
         SimTask(build_micro(name), system, INVOCATIONS)
         for name in MICROS

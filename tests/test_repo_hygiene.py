@@ -14,14 +14,9 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Hard ceiling for any tracked file that is not an explicitly allowed
-#: data artifact.  Source files, docs, and committed bench references
-#: are all far below this.
+#: Hard ceiling for any tracked file.  Source files and docs are all
+#: far below this.
 MAX_TRACKED_BYTES = 1024 * 1024
-
-#: Tracked files that are allowed to be data (still subject to the size
-#: ceiling — an allowlist entry is not a bloat license).
-ALLOWED_DATA = {"BENCH_sweep.json"}
 
 
 def _tracked_files():
@@ -81,7 +76,9 @@ def test_gitignore_covers_generated_artifacts():
 #: graph clones: every system simulates ``workload.graph`` and hands its
 #: engine the MDE tuple its backend enforces.  Then the engine-mode knob:
 #: the run picks its engine (``repro.sim.factory.make_engine``).  Then the
-#: fuzzer's check selection: every campaign runs every check.
+#: fuzzer's check selection: every campaign runs every check.  Then the
+#: timing harnesses, their receipts and report fields: tier-1 tests hold
+#: their assertions.
 RETIRED_PERF_NAMES = (
     "nachos-repro perf",
     "perf_budgets.toml",
@@ -109,6 +106,13 @@ RETIRED_PERF_NAMES = (
     "engine_divergence",
     "static_kind",
     "_ENGINE_SELECTIONS",
+    "bench_sweep.py",
+    "bench_serve.py",
+    "BENCH_sweep.json",
+    "BENCH_serve.json",
+    "SEED_SERIAL_SECONDS",
+    "warm_forked_workers",
+    "chaos_requeues",
 )
 
 #: The retired engine flags, the fuzzer's check-selection flags and the

@@ -3,8 +3,8 @@
 A worker that dies mid-task is the one fault a retry can fix, so it is
 the one the pool recovers from: explicit ``crash@`` points kill real
 pool workers, and the sweep must come back with results identical to a
-fault-free run.  A task whose worker dies twice fails terminally, and
-every other task still completes.
+fault-free run, with the result cache off or on.  A task whose worker
+dies twice fails terminally, and every other task still completes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ import pickle
 import pytest
 
 from repro.experiments.common import clear_memos
+from repro.obs.profile import (
+    disable_profiling,
+    enable_profiling,
+    reset_profile,
+)
 from repro.runtime.chaos import get_chaos, parse_chaos, set_chaos
 from repro.runtime.executor import (
     CRASH,
@@ -22,6 +27,7 @@ from repro.runtime.executor import (
     run_tasks,
     run_tasks_detailed,
 )
+from repro.runtime.sweep import sweep_comparisons
 from repro.workloads.micro import build_micro
 
 INVOCATIONS = 4
@@ -68,6 +74,32 @@ def test_pool_recovers_from_worker_crash(no_cache, chaos_env):
     assert outcome.ok
     assert _sigs(outcome.results) == baseline
     assert outcome.retries == 2  # tasks 1 and 2, one requeue each
+
+
+def test_cached_sweep_recovers_from_worker_crashes(fresh_store, chaos_env):
+    """A cache-on sweep of two regions x the three paper systems, whose
+    tasks 1 and 4 each lose their worker once, requeues exactly two
+    tasks and matches the fault-free sweep run by run."""
+    workloads = [build_micro(name) for name in ("stream_triad", "scatter")]
+
+    def sweep():
+        comparisons = sweep_comparisons(workloads, invocations=8, jobs=2)
+        return [pickle.dumps(r.sim) for c in comparisons for r in c.runs.values()]
+
+    fresh_store()
+    baseline = sweep()
+    fresh_store()
+    chaos_env("crash@1,crash@4")
+    reset_profile()
+    profile = enable_profiling()
+    try:
+        survived = sweep()
+        requeues = profile.retries
+    finally:
+        disable_profiling()
+        reset_profile()
+    assert requeues == 2
+    assert survived == baseline
 
 
 def test_serial_run_ignores_crash_points(no_cache):

@@ -3,12 +3,17 @@
 Every test boots a real daemon (ephemeral TCP port or a unix socket),
 drives it through :class:`repro.serve.client.ServeClient`, and shuts it
 down — the HTTP parse, the request dedup, the batcher, and the pool
-dispatch all run for real.
+dispatch all run for real.  The restart test boots ``python -m
+repro.serve`` as a process, through its ``--ready-file`` handshake.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -23,6 +28,8 @@ from repro.serve import (
     ServeError,
     parse_request,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -41,23 +48,6 @@ def daemon():
 @pytest.fixture
 def client(daemon):
     return ServeClient(port=daemon.port)
-
-
-@pytest.fixture
-def fresh_store(monkeypatch, tmp_path):
-    """``fresh_store()``: an empty result cache and memo tables for the
-    daemons booted after it, so their tasks really run in the pool.  A
-    cache hit is served by the supervisor and never reaches a worker, so
-    a chaos ``crash@`` point on it would never fire."""
-    from repro.experiments.common import clear_memos
-    from repro.runtime import cache as cache_module
-
-    def install() -> None:
-        store = cache_module.ResultCache(root=tmp_path / "cache")
-        monkeypatch.setattr(cache_module, "_default", store)
-        clear_memos()
-
-    return install
 
 
 def test_submit_roundtrip_matches_direct_run(client):
@@ -260,6 +250,66 @@ def test_chaos_daemon_results_match_fault_free(monkeypatch, fresh_store):
     assert survived["status"] == "done"
     assert survived["results"] == baseline["results"]
     assert retries == 2
+
+
+def _boot_process(work_dir: Path, label: str):
+    """``python -m repro.serve`` on an ephemeral port, its result cache in
+    ``work_dir/cache`` and no chaos; returns the process and a client
+    once the daemon has published its ready file."""
+    ready_file = work_dir / f"ready-{label}.json"
+    env = dict(os.environ, NACHOS_CACHE_DIR=str(work_dir / "cache"))
+    env.pop("NACHOS_CHAOS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    with open(work_dir / f"{label}.log", "w") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve", "--port", "0",
+                "--jobs", "2", "--ready-file", str(ready_file), "--quiet",
+            ],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+    deadline = time.monotonic() + 60
+    while not ready_file.exists():  # published by an atomic rename
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            pytest.fail(f"daemon {label} never became ready: "
+                        + (work_dir / f"{label}.log").read_text())
+        time.sleep(0.02)
+    ready = json.loads(ready_file.read_text())
+    return proc, ServeClient(host=ready["host"], port=ready["port"])
+
+
+def test_restarted_daemon_answers_from_disk(tmp_path):
+    """A daemon process stopped through ``/shutdown`` exits 0, and a
+    second one on the same cache directory returns the first boot's
+    results for the whole mix without a cache miss."""
+    boots = []
+    for label in ("first", "restart"):
+        proc, client = _boot_process(tmp_path, label)
+        try:
+            results = []
+            for region in ("gather", "scatter", "stream_triad"):
+                response = client.submit(
+                    region, systems=["nachos", "opt-lsq"], invocations=6,
+                    wait=True,
+                )
+                assert response["status"] == "done", response
+                results.append(response["results"])
+            misses = client.metrics()["cache.misses"]["value"]
+            client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        boots.append((results, misses))
+    (first, first_misses), (restart, restart_misses) = boots
+    assert first_misses > 0
+    assert restart == first
+    assert restart_misses == 0
 
 
 def test_metrics_snapshot_shape(client):

@@ -279,29 +279,3 @@ def test_approx_coverage_summarize_and_render(tmp_path, monkeypatch):
     assert summary["packages"]["pkg"]["pct"] == summary["total"]["pct"]
     rendered = mod.render(summary)
     assert "TOTAL" in rendered and "<- package" in rendered
-
-
-def test_bench_parse_figure_walls():
-    mod = _load_script("benchmarks/bench_sweep.py")
-    output = "\n".join([
-        "preamble noise",
-        "[tab3: 0.41s]",
-        "[fig11: 9.52s]",
-        "[cache: 1203 entries]",
-        "[cache: 0.10s]",   # the cache summary line is not a figure
-        "[fig15: 3.00s]",
-        "not [a: 1.0s] match",
-    ])
-    assert mod._parse_figure_walls(output) == {
-        "tab3": 0.41, "fig11": 9.52, "fig15": 3.0,
-    }
-
-
-def test_bench_requeue_line_is_counted_and_stripped():
-    """The chaos child's requeue count is read from its output and never
-    makes a chaos run's output differ from the fault-free one."""
-    mod = _load_script("benchmarks/bench_sweep.py")
-    chaos = "row 1\n[requeues: 2]\n[cache: 3 hits, 7 misses]"
-    clean = "row 1\n[requeues: 0]\n[cache: 0 hits, 10 misses]"
-    assert mod._strip_timing(chaos) == mod._strip_timing(clean) == "row 1"
-    assert mod._REQUEUE_LINE.search(chaos).group(1) == "2"
