@@ -19,6 +19,7 @@ from repro.compiler.aliasing.stage5 import (
     OracleVerdict,
     Stage5Stats,
     oracle_verdict,
+    region_verdicts,
     separation_verdict,
 )
 from repro.compiler.coverage import (
@@ -59,6 +60,7 @@ __all__ = [
     "guaranteed_reachability",
     "is_forward_candidate",
     "oracle_verdict",
+    "region_verdicts",
     "relation_guarantees_order",
     "required_pairs",
     "separation_verdict",

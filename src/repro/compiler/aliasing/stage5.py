@@ -38,8 +38,16 @@ Two deliberately separate entry points:
   for *any* pair from the address expressions alone, sharing **no code
   path** with :mod:`repro.compiler.aliasing.symbolic`, so the
   differential fuzzer can cross-check every stage-1..4 verdict against
-  it and the coverage checker (:mod:`repro.compiler.coverage`) can
-  enumerate required happens-before pairs from it.
+  it.  :func:`region_verdicts` asks it about every ST-ST / ST-LD / LD-ST
+  pair of a region in one walk, settling pairs per bucket: differing
+  TBAA tags, two distinct heaplets, or one heaplet with offsets of the
+  same shape, whose constant difference ``c_a - c_b`` is tested
+  against the overlap window without an :class:`AffineExpr` being built.  Only the other
+  pairs go through :func:`separation_verdict`, so the two agree pair
+  for pair.  The coverage checker (:mod:`repro.compiler.coverage`) and
+  the fuzzer read it.  Its bucketing is this module's own code and,
+  like the per-pair rule, shares nothing with
+  :mod:`~repro.compiler.aliasing.symbolic`.
 
 Verdict semantics match the pipeline's:  NO = footprints disjoint for
 every valuation; MUST = footprints intersect for every valuation;
@@ -265,6 +273,39 @@ class OracleVerdict:
     always_overlaps: Optional[bool] = None
 
 
+#: Every verdict the oracle can return.  A verdict carries no pair-specific
+#: field, so both entry points hand out these shared frozen objects.
+_TBAA_NO = OracleVerdict(AliasLabel.NO, decided_by="tbaa")
+_HEAPLET_NO = OracleVerdict(
+    AliasLabel.NO, decided_by="heaplet", can_overlap=False, always_overlaps=False
+)
+_OPAQUE_MAY = OracleVerdict(AliasLabel.MAY, decided_by="opaque")
+_CONSTANT_NO = OracleVerdict(
+    AliasLabel.NO, decided_by="constant", can_overlap=False, always_overlaps=False
+)
+_CONSTANT_MUST = OracleVerdict(
+    AliasLabel.MUST, decided_by="constant", can_overlap=True, always_overlaps=True
+)
+_CONSTANT_EXACT = OracleVerdict(
+    AliasLabel.MUST,
+    exact=True,
+    decided_by="constant",
+    can_overlap=True,
+    always_overlaps=True,
+)
+_ENUMERATION_NO = OracleVerdict(
+    AliasLabel.NO, decided_by="enumeration", can_overlap=False, always_overlaps=False
+)
+_ENUMERATION_MUST = OracleVerdict(
+    AliasLabel.MUST, decided_by="enumeration", can_overlap=True, always_overlaps=True
+)
+_ENUMERATION_MAY = OracleVerdict(
+    AliasLabel.MAY, decided_by="enumeration", can_overlap=True, always_overlaps=False
+)
+_LATTICE_NO = OracleVerdict(AliasLabel.NO, decided_by="lattice")
+_INTERVAL_MUST = OracleVerdict(AliasLabel.MUST, decided_by="interval")
+
+
 def _window(width_a: int, width_b: int) -> Tuple[int, int]:
     # Ranges [oa, oa+wa) and [ob, ob+wb) intersect iff -wa < oa-ob < wb.
     return (-width_a + 1, width_b - 1)
@@ -289,15 +330,13 @@ def separation_verdict(
     ):
         # The same axiom the pipeline assumes (-fstrict-aliasing): typed
         # heaplets of different tags are separate by fiat.
-        return OracleVerdict(AliasLabel.NO, decided_by="tbaa")
+        return _TBAA_NO
 
     disjoint = _heaplets_disjoint(heaplet_of(a), heaplet_of(b))
     if disjoint is True:
-        return OracleVerdict(
-            AliasLabel.NO, decided_by="heaplet", can_overlap=False, always_overlaps=False
-        )
+        return _HEAPLET_NO
     if disjoint is None:
-        return OracleVerdict(AliasLabel.MAY, decided_by="opaque")
+        return _OPAQUE_MAY
 
     # Same heaplet: the separating conjunction reduces to byte-range
     # disjointness of the two interval formulas, i.e. to the value set of
@@ -307,41 +346,28 @@ def separation_verdict(
 
     if diff.is_constant:
         if wlo <= diff.const <= whi:
-            exact = diff.const == 0 and a.width == b.width
-            return OracleVerdict(
-                AliasLabel.MUST,
-                exact=exact,
-                decided_by="constant",
-                can_overlap=True,
-                always_overlaps=True,
-            )
-        return OracleVerdict(
-            AliasLabel.NO, decided_by="constant", can_overlap=False, always_overlaps=False
-        )
+            if diff.const == 0 and a.width == b.width:
+                return _CONSTANT_EXACT
+            return _CONSTANT_MUST
+        return _CONSTANT_NO
 
     swept = _enumerate_joint(diff, wlo, whi, enumeration_limit)
     if swept is not None:
         can, always = swept
         if not can:
-            return OracleVerdict(
-                AliasLabel.NO, decided_by="enumeration", can_overlap=False, always_overlaps=False
-            )
+            return _ENUMERATION_NO
         if always:
             # Overlaps at every domain point; never exact — an exact match
             # means an identically-zero difference, handled above.
-            return OracleVerdict(
-                AliasLabel.MUST, decided_by="enumeration", can_overlap=True, always_overlaps=True
-            )
-        return OracleVerdict(
-            AliasLabel.MAY, decided_by="enumeration", can_overlap=True, always_overlaps=False
-        )
+            return _ENUMERATION_MUST
+        return _ENUMERATION_MAY
 
     values = value_set(diff)
     if not values.intersects(wlo, whi):
-        return OracleVerdict(AliasLabel.NO, decided_by="lattice")
+        return _LATTICE_NO
     if values.within(wlo, whi):
-        return OracleVerdict(AliasLabel.MUST, decided_by="interval")
-    return OracleVerdict(AliasLabel.MAY, decided_by="opaque")
+        return _INTERVAL_MUST
+    return _OPAQUE_MAY
 
 
 def oracle_verdict(
@@ -359,6 +385,74 @@ def oracle_verdict(
     return separation_verdict(
         a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
     )
+
+
+def region_verdicts(
+    graph: DFGraph,
+    use_tbaa: bool = True,
+    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> Dict[Tuple[int, int], OracleVerdict]:
+    """The oracle's verdict on every ST-ST / ST-LD / LD-ST pair of *graph*.
+
+    Keyed ``(older, younger)`` in program order; each verdict equals
+    :func:`oracle_verdict` on the same pair.  The memory ops are walked
+    once into rows, and a pair is settled by its rows' keys where they
+    decide it: differing TBAA tags, two distinct heaplets, or one
+    heaplet with offsets of the same shape — the same IV and symbol
+    terms — whose difference is the constant ``c_a - c_b``.  Only the
+    other same-heaplet pairs reach :func:`separation_verdict`, once per
+    pair of shapes, constant difference and widths.
+    """
+    heaplet_ids: Dict[Heaplet, int] = {}
+    shape_ids: Dict[tuple, int] = {}
+    rows = []
+    for op in graph.memory_ops:
+        addr = op.addr
+        heaplet = heaplet_of(addr)
+        offset = addr.offset
+        rows.append((
+            op.op_id,
+            op.is_store,
+            heaplet_ids.setdefault(heaplet, len(heaplet_ids)),
+            heaplet[0] == "obj",
+            addr.type_tag if use_tbaa else None,
+            shape_ids.setdefault(
+                (offset.iv_terms, offset.sym_terms), len(shape_ids)
+            ),
+            offset.const,
+            addr.width,
+            addr,
+        ))
+    # Past the tag and heaplet checks a verdict depends only on the
+    # offset difference, i.e. on the two shapes and ``c_a - c_b``, and on
+    # the widths: one separation_verdict call per such key.
+    general: Dict[tuple, OracleVerdict] = {}
+    out: Dict[Tuple[int, int], OracleVerdict] = {}
+    for i, (id_a, st_a, h_a, obj_a, tag_a, shape_a, c_a, w_a, a) in enumerate(rows):
+        for id_b, st_b, h_b, obj_b, tag_b, shape_b, c_b, w_b, b in rows[i + 1 :]:
+            if not (st_a or st_b):
+                continue  # LD-LD needs no ordering
+            if tag_a is not None and tag_b is not None and tag_a != tag_b:
+                verdict = _TBAA_NO
+            elif h_a != h_b:
+                verdict = _HEAPLET_NO if obj_a and obj_b else _OPAQUE_MAY
+            elif shape_a == shape_b:
+                d = c_a - c_b
+                if not -w_a < d < w_b:
+                    verdict = _CONSTANT_NO
+                elif d == 0 and w_a == w_b:
+                    verdict = _CONSTANT_EXACT
+                else:
+                    verdict = _CONSTANT_MUST
+            else:
+                key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
+                verdict = general.get(key)
+                if verdict is None:
+                    verdict = general[key] = separation_verdict(
+                        a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
+                    )
+            out[(id_a, id_b)] = verdict
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,15 @@ bug PR 3 found dynamically (unsound stage-3 pruning dropped a required
 ordering) into one a compile-time check catches; the mutation tests in
 ``tests/test_coverage_checker.py`` re-introduce exactly that bug plus a
 hand-dropped MDE and assert both surface here.
+
+The required set comes from one
+:func:`~repro.compiler.aliasing.stage5.region_verdicts` walk per region
+rather than one oracle call per pair: pairs on two distinct allocations
+are settled by their heaplet keys, pairs on one heaplet whose offsets
+share their IV and symbol terms by the constant difference, and only
+the rest go through the per-pair
+:func:`~repro.compiler.aliasing.stage5.separation_verdict`.  The result
+is the same list, pair for pair and verdict for verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.compiler.aliasing.stage5 import OracleVerdict, oracle_verdict
+from repro.compiler.aliasing.stage5 import OracleVerdict, region_verdicts
 from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
 from repro.compiler.labels import AliasLabel, PairKind, pair_kind
 from repro.compiler.verify import guaranteed_reachability
@@ -94,25 +103,17 @@ def required_pairs(
     Enumerated from scratch over all ST-ST / ST-LD / LD-ST pairs (LD-LD
     needs no ordering in single-threaded regions) — deliberately *not*
     from the compiler's label matrix, whose mistakes are exactly what
-    the check must survive.
+    the check must survive.  The verdicts come from one
+    :func:`~repro.compiler.aliasing.stage5.region_verdicts` walk.
     """
-    out: List[Tuple[int, int, PairKind, OracleVerdict]] = []
-    mem = graph.memory_ops
-    for i, older in enumerate(mem):
-        for younger in mem[i + 1 :]:
-            kind = pair_kind(older, younger)
-            if kind is None:
-                continue
-            verdict = oracle_verdict(
-                graph,
-                older.op_id,
-                younger.op_id,
-                use_tbaa=use_tbaa,
-                enumeration_limit=enumeration_limit,
-            )
-            if verdict.label is not AliasLabel.NO:
-                out.append((older.op_id, younger.op_id, kind, verdict))
-    return out
+    ops = {op.op_id: op for op in graph.memory_ops}
+    return [
+        (older, younger, pair_kind(ops[older], ops[younger]), verdict)
+        for (older, younger), verdict in region_verdicts(
+            graph, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
+        ).items()
+        if verdict.label is not AliasLabel.NO
+    ]
 
 
 def check_sync_coverage(

@@ -27,8 +27,8 @@ Per backend:
 Per region, statically:
 
 * **oracle**: every stage-1..4 NO/MUST verdict of the compile agrees
-  with the independent stage-5 separation-logic oracle
-  (:func:`repro.compiler.aliasing.stage5.oracle_verdict`); a
+  with the independent stage-5 separation-logic oracle, asked once per
+  region (:func:`repro.compiler.aliasing.stage5.region_verdicts`); a
   contradiction means a compiler stage is unsound;
 * **coverage**: the compiled MDE tuple covers every happens-before pair
   the oracle requires (:func:`repro.compiler.coverage.check_sync_coverage`).
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cgra.placement import Placement
-from repro.compiler.aliasing.stage5 import OracleVerdict, oracle_verdict
+from repro.compiler.aliasing.stage5 import OracleVerdict, region_verdicts
 from repro.compiler.coverage import check_sync_coverage
 from repro.compiler.labels import AliasLabel, AliasMatrix
 from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
@@ -377,7 +377,9 @@ def _stage_matrices(result) -> List[Tuple[str, AliasMatrix]]:
     return out
 
 
-def _eligible_fault_pairs(graph, matrix: AliasMatrix) -> List[Tuple[int, int]]:
+def _eligible_fault_pairs(
+    verdicts: Dict[Tuple[int, int], OracleVerdict], matrix: AliasMatrix
+) -> List[Tuple[int, int]]:
     """MAY pairs the oracle *knows* can overlap.
 
     Flipping one of these to NO is a guaranteed-detectable unsoundness:
@@ -385,10 +387,10 @@ def _eligible_fault_pairs(graph, matrix: AliasMatrix) -> List[Tuple[int, int]]:
     both-sides-uncertain stalemate.
     """
     out: List[Tuple[int, int]] = []
-    for older, younger in matrix.pairs(AliasLabel.MAY):
-        v = oracle_verdict(graph, older, younger)
+    for pair in matrix.pairs(AliasLabel.MAY):
+        v = verdicts[pair]
         if v.label is AliasLabel.MUST or v.can_overlap is True:
-            out.append((older, younger))
+            out.append(pair)
     return out
 
 
@@ -404,24 +406,21 @@ def crosscheck_stages(
     contradiction whenever the region has an eligible pair at all.
     """
     graph, result = setup.graph, setup.compiled
+    verdicts = region_verdicts(graph)
     matrices = _stage_matrices(result)
     if fault_seed is not None:
         faulted = result.pre_stage5_labels.copy()
-        eligible = _eligible_fault_pairs(graph, faulted)
+        eligible = _eligible_fault_pairs(verdicts, faulted)
         if eligible:
             older, younger = eligible[fault_seed % len(eligible)]
             faulted.set(older, younger, AliasLabel.NO)
             matrices.append(("injected stage fault", faulted))
-    cache: Dict[Tuple[int, int], OracleVerdict] = {}
     contradictions: List[StaticContradiction] = []
     for stage_name, matrix in matrices:
         for (older, younger), label in matrix:
             if label is AliasLabel.MAY:
                 continue  # MAY can never contradict the oracle
-            verdict = cache.get((older, younger))
-            if verdict is None:
-                verdict = oracle_verdict(graph, older, younger)
-                cache[(older, younger)] = verdict
+            verdict = verdicts[(older, younger)]
             unsound_no = label is AliasLabel.NO and (
                 verdict.label is AliasLabel.MUST or verdict.can_overlap is True
             )
