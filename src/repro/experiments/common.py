@@ -140,9 +140,12 @@ _placement_memo: Dict[Tuple[str, str], Placement] = {}
 _sim_memo: Dict[str, Tuple[SimResult, bool, int]] = {}
 # Every system simulating one workload runs ``workload.graph`` itself, so
 # all of them consume one address stream and check against one golden
-# result.  Like placement, both are keyed by the workload fingerprint.
-_addr_memo: Dict[Tuple[str, str], list] = {}
-_golden_memo: Dict[Tuple[str, str], GoldenResult] = {}
+# result.  Like placement, they are kept per workload fingerprint, one
+# trace at a time: ``(envs_fp, address streams, golden result)``, and a
+# newer trace replaces the older one.  A sweep runs every system of a
+# region at one invocation count, so it loses no reuse, and a daemon
+# serving many invocation counts holds one trace's worth per region.
+_trace_memo: Dict[str, Tuple[str, list, GoldenResult]] = {}
 
 
 def clear_memos() -> None:
@@ -151,8 +154,20 @@ def clear_memos() -> None:
     _oracle_memo.clear()
     _placement_memo.clear()
     _sim_memo.clear()
-    _addr_memo.clear()
-    _golden_memo.clear()
+    _trace_memo.clear()
+
+
+def forget_sim_records() -> None:
+    """Drop the in-process sim records.
+
+    A sim record carries its run's value evidence (tens of KB), and
+    :func:`run_system` memoizes one per task.  A long-lived caller that
+    keeps its own copy of what it needs (the serve daemon keeps each
+    request's payload) calls this after each batch, so its memory grows
+    with the regions it has seen, not with the tasks; a repeat is then
+    read from the on-disk cache.
+    """
+    _sim_memo.clear()
 
 
 def workload_fingerprint(workload: Workload) -> str:
@@ -435,20 +450,16 @@ def _simulate(
 
     # Evaluate every memory op's address once per invocation: the warm
     # loop and the engine consume the same stream, and every system over
-    # this workload and trace reuses it.
-    stream_key = (wfp, envs_fp)
-    addr_streams = _addr_memo.get(stream_key)
-    if addr_streams is None:
+    # this workload and trace reuses it and the golden result.
+    memo = _trace_memo.get(wfp)
+    if memo is None or memo[0] != envs_fp:
         mem_ops = graph.memory_ops
         addr_streams = [
             {op.op_id: (op.addr.evaluate(env), op.addr.width) for op in mem_ops}
             for env in envs
         ]
-        _addr_memo[stream_key] = addr_streams
-    golden = _golden_memo.get(stream_key)
-    if golden is None:
-        golden = golden_execute(graph, envs)
-        _golden_memo[stream_key] = golden
+        memo = _trace_memo[wfp] = (envs_fp, addr_streams, golden_execute(graph, envs))
+    _envs_fp, addr_streams, golden = memo
 
     sim, correct = simulate_region(
         graph, envs, system, mdes, placement, golden,

@@ -4,10 +4,12 @@ Entries are pickled Python objects stored under
 ``<root>/objects/<key[:2]>/<key>.pkl`` where ``key`` is a sha256 over
 the content fingerprints of everything the result depends on (see
 :mod:`repro.runtime.fingerprint`), the simulator's source code among
-them.  Writes are atomic and durable (tmp + fsync + rename), so
+them.  Writes are atomic against process death (tmp + rename), so
 concurrent workers can race on the same key safely — last writer wins
 with identical bytes — and a killed sweep's completed tasks survive
-for its rerun.
+for its rerun.  A put is not fsync'd: every entry can be recomputed
+from its key, so after an OS crash or power loss recent entries may be
+missing or torn, and a torn entry reads as a miss.
 
 Hit/miss counters accumulate in memory and are merged into
 ``<root>/stats.json`` on process exit, which is what
@@ -180,10 +182,10 @@ class ResultCache:
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store *value* crash-consistently: tmp + fsync + rename, so a
-        process killed mid-put leaves either the complete entry or none
-        (a later :meth:`get` of a partial file reads as a miss either
-        way).
+        """Store *value* atomically against process death: tmp + rename,
+        so a process killed mid-put leaves either the complete entry or
+        none.  There is no fsync: an OS crash may lose or tear recent
+        entries, and a torn entry reads as a miss in :meth:`get`.
 
         An unpicklable *value* (``PicklingError``, or ``TypeError`` for
         e.g. generators/locks) demotes to "not cached" — the cache is
@@ -201,8 +203,6 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except (OSError, pickle.PicklingError, TypeError, AttributeError):
             pass

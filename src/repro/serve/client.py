@@ -1,8 +1,13 @@
 """Stdlib HTTP client for ``nachos-serve`` (TCP or unix socket).
 
-One connection per request (the daemon answers ``Connection: close``),
-so a :class:`ServeClient` is cheap, stateless, and thread-safe — the
-load generator drives one instance from many threads.
+A :class:`ServeClient` keeps one connection per thread and asks for
+``Connection: keep-alive``, so a thread's requests share one TCP
+connect; the daemon closes a connection that stays idle for 30 s.  It
+is thread-safe: a load generator drives one instance from many
+threads, and :meth:`ServeClient.close` closes every thread's
+connection.  If the daemon has closed a reused connection, the request
+is sent again once on a fresh one; a submit is idempotent by request
+id, so the resend is safe.
 
 A refused connect (no daemon listening) raises at once; the caller
 decides whether to wait for a restarting daemon.  Response bodies are
@@ -16,6 +21,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 from typing import Any, Dict, List, Optional
 
@@ -62,68 +68,103 @@ class ServeClient:
         self.port = port
         self.socket_path = socket_path
         self.timeout = timeout
+        self._local = threading.local()  # .conn: this thread's connection
+        self._lock = threading.Lock()
+        self._conns: List[http.client.HTTPConnection] = []  # every thread's
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _new_connection(self) -> http.client.HTTPConnection:
         if self.socket_path:
             return _UnixHTTPConnection(self.socket_path, timeout=self.timeout)
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
 
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection()
+            with self._lock:
+                self._conns.append(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection.  Each thread that used the
+        client holds one open until then; a later request reconnects."""
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
     def _request(
         self, method: str, target: str, body: Optional[dict] = None,
         accept: tuple = (200,),
     ) -> Dict[str, Any]:
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {"Connection": "keep-alive"}
+        if data is not None:
+            headers["Content-Type"] = "application/json"
         conn = self._connection()
+        reused = conn.sock is not None
         try:
-            data = json.dumps(body).encode("utf-8") if body is not None else None
-            headers = {}
-            if data is not None:
-                headers["Content-Type"] = "application/json"
-            conn.request(method, target, body=data, headers=headers)
-            response = conn.getresponse()
-            declared = response.getheader("Content-Length")
-            if declared is not None and declared.isdigit() and (
-                int(declared) > MAX_RESPONSE_BYTES
-            ):
-                raise ServeError(
-                    response.status,
-                    {"error": f"response body too large ({declared} bytes)"},
-                )
             try:
-                raw = response.read(MAX_RESPONSE_BYTES + 1)
-            except http.client.IncompleteRead as exc:
-                raw = exc.partial
-                raise ServeError(
-                    response.status,
-                    {
-                        "error": "truncated response body",
-                        "preview": repr(raw[:120]),
-                    },
-                ) from None
-            if len(raw) > MAX_RESPONSE_BYTES:
-                raise ServeError(
-                    response.status, {"error": "response body too large"}
-                )
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                raise ServeError(
-                    response.status,
-                    {
-                        "error": "response body is not valid JSON",
-                        "preview": repr(raw[:120]),
-                    },
-                ) from None
-            if not isinstance(payload, dict):
-                raise ServeError(
-                    response.status, {"error": "response is not a JSON object"}
-                )
-        finally:
-            conn.close()
-        if response.status not in accept:
-            raise ServeError(response.status, payload)
-        payload["_http_status"] = response.status
+                conn.request(method, target, body=data, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The daemon closed the idle connection: send once more
+                # on a fresh one.
+                conn.close()
+                conn.request(method, target, body=data, headers=headers)
+                response = conn.getresponse()
+            status, payload = response.status, self._read_payload(response)
+        except BaseException:
+            conn.close()  # its state is unknown; the next request reconnects
+            raise
+        if status not in accept:
+            raise ServeError(status, payload)
+        payload["_http_status"] = status
+        return payload
+
+    @staticmethod
+    def _read_payload(response: http.client.HTTPResponse) -> Dict[str, Any]:
+        declared = response.getheader("Content-Length")
+        if declared is not None and declared.isdigit() and (
+            int(declared) > MAX_RESPONSE_BYTES
+        ):
+            raise ServeError(
+                response.status,
+                {"error": f"response body too large ({declared} bytes)"},
+            )
+        try:
+            raw = response.read(MAX_RESPONSE_BYTES + 1)
+        except http.client.IncompleteRead as exc:
+            raw = exc.partial
+            raise ServeError(
+                response.status,
+                {
+                    "error": "truncated response body",
+                    "preview": repr(raw[:120]),
+                },
+            ) from None
+        if len(raw) > MAX_RESPONSE_BYTES:
+            raise ServeError(
+                response.status, {"error": "response body too large"}
+            )
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            raise ServeError(
+                response.status,
+                {
+                    "error": "response body is not valid JSON",
+                    "preview": repr(raw[:120]),
+                },
+            ) from None
+        if not isinstance(payload, dict):
+            raise ServeError(
+                response.status, {"error": "response is not a JSON object"}
+            )
         return payload
 
     # -- endpoints ------------------------------------------------------

@@ -23,6 +23,11 @@ Endpoints (JSON over HTTP/1.1, TCP or a unix socket):
 ``POST /shutdown``       graceful stop
 =======================  ==============================================
 
+A request with ``Connection: keep-alive`` keeps its connection open for
+the next request until it has been idle for ``_READ_TIMEOUT`` seconds;
+any other request is answered ``Connection: close`` and its connection
+closed.
+
 Dedup happens twice: identical *requests* attach to the retained
 request record, and identical *(region, system)* tasks across different
 requests attach in-flight inside the :class:`~repro.serve.batcher.Batcher`.
@@ -71,6 +76,8 @@ from repro.serve.protocol import (
 MAX_WAIT_SECONDS = 300.0
 
 _MAX_BODY_BYTES = 1 << 20
+#: Seconds a read may wait: for a request's next line, and so also how
+#: long an idle keep-alive connection stays open.
 _READ_TIMEOUT = 30.0
 
 RUNNING = "running"
@@ -162,14 +169,17 @@ class NachosServeDaemon:
             for _ in range(2):
                 await asyncio.sleep(0)
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Closing the listener leaves accepted connections open (a
-        # long-poll, say), and their sockets would outlive the loop
-        # with the client still waiting on them.  Hang up instead, so
-        # the client sees a disconnect and can go elsewhere.
+        # Closing the listener leaves accepted connections open (an idle
+        # keep-alive one, or a long-poll), and their sockets would
+        # outlive the loop with the client still waiting on them.  Hang
+        # up instead, so the client sees a disconnect and can go
+        # elsewhere.  This comes before wait_closed(), which on newer
+        # Pythons waits for every accepted connection to close.
         for writer in list(self._connections):
             writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self.batcher is not None:
             await self.batcher.stop()
         if self.socket_path:
@@ -207,33 +217,22 @@ class NachosServeDaemon:
         return thread
 
     # -- request execution ---------------------------------------------
-    async def _resolve_task(self, req: ServeRequest, system: str, fp: str):
-        """One task's payload: the batcher dedups it in flight, and the
-        pool's supervisor serves a cached task itself, forking no worker."""
+    async def _run_request(self, record: _RequestRecord) -> None:
+        """Submit all of the request's tasks in one batcher call, so they
+        ship in one batch; the pool's supervisor serves a cached task
+        itself, forking no worker."""
         assert self.batcher is not None
         from repro.runtime.executor import SimTask
 
-        run = await self.batcher.submit(
-            fp,
-            SimTask(
-                workload=workload_for(req.region),
-                system=system,
-                invocations=req.invocations,
-                check=req.check,
-                warm=req.warm,
-            ),
-        )
-        return run_payload(run)
-
-    async def _run_request(self, record: _RequestRecord) -> None:
-        assert self.batcher is not None
         req = record.request
         started = time.perf_counter()
-        coros = [
-            self._resolve_task(req, system, fp)
+        workload = workload_for(req.region)
+        runs = await self.batcher.submit([
+            (fp, SimTask(workload=workload, system=system,
+                         invocations=req.invocations, check=req.check,
+                         warm=req.warm))
             for system, fp in zip(req.systems, req.task_fps)
-        ]
-        runs = await asyncio.gather(*coros, return_exceptions=True)
+        ])
         results: Dict[str, Any] = {}
         failed: Dict[str, Any] = {}
         for system, run in zip(req.systems, runs):
@@ -242,7 +241,7 @@ class NachosServeDaemon:
             elif isinstance(run, BaseException):
                 failed[system] = {"kind": "error", "message": str(run)}
             else:
-                results[system] = run
+                results[system] = run_payload(run)
         elapsed = time.perf_counter() - started
         record.status = FAILED if failed else DONE
         record.payload = {
@@ -279,30 +278,41 @@ class NachosServeDaemon:
         if self._stopping:
             writer.close()
             return None
+        self.metrics.counter("serve.connections").inc()
         self._connections.add(writer)
         return self._serve_connection(reader, writer)
 
     async def _serve_connection(self, reader, writer) -> None:
+        """Answer requests on one connection until a request does not ask
+        for keep-alive, the client hangs up or stays idle for
+        ``_READ_TIMEOUT`` seconds, or the daemon stops."""
         try:
-            await self._respond(reader, writer)
+            while await self._respond(reader, writer) and not self._stopping:
+                pass
         finally:
             self._connections.discard(writer)
+            try:
+                writer.close()
+            except OSError:
+                pass
 
-    async def _respond(self, reader, writer) -> None:
+    async def _respond(self, reader, writer) -> bool:
+        """Read one request and answer it; return whether the connection
+        stays open for the next one."""
         try:
-            status, payload = await self._handle_one(reader)
+            status, payload, keep_alive = await self._handle_one(reader)
         except (
             asyncio.TimeoutError,
             asyncio.IncompleteReadError,
             ConnectionError,
         ):
-            writer.close()
-            return
-        except ProtocolError as exc:
-            status, payload = 400, {"error": str(exc)}
+            return False
+        except ProtocolError as exc:  # the request was not read whole
+            status, payload, keep_alive = 400, {"error": str(exc)}, False
         except Exception as exc:  # never let a handler kill the daemon
             self.metrics.counter("serve.internal_errors").inc()
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            keep_alive = False
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
@@ -311,20 +321,18 @@ class NachosServeDaemon:
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         ).encode("latin-1")
         try:
             writer.write(head + body)
             await writer.drain()
         except (ConnectionError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except OSError:
-                pass
+            return False
+        return keep_alive
 
-    async def _handle_one(self, reader) -> Tuple[int, Dict[str, Any]]:
+    async def _handle_one(self, reader) -> Tuple[int, Dict[str, Any], bool]:
+        """One request: its status, payload, and whether it asked for
+        ``Connection: keep-alive``."""
         line = await asyncio.wait_for(reader.readline(), _READ_TIMEOUT)
         if not line:
             raise ConnectionError("empty request")
@@ -346,9 +354,14 @@ class NachosServeDaemon:
         if length < 0 or length > _MAX_BODY_BYTES:
             raise ProtocolError("request body too large")
         body = await reader.readexactly(length) if length else b""
+        keep_alive = headers.get("connection", "").lower() == "keep-alive"
         path, _, query = target.partition("?")
         params = {k: v[-1] for k, v in parse_qs(query).items()}
-        return await self._route(method.upper(), path, params, body)
+        try:
+            status, payload = await self._route(method.upper(), path, params, body)
+        except ProtocolError as exc:  # read whole, so the connection is fine
+            status, payload = 400, {"error": str(exc)}
+        return status, payload, keep_alive
 
     async def _route(
         self, method: str, path: str, params: Dict[str, str], body: bytes

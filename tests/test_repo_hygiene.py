@@ -209,8 +209,8 @@ def test_cli_rejects_retired_retry_flags(entry, argv, capsys):
 def test_cli_rejects_retired_engine_flag(entry, argv, capsys):
     """Knobs with one value in use are gone, and argparse rejects them
     before anything runs: the run picks its engine, every ``verify``
-    campaign runs every check, and the serve batcher's window and batch
-    cap are constants."""
+    campaign runs every check, the serve batcher has no window, and its
+    batch cap is a constant."""
     if entry == "nachos-repro":
         from repro.experiments.cli import main
     else:

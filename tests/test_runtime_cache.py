@@ -66,6 +66,19 @@ def test_truncated_entry_is_a_miss_and_reputtable(tmp_path):
     assert cache.get(key) == {"cycles": 99}
 
 
+@pytest.mark.parametrize("content", [b"", b"\0" * 4096], ids=["empty", "zeros"])
+def test_torn_cache_entry_reads_as_a_miss_and_is_reputtable(tmp_path, content):
+    """A put is not fsync'd, so after an OS crash an entry may be empty or
+    zero-filled; either reads as a miss and can be put again."""
+    cache = ResultCache(root=tmp_path, enabled=True)
+    key = combine("unit", "torn")
+    cache.put(key, {"cycles": 7})
+    cache._object_path(key).write_bytes(content)
+    assert cache.get(key) is ResultCache.MISS
+    cache.put(key, {"cycles": 7})
+    assert cache.get(key) == {"cycles": 7}
+
+
 def test_put_leaves_no_tmp_droppings(tmp_path):
     cache = ResultCache(root=tmp_path, enabled=True)
     for i in range(5):

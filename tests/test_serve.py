@@ -47,7 +47,9 @@ def daemon():
 
 @pytest.fixture
 def client(daemon):
-    return ServeClient(port=daemon.port)
+    c = ServeClient(port=daemon.port)
+    yield c
+    c.close()
 
 
 def test_submit_roundtrip_matches_direct_run(client):
@@ -199,6 +201,63 @@ def test_stop_hangs_up_on_open_connections():
         sock.close()
 
 
+def test_one_thread_reuses_one_connection(client):
+    for _ in range(5):
+        client.healthz()
+    client.submit("gather", systems=["opt-lsq"], invocations=3, wait=True)
+    assert client.metrics()["serve.connections"]["value"] == 1
+
+
+def test_each_thread_has_its_own_connection(client):
+    client.healthz()
+    worker = threading.Thread(target=lambda: [client.healthz() for _ in range(3)])
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    client.healthz()
+    assert client.metrics()["serve.connections"]["value"] == 2
+
+
+def _raw_exchange(sock, request: bytes) -> bytes:
+    """Send *request*; return the response head and body it gets."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += sock.recv(65536)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(
+        [l for l in head.split(b"\r\n") if l.lower().startswith(b"content-length")][0]
+        .split(b":")[1]
+    )
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head + b"\r\n\r\n" + body
+
+
+def test_raw_request_without_keep_alive_gets_close_then_eof(daemon):
+    """A client that does not ask for keep-alive (curl, a raw socket) is
+    answered ``Connection: close`` and hung up on, as it always was."""
+    with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+        reply = _raw_exchange(sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 OK")
+        assert b"Connection: close\r\n" in reply
+        assert sock.recv(1) == b""
+
+
+def test_raw_keep_alive_serves_several_requests_on_one_connection(daemon):
+    request = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+        for _ in range(3):
+            reply = _raw_exchange(sock, request)
+            assert reply.startswith(b"HTTP/1.1 200 OK")
+            assert b"Connection: keep-alive\r\n" in reply
+        # A malformed request line cannot be framed: 400, then a close.
+        reply = _raw_exchange(sock, b"NONSENSE\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close\r\n" in reply
+        assert sock.recv(1) == b""
+
+
 def test_unix_socket_roundtrip():
     sock_dir = tempfile.mkdtemp(prefix="nachos-sock-")  # short AF_UNIX path
     sock = str(Path(sock_dir) / "serve.sock")
@@ -209,6 +268,7 @@ def test_unix_socket_roundtrip():
         response = client.submit(
             "gather", systems=["opt-lsq"], invocations=4, wait=True
         )
+        client.close()
         assert response["status"] == "done"
         assert response["results"]["opt-lsq"]["cycles"] > 0
     finally:
@@ -229,7 +289,9 @@ def test_chaos_daemon_results_match_fault_free(monkeypatch, fresh_store):
     clean = NachosServeDaemon(port=0, quiet=True, jobs=2)
     thread = clean.serve_in_thread()
     try:
-        baseline = ServeClient(port=clean.port).submit(**request)
+        baseline_client = ServeClient(port=clean.port)
+        baseline = baseline_client.submit(**request)
+        baseline_client.close()
     finally:
         clean.request_shutdown()
         thread.join(timeout=30)
@@ -244,6 +306,7 @@ def test_chaos_daemon_results_match_fault_free(monkeypatch, fresh_store):
         client = ServeClient(port=chaotic.port)
         survived = client.submit(**request)
         retries = client.metrics()["serve.pool_retries"]["value"]
+        client.close()
     finally:
         chaotic.request_shutdown()
         thread.join(timeout=30)
@@ -300,6 +363,7 @@ def test_restarted_daemon_answers_from_disk(tmp_path):
                 results.append(response["results"])
             misses = client.metrics()["cache.misses"]["value"]
             client.shutdown()
+            client.close()
             assert proc.wait(timeout=30) == 0
         finally:
             if proc.poll() is None:
@@ -348,6 +412,7 @@ def test_failed_request_reports_failure(monkeypatch, fresh_store):
         retry = client.submit(
             "gather", systems=["nachos", "opt-lsq"], invocations=4, wait=True,
         )
+        client.close()
         assert retry["status"] == "done"
     finally:
         d.request_shutdown()

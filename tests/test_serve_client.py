@@ -79,6 +79,7 @@ def test_poll_unknown_request_id_after_restart_is_a_clean_404():
             wait_timeout=60,
         )
         request_id = done["request_id"]
+        client.close()
     finally:
         first.request_shutdown()
         thread.join(timeout=30)
@@ -100,6 +101,7 @@ def test_poll_unknown_request_id_after_restart_is_a_clean_404():
         )
         assert again["request_id"] == request_id
         assert again["results"] == done["results"]
+        client.close()
     finally:
         second.request_shutdown()
         thread.join(timeout=30)
@@ -147,3 +149,46 @@ def test_undecodable_bytes_are_rejected_not_crashed():
     client = ServeClient(port=port, timeout=5)
     with pytest.raises(ServeError, match="not valid JSON"):
         client.healthz()
+
+
+# -- keep-alive -----------------------------------------------------------
+def test_idle_connection_closed_by_daemon_reconnects_once(monkeypatch):
+    """The daemon hangs up a connection idle for ``_READ_TIMEOUT``; the
+    client's next request finds it closed and succeeds on a new one."""
+    from repro.serve import daemon as daemon_module
+
+    monkeypatch.setattr(daemon_module, "_READ_TIMEOUT", 0.2)
+    d = NachosServeDaemon(port=0, quiet=True)
+    thread = d.serve_in_thread()
+    try:
+        client = ServeClient(port=d.port, timeout=5)
+        client.healthz()
+        deadline = time.monotonic() + 10
+        while d._connections and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not d._connections, "the idle connection was not closed"
+        assert client._local.conn.sock is not None  # the client has not noticed
+        assert client.healthz()["ok"] is True
+        assert client.metrics()["serve.connections"]["value"] == 2
+        client.close()
+    finally:
+        d.request_shutdown()
+        thread.join(timeout=30)
+
+
+def test_shutdown_with_idle_keep_alive_connection_is_prompt():
+    """An idle keep-alive connection neither delays the stop (it would
+    wait out ``_READ_TIMEOUT``) nor outlives it."""
+    d = NachosServeDaemon(port=0, quiet=True)
+    thread = d.serve_in_thread()
+    client = ServeClient(port=d.port)
+    client.healthz()  # leaves the connection open and idle
+    sock = client._local.conn.sock
+    t0 = time.perf_counter()
+    d.request_shutdown()
+    thread.join(timeout=20)
+    assert not thread.is_alive()
+    assert time.perf_counter() - t0 < 5.0
+    sock.settimeout(5)
+    assert sock.recv(1) == b""
+    client.close()

@@ -111,7 +111,7 @@ def test_campaign_leaves_the_sweep_memos_and_cache_alone(monkeypatch):
     assert touched == []
     for memo in (common._compile_memo, common._oracle_memo,
                  common._placement_memo, common._sim_memo,
-                 common._addr_memo, common._golden_memo):
+                 common._trace_memo):
         assert not memo
 
 
