@@ -9,7 +9,6 @@ Usage::
     nachos-repro all --jobs 4          # fan simulations across processes
     nachos-repro fig11 --invocations 60
     nachos-repro fig11 --no-cache      # force a cold run
-    nachos-repro fig11 --metrics m.json  # dump the metrics registry
     nachos-repro all --jobs 4          # supervised: a dead worker is
                                        # replaced, its task requeued once
     nachos-repro all                   # after a killed/crashed sweep:
@@ -24,6 +23,8 @@ Usage::
                                        # Chrome-trace/Perfetto event dump
     nachos-repro trace bzip2 --system nachos --sanitize
                                        # + check ordering invariants
+    nachos-repro trace bzip2 --system nachos --metrics m.json
+                                       # + the run's metrics registry
     nachos-repro verify --fuzz 200 --seed 0
                                        # alias fuzzing, every check on
                                        # every region: golden model +
@@ -33,8 +34,9 @@ Usage::
                                        # and MDE sync coverage per region
     nachos-repro verify --repro fuzz-repros/fuzz-0-41-golden-nachos.json
                                        # rerun a shrunken failure
-    nachos-repro profile fig11         # per-stage/per-region wall time,
-                                       # cache telemetry, worker usage
+
+Per-task host wall time is perfbench's: ``python3 perfbench/run.py
+--workload sweep-cold --trace 1`` times every sweep task as a span.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ def main(argv=None) -> int:
         "--metrics",
         default=None,
         metavar="PATH",
-        help="dump a metrics-registry JSON (counters/histograms) after the run",
+        help="for 'trace': dump the run's metrics-registry JSON "
+        "(counters/histograms)",
     )
     parser.add_argument(
         "--system",
@@ -252,11 +255,6 @@ def main(argv=None) -> int:
         print("  all")
         return 0
 
-    # ``profile`` runs the same loop with rendering off, then prints the
-    # sweep profile.
-    profiling = names[0] == "profile"
-    if profiling:
-        names = names[1:] or ["all"]
     if names == ["all"]:
         names = list(EXPERIMENTS)
 
@@ -264,12 +262,6 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-
-    stage_seconds = {}
-    if profiling or args.metrics:
-        from repro.obs import enable_profiling
-
-        enable_profiling()
 
     failed: Dict[str, dict] = {}
     for name in names:
@@ -285,7 +277,6 @@ def main(argv=None) -> int:
         except SweepError as exc:
             # Graceful degradation: record the per-task failures and move
             # on to the remaining figures instead of aborting the set.
-            stage_seconds[name] = time.perf_counter() - start
             failed[name] = exc.outcome.as_report()
             print(
                 f"[{name}: FAILED — "
@@ -294,21 +285,14 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             continue
-        stage_seconds[name] = time.perf_counter() - start
-        if profiling:
-            continue
+        seconds = time.perf_counter() - start
         print(render(result))
-        print(f"[{name}: {stage_seconds[name]:.1f}s]")
+        print(f"[{name}: {seconds:.1f}s]")
         if args.svg_dir:
             _write_svg(name, result, args.svg_dir)
         if args.json_dir:
             _write_json(name, result, args.json_dir)
         print()
-
-    if profiling:
-        _print_profile(stage_seconds)
-    if args.metrics:
-        _dump_metrics(args.metrics, stage_seconds)
 
     cache = get_cache()
     if cache.enabled and (cache.hits or cache.misses):
@@ -342,24 +326,6 @@ def _write_failure_report(path: str, names, failed: Dict[str, dict]) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _dump_metrics(path: str, stage_seconds: Dict[str, float]) -> None:
-    """Write the run's metrics registry (sweep + cache + stage timings)."""
-    from repro.obs import (
-        MetricsRegistry,
-        get_profile,
-        metrics_from_cache,
-        metrics_from_profile,
-    )
-
-    registry = MetricsRegistry()
-    for name, seconds in stage_seconds.items():
-        registry.gauge(f"stage.{name}.wall_seconds").set(seconds)
-    metrics_from_cache(registry=registry)
-    metrics_from_profile(get_profile(), registry=registry)
-    registry.write_json(path)
-    print(f"[wrote metrics to {path}]")
 
 
 def _trace_command(rest, args) -> int:
@@ -509,54 +475,6 @@ def _verify_command(args) -> int:
               f"(rerun: nachos-repro verify --repro {path})")
     print(f"{len(result.failures)} failure(s)")
     return 1
-
-
-def _print_profile(stage_seconds: Dict[str, float]) -> None:
-    """``nachos-repro profile``'s tables: per-stage and per-region wall
-    time, the sweep's supervisor CPU, worker usage and supervision."""
-    from repro.obs import get_profile
-
-    profile = get_profile()
-    # Every table below sorts by *name*, never by measured time or by
-    # collection order: task records arrive in worker completion order
-    # and wall times are noisy, so any time-keyed ordering shuffles from
-    # run to run and makes CI log diffs useless.
-    print("per-stage wall time:")
-    for name in sorted(stage_seconds):
-        print(f"  {name:<14} {stage_seconds[name]:8.2f}s")
-    print(f"  {'total':<14} {sum(stage_seconds.values()):8.2f}s")
-
-    regions = profile.per_region()
-    if regions:
-        heaviest = max(regions.items(), key=lambda kv: kv[1][1])
-        print("\nper-region simulation time:")
-        for region in sorted(regions):
-            count, seconds = regions[region]
-            print(f"  {region:<14} {seconds:8.2f}s over {count} task(s)")
-        print(f"  [heaviest: {heaviest[0]}, {heaviest[1][1]:.2f}s]")
-
-    if profile.sweeps:
-        wall = profile.wall_seconds
-        cpu = profile.supervisor_cpu_seconds
-        share = f" ({100.0 * cpu / wall:.0f}% of wall)" if wall > 0 else ""
-        print(f"\nsweep wall: {wall:.2f}s over {len(profile.sweeps)} "
-              f"batch(es); supervisor CPU: {cpu:.2f}s{share}")
-
-    workers = profile.per_worker()
-    if len(workers) > 1:
-        print("\nper-worker busy time:")
-        for i, (pid, busy) in enumerate(sorted(workers.items())):
-            print(f"  worker {i:<3} {busy:8.2f}s")
-        print(f"  utilization: {100.0 * profile.utilization():.0f}%")
-
-    counts = profile.fault_counts()
-    if counts:
-        print("\nsupervision:")
-        for kind in sorted(counts):
-            print(f"  {kind + ' faults':<18} {counts[kind]}")
-        print(f"  {'retries':<18} {profile.retries}")
-        print(f"  {'terminal failures':<18} {len(profile.failures)}")
-    print()
 
 
 def _cache_command(rest) -> int:

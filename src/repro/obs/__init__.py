@@ -1,19 +1,17 @@
-"""Observability: structured tracing, metrics, and sweep profiling.
+"""Observability: structured tracing and metrics.
 
-Three layers, all zero-overhead when off:
+Two layers:
 
 * :mod:`repro.obs.tracer` — typed per-cycle event streams from the
   engine and every disambiguation backend (``NULL_TRACER`` is the
-  disabled default);
+  disabled default, zero-overhead when off);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges, and histograms built from runs, the result cache, and the
-  sweep profiler;
-* :mod:`repro.obs.profile` — per-task / per-worker wall-clock telemetry
-  for the parallel sweep runtime;
+  gauges, and histograms built from runs and the result cache;
 
 plus :mod:`repro.obs.chrome` (Perfetto/Chrome-trace export) and
 :mod:`repro.obs.runner` (cache-bypassing traced simulation, the engine
-behind ``nachos-repro trace``).
+behind ``nachos-repro trace``).  Per-task host wall time is not kept
+here: ``perfbench/run.py --trace 1`` times every sweep task as a span.
 """
 
 from repro.obs.chrome import chrome_trace, order_wait_latencies, write_chrome_trace
@@ -23,16 +21,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     metrics_from_cache,
-    metrics_from_profile,
     metrics_from_run,
-)
-from repro.obs.profile import (
-    SweepProfile,
-    disable_profiling,
-    enable_profiling,
-    get_profile,
-    profiling_enabled,
-    reset_profile,
 )
 from repro.obs.runner import TracedRun, resolve_workload, traced_run
 from repro.obs.tracer import (
@@ -50,21 +39,14 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "SweepProfile",
     "TraceEvent",
     "TracedRun",
     "Tracer",
     "backend_counts",
     "chrome_trace",
-    "disable_profiling",
-    "enable_profiling",
-    "get_profile",
     "metrics_from_cache",
-    "metrics_from_profile",
     "metrics_from_run",
     "order_wait_latencies",
-    "profiling_enabled",
-    "reset_profile",
     "resolve_workload",
     "traced_run",
     "write_chrome_trace",

@@ -1,19 +1,18 @@
-"""Counters, gauges, and histograms for simulation and sweep telemetry.
+"""Counters, gauges, and histograms for simulation and serve telemetry.
 
 A :class:`MetricsRegistry` is a flat, JSON-serializable namespace of
-metrics.  Builders populate it from the three telemetry sources:
+metrics.  Builders populate it from two telemetry sources:
 
 * :func:`metrics_from_run` — one simulation: cycles per invocation,
   backend counters and derived rates, L1 hits/misses, and (when a
   tracer rode along) the order-wait latency distribution and the LSQ
   occupancy histogram;
 * :func:`metrics_from_cache` — the content-addressed result cache's
-  hit/miss counters (:mod:`repro.runtime.cache`);
-* :func:`metrics_from_profile` — the sweep profiler's per-task wall
-  times and per-worker utilization (:mod:`repro.obs.profile`).
+  hit/miss counters (:mod:`repro.runtime.cache`).
 
-``nachos-repro <figure> --metrics out.json`` dumps the registry after a
-sweep; ``registry.write_json(path)`` is the programmatic equivalent.
+``nachos-repro trace <region> --metrics out.json`` dumps one traced
+run's registry; ``registry.write_json(path)`` is the programmatic
+equivalent.
 """
 
 from __future__ import annotations
@@ -220,34 +219,4 @@ def metrics_from_cache(
     reg.counter(f"{prefix}.misses").inc(cache.misses)
     total = cache.hits + cache.misses
     reg.gauge(f"{prefix}.hit_rate").set(cache.hits / total if total else 0.0)
-    return reg
-
-
-def metrics_from_profile(
-    profile, registry: Optional[MetricsRegistry] = None, prefix: str = "sweep"
-) -> MetricsRegistry:
-    """Fold a :class:`~repro.obs.profile.SweepProfile` into a registry."""
-    reg = registry if registry is not None else MetricsRegistry()
-    task_hist = reg.histogram(f"{prefix}.task_seconds")
-    for rec in profile.tasks:
-        task_hist.observe(rec.seconds)
-    reg.counter(f"{prefix}.tasks").inc(len(profile.tasks))
-    reg.counter(f"{prefix}.cache_hits").inc(sum(r.hits for r in profile.tasks))
-    reg.counter(f"{prefix}.cache_misses").inc(sum(r.misses for r in profile.tasks))
-    worker_hist = reg.histogram(f"{prefix}.worker_busy_seconds")
-    for _, busy in sorted(profile.per_worker().items()):
-        worker_hist.observe(busy)
-    reg.gauge(f"{prefix}.workers").set(len(profile.per_worker()))
-    reg.gauge(f"{prefix}.wall_seconds").set(profile.wall_seconds)
-    reg.gauge(f"{prefix}.supervisor_cpu_seconds").set(
-        profile.supervisor_cpu_seconds
-    )
-    reg.gauge(f"{prefix}.utilization").set(profile.utilization())
-    # Supervision telemetry: failed attempts by kind, requeue and
-    # terminal-failure totals.
-    counts = profile.fault_counts()
-    reg.counter(f"{prefix}.worker_crashes").inc(counts.get("crash", 0))
-    reg.counter(f"{prefix}.task_errors").inc(counts.get("error", 0))
-    reg.counter(f"{prefix}.retries").inc(profile.retries)
-    reg.counter(f"{prefix}.failures").inc(len(profile.failures))
     return reg

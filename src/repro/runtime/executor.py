@@ -57,12 +57,13 @@ resume paths are pinned by deterministic tests.
 
 The default job count comes from the CLI (``--jobs``) or the
 ``NACHOS_JOBS`` environment variable and defaults to 1 (serial, no pool
-spawned).  Workers share the on-disk result cache with the parent.
+spawned).  Workers share the on-disk result cache with the parent;
+each result envelope carries the task's cache hit/miss delta, which the
+supervisor folds into its own counters.
 
-When sweep profiling is enabled (:mod:`repro.obs.profile`), every task
-reports its wall time, the pid of the process that ran it, and its
-result-cache hit/miss delta; each batch reports how many workers it
-forked; worker deaths, requeues and terminal failures are counted too.
+A batch's record is its :class:`SweepOutcome`: results, terminal
+failures and requeues.  Per-task host time is perfbench's
+(``perfbench/run.py --trace 1`` times every task as a span).
 """
 
 from __future__ import annotations
@@ -71,13 +72,11 @@ import multiprocessing
 import os
 import pickle
 import signal
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.profile import get_profile
 from repro.runtime.chaos import get_chaos
 
 _jobs: Optional[int] = None
@@ -278,18 +277,14 @@ def _units(tasks: List[SimTask], indices: List[int]) -> List[List[int]]:
 
 def _envelope(index: int, task: SimTask, cache) -> tuple:
     """Run one task; its result envelope: ``("ok", index, run, cache hits,
-    cache misses, seconds, pid)``, or ``("err", index, message)`` when
-    the task raised."""
+    cache misses)``, or ``("err", index, message)`` when the task
+    raised."""
     h0, m0 = cache.hits, cache.misses
-    t0 = time.perf_counter()
     try:
         run = _execute(task)
     except Exception as exc:
         return ("err", index, f"{type(exc).__name__}: {exc}")
-    return (
-        "ok", index, run, cache.hits - h0, cache.misses - m0,
-        time.perf_counter() - t0, os.getpid(),
-    )
+    return ("ok", index, run, cache.hits - h0, cache.misses - m0)
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +407,6 @@ class _Supervision:
         from repro.runtime.cache import get_cache
 
         self.tasks = tasks
-        self.profile = get_profile()
         self.cache = get_cache()
         self.chaos = get_chaos()
         self.sweep_stale()
@@ -448,25 +442,16 @@ class _Supervision:
         if msg[0] != "ok":
             self.fail(index, ERROR, str(msg[2]))
             return
-        _, _, run, hits, misses, seconds, pid = msg
+        _, _, run, hits, misses = msg
         if remote:
             self.cache.add_counts(hits, misses)
         self.results[index] = run
         self.open -= 1
-        if self.profile.enabled:
-            self.profile.record_task(
-                _task_label(self.tasks[index]),
-                self.tasks[index].system,
-                seconds,
-                pid,
-                hits=hits,
-                misses=misses,
-            )
 
     def fail(self, index: int, kind: str, message: str) -> None:
         """The task's current attempt failed; it will not run again."""
         task = self.tasks[index]
-        failure = TaskFailure(
+        self.failures.append(TaskFailure(
             index=index,
             region=_task_label(task),
             system=task.system,
@@ -475,14 +460,8 @@ class _Supervision:
             # ran to completion after any earlier deaths.
             attempts=self.deaths[index] + (0 if kind == CRASH else 1),
             message=message,
-        )
-        self.failures.append(failure)
+        ))
         self.open -= 1
-        if self.profile.enabled:
-            self.profile.record_fault(failure.region, failure.system, kind)
-            self.profile.record_failure(
-                failure.region, failure.system, kind, failure.attempts, message
-            )
 
     def worker_died(self, unit: deque, message: str) -> None:
         """The worker running *unit* died under its first task: charge
@@ -495,9 +474,6 @@ class _Supervision:
         else:
             rest.insert(0, index)
             self.retries += 1
-            if self.profile.enabled:
-                task = self.tasks[index]
-                self.profile.record_fault(_task_label(task), task.system, CRASH)
         if rest:
             self.queue.appendleft(rest)
 
@@ -514,23 +490,14 @@ def _run_serial(tasks: List[SimTask]) -> SweepOutcome:
     here; a serial run's own death is the ``abort`` point.
     """
     sup = _Supervision(tasks)
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
     for index in range(len(tasks)):
         sup.run_here(index)
-    if sup.profile.enabled:
-        sup.profile.record_sweep(
-            len(tasks), 1, time.perf_counter() - wall0,
-            time.process_time() - cpu0,
-        )
     return sup.outcome()
 
 
 def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
     """The supervised pool driver (see module docstring)."""
     sup = _Supervision(tasks)
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
     misses: List[int] = []
     for index, task in enumerate(tasks):
         if _cached(task):
@@ -542,12 +509,9 @@ def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
     ctx = _mp_context()
     inherited = tasks if ctx.get_start_method() == "fork" else None
     workers: List[_Worker] = []
-    forked = 0
 
     def spawn() -> None:
-        nonlocal forked
         workers.append(_spawn_worker(ctx, inherited))
-        forked += 1
 
     def replace(worker: _Worker) -> None:
         _kill_worker(worker)
@@ -616,11 +580,6 @@ def _run_pool(tasks: List[SimTask], n: int) -> SweepOutcome:
                 except OSError:
                     pass
     sup.sweep_stale()  # walks again only if a worker was killed
-    if sup.profile.enabled:
-        sup.profile.record_sweep(
-            len(tasks), max(1, jobs), time.perf_counter() - wall0,
-            time.process_time() - cpu0, forked=forked,
-        )
     return sup.outcome()
 
 

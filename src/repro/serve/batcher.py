@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import forget_sim_records
@@ -69,14 +69,28 @@ class _Entry:
 
 @dataclass
 class BatcherStats:
-    """Monotonic counters the daemon folds into its metrics registry."""
+    """Monotonic counters the daemon folds into its metrics registry:
+    running totals only, so a long-lived daemon's stats stay a fixed
+    size however many batches it dispatches."""
 
     tasks_submitted: int = 0
     tasks_deduped: int = 0
     tasks_failed: int = 0
     batches: int = 0
+    tasks_batched: int = 0
+    largest_batch: int = 0
     retries: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
+
+    def batch_size(self) -> Dict[str, Any]:
+        """The ``serve.batch_size`` summary: batch count, mean and
+        largest size."""
+        mean = self.tasks_batched / self.batches if self.batches else 0.0
+        return {
+            "type": "summary",
+            "count": self.batches,
+            "mean": mean,
+            "max": self.largest_batch,
+        }
 
 
 class Batcher:
@@ -194,7 +208,8 @@ class Batcher:
     async def _dispatch(self, batch: List[_Entry]) -> None:
         tasks = [entry.task for entry in batch]
         self.stats.batches += 1
-        self.stats.batch_sizes.append(len(batch))
+        self.stats.tasks_batched += len(batch)
+        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         loop = asyncio.get_running_loop()
         try:
             outcome = await loop.run_in_executor(

@@ -254,7 +254,6 @@ class NachosServeDaemon:
             "failed": failed,
             "elapsed_seconds": elapsed,
         }
-        self.metrics.histogram("serve.request_latency_seconds").observe(elapsed)
         self.metrics.counter(
             "serve.requests_failed" if failed else "serve.requests_done"
         ).inc()
@@ -458,7 +457,8 @@ class NachosServeDaemon:
     # -- telemetry ------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One JSON view: request metrics, batcher counters, cache
-        read-through counters, and liveness gauges."""
+        read-through counters, and liveness gauges.  Every source is a
+        running count, so a snapshot costs the same at any uptime."""
         snap = MetricsRegistry()
         snap.merge(self.metrics)
         if self.batcher is not None:
@@ -468,14 +468,16 @@ class NachosServeDaemon:
             snap.counter("serve.tasks_failed").inc(stats.tasks_failed)
             snap.counter("serve.batches").inc(stats.batches)
             snap.counter("serve.pool_retries").inc(stats.retries)
-            snap.histogram("serve.batch_size").observe_many(stats.batch_sizes)
             snap.gauge("serve.inflight_tasks").set(self.batcher.inflight)
         metrics_from_cache(registry=snap, prefix="cache")
         snap.gauge("serve.retained_requests").set(len(self.requests))
         snap.gauge("serve.uptime_seconds").set(
             time.monotonic() - self._started_monotonic
         )
-        return snap.as_dict()
+        out = snap.as_dict()
+        if self.batcher is not None:
+            out["serve.batch_size"] = self.batcher.stats.batch_size()
+        return out
 
 
 # ----------------------------------------------------------------------

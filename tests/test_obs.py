@@ -1,5 +1,5 @@
 """Observability layer: tracer correctness, Chrome-trace schema, the
-counter<->event contract, metrics, profiling, and the zero-overhead
+counter<->event contract, metrics, and the zero-overhead
 disabled path."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.memory import MemoryHierarchy
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
-    SweepProfile,
     Tracer,
     backend_counts,
     chrome_trace,
@@ -419,24 +418,6 @@ def test_metrics_from_run():
     assert reg.counter("sim.backend.order_waits").value == 1
     assert reg.histogram("sim.order_wait_latency").count == 1
     assert reg.gauge("sim.backend.order_wait_fraction").value == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Sweep profile
-# ---------------------------------------------------------------------------
-def test_sweep_profile_rollups():
-    profile = SweepProfile(enabled=True)
-    profile.record_task("bzip2", "nachos", 2.0, worker=11, hits=1)
-    profile.record_task("bzip2", "opt-lsq", 1.0, worker=12)
-    profile.record_task("lbm", "nachos", 0.5, worker=11, misses=1)
-    profile.record_sweep(tasks=3, jobs=2, wall_seconds=2.0)
-    assert profile.per_worker() == {11: 2.5, 12: 1.0}
-    regions = profile.per_region()
-    assert list(regions) == ["bzip2", "lbm"]
-    assert regions["bzip2"] == (2, 3.0)
-    assert profile.utilization() == pytest.approx(3.5 / 4.0)
-    profile.reset()
-    assert not profile.tasks and not profile.sweeps
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,7 @@ import pickle
 import pytest
 
 from repro.experiments.common import clear_memos
-from repro.obs.profile import (
-    disable_profiling,
-    enable_profiling,
-    reset_profile,
-)
+from repro.runtime import executor
 from repro.runtime.chaos import get_chaos, parse_chaos, set_chaos
 from repro.runtime.executor import (
     CRASH,
@@ -76,7 +72,9 @@ def test_pool_recovers_from_worker_crash(no_cache, chaos_env):
     assert outcome.retries == 2  # tasks 1 and 2, one requeue each
 
 
-def test_cached_sweep_recovers_from_worker_crashes(fresh_store, chaos_env):
+def test_cached_sweep_recovers_from_worker_crashes(
+    fresh_store, chaos_env, monkeypatch
+):
     """A cache-on sweep of two regions x the three paper systems, whose
     tasks 1 and 4 each lose their worker once, requeues exactly two
     tasks and matches the fault-free sweep run by run."""
@@ -90,15 +88,16 @@ def test_cached_sweep_recovers_from_worker_crashes(fresh_store, chaos_env):
     baseline = sweep()
     fresh_store()
     chaos_env("crash@1,crash@4")
-    reset_profile()
-    profile = enable_profiling()
-    try:
-        survived = sweep()
-        requeues = profile.retries
-    finally:
-        disable_profiling()
-        reset_profile()
-    assert requeues == 2
+    outcomes = []
+    real = executor.run_tasks_detailed
+
+    def spy(tasks, jobs=None):
+        outcomes.append(real(tasks, jobs=jobs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(executor, "run_tasks_detailed", spy)
+    survived = sweep()
+    assert sum(o.retries for o in outcomes) == 2
     assert survived == baseline
 
 

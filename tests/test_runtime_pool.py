@@ -26,13 +26,6 @@ import pytest
 
 import repro.experiments.common as common
 from repro.experiments.common import SYSTEMS, clear_memos
-from repro.obs import metrics_from_profile
-from repro.obs.profile import (
-    FaultRecord,
-    disable_profiling,
-    enable_profiling,
-    reset_profile,
-)
 from repro.runtime import cache as cache_module
 from repro.runtime import executor
 from repro.runtime.chaos import set_chaos
@@ -97,15 +90,6 @@ def stub_pool(monkeypatch):
     set_chaos(None)
 
 
-@pytest.fixture
-def profiled():
-    reset_profile()
-    profile = enable_profiling()
-    yield profile
-    disable_profiling()
-    reset_profile()
-
-
 def test_supervisor_sleeps_while_workers_compute(stub_pool):
     tasks = [_task(sleep=0.2) for _ in range(8)]
     cpu0 = time.process_time()
@@ -119,7 +103,7 @@ def test_supervisor_sleeps_while_workers_compute(stub_pool):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_raising_task_runs_once(stub_pool, profiled, tmp_path, jobs):
+def test_raising_task_runs_once(stub_pool, tmp_path, jobs):
     # The simulator is deterministic: a task that raised would raise
     # again, so it fails on its first attempt and is never rerun.
     log = tmp_path / "calls"
@@ -136,24 +120,19 @@ def test_raising_task_runs_once(stub_pool, profiled, tmp_path, jobs):
     assert "RuntimeError: task raised" in failure.message
     assert outcome.results[0] is None
     assert all(r is not None for r in outcome.results[1:])
-    assert profiled.fault_counts() == {ERROR: 1}
-    assert profiled.retries == 0
 
 
-def test_killed_worker_task_completes_after_one_requeue(
-    stub_pool, profiled, tmp_path
-):
+def test_killed_worker_task_completes_after_one_requeue(stub_pool, tmp_path):
     log = tmp_path / "calls"
     tasks = [_task(log=str(log), fault="die"), _task(sleep=0.01)]
     outcome = run_tasks_detailed(tasks, jobs=2)
     assert outcome.ok and outcome.retries == 1
+    assert outcome.failures == []
     assert _calls(log) == 2
     assert all(r is not None for r in outcome.results)
-    assert profiled.fault_counts() == {CRASH: 1}
-    assert profiled.retries == 1
 
 
-def test_worker_killed_twice_is_a_terminal_crash(stub_pool, profiled, tmp_path):
+def test_worker_killed_twice_is_a_terminal_crash(stub_pool, tmp_path):
     log = tmp_path / "calls"
     tasks = [_task(sleep=0.01), _task(log=str(log), fault="die", faults=2)]
     tasks += [_task(sleep=0.01) for _ in range(3)]
@@ -165,8 +144,6 @@ def test_worker_killed_twice_is_a_terminal_crash(stub_pool, profiled, tmp_path):
     assert outcome.retries == 1
     assert outcome.results[1] is None
     assert all(r is not None for i, r in enumerate(outcome.results) if i != 1)
-    assert profiled.fault_counts() == {CRASH: 2}
-    assert len(profiled.failures) == 1
 
 
 def test_unpicklable_result_is_a_terminal_error(stub_pool, tmp_path):
@@ -178,19 +155,6 @@ def test_unpicklable_result_is_a_terminal_error(stub_pool, tmp_path):
     assert failure.message.startswith("result failed to unpickle")
     assert outcome.retries == 0
     assert all(r is not None for r in outcome.results[1:])
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_record_carries_supervisor_cpu(stub_pool, profiled, jobs):
-    outcome = run_tasks_detailed([_task(sleep=0.05) for _ in range(4)], jobs=jobs)
-    assert outcome.ok
-    (sweep,) = profiled.sweeps
-    assert sweep.jobs == jobs
-    assert 0.0 <= sweep.supervisor_cpu_seconds <= sweep.wall_seconds
-    assert profiled.supervisor_cpu_seconds == sweep.supervisor_cpu_seconds
-    registry = metrics_from_profile(profiled)
-    gauge = registry.gauge("sweep.supervisor_cpu_seconds")
-    assert gauge.value == sweep.supervisor_cpu_seconds
 
 
 def test_stale_tmp_walk_once_per_process_and_after_a_kill(
@@ -296,7 +260,7 @@ def test_cold_sweep_sets_each_region_up_once(fresh_store, monkeypatch,
     )
 
 
-def test_all_hit_sweep_forks_nothing(fresh_store, monkeypatch, profiled):
+def test_all_hit_sweep_forks_nothing(fresh_store, monkeypatch):
     workloads = [build_micro(name) for name in MICROS]
     serial = sweep_comparisons(workloads, invocations=4, jobs=1)
     clear_memos()  # every sim record now comes from disk
@@ -321,7 +285,6 @@ def test_all_hit_sweep_forks_nothing(fresh_store, monkeypatch, profiled):
     assert executed == [(w.name, s) for w in workloads for s in SYSTEMS]
     assert fresh_store.misses == misses0 and fresh_store.hits > hits0
     assert _sigs(warm) == _sigs(serial)
-    assert [s.forked for s in profiled.sweeps] == [0, 0]
 
 
 def test_pool_batch_builds_each_trace_once(fresh_store, monkeypatch, tmp_path):
@@ -365,13 +328,29 @@ def test_systems_leave_the_shared_trace_untouched(fresh_store):
 
 
 def test_worker_killed_mid_unit_charges_its_current_task_only(
-    fresh_store, monkeypatch, profiled
+    fresh_store, monkeypatch
 ):
     workloads = [build_micro(name) for name in MICROS[:2]]
     serial = sweep_comparisons(workloads, invocations=4, jobs=1)
     clear_memos()
     fresh_store.clear()
-    reset_profile()
+
+    # Count forks, and record which task each worker death charges.
+    spawned = []
+    charged = []
+    real_spawn = executor._spawn_worker
+    real_died = executor._Supervision.worker_died
+
+    def spy_spawn(*args, **kwargs):
+        spawned.append(args)
+        return real_spawn(*args, **kwargs)
+
+    def spy_died(sup, unit, message):
+        charged.append(unit[0])
+        return real_died(sup, unit, message)
+
+    monkeypatch.setattr(executor, "_spawn_worker", spy_spawn)
+    monkeypatch.setattr(executor._Supervision, "worker_died", spy_died)
 
     # Task 1 is the second system of the first region's unit: its worker
     # dies after reporting task 0 and before starting task 2.
@@ -389,16 +368,13 @@ def test_worker_killed_mid_unit_charges_its_current_task_only(
     tasks = [SimTask(w, system, 4) for w in workloads for system in SYSTEMS]
     outcome = run_tasks_detailed(tasks, jobs=2)
     assert outcome.ok and outcome.retries == 1
-    assert profiled.faults == [
-        FaultRecord(workloads[0].name, SYSTEMS[1], CRASH)
-    ]
+    assert charged == [1]
     pooled = [r.sim for r in outcome.results]
     assert [pickle.dumps(sim) for sim in pooled] == [
         pickle.dumps(cmp.runs[system].sim)
         for cmp in serial for system in SYSTEMS
     ]
-    (sweep,) = profiled.sweeps
-    assert sweep.forked == 3  # two workers and one replacement
+    assert len(spawned) == 3  # two workers and one replacement
 
 
 def test_units_group_regions_longest_first():

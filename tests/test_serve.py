@@ -382,10 +382,10 @@ def test_metrics_snapshot_shape(client):
     for key in (
         "serve.requests", "serve.requests_done", "serve.tasks_submitted",
         "serve.batches", "serve.uptime_seconds", "cache.hit_rate",
-        "serve.request_latency_seconds",
+        "serve.batch_size",
     ):
         assert key in metrics, f"missing {key}"
-    assert metrics["serve.request_latency_seconds"]["count"] >= 1
+    assert metrics["serve.batch_size"]["count"] >= 1
     assert metrics["serve.retained_requests"]["value"] >= 1
 
 

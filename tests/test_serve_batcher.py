@@ -1,4 +1,4 @@
-"""The serve batcher's dispatch rules and the daemon's memory bound.
+"""The serve batcher's dispatch rules and the daemon's memory bounds.
 
 The :class:`~repro.serve.batcher.Batcher` ships pending work as soon as
 its pool thread is free, with no wait: a request's tasks enter one batch
@@ -10,6 +10,7 @@ an event so "while a batch runs" is a fact of the test, not a race.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 
 from repro.experiments import common
@@ -71,7 +72,7 @@ def test_work_submitted_while_a_batch_runs_ships_as_the_next_batch(monkeypatch):
 
     results, stats = asyncio.run(scenario())
     assert pool.batches == [["a"], ["b", "c", "d"]]
-    assert stats.batch_sizes == [1, 3]
+    assert (stats.batches, stats.tasks_batched, stats.largest_batch) == (2, 4, 3)
     assert results == [["run:a"], ["run:b", "run:c"], ["run:d"]]
 
 
@@ -141,6 +142,40 @@ def test_two_system_request_ships_as_one_batch(fresh_store):
         d.request_shutdown()
         thread.join(timeout=30)
     assert (sizes["count"], sizes["max"]) == (1, 2)
+
+
+def test_metrics_state_stays_fixed_as_requests_accumulate(fresh_store):
+    """A long-lived daemon keeps running totals behind ``/metrics``, not
+    a sample per request or per batch: that state is the same size after
+    24 requests as after 4, and ``serve.batch_size`` still reports the
+    right batch count, mean and largest batch."""
+    fresh_store()
+    # One retained request: every submit below misses the request table,
+    # so each request ships as its own batch (from the cache after the
+    # first two).
+    d = NachosServeDaemon(port=0, quiet=True, retain_results=1)
+    thread = d.serve_in_thread()
+    systems = (["nachos", "opt-lsq"], ["nachos"])
+    state_sizes = []
+    try:
+        client = ServeClient(port=d.port)
+        for n in range(24):
+            response = client.submit(
+                "gather", systems=systems[n % 2], invocations=3, wait=True,
+            )
+            assert response["status"] == "done"
+            if n in (3, 23):
+                state = (d.metrics, d.batcher.stats)
+                state_sizes.append(len(pickle.dumps(state)))
+        batch_size = client.metrics()["serve.batch_size"]
+        client.close()
+    finally:
+        d.request_shutdown()
+        thread.join(timeout=30)
+    assert state_sizes[0] == state_sizes[1]
+    assert (batch_size["count"], batch_size["mean"], batch_size["max"]) == (
+        24, 1.5, 2
+    )
 
 
 def test_daemon_memory_is_bounded_by_region(fresh_store):

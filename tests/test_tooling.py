@@ -208,21 +208,19 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --peers" in capsys.readouterr().err
 
-    def test_profile_runs_the_experiment_loop_without_rendering(self, capsys):
+    def test_profile_is_an_unknown_experiment(self, capsys):
+        """Per-task host time is perfbench's, so ``profile`` is not a
+        command: it is refused like any unknown experiment."""
         from repro.experiments.cli import main
 
-        assert main(["profile", "fig14"]) == 0
-        out = capsys.readouterr().out
-        assert "per-stage wall time:" in out and "fig14" in out
-        assert "Figure 14" not in out
+        assert main(["profile", "fig14"]) == 2
+        assert "unknown experiment(s): profile" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [[], ["profile"]])
     def test_failed_sweep_degrades_in_one_loop(
-        self, command, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
-        """``profile`` and a plain run share the experiment loop: a sweep
-        failure is recorded, the next experiment still runs, and the
-        failure report is written."""
+        """A sweep failure is recorded, the next experiment still runs,
+        and the failure report is written."""
         from repro.experiments import cli
         from repro.runtime.executor import SweepError, SweepOutcome, TaskFailure
 
@@ -234,7 +232,7 @@ class TestCLI:
 
         monkeypatch.setitem(cli.EXPERIMENTS, "fig14", (fail, None, False))
         report = tmp_path / "failures.json"
-        rc = cli.main(command + [
+        rc = cli.main([
             "fig14", "table2", "--failure-report", str(report),
         ])
         assert rc == 3
