@@ -26,8 +26,9 @@ def _sweep():
             cfg = LSQConfig(bloom_bits=bits)
             run = run_system(
                 workload, "opt-lsq", invocations=BENCH_INVOCATIONS,
-                lsq_config=cfg, check=False,
+                lsq_config=cfg,
             )
+            assert run.correct, (name, bits)
             stats = run.sim.backend_stats
             rows[bits] = (
                 stats.bloom_hit_rate,

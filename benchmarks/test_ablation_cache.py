@@ -25,11 +25,12 @@ def _sweep():
         runs = {
             system: run_system(
                 workload, system, invocations=BENCH_INVOCATIONS,
-                hierarchy_config=cfg, check=False,
-            ).sim.cycles
+                hierarchy_config=cfg,
+            )
             for system in ("opt-lsq", "nachos-sw", "nachos")
         }
-        out[size] = runs
+        assert all(run.correct for run in runs.values()), size
+        out[size] = {s: run.sim.cycles for s, run in runs.items()}
     return out
 
 

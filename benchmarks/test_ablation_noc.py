@@ -27,11 +27,12 @@ def _sweep():
             runs = {
                 system: run_system(
                     workload, system, invocations=BENCH_INVOCATIONS,
-                    engine_config=cfg, check=False,
-                ).sim.cycles
+                    engine_config=cfg,
+                )
                 for system in ("opt-lsq", "nachos-sw", "nachos")
             }
-            per_mode[contention] = runs
+            assert all(run.correct for run in runs.values()), (name, contention)
+            per_mode[contention] = {s: run.sim.cycles for s, run in runs.items()}
         out[name] = per_mode
     return out
 

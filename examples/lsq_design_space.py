@@ -37,12 +37,11 @@ def main():
         print(f"  {'LSQ geometry':>14} {'cycles':>9} {'entries provisioned':>20}")
         for label, cfg in GEOMETRIES:
             run = run_system(
-                workload, "opt-lsq", invocations=INVOCATIONS, lsq_config=cfg,
-                check=False,
+                workload, "opt-lsq", invocations=INVOCATIONS, lsq_config=cfg
             )
             provisioned = cfg.banks * cfg.entries_per_bank
             print(f"  {label:>14} {run.sim.cycles:>9} {provisioned:>20}")
-        nachos = run_system(workload, "nachos", invocations=INVOCATIONS, check=False)
+        nachos = run_system(workload, "nachos", invocations=INVOCATIONS)
         print(f"  {'NACHOS':>14} {nachos.sim.cycles:>9} {'none (pairwise ==?)':>20}")
 
     print(

@@ -57,9 +57,6 @@ class EnforcementPlan:
     def retained_may(self) -> List[RetainedRelation]:
         return [r for r in self.retained if r.label is AliasLabel.MAY]
 
-    def retained_fraction(self, total_relations: int) -> float:
-        return len(self.retained) / total_relations if total_relations else 0.0
-
 
 class _ReachIndex:
     """DAG reachability over data edges + retained MDEs, as bitsets.

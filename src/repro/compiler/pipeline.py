@@ -36,7 +36,7 @@ from repro.compiler.aliasing.stage3 import EnforcementPlan, prune_stage3, retain
 from repro.compiler.aliasing.stage4 import refine_stage4
 from repro.compiler.aliasing.stage5 import Stage5Stats, refine_stage5
 from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
-from repro.compiler.labels import AliasLabel, AliasMatrix
+from repro.compiler.labels import AliasMatrix
 from repro.compiler.mde import insert_mdes
 from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
 
@@ -60,11 +60,6 @@ class PipelineConfig:
     def baseline_compiler(cls) -> "PipelineConfig":
         """Figure 12's baseline: stage 1 labels + stage 3 pruning only."""
         return cls(use_stage2=False, use_stage4=False, use_stage5=False)
-
-    @classmethod
-    def paper_faithful(cls) -> "PipelineConfig":
-        """The paper's exact four-stage pipeline (no stage-5 oracle)."""
-        return cls(use_stage5=False)
 
     @classmethod
     def software_only_stage1(cls) -> "PipelineConfig":
@@ -107,9 +102,6 @@ class PipelineResult:
     @property
     def total_pairs(self) -> int:
         return self.stage1.total
-
-    def label_fractions(self, matrix: AliasMatrix) -> Dict[AliasLabel, float]:
-        return {label: matrix.fraction(label) for label in AliasLabel}
 
     @property
     def may_mdes(self) -> List[MemoryDependencyEdge]:

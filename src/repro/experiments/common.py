@@ -21,22 +21,21 @@ backend enforces (:func:`_system_mdes`).  The compiler returns its edges
 without installing them, so the workload stays pristine across systems
 and figures (and is safe to ship to worker processes).
 
-Both compile and simulation results are memoized twice over — an
-in-process table for repeat calls within one ``nachos-repro all``, and
-the content-addressed on-disk cache (:mod:`repro.runtime.cache`) shared
-across processes and invocations.  ``nachos-sw`` and ``nachos`` share
-one ``PipelineConfig.full()`` compile; correctness is always computed
-on a cache miss and stored, so ``check=False`` callers can share
-entries with ``check=True`` callers.
+Sim records and the oracle's edges live only in the content-addressed
+on-disk cache (:mod:`repro.runtime.cache`), shared across processes and
+invocations; a record's correctness is the golden verdict, computed on
+a cache miss and stored with it.  Compiles are also kept in an
+in-process table, so compile-only figures reuse one compile across a
+``nachos-repro all``; ``nachos-sw`` and ``nachos`` share one
+``PipelineConfig.full()`` compile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.cgra.config import CGRAConfig
 from repro.cgra.placement import Placement, place_region
 from repro.compiler.oracle_labels import compile_with_oracle
 from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
@@ -132,12 +131,10 @@ def _backend_for(system: str, lsq_config: Optional[LSQConfig]):
 
 
 # ----------------------------------------------------------------------
-# In-process memo tables (the on-disk cache sits underneath them)
+# In-process memo tables (sim records and oracle edges are on disk only)
 # ----------------------------------------------------------------------
 _compile_memo: Dict[Tuple[str, str], PipelineResult] = {}
-_oracle_memo: Dict[Tuple[str, str], Tuple[MemoryDependencyEdge, ...]] = {}
-_placement_memo: Dict[Tuple[str, str], Placement] = {}
-_sim_memo: Dict[str, Tuple[SimResult, bool, int]] = {}
+_placement_memo: Dict[str, Placement] = {}
 # Every system simulating one workload runs ``workload.graph`` itself, so
 # all of them consume one address stream and check against one golden
 # result.  Like placement, they are kept per workload fingerprint, one
@@ -151,23 +148,8 @@ _trace_memo: Dict[str, Tuple[str, list, GoldenResult]] = {}
 def clear_memos() -> None:
     """Drop the in-process memo tables (tests / benchmarks)."""
     _compile_memo.clear()
-    _oracle_memo.clear()
     _placement_memo.clear()
-    _sim_memo.clear()
     _trace_memo.clear()
-
-
-def forget_sim_records() -> None:
-    """Drop the in-process sim records.
-
-    A sim record carries its run's value evidence (tens of KB), and
-    :func:`run_system` memoizes one per task.  A long-lived caller that
-    keeps its own copy of what it needs (the serve daemon keeps each
-    request's payload) calls this after each batch, so its memory grows
-    with the regions it has seen, not with the tasks; a repeat is then
-    read from the on-disk cache.
-    """
-    _sim_memo.clear()
 
 
 def workload_fingerprint(workload: Workload) -> str:
@@ -195,9 +177,7 @@ def task_fingerprint(
     region graph, the system, the invocation count, warmup and, through
     :func:`combine`, the simulator's code —
     never on task order or process accidents, so concurrent requests
-    that share a task recognize each other.  ``check`` is deliberately
-    excluded: correctness is part of the simulated record either way
-    (see :func:`run_system`).
+    that share a task recognize each other.
     """
     return combine(
         "sweeptask",
@@ -226,6 +206,9 @@ def compile_workload(
     memo_key = (wfp, cfg_fp)
     result = _compile_memo.get(memo_key)
     if result is not None:
+        if result.graph is not workload.graph:
+            # An equal workload built anew gets its own graph back.
+            result = _compile_memo[memo_key] = replace(result, graph=workload.graph)
         return result
     key = combine("compile", wfp, cfg_fp)
     result = cache.get(key)
@@ -252,33 +235,27 @@ def _system_mdes(
     None for ``opt-lsq``, ``spec-lsq`` and ``serial-mem``; the compiler's
     (:func:`compile_workload`) for ``baseline-sw``, ``nachos-sw`` and
     ``nachos``; for ``oracle-sw``
-    the trace-derived perfect compiler's over *envs*, memoized and
-    cached on disk as the edge tuple alone.
+    the trace-derived perfect compiler's over *envs*, cached on disk as
+    the edge tuple alone.
     """
     cfg = _pipeline_for(system)
     if cfg is not None:
         return tuple(compile_workload(workload, cfg, cache).mdes)
     if system != "oracle-sw":
         return ()
-    memo_key = (wfp, envs_fp)
-    mdes = _oracle_memo.get(memo_key)
-    if mdes is None:
-        key = combine("oracle", wfp, envs_fp)
-        mdes = cache.get(key)
-        if mdes is ResultCache.MISS:
-            mdes = compile_with_oracle(workload.graph, envs)
-            cache.put(key, mdes)
-        _oracle_memo[memo_key] = mdes
+    key = combine("oracle", wfp, envs_fp)
+    mdes = cache.get(key)
+    if mdes is ResultCache.MISS:
+        mdes = compile_with_oracle(workload.graph, envs)
+        cache.put(key, mdes)
     return mdes
 
 
-def _placement(wfp: str, graph: DFGraph, cgra_config: Optional[CGRAConfig]) -> Placement:
+def _placement(wfp: str, graph: DFGraph) -> Placement:
     """Placement is MDE-blind, so one placement serves every system."""
-    key = (wfp, config_fingerprint(cgra_config))
-    placement = _placement_memo.get(key)
+    placement = _placement_memo.get(wfp)
     if placement is None:
-        placement = place_region(graph, cgra_config)
-        _placement_memo[key] = placement
+        placement = _placement_memo[wfp] = place_region(graph)
     return placement
 
 
@@ -286,9 +263,7 @@ def run_system(
     workload: Workload,
     system: str,
     invocations: int = DEFAULT_INVOCATIONS,
-    check: bool = True,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    cgra_config: Optional[CGRAConfig] = None,
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
     warm: bool = True,
@@ -303,34 +278,25 @@ def run_system(
 
     Results are served from the content-addressed cache when an
     identical (graph, trace, system, configs) combination has run
-    before.  Correctness against the golden execution is part of the
-    cached record; ``check=False`` merely skips *reporting* it.
+    before.  ``correct`` is the golden verdict, part of the cached
+    record.
     """
     cache = get_cache()
     envs, wfp, envs_fp = _prepare(workload, system, invocations)
     sim_key = _sim_key(
         wfp, envs_fp, system, invocations, warm, hierarchy_config,
-        cgra_config, lsq_config, engine_config,
+        lsq_config, engine_config,
     )
-    record = _sim_memo.get(sim_key)
-    if record is None:
-        record = cache.get(sim_key)
-        if record is ResultCache.MISS:
-            sim, correct, mdes, _placed = _simulate(
-                workload, wfp, system, envs, envs_fp, cache, warm,
-                hierarchy_config, cgra_config, lsq_config, engine_config,
-            )
-            record = (sim, correct, len(mdes))
-            cache.put(sim_key, record)
-        _sim_memo[sim_key] = record
-
+    record = cache.get(sim_key)
+    if record is ResultCache.MISS:
+        sim, correct, mdes, _placed = _simulate(
+            workload, wfp, system, envs, envs_fp, cache, warm,
+            hierarchy_config, lsq_config, engine_config,
+        )
+        record = (sim, correct, len(mdes))
+        cache.put(sim_key, record)
     sim, correct, n_mdes = record
-    return SystemRun(
-        system=system,
-        sim=sim,
-        correct=correct if check else True,
-        n_mdes=n_mdes,
-    )
+    return SystemRun(system=system, sim=sim, correct=correct, n_mdes=n_mdes)
 
 
 def _sim_key(
@@ -340,7 +306,6 @@ def _sim_key(
     invocations: int,
     warm: bool,
     hierarchy_config: Optional[HierarchyConfig],
-    cgra_config: Optional[CGRAConfig],
     lsq_config: Optional[LSQConfig],
     engine_config: Optional[EngineConfig],
 ) -> str:
@@ -360,7 +325,6 @@ def _sim_key(
         str(invocations),
         "warm" if warm else "cold",
         config_fingerprint(hierarchy_config),
-        config_fingerprint(cgra_config),
         config_fingerprint(lsq_config),
         config_fingerprint(engine_config),
     )
@@ -381,19 +345,17 @@ def sim_cached(
     invocations: int = DEFAULT_INVOCATIONS,
     warm: bool = True,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    cgra_config: Optional[CGRAConfig] = None,
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
 ) -> bool:
     """Whether :func:`run_system` with these arguments would read its sim
-    record (from the in-process memo or an object on disk) rather than
-    simulate; decided without compiling, placing or reading the entry."""
+    record from disk rather than simulate; decided without compiling,
+    placing or reading the entry."""
     _envs, wfp, envs_fp = _prepare(workload, system, invocations)
-    key = _sim_key(
+    return get_cache().contains(_sim_key(
         wfp, envs_fp, system, invocations, warm, hierarchy_config,
-        cgra_config, lsq_config, engine_config,
-    )
-    return key in _sim_memo or get_cache().contains(key)
+        lsq_config, engine_config,
+    ))
 
 
 def _prepare(
@@ -402,22 +364,20 @@ def _prepare(
     """Check *system*; return the trace and the workload and trace
     fingerprints.
 
-    The trace and its fingerprint are memoized on the workload per
-    invocation count, like ``_content_fp``: a pool batch keys each cache
-    hit and then serves it, and every system of a region shares one
-    trace, so each is built and hashed once.  Valid because no consumer
-    mutates the envs.
+    The trace and its fingerprint are memoized on the workload, like
+    ``_content_fp``: a pool batch keys each cache hit and then serves
+    it, and every system of a region shares one trace, so each is built
+    and hashed once.  One trace is kept at a time, as in
+    ``_trace_memo``: a newer invocation count replaces the older one.
+    Valid because no consumer mutates the envs.
     """
     if system not in _KNOWN_SYSTEMS:
         raise _unknown_system(system)
-    traces = getattr(workload, "_traces", None)
-    if traces is None:
-        traces = workload._traces = {}
-    trace = traces.get(invocations)
-    if trace is None:
+    trace = getattr(workload, "_trace", None)
+    if trace is None or trace[0] != invocations:
         envs = workload.invocations(invocations)
-        trace = traces[invocations] = (envs, envs_fingerprint(envs))
-    envs, envs_fp = trace
+        trace = workload._trace = (invocations, envs, envs_fingerprint(envs))
+    _count, envs, envs_fp = trace
     return envs, workload_fingerprint(workload), envs_fp
 
 
@@ -430,7 +390,6 @@ def _simulate(
     cache: ResultCache,
     warm: bool,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    cgra_config: Optional[CGRAConfig] = None,
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
     tracer=None,
@@ -446,7 +405,7 @@ def _simulate(
     """
     graph = workload.graph
     mdes = _system_mdes(workload, wfp, system, envs, envs_fp, cache)
-    placement = _placement(wfp, graph, cgra_config)
+    placement = _placement(wfp, graph)
 
     # Evaluate every memory op's address once per invocation: the warm
     # loop and the engine consume the same stream, and every system over
@@ -517,12 +476,9 @@ def compare_systems(
     workload: Workload,
     invocations: int = DEFAULT_INVOCATIONS,
     systems: tuple = SYSTEMS,
-    check: bool = True,
 ) -> ComparisonResult:
     """Run every requested system on *workload*."""
     result = ComparisonResult(workload=workload)
     for system in systems:
-        result.runs[system] = run_system(
-            workload, system, invocations=invocations, check=check
-        )
+        result.runs[system] = run_system(workload, system, invocations=invocations)
     return result

@@ -50,8 +50,7 @@ class Fig17Result:
 def run(invocations: int = DEFAULT_INVOCATIONS) -> Fig17Result:
     workloads = [workload_for(spec) for spec in SUITE]
     comparisons = sweep_comparisons(
-        workloads, systems=("opt-lsq", "nachos"), invocations=invocations,
-        check=False,
+        workloads, systems=("opt-lsq", "nachos"), invocations=invocations
     )
     rows: List[Fig17Row] = []
     for spec, cmp in zip(SUITE, comparisons):

@@ -18,8 +18,7 @@ from repro.analysis.tables import ascii_table
 from repro.energy.accounting import COMPUTE, L1, LSQ_BLOOM, LSQ_CAM
 from repro.experiments.common import DEFAULT_INVOCATIONS
 from repro.experiments.regions import workload_for
-from repro.runtime.executor import SimTask
-from repro.runtime.sweep import sweep_runs
+from repro.runtime.executor import SimTask, run_tasks
 from repro.workloads.suite import SUITE
 
 BLOOM_CLASSES = ("0", "0-10", "10-20", "20+")
@@ -67,9 +66,7 @@ class Fig18Result:
 
 def run(invocations: int = DEFAULT_INVOCATIONS) -> Fig18Result:
     workloads = [workload_for(spec) for spec in SUITE]
-    runs = sweep_runs(
-        [SimTask(w, "opt-lsq", invocations, check=False) for w in workloads]
-    )
+    runs = run_tasks([SimTask(w, "opt-lsq", invocations) for w in workloads])
     rows: List[Fig18Row] = []
     for spec, workload, run_result in zip(SUITE, workloads, runs):
         sim = run_result.sim

@@ -63,8 +63,7 @@ class GranularityResult:
 def run(invocations: int = DEFAULT_INVOCATIONS) -> GranularityResult:
     workloads = [workload_for(spec) for spec in SUITE]
     comparisons = sweep_comparisons(
-        workloads, systems=GRANULARITY_SYSTEMS, invocations=invocations,
-        check=False,
+        workloads, systems=GRANULARITY_SYSTEMS, invocations=invocations
     )
     rows: List[GranularityRow] = []
     for spec, cmp in zip(SUITE, comparisons):

@@ -28,8 +28,7 @@ from typing import List
 from repro.analysis.tables import ascii_table
 from repro.experiments.common import DEFAULT_INVOCATIONS
 from repro.experiments.regions import workload_for
-from repro.runtime.executor import SimTask
-from repro.runtime.sweep import sweep_runs
+from repro.runtime.executor import SimTask, run_tasks
 from repro.workloads.suite import SUITE
 
 LIMIT_SYSTEMS = ("nachos-sw", "oracle-sw", "nachos")
@@ -75,7 +74,7 @@ class LimitResult:
 
 def run(invocations: int = DEFAULT_INVOCATIONS) -> LimitResult:
     workloads = [workload_for(spec) for spec in SUITE]
-    runs = sweep_runs(
+    runs = run_tasks(
         [
             SimTask(w, system, invocations)
             for w in workloads

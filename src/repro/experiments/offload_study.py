@@ -16,8 +16,7 @@ from typing import List
 from repro.analysis.tables import ascii_table
 from repro.experiments.regions import workload_for
 from repro.offload import HostCoreModel, plan_offload
-from repro.runtime.executor import SimTask
-from repro.runtime.sweep import sweep_runs
+from repro.runtime.executor import SimTask, run_tasks
 from repro.workloads.suite import SUITE
 
 
@@ -52,12 +51,8 @@ def run(invocations: int = 12, top_k: int = 3, system: str = "nachos") -> Offloa
     all_paths = [
         [workload_for(spec, k) for k in range(top_k)] for spec in SUITE
     ]
-    runs = sweep_runs(
-        [
-            SimTask(w, system, invocations, check=False)
-            for paths in all_paths
-            for w in paths
-        ]
+    runs = run_tasks(
+        [SimTask(w, system, invocations) for paths in all_paths for w in paths]
     )
     rows: List[OffloadRow] = []
     for i, spec in enumerate(SUITE):

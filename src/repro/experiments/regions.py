@@ -2,8 +2,10 @@
 
 Figures 6/7/9/14/16 and Table II operate on compiled regions only (no
 cycle simulation).  This module materializes the 135-region corpus (27
-benchmarks x top-5 paths) and compiles each with a configurable pipeline,
-caching per (benchmark, path, config) within one process.
+benchmarks x top-5 paths), one workload per (benchmark, path) within one
+process, and compiles each through
+:func:`~repro.experiments.common.compile_workload`, so a compile is
+kept in-process and in the on-disk result cache like every other.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
+from repro.compiler.pipeline import PipelineConfig, PipelineResult
+from repro.experiments import common
 from repro.workloads.generator import Workload, build_workload
 from repro.workloads.suite import SUITE
 from repro.workloads.spec import BenchmarkSpec
 
 _workload_cache: Dict[Tuple[str, int], Workload] = {}
-_pipeline_cache: Dict[Tuple[str, int, PipelineConfig], PipelineResult] = {}
 
 
 def workload_for(spec: BenchmarkSpec, path_index: int = 0) -> Workload:
@@ -33,13 +35,7 @@ def compiled_region(
     config: Optional[PipelineConfig] = None,
 ) -> PipelineResult:
     cfg = config or PipelineConfig.full()
-    key = (spec.name, path_index, cfg)
-    if key not in _pipeline_cache:
-        workload = workload_for(spec, path_index)
-        # apply_mdes=False: compile-only figures must not leave one
-        # config's MDEs installed on the shared cached graph.
-        _pipeline_cache[key] = AliasPipeline(cfg).run(workload.graph, apply_mdes=False)
-    return _pipeline_cache[key]
+    return common.compile_workload(workload_for(spec, path_index), cfg)
 
 
 @dataclass
@@ -63,4 +59,3 @@ def compile_suite(
 
 def clear_caches() -> None:
     _workload_cache.clear()
-    _pipeline_cache.clear()

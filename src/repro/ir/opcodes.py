@@ -96,11 +96,6 @@ for _index, _opcode in enumerate(Opcode):
 del _index, _opcode
 
 
-def opcode_index(opcode: Opcode) -> int:
-    """Return *opcode*'s position in declaration order."""
-    return opcode.index
-
-
 def latency_of(opcode: Opcode) -> int:
     """Return the functional-unit occupancy (cycles) of *opcode*."""
     return opcode.latency

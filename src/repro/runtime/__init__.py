@@ -25,7 +25,7 @@ from repro.runtime.fingerprint import (
     envs_fingerprint,
     graph_fingerprint,
 )
-from repro.runtime.sweep import sweep_comparisons, sweep_runs
+from repro.runtime.sweep import sweep_comparisons
 
 __all__ = [
     "CODE_FINGERPRINT",
@@ -49,5 +49,4 @@ __all__ = [
     "set_chaos",
     "set_jobs",
     "sweep_comparisons",
-    "sweep_runs",
 ]

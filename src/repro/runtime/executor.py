@@ -8,8 +8,8 @@ serial runs are indistinguishable to callers.
 The pool driver splits a batch three ways before anything forks:
 
 * **Hits run in the supervisor.**  A task whose sim record is already
-  in the in-process memo or on disk (found from its sim key, without
-  compiling) runs through :func:`_execute` right here, in task order.
+  on disk (found from its sim key, without compiling) runs through
+  :func:`_execute` right here, in task order.
   Workers are forked only when a miss remains, so an all-hit batch
   (a figure re-render) forks nothing and pickles nothing.
 * **Misses go out by region.**  One region's missing tasks form one
@@ -196,7 +196,6 @@ class SimTask:
     workload: Any
     system: str
     invocations: int
-    check: bool = True
     warm: bool = True
     kwargs: dict = field(default_factory=dict)
 
@@ -208,7 +207,6 @@ def _execute(task: SimTask):
         task.workload,
         task.system,
         invocations=task.invocations,
-        check=task.check,
         warm=task.warm,
         **task.kwargs,
     )
@@ -231,7 +229,7 @@ def _sigkill_self() -> None:
 
 
 def _cached(task: SimTask) -> bool:
-    """Whether *task*'s sim record is already in the memo or on disk.
+    """Whether *task*'s sim record is already on disk.
 
     A task without a workload, or one that cannot even be keyed, counts
     as a miss: it then runs (and fails, if it must) where misses run.

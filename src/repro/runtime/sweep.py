@@ -1,12 +1,13 @@
 """The sweep layer: fan (workload × system) grids out and reassemble.
 
 Figure modules call :func:`sweep_comparisons` (the cached/parallel
-equivalent of looping ``compare_systems``) or :func:`sweep_runs` for a
-flat list of single-system runs.  Task order — and therefore result
-order — is the deterministic row-major (workload, system) order, so
-figures render identically at any ``--jobs`` value.
+equivalent of looping ``compare_systems``) or
+:func:`~repro.runtime.executor.run_tasks` for a flat list of
+single-system runs.  Task order — and therefore result order — is the
+deterministic row-major (workload, system) order, so figures render
+identically at any ``--jobs`` value.
 
-Both entry points run under the supervised executor
+Both run under the supervised executor
 (:mod:`repro.runtime.executor`).  Its supervisor serves the tasks whose
 results are already cached itself, forking no worker for them, and
 sends each region's missing systems to one worker as a unit, so a
@@ -26,19 +27,10 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.runtime.executor import SimTask, run_tasks
 
 
-def sweep_runs(
-    tasks: Sequence[SimTask],
-    jobs: Optional[int] = None,
-) -> List[Any]:
-    """Run an explicit task list; results align index-for-index."""
-    return run_tasks(tasks, jobs=jobs)
-
-
 def sweep_comparisons(
     workloads: Sequence[Any],
     systems: Optional[Tuple[str, ...]] = None,
     invocations: Optional[int] = None,
-    check: bool = True,
     warm: bool = True,
     jobs: Optional[int] = None,
 ) -> List[Any]:
@@ -58,7 +50,7 @@ def sweep_comparisons(
     if invocations is None:
         invocations = DEFAULT_INVOCATIONS
     tasks = [
-        SimTask(w, system, invocations, check=check, warm=warm)
+        SimTask(w, system, invocations, warm=warm)
         for w in workloads
         for system in systems
     ]

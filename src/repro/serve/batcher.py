@@ -23,12 +23,6 @@ process-pool runtime (:func:`repro.runtime.executor.run_tasks_detailed`):
   it at once; a terminally failed task resolves its waiters with
   :class:`ServeTaskError` carrying the machine-readable
   :class:`~repro.runtime.executor.TaskFailure`.
-* **No per-task record outlives its batch.**  After each batch the
-  in-process sim records are dropped
-  (:func:`~repro.experiments.common.forget_sim_records`): the daemon
-  keeps each request's payload, and the on-disk cache keeps the
-  records, so the daemon's memory grows with the regions it has seen,
-  not with the tasks it has run.
 
 The pool call runs on a single dedicated thread, which both keeps the
 event loop free and serializes batches — exactly one supervised pool
@@ -43,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import forget_sim_records
 from repro.runtime.executor import SimTask, run_tasks_detailed
 
 #: Most tasks one pool dispatch takes.
@@ -197,14 +190,6 @@ class Batcher:
                     )
         self._pending.clear()
 
-    def _run_batch(self, tasks: List[SimTask]):
-        """The pool call, on the pool thread; the batch's sim records
-        are dropped after it (see the module docstring)."""
-        try:
-            return run_tasks_detailed(tasks, jobs=self.jobs)
-        finally:
-            forget_sim_records()
-
     async def _dispatch(self, batch: List[_Entry]) -> None:
         tasks = [entry.task for entry in batch]
         self.stats.batches += 1
@@ -212,8 +197,9 @@ class Batcher:
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         loop = asyncio.get_running_loop()
         try:
+            # The module global, looked up per batch: perfbench rebinds it.
             outcome = await loop.run_in_executor(
-                self._executor, self._run_batch, tasks
+                self._executor, lambda: run_tasks_detailed(tasks, jobs=self.jobs)
             )
         except Exception as exc:  # supervisor itself broke: fail the batch
             for entry in batch:

@@ -229,8 +229,7 @@ class NachosServeDaemon:
         workload = workload_for(req.region)
         runs = await self.batcher.submit([
             (fp, SimTask(workload=workload, system=system,
-                         invocations=req.invocations, check=req.check,
-                         warm=req.warm))
+                         invocations=req.invocations, warm=req.warm))
             for system, fp in zip(req.systems, req.task_fps)
         ])
         results: Dict[str, Any] = {}

@@ -19,7 +19,7 @@ Request JSON (``POST /submit``)::
     {"region": "bzip2" | "micro.gather" | "gather",
      "systems": ["nachos", "opt-lsq"],          # default: the 3 paper systems
      "invocations": 40,                          # default DEFAULT_INVOCATIONS
-     "warm": true, "check": true,
+     "warm": true,
      "wait": false,                              # long-poll until done
      "wait_timeout": 300}                        # seconds; daemon caps it
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 #: Bump when the request/response JSON layout changes incompatibly.
-SERVE_SCHEMA = 2
+SERVE_SCHEMA = 3
 
 #: Hard cap on invocations per request — a service knob, not a physics
 #: one: a single huge request would head-of-line-block the shared pool.
@@ -82,7 +82,6 @@ class ServeRequest:
     systems: Tuple[str, ...]
     invocations: int
     warm: bool
-    check: bool
     request_id: str
     task_fps: Tuple[str, ...]      # aligned with ``systems``
     wait: bool = False             # long-poll until done
@@ -101,8 +100,7 @@ def parse_request(payload: Any) -> ServeRequest:
 
     _require(isinstance(payload, dict), "request body must be a JSON object")
     unknown = set(payload) - {
-        "region", "systems", "invocations", "warm", "check", "wait",
-        "wait_timeout",
+        "region", "systems", "invocations", "warm", "wait", "wait_timeout",
     }
     _require(not unknown, f"unknown request field(s): {', '.join(sorted(unknown))}")
 
@@ -137,9 +135,7 @@ def parse_request(payload: Any) -> ServeRequest:
     )
 
     warm = payload.get("warm", True)
-    check = payload.get("check", True)
     _require(isinstance(warm, bool), "'warm' must be a boolean")
-    _require(isinstance(check, bool), "'check' must be a boolean")
     wait = payload.get("wait", False)
     _require(isinstance(wait, bool), "'wait' must be a boolean")
     wait_timeout = payload.get("wait_timeout", math.inf)
@@ -161,7 +157,6 @@ def parse_request(payload: Any) -> ServeRequest:
         systems=systems,
         invocations=invocations,
         warm=warm,
-        check=check,
         request_id=request_id,
         task_fps=task_fps,
         wait=wait,

@@ -329,10 +329,6 @@ class DataflowEngine:
             return mix(0xC0, op.op_id)
         return mix(0x1F, op.op_id, inv)
 
-    def _compute_value(self, op: Operation) -> int:
-        _, _, mix_id, inputs = self._exec_plan[op.op_id]
-        return mix(mix_id, *(self.values[i] for i in inputs))
-
     # ------------------------------------------------------------------
     # Completion paths
     # ------------------------------------------------------------------

@@ -90,10 +90,6 @@ class BenchmarkSpec:
 
     # ------------------------------------------------------------------
     @property
-    def n_dep_pairs(self) -> int:
-        return self.dep_st_st + self.dep_st_ld + self.dep_ld_st
-
-    @property
     def n_local(self) -> int:
         """Scratchpad ops to synthesize (capped for tractability)."""
         if self.pct_local <= 0:

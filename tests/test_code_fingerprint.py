@@ -26,8 +26,7 @@ SCRIPT = """\
 import json
 
 from repro.runtime.cache import ResultCache, get_cache
-from repro.runtime.executor import SimTask
-from repro.runtime.sweep import sweep_runs
+from repro.runtime.executor import SimTask, run_tasks
 from repro.workloads.micro import build_micro
 
 log = []
@@ -37,7 +36,7 @@ ResultCache.put = lambda self, key, value: (
     log.append(("put", key)) or put(self, key, value)
 )
 workload = build_micro("gather")
-sweep_runs([SimTask(workload, s, 4) for s in ("nachos", "oracle-sw")], jobs=1)
+run_tasks([SimTask(workload, s, 4) for s in ("nachos", "oracle-sw")], jobs=1)
 cache = get_cache()
 print(json.dumps({"log": log, "hits": cache.hits, "misses": cache.misses}))
 """

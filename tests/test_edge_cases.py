@@ -173,7 +173,7 @@ class TestRegionCaching:
         c = workload_for(get_spec("gzip"))
         assert c is not a
 
-    def test_pipeline_cache_keyed_by_config(self):
+    def test_compiled_region_keyed_by_config(self):
         from repro.compiler import PipelineConfig
         from repro.experiments.regions import compiled_region
         from repro.workloads import get_spec

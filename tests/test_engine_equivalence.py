@@ -142,7 +142,6 @@ def test_real_region_equivalence(region, no_cache, monkeypatch):
         monkeypatch.setattr(common, "make_engine", spy)
         fast = common.run_system(workload, system, invocations=invocations)
         monkeypatch.setattr(common, "make_engine", reference)
-        common._sim_memo.clear()
         ref = common.run_system(workload, system, invocations=invocations)
         assert [type(e) for e in built] == [FastEngine, DataflowEngine], system
         built.clear()

@@ -81,6 +81,13 @@ def test_compile_result_graph_is_the_workload_graph_on_every_path(tmp_path):
     for result in (fresh, from_disk):
         assert result.graph is workload.graph
     assert from_disk.mdes == fresh.mdes
+    # An equal workload built anew (a figure after regions.clear_caches())
+    # shares the memo entry but gets its own graph.
+    rebuilt = build_workload(_may_heavy_spec())
+    from_memo = compile_workload(rebuilt, cfg, cache)
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert from_memo.graph is rebuilt.graph
+    assert from_memo.mdes == fresh.mdes
     # The entry itself stores no graph: every reader has the workload.
     key = combine("compile", workload_fingerprint(workload),
                   config_fingerprint(cfg))
@@ -91,7 +98,7 @@ def test_compile_result_graph_is_the_workload_graph_on_every_path(tmp_path):
 def test_run_system_leaves_graph_untouched(system):
     workload = build_workload(_may_heavy_spec())
     before = graph_to_dict(workload.graph)
-    run = run_system(workload, system, invocations=3, check=False)
+    run = run_system(workload, system, invocations=3)
     assert run.sim.invocations == 3
     assert graph_to_dict(workload.graph) == before
 

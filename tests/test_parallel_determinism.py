@@ -15,7 +15,7 @@ import pytest
 from repro.experiments.common import SYSTEMS, clear_memos
 from repro.runtime.cache import configure_cache, get_cache
 from repro.runtime.executor import SimTask, run_tasks
-from repro.runtime.sweep import sweep_comparisons, sweep_runs
+from repro.runtime.sweep import sweep_comparisons
 from repro.workloads.micro import build_micro
 
 MICROS = ("stream_triad", "gather", "rmw")
@@ -59,13 +59,13 @@ def test_parallel_sweep_matches_serial(no_cache):
             assert s_run.sim.backend_stats == p_run.sim.backend_stats
 
 
-def test_sweep_runs_preserves_task_order(no_cache):
+def test_run_tasks_preserves_task_order(no_cache):
     tasks = [
-        SimTask(build_micro(name), system, INVOCATIONS, check=False)
+        SimTask(build_micro(name), system, INVOCATIONS)
         for name in MICROS
         for system in ("opt-lsq", "serial-mem")
     ]
-    runs = sweep_runs(tasks, jobs=4)
+    runs = run_tasks(tasks, jobs=4)
     assert [r.system for r in runs] == [t.system for t in tasks]
     assert [r.sim.region for r in runs] == [t.workload.name for t in tasks]
 

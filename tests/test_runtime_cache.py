@@ -179,14 +179,26 @@ def test_warm_run_is_byte_identical_and_served_from_cache(fresh_cache):
     assert warm.n_mdes == cold.n_mdes
 
 
-def test_check_false_shares_cache_entries_with_check_true(fresh_cache):
-    workload = build_micro("scatter")
-    run_system(workload, "opt-lsq", invocations=4, check=False)
+def test_compile_only_figure_reruns_from_disk(fresh_cache, monkeypatch):
+    """A compile-only figure stores its compiles in the result cache, so
+    a rerun after the in-process tables are dropped reads every compile
+    from disk and runs the pipeline on none."""
+    from repro.compiler.pipeline import AliasPipeline
+    from repro.experiments import fig14, regions
+    from repro.workloads.suite import SUITE
+
+    first = fig14.run()
     clear_memos()
-    fresh_cache.misses = 0
-    checked = run_system(workload, "opt-lsq", invocations=4, check=True)
-    assert fresh_cache.misses == 0  # same entry, correctness was stored
-    assert checked.correct
+    regions.clear_caches()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the rerun called AliasPipeline.run")
+
+    monkeypatch.setattr(AliasPipeline, "run", refuse)
+    fresh_cache.hits = fresh_cache.misses = 0
+    second = fig14.run()
+    assert (fresh_cache.hits, fresh_cache.misses) == (len(SUITE), 0)
+    assert fig14.render(second) == fig14.render(first)
 
 
 def test_session_hit_counters_feed_stats(fresh_cache):

@@ -44,7 +44,7 @@ def chaos_env(monkeypatch):
 
 def _tasks():
     return [
-        SimTask(build_micro(name), system, INVOCATIONS, check=False)
+        SimTask(build_micro(name), system, INVOCATIONS)
         for name in ("stream_triad", "gather")
         for system in ("opt-lsq", "nachos")
     ]

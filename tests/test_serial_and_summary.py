@@ -65,7 +65,7 @@ class TestSerialMemBackend:
         from repro.experiments.regions import workload_for
 
         w = workload_for(get_spec("equake"))
-        nachos = run_system(w, "nachos", invocations=6, check=False)
+        nachos = run_system(w, "nachos", invocations=6)
         serial = run_serial(w.graph, w.invocations(6))
         assert serial.cycles > nachos.sim.cycles
 

@@ -184,6 +184,16 @@ def test_engine_field_is_a_400_naming_it(client):
     assert excinfo.value.payload["error"] == "unknown request field(s): engine"
 
 
+def test_check_field_is_a_400_naming_it(client):
+    """Every run reports its golden verdict: a request asking to skip or
+    keep that report is rejected like any unknown field."""
+    for value in (False, True):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit("gather", systems=["nachos"], check=value)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "unknown request field(s): check"
+
+
 def test_stop_hangs_up_on_open_connections():
     """A client still connected when the daemon stops (idle, or in a
     long-poll) sees the connection close instead of waiting on a socket

@@ -181,8 +181,8 @@ def test_metrics_state_stays_fixed_as_requests_accumulate(fresh_store):
 def test_daemon_memory_is_bounded_by_region(fresh_store):
     """Fresh requests for one region at five invocation counts leave,
     after each batch, one trace (address streams + golden result) for
-    the region, the newest, and no sim record; the payloads stay with
-    the requests."""
+    the region and one invocation trace on its workload, each the
+    newest; the payloads stay with the requests."""
     from repro.serve.protocol import workload_for
 
     fresh_store()
@@ -199,10 +199,9 @@ def test_daemon_memory_is_bounded_by_region(fresh_store):
             )
             assert response["status"] == "done"
             payloads[invocations] = response["results"]["nachos"]
-            assert not common._sim_memo
             ((envs_fp, _streams, _golden),) = common._trace_memo.values()
-            _envs, _wfp, newest = common._prepare(workload, "nachos", invocations)
-            assert envs_fp == newest
+            count, _envs, held = workload._trace
+            assert (count, held) == (invocations, envs_fp)
         assert client.metrics()["serve.batches"]["value"] == 5
         client.close()
     finally:

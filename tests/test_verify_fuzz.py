@@ -109,8 +109,7 @@ def test_campaign_leaves_the_sweep_memos_and_cache_alone(monkeypatch):
     common.clear_memos()
     assert fuzz(3, seed=0).ok
     assert touched == []
-    for memo in (common._compile_memo, common._oracle_memo,
-                 common._placement_memo, common._sim_memo,
+    for memo in (common._compile_memo, common._placement_memo,
                  common._trace_memo):
         assert not memo
 
