@@ -31,6 +31,7 @@ from repro.compiler.aliasing.symbolic import (
     DEFAULT_ENUMERATION_LIMIT,
     OffsetRelation,
     compare_offsets,
+    offset_rows,
 )
 from repro.compiler.labels import AliasLabel, AliasMatrix
 from repro.ir.address import AddressExpr, MemObject, PointerParam
@@ -93,23 +94,19 @@ def analyze_stage1(
     built in (older, younger) program order, the alias universe's.
     """
     base_ids: Dict[Tuple[bool, int], int] = {}
-    shape_ids: Dict[tuple, int] = {}
     rows = []
-    for op in graph.memory_ops:
+    for op, shape, const, width in offset_rows(graph):
         addr = op.addr
         is_object = isinstance(addr.base, MemObject)
-        offset = addr.offset
         rows.append((
             op.op_id,
             op.is_store,
             base_ids.setdefault((is_object, addr.base.uid), len(base_ids)),
             is_object,
             addr.type_tag if use_tbaa else None,
-            shape_ids.setdefault(
-                (offset.iv_terms, offset.sym_terms), len(shape_ids)
-            ),
-            offset.const,
-            addr.width,
+            shape,
+            const,
+            width,
             addr,
         ))
     no, may, must = AliasLabel.NO, AliasLabel.MAY, AliasLabel.MUST

@@ -63,9 +63,15 @@ class _ReachIndex:
 
     Ops are in topological program order, so one backward sweep computes
     every op's reachable-set as a big-int bitmask; queries are O(1) bit
-    tests.  Retained relations are few (~50 per region in the paper), so
-    recomputing the sweep after each retained edge is cheap — far cheaper
-    than a DFS per pair on regions with tens of thousands of pairs.
+    tests.  A retained edge ``src -> dst`` then updates the masks in
+    place: ``dst`` comes after ``src``, so what ``dst`` reaches does not
+    change, and exactly ``src`` and the ops whose mask holds ``src`` gain
+    ``dst`` and everything ``dst`` reaches.
+
+    The static checker (:func:`repro.compiler.verify.guaranteed_reachability`)
+    computes its reachability with separate code on purpose: a bug here
+    that let this stage prune a needed relation must not also make the
+    checker approve the pruned plan.
     """
 
     def __init__(self, graph: DFGraph) -> None:
@@ -89,7 +95,16 @@ class _ReachIndex:
 
     def add_edge(self, src: int, dst: int) -> None:
         self._succ[src].append(dst)
-        self._sweep()
+        reach = self._reach
+        gain = (1 << self._index[dst]) | reach[dst]
+        if reach[src] | gain == reach[src]:
+            return  # already reachable: every mask holding src holds gain
+        src_pos = self._index[src]
+        reach[src] |= gain
+        for oid in self._order[:src_pos]:
+            mask = reach[oid]
+            if mask >> src_pos & 1:
+                reach[oid] = mask | gain
 
     def reachable(self, src: int, dst: int) -> bool:
         if src == dst:
@@ -136,14 +151,17 @@ def prune_stage3(
             if relation_guarantees_order(label, kind, older, younger, exact):
                 reach.add_edge(older, younger)
 
-    def by_span(pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    def by_span(label: AliasLabel) -> List[Tuple[int, int]]:
         # Short-range pairs first: retaining MUST(1,2) and MUST(2,3)
         # before examining MUST(1,3) lets transitivity prune the latter.
-        return sorted(pairs, key=lambda p: (p[1] - p[0], p))
+        return sorted(
+            (p for p, l in matrix.labels.items() if l is label),
+            key=lambda p: (p[1] - p[0], p),
+        )
 
     # MUST relations are enforced prior to MAY relations (Section V-D).
-    process(by_span(matrix.pairs(AliasLabel.MUST)), AliasLabel.MUST)
-    process(by_span(matrix.pairs(AliasLabel.MAY)), AliasLabel.MAY)
+    process(by_span(AliasLabel.MUST), AliasLabel.MUST)
+    process(by_span(AliasLabel.MAY), AliasLabel.MAY)
     return plan
 
 

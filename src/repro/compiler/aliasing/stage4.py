@@ -16,14 +16,28 @@ Polly.
 
 The paper reports stage 4 perfectly disambiguating the acceleration
 regions of equake, lbm, namd, bodytrack, and dwt53.
+
+As in stage 2, the pairs are settled per key: rows of provenance base
+uid, offset shape, constant, width and whether the offset has symbols;
+a lost base stays MAY, different bases give NO, a symbolic offset is
+skipped, one shape is decided by the integer window on ``c_a - c_b``,
+and any other pair calls
+:func:`~repro.compiler.aliasing.symbolic.compare_offsets` once per pair
+of shapes, constant difference and widths.
 """
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT, compare_offsets
+from repro.compiler.aliasing.symbolic import (
+    DEFAULT_ENUMERATION_LIMIT,
+    OffsetRelation,
+    compare_offsets,
+    offset_rows,
+)
 from repro.compiler.labels import AliasLabel, AliasMatrix
+from repro.ir.address import AddressExpr
 from repro.ir.graph import DFGraph
 
 
@@ -33,26 +47,55 @@ def refine_stage4(
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     exact_pairs: "Set[Tuple[int, int]] | None" = None,
 ) -> AliasMatrix:
-    """Return a refined copy of *matrix*; only MAY labels may change."""
+    """Return a refined copy of *matrix*; only MAY labels may change.
+
+    Every new label is the one ``compare_offsets(single_iv_only=False)``
+    gives a symbol-free pair whose provenance bases are known and equal.
+    """
     refined = matrix.copy()
-    ops = {op.op_id: op for op in graph.memory_ops}
-    for older, younger in matrix.pairs(AliasLabel.MAY):
-        a = ops[older].addr
-        b = ops[younger].addr
-        base_a = a.interprocedural_base
-        base_b = b.interprocedural_base
+    rows: Dict[int, Tuple[Optional[int], int, int, int, bool, AddressExpr]] = {}
+    for op, shape, const, width in offset_rows(graph):
+        addr = op.addr
+        base = addr.interprocedural_base
+        rows[op.op_id] = (
+            None if base is None else base.uid,
+            shape,
+            const,
+            width,
+            addr.offset.has_syms,
+            addr,
+        )
+    no, may, must = AliasLabel.NO, AliasLabel.MAY, AliasLabel.MUST
+    labels = refined.labels
+    general: Dict[tuple, OffsetRelation] = {}
+    for pair, label in matrix.labels.items():
+        if label is not may:
+            continue
+        base_a, shape_a, c_a, w_a, syms_a, a = rows[pair[0]]
+        base_b, shape_b, c_b, w_b, syms_b, b = rows[pair[1]]
         if base_a is None or base_b is None:
             continue
-        if base_a.uid != base_b.uid:
+        if base_a != base_b:
             # Stage 2 normally catches this; kept for stage-4-only runs.
-            refined.set(older, younger, AliasLabel.NO)
-            continue
-        if a.offset.has_syms or b.offset.has_syms:
+            labels[pair] = no
+        elif syms_a or syms_b:
             continue  # outside the polyhedral model
-        rel = compare_offsets(
-            a, b, single_iv_only=False, enumeration_limit=enumeration_limit
-        )
-        refined.set(older, younger, rel.label)
-        if rel.exact and exact_pairs is not None:
-            exact_pairs.add((older, younger))
+        elif shape_a == shape_b:
+            d = c_a - c_b
+            if -w_a < d < w_b:
+                labels[pair] = must
+                if d == 0 and w_a == w_b and exact_pairs is not None:
+                    exact_pairs.add(pair)
+            else:
+                labels[pair] = no
+        else:
+            key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
+            rel = general.get(key)
+            if rel is None:
+                rel = general[key] = compare_offsets(
+                    a, b, single_iv_only=False, enumeration_limit=enumeration_limit
+                )
+            labels[pair] = rel.label
+            if rel.exact and exact_pairs is not None:
+                exact_pairs.add(pair)
     return refined

@@ -19,16 +19,26 @@ so the whole question reduces to the value set of the affine difference
 Stage 1 restricts itself to differences affine in at most one induction
 variable (LLVM SCEV's comfort zone); stage 4 (polyhedral) handles the
 multi-variable case with a gcd test plus bounded enumeration.
+
+The three stages read a region's memory ops through one walk,
+:func:`offset_rows`, which numbers each offset's *shape* (its IV and
+symbol terms).  Two offsets of one shape differ by the constant
+``c_a - c_b``, so such a pair is the integer window test above with no
+``AffineExpr`` built; any other relation is fixed by the two shapes,
+``c_a - c_b`` and the widths, so the stages call :func:`compare_offsets`
+once per such key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.labels import AliasLabel
 from repro.ir.address import AddressExpr, AffineExpr
+from repro.ir.graph import DFGraph
+from repro.ir.ops import Operation
 
 #: Do not enumerate joint iteration domains larger than this; fall back to
 #: the conservative (gcd + interval) answer instead.
@@ -173,3 +183,26 @@ def compare_offsets(
         # identically zero, which the constant case already handled.
         return OffsetRelation(AliasLabel.MUST, exact=False)
     return OffsetRelation(AliasLabel.MAY)
+
+
+def offset_rows(graph: DFGraph) -> List[Tuple[Operation, int, int, int]]:
+    """``(op, shape, const, width)`` for each memory op, in program order.
+
+    ``shape`` numbers the offset's ``(iv_terms, sym_terms)`` within
+    *graph*: two accesses of one shape differ by ``const_a - const_b``,
+    so they overlap exactly when ``-width_a < const_a - const_b <
+    width_b``, and match exactly when that difference is 0 and the
+    widths are equal.
+    """
+    shape_ids: Dict[tuple, int] = {}
+    rows = []
+    for op in graph.memory_ops:
+        addr = op.addr
+        offset = addr.offset
+        rows.append((
+            op,
+            shape_ids.setdefault((offset.iv_terms, offset.sym_terms), len(shape_ids)),
+            offset.const,
+            addr.width,
+        ))
+    return rows

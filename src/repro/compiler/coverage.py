@@ -137,7 +137,7 @@ def check_sync_coverage(
     for older, younger, kind, verdict in required_pairs(
         graph, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
     ):
-        if younger in reach[older] or (older, younger) in own_edge:
+        if reach.reaches(older, younger) or (older, younger) in own_edge:
             report.required += 1
             report.covered += 1
             continue

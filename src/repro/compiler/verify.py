@@ -38,9 +38,26 @@ class OrderingViolation:
         )
 
 
+@dataclass(frozen=True)
+class Reachability:
+    """Guaranteed-ordering reachability of one region, as big-int bitsets.
+
+    ``position`` numbers the ops in program order, and bit
+    ``position[x]`` of ``ancestors[y]`` is set when a guaranteed-ordering
+    path leads from op ``x`` to op ``y``.
+    """
+
+    position: Dict[int, int]
+    ancestors: Dict[int, int]
+
+    def reaches(self, older: int, younger: int) -> bool:
+        """Whether a guaranteed-ordering path leads from *older* to *younger*."""
+        return bool(self.ancestors[younger] >> self.position[older] & 1)
+
+
 def guaranteed_reachability(
     graph: DFGraph, mdes: Optional[Iterable[MemoryDependencyEdge]] = None
-) -> Dict[int, Set[int]]:
+) -> Reachability:
     """Reachability over data edges + ordering-guaranteeing MDEs only.
 
     ``mdes`` is the edge set to follow (``None``: the graph's own MDEs).
@@ -55,23 +72,32 @@ def guaranteed_reachability(
     (the load provably reads the store's value), which
     ``verify_enforcement`` accepts directly.
 
+    One forward sweep in program order ORs each predecessor's bit and
+    ancestor mask into an op's mask.  Stage 3's pruning index
+    (:mod:`repro.compiler.aliasing.stage3`) is deliberately separate
+    code, so a reachability bug there cannot also hide the dropped
+    ordering from this check.
+
     Also used by the sync-coverage checker
     (:mod:`repro.compiler.coverage`) to prove the oracle's required
     happens-before pairs are enforced.
     """
-    succ: Dict[int, Set[int]] = {op.op_id: set() for op in graph.ops}
-    for op in graph.ops:
-        for src in op.inputs:
-            succ[src].add(op.op_id)
+    ordered_by: Dict[int, List[int]] = {}
     for edge in graph.mdes if mdes is None else mdes:
         if edge_guarantees_order(edge.kind):
-            succ[edge.src].add(edge.dst)
-    reach: Dict[int, Set[int]] = {op.op_id: set() for op in graph.ops}
-    for op in reversed(graph.ops):
-        for nxt in succ[op.op_id]:
-            reach[op.op_id].add(nxt)
-            reach[op.op_id] |= reach[nxt]
-    return reach
+            ordered_by.setdefault(edge.dst, []).append(edge.src)
+    position: Dict[int, int] = {}
+    ancestors: Dict[int, int] = {}
+    for k, op in enumerate(graph.ops):
+        oid = op.op_id
+        mask = 0
+        for src in op.inputs:
+            mask |= 1 << position[src] | ancestors[src]
+        for src in ordered_by.get(oid, ()):
+            mask |= 1 << position[src] | ancestors[src]
+        position[oid] = k
+        ancestors[oid] = mask
+    return Reachability(position=position, ancestors=ancestors)
 
 
 def verify_enforcement(
@@ -95,7 +121,7 @@ def verify_enforcement(
     for (older, younger), label in labels:
         if label is AliasLabel.NO:
             continue
-        if younger in reach[older]:
+        if reach.reaches(older, younger):
             continue
         if label is AliasLabel.MAY and (older, younger) in direct_may:
             continue

@@ -56,7 +56,18 @@ class GraphError(ValueError):
 
 
 class DFGraph:
-    """A branch-free acceleration-region dataflow graph."""
+    """A branch-free acceleration-region dataflow graph.
+
+    The program-order views (:attr:`ops`, :attr:`memory_ops`,
+    :attr:`loads`, :attr:`stores`) are each built on first use and kept
+    in one memo, ``_views``, until :meth:`add_op`, the one op-table
+    mutator, drops it.  Each query still returns a fresh list.
+    ``_views`` is never pickled, so a graph pickles to the same bytes
+    whether or not it has been queried.
+    """
+
+    #: View kind -> ops in program order; None until the first query.
+    _views: Optional[Dict[str, Tuple[Operation, ...]]] = None
 
     def __init__(self, name: str = "region") -> None:
         self.name = name
@@ -81,6 +92,7 @@ class DFGraph:
                     "regions are in topological program order"
                 )
         self._ops[op.op_id] = op
+        self._views = None
         self._users.setdefault(op.op_id, [])
         for src in op.inputs:
             self._users[src].append(op.op_id)
@@ -115,7 +127,25 @@ class DFGraph:
         g._ops = dict(self._ops)
         g._mdes = list(self._mdes)
         g._users = {k: list(v) for k, v in self._users.items()}
+        if self._views is not None:
+            g._views = dict(self._views)
         return g
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_views", None)
+        return state
+
+    def _view(self, kind: str = "") -> Tuple[Operation, ...]:
+        """The ops in program order, or those whose *kind* property
+        (``"is_memory"``, ``"is_load"``, ``"is_store"``) is true."""
+        views = self._views
+        if views is None:
+            views = self._views = {"": tuple(self._ops[k] for k in sorted(self._ops))}
+        view = views.get(kind)
+        if view is None:
+            view = views[kind] = tuple(op for op in views[""] if getattr(op, kind))
+        return view
 
     # ------------------------------------------------------------------
     # Accessors
@@ -126,7 +156,7 @@ class DFGraph:
     @property
     def ops(self) -> List[Operation]:
         """Operations in program order."""
-        return [self._ops[k] for k in sorted(self._ops)]
+        return list(self._view())
 
     @property
     def mdes(self) -> List[MemoryDependencyEdge]:
@@ -139,15 +169,15 @@ class DFGraph:
     @property
     def memory_ops(self) -> List[Operation]:
         """LOAD/STORE operations in program order."""
-        return [op for op in self.ops if op.is_memory]
+        return list(self._view("is_memory"))
 
     @property
     def loads(self) -> List[Operation]:
-        return [op for op in self.ops if op.is_load]
+        return list(self._view("is_load"))
 
     @property
     def stores(self) -> List[Operation]:
-        return [op for op in self.ops if op.is_store]
+        return list(self._view("is_store"))
 
     def memory_rank(self) -> Dict[int, int]:
         """Map op_id -> rank among memory ops (the compiler LSQ age)."""

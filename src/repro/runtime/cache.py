@@ -149,6 +149,9 @@ class ResultCache:
 
     def __init__(self, root: Optional[Path] = None, enabled: bool = True) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        # Entry paths are built as strings on every get/contains/put:
+        # three pathlib joins per call cost tens of times more.
+        self._objects_dir = os.path.join(self.root, "objects")
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
@@ -156,8 +159,8 @@ class ResultCache:
         self._stats_registered = False
 
     # -- paths ----------------------------------------------------------
-    def _object_path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.pkl"
+    def _object_path(self, key: str) -> str:
+        return f"{self._objects_dir}/{key[:2]}/{key}.pkl"
 
     @property
     def _stats_path(self) -> Path:
@@ -196,10 +199,9 @@ class ResultCache:
         if not self.enabled:
             return
         path = self._object_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=_tmp_prefix(), suffix=".tmp"
-        )
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=_tmp_prefix(), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -217,7 +219,7 @@ class ResultCache:
     def contains(self, key: str) -> bool:
         """Whether an entry for *key* is on disk (not read, not counted;
         a truncated entry still reads as a miss in :meth:`get`)."""
-        return self.enabled and self._object_path(key).is_file()
+        return self.enabled and os.path.isfile(self._object_path(key))
 
     # -- accounting -----------------------------------------------------
     def _count(self, hit: bool) -> None:
@@ -295,7 +297,7 @@ class ResultCache:
         entries = 0
         size = 0
         tmp_in_flight = 0
-        objects = self.root / "objects"
+        objects = Path(self._objects_dir)
         if objects.is_dir():
             for path in objects.rglob("*"):
                 name = path.name
@@ -328,7 +330,7 @@ class ResultCache:
         cache directory holds nothing, not even crash debris.
         """
         removed = 0
-        objects = self.root / "objects"
+        objects = Path(self._objects_dir)
         if objects.is_dir():
             removed = sum(
                 1

@@ -1,12 +1,15 @@
 """Bucketed pair classification equals the per-pair rules it replaces.
 
-Stage 1 (:func:`analyze_stage1`) and the oracle's region walk
+Stage 1 (:func:`analyze_stage1`), stages 2 and 4 (:func:`refine_stage2`,
+:func:`refine_stage4`) and the oracle's region walk
 (:func:`region_verdicts`, which :func:`required_pairs` and the fuzzer
 read) settle most pairs by their rows' keys — TBAA tag, base or
 heaplet, offset shape — instead of one offset difference per pair.
 Each must agree with its per-pair reference on every pair: stage 1 with
-``_classify`` (labels and ``exact_pairs``), the oracle with
-:func:`oracle_verdict` (whole verdict objects).  The corpus is every
+``_classify`` (labels and ``exact_pairs``), stages 2 and 4 with the
+per-pair provenance and ``compare_offsets`` rules kept below (labels and
+``exact_pairs``, stage 4 both after stage 2 and with stage 2 off), the
+oracle with :func:`oracle_verdict` (whole verdict objects).  The corpus is every
 ``build_suite_workloads(5)`` region, 1,000 fuzzer regions and a few
 hand-built boundary cases, with TBAA on and off, at the default
 enumeration limit and at 4.
@@ -19,8 +22,10 @@ from typing import Dict, List, Set, Tuple
 import pytest
 
 from repro.compiler.aliasing.stage1 import _classify, analyze_stage1
+from repro.compiler.aliasing.stage2 import refine_stage2
+from repro.compiler.aliasing.stage4 import refine_stage4
 from repro.compiler.aliasing.stage5 import oracle_verdict, region_verdicts
-from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
+from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT, compare_offsets
 from repro.compiler.coverage import required_pairs
 from repro.compiler.labels import AliasLabel, AliasMatrix, pair_kind
 from repro.ir import AffineExpr, IVar, MemObject, PointerParam, RegionBuilder, Sym
@@ -83,6 +88,70 @@ def _per_pair_stage1(
     return labels, exact
 
 
+def _per_pair_stage2(graph: DFGraph, matrix: AliasMatrix, limit: int):
+    """Stage 2 one MAY pair at a time: (labels, exact pairs)."""
+    labels = dict(matrix.labels)
+    exact: Set[Tuple[int, int]] = set()
+    ops = {op.op_id: op for op in graph.memory_ops}
+    for (older, younger), label in matrix.labels.items():
+        if label is not AliasLabel.MAY:
+            continue
+        a, b = ops[older].addr, ops[younger].addr
+        base_a, base_b = a.interprocedural_base, b.interprocedural_base
+        if base_a is None or base_b is None:
+            continue
+        if base_a.uid != base_b.uid:
+            labels[(older, younger)] = AliasLabel.NO
+            continue
+        rel = compare_offsets(a, b, single_iv_only=True, enumeration_limit=limit)
+        labels[(older, younger)] = rel.label
+        if rel.exact:
+            exact.add((older, younger))
+    return labels, exact
+
+
+def _per_pair_stage4(graph: DFGraph, matrix: AliasMatrix, limit: int):
+    """Stage 4 one MAY pair at a time: (labels, exact pairs)."""
+    labels = dict(matrix.labels)
+    exact: Set[Tuple[int, int]] = set()
+    ops = {op.op_id: op for op in graph.memory_ops}
+    for (older, younger), label in matrix.labels.items():
+        if label is not AliasLabel.MAY:
+            continue
+        a, b = ops[older].addr, ops[younger].addr
+        base_a, base_b = a.interprocedural_base, b.interprocedural_base
+        if base_a is None or base_b is None:
+            continue
+        if base_a.uid != base_b.uid:
+            labels[(older, younger)] = AliasLabel.NO
+            continue
+        if a.offset.has_syms or b.offset.has_syms:
+            continue
+        rel = compare_offsets(a, b, single_iv_only=False, enumeration_limit=limit)
+        labels[(older, younger)] = rel.label
+        if rel.exact:
+            exact.add((older, younger))
+    return labels, exact
+
+
+def _refinement_mismatches(graph: DFGraph, stage1: AliasMatrix, limit: int) -> List[str]:
+    """Where keyed stages 2 and 4 differ from their per-pair references,
+    on *stage1*'s labels with stage 2 on and with it off."""
+    out: List[str] = []
+    exact: Set[Tuple[int, int]] = set()
+    stage2 = refine_stage2(graph, stage1, enumeration_limit=limit, exact_pairs=exact)
+    if (dict(stage2.labels), exact) != _per_pair_stage2(graph, stage1, limit):
+        out.append(f"{graph.name}: refine_stage2 differs from the per-pair rule")
+    for name, before in (("after stage 2", stage2), ("with stage 2 off", stage1)):
+        exact = set()
+        stage4 = refine_stage4(graph, before, enumeration_limit=limit, exact_pairs=exact)
+        if list(stage4.labels) != list(before.labels):
+            out.append(f"{graph.name}: refine_stage4 reordered the pairs {name}")
+        if (dict(stage4.labels), exact) != _per_pair_stage4(graph, before, limit):
+            out.append(f"{graph.name}: refine_stage4 differs from the per-pair rule {name}")
+    return out
+
+
 def _mismatches(graph: DFGraph, use_tbaa: bool, limit: int) -> List[str]:
     """What the bucketed paths get wrong on *graph* (empty = agree)."""
     out: List[str] = []
@@ -104,6 +173,7 @@ def _mismatches(graph: DFGraph, use_tbaa: bool, limit: int) -> List[str]:
         out.append(f"{graph.name}: analyze_stage1 exact_pairs differ from _classify")
     if list(matrix.labels) != list(AliasMatrix.universe(graph).labels):
         out.append(f"{graph.name}: stage-1 pairs are not the alias universe")
+    out.extend(_refinement_mismatches(graph, matrix, limit))
     return out
 
 
@@ -194,6 +264,19 @@ def test_partial_width_overlap_window_edges(first, second, overlaps):
     expected = AliasLabel.MUST if overlaps else AliasLabel.NO
     assert label is expected and verdict.label is expected
     assert not exact and not verdict.exact
+    # Through a traced pointer stage 1 says MAY, and stages 2 and 4
+    # apply the same window.
+    p = PointerParam("p", runtime_object=ARR, provenance=ARR)
+    graph = _pair_graph(
+        (p, _offset(first[0] + 64), first[1]), (ARR, _offset(second[0] + 64), second[1])
+    )
+    label, _, _ = _decide(graph)
+    assert label is AliasLabel.MAY
+    stage1 = analyze_stage1(graph)
+    for refine in (refine_stage2, refine_stage4):
+        exact_pairs: Set[Tuple[int, int]] = set()
+        ((_, refined),) = refine(graph, stage1, exact_pairs=exact_pairs).labels.items()
+        assert refined is expected and not exact_pairs
 
 
 def test_same_param_pair_is_decided_by_offsets():
@@ -236,3 +319,53 @@ def test_tbaa_tags_separate_before_bases():
     assert region_verdicts(graph, use_tbaa=False)[pair].exact
     assert analyze_stage1(graph).get(*pair) is AliasLabel.NO
     assert analyze_stage1(graph, use_tbaa=False).get(*pair) is AliasLabel.MUST
+
+
+def test_stages_2_and_4_settle_by_provenance_base():
+    """A lost provenance stays MAY in both stages; a known one joins its
+    object's base, and two different known bases are NO — in stage 4
+    too when stage 2 is off."""
+    lost = PointerParam("lost", runtime_object=ARR)
+    traced = PointerParam("traced", runtime_object=ARR, provenance=ARR)
+    other = MemObject("other", 4096)
+    elsewhere = PointerParam("elsewhere", runtime_object=other, provenance=other)
+    b = RegionBuilder("provenance")
+    x = b.input("x")
+    b.store(lost, _offset(0), value=x)
+    b.store(traced, _offset(0), value=x)
+    b.load(ARR, _offset(0))
+    b.load(elsewhere, _offset(0))
+    graph = b.build()
+    for use_tbaa, limit in SETTINGS:
+        assert _mismatches(graph, use_tbaa, limit) == []
+    st_lost, st_traced, ld_arr, ld_else = (op.op_id for op in graph.memory_ops)
+    stage1 = analyze_stage1(graph)
+    assert set(stage1.labels.values()) == {AliasLabel.MAY}
+    exact: Set[Tuple[int, int]] = set()
+    stage2 = refine_stage2(graph, stage1, exact_pairs=exact)
+    for older, younger in ((st_lost, st_traced), (st_lost, ld_arr), (st_lost, ld_else)):
+        assert stage2.get(older, younger) is AliasLabel.MAY
+    assert stage2.get(st_traced, ld_arr) is AliasLabel.MUST
+    assert exact == {(st_traced, ld_arr)}
+    assert stage2.get(st_traced, ld_else) is AliasLabel.NO
+    exact = set()
+    stage4 = refine_stage4(graph, stage1, exact_pairs=exact)
+    assert stage4.get(st_lost, ld_arr) is AliasLabel.MAY
+    assert stage4.get(st_traced, ld_else) is AliasLabel.NO
+    assert stage4.get(st_traced, ld_arr) is AliasLabel.MUST
+    assert exact == {(st_traced, ld_arr)}
+
+
+def test_stage4_leaves_symbolic_pairs_that_stage2_decides():
+    """Offsets of one shape with a symbol differ by a constant: stage 2
+    decides them, stage 4 leaves them to stage 5."""
+    s = Sym("s")
+    p = PointerParam("p", runtime_object=ARR, provenance=ARR)
+    graph = _pair_graph((p, _offset(0, {s: 1}), 8), (ARR, _offset(64, {s: 1}), 8))
+    for use_tbaa, limit in SETTINGS:
+        assert _mismatches(graph, use_tbaa, limit) == []
+    stage1 = analyze_stage1(graph)
+    ((pair, label),) = stage1.labels.items()
+    assert label is AliasLabel.MAY
+    assert refine_stage2(graph, stage1).get(*pair) is AliasLabel.NO
+    assert refine_stage4(graph, stage1).get(*pair) is AliasLabel.MAY

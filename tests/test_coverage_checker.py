@@ -221,6 +221,6 @@ class TestOrderingPredicateAgreement:
             for (older, younger), label in result.final_labels:
                 if label is AliasLabel.NO or (older, younger) in retained:
                     continue  # pruned by stage 3: must be covered anyway
-                assert younger in reach[older] or (older, younger) in own, (
+                assert reach.reaches(older, younger) or (older, younger) in own, (
                     k, older, younger, label,
                 )

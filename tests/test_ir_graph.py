@@ -1,8 +1,11 @@
 """Unit tests for the region graph, builder, opcodes, and operations."""
 
+import pickle
+
 import pytest
 
 from repro.ir import (
+    AddressExpr,
     AffineExpr,
     DFGraph,
     IVar,
@@ -146,6 +149,75 @@ class TestBuilderAndGraph:
         assert simple_region.mdes_into(st.op_id) == [edge]
         assert simple_region.mdes_out_of(ld.op_id) == [edge]
         assert simple_region.mdes_into(ld.op_id) == []
+
+
+class TestProgramOrderViews:
+    """``ops``/``memory_ops``/``loads``/``stores`` are served from one
+    memo that only ``add_op`` drops."""
+
+    @staticmethod
+    def _views(graph):
+        return (graph.ops, graph.memory_ops, graph.loads, graph.stores)
+
+    @staticmethod
+    def _next_id(graph):
+        return max(op.op_id for op in graph.ops) + 1
+
+    def test_op_added_after_a_query_is_seen(self, simple_region, obj_a):
+        before = self._views(simple_region)
+        n = self._next_id(simple_region)
+        ld = simple_region.add_op(
+            Operation(n, Opcode.LOAD, addr=AddressExpr(obj_a, AffineExpr.constant(0)))
+        )
+        st = simple_region.add_op(
+            Operation(n + 1, Opcode.STORE, inputs=(n,),
+                      addr=AddressExpr(obj_a, AffineExpr.constant(8)))
+        )
+        alu = simple_region.add_op(Operation(n + 2, Opcode.ADD, inputs=(n, n)))
+        ops, memory, loads, stores = self._views(simple_region)
+        assert ops == before[0] + [ld, st, alu]
+        assert memory == before[1] + [ld, st]
+        assert loads == before[2] + [ld]
+        assert stores == before[3] + [st]
+        assert list(simple_region) == ops
+        assert simple_region.stats().n_mem == len(memory)
+
+    def test_views_are_in_program_order_whatever_the_insertion_order(self, obj_a):
+        graph = DFGraph("unordered")
+        addr = AddressExpr(obj_a, AffineExpr.constant(0))
+        graph.add_op(Operation(5, Opcode.LOAD, addr=addr))
+        assert [op.op_id for op in graph.ops] == [5]
+        graph.add_op(Operation(2, Opcode.LOAD, addr=addr))
+        graph.add_op(Operation(3, Opcode.CONST))
+        assert [op.op_id for op in graph.ops] == [2, 3, 5]
+        assert [op.op_id for op in graph.memory_ops] == [2, 5]
+
+    def test_mutating_a_returned_list_leaves_the_graph_unchanged(self, simple_region):
+        before = self._views(simple_region)
+        for view in self._views(simple_region):
+            view.clear()
+        simple_region.memory_ops.append(simple_region.ops[0])
+        assert self._views(simple_region) == before
+
+    def test_pickle_bytes_do_not_depend_on_queries(self, simple_region):
+        graph = simple_region.clone()
+        graph.add_op(Operation(self._next_id(graph), Opcode.CONST))  # memo dropped
+        fresh = pickle.dumps(graph)
+        self._views(graph)
+        assert pickle.dumps(graph) == fresh
+        assert pickle.dumps(graph.clone()) == fresh
+        restored = pickle.loads(fresh)
+        assert list(restored.__dict__) == ["name", "_ops", "_mdes", "_users"]
+        assert restored.ops == graph.ops
+
+    def test_clone_add_op_leaves_the_original_unchanged(self, simple_region):
+        before = self._views(simple_region)
+        clone = simple_region.clone()
+        n = self._next_id(clone)
+        added = clone.add_op(Operation(n, Opcode.CONST))
+        assert self._views(simple_region) == before
+        assert clone.ops == before[0] + [added]
+        assert self._views(simple_region.clone()) == before
 
 
 class TestReachability:

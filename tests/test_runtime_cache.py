@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,7 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     cache = ResultCache(root=tmp_path, enabled=True)
     key = combine("unit", "corrupt")
     cache.put(key, "fine")
-    path = cache._object_path(key)
+    path = Path(cache._object_path(key))
     path.write_bytes(b"not a pickle")
     assert cache.get(key) is ResultCache.MISS
 
@@ -59,7 +60,7 @@ def test_truncated_entry_is_a_miss_and_reputtable(tmp_path):
     cache = ResultCache(root=tmp_path, enabled=True)
     key = combine("unit", "truncated")
     cache.put(key, {"cycles": 99})
-    path = cache._object_path(key)
+    path = Path(cache._object_path(key))
     path.write_bytes(path.read_bytes()[:5])
     assert cache.get(key) is ResultCache.MISS
     cache.put(key, {"cycles": 99})
@@ -73,7 +74,7 @@ def test_torn_cache_entry_reads_as_a_miss_and_is_reputtable(tmp_path, content):
     cache = ResultCache(root=tmp_path, enabled=True)
     key = combine("unit", "torn")
     cache.put(key, {"cycles": 7})
-    cache._object_path(key).write_bytes(content)
+    Path(cache._object_path(key)).write_bytes(content)
     assert cache.get(key) is ResultCache.MISS
     cache.put(key, {"cycles": 7})
     assert cache.get(key) == {"cycles": 7}
