@@ -1,16 +1,13 @@
 """Reporting utilities shared by the experiment modules."""
 
-from repro.analysis.compare import Drift, compare_results
 from repro.analysis.stats import geomean, mean, percentile, weighted_mean
 from repro.analysis.svgplot import BarChart
 from repro.analysis.tables import ascii_table, bar, markdown_table, pct
 
 __all__ = [
     "BarChart",
-    "Drift",
     "ascii_table",
     "bar",
-    "compare_results",
     "geomean",
     "markdown_table",
     "mean",

@@ -6,7 +6,9 @@ pair.  Stage 1 sees only information available *inside* the region:
 * **Base objects** (BasicAA): accesses to two distinct named allocations
   never alias; opaque pointer parameters cannot be resolved.
 * **Types** (TBAA): accesses with different type tags are assumed
-  disjoint (when enabled, as with ``-fstrict-aliasing``).
+  disjoint, as under ``-fstrict-aliasing``.  The axiom is always on:
+  the stage-5 oracle and the coverage check assume it too, so the three
+  agree by construction.
 * **Scalar evolution** (SCEV): offsets affine in *one* induction variable
   are compared exactly over the iteration domain.  Multi-variable
   subscripts — the multidimensional-array patterns of Section V-E — are
@@ -28,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, Set, Tuple
 
 from repro.compiler.aliasing.symbolic import (
-    DEFAULT_ENUMERATION_LIMIT,
     OffsetRelation,
     compare_offsets,
     offset_rows,
@@ -46,13 +47,8 @@ def _tbaa_disjoint(a: AddressExpr, b: AddressExpr) -> bool:
     )
 
 
-def _classify(
-    a: AddressExpr,
-    b: AddressExpr,
-    use_tbaa: bool,
-    enumeration_limit: int,
-) -> OffsetRelation:
-    if use_tbaa and _tbaa_disjoint(a, b):
+def _classify(a: AddressExpr, b: AddressExpr) -> OffsetRelation:
+    if _tbaa_disjoint(a, b):
         return OffsetRelation(AliasLabel.NO)
 
     base_a, base_b = a.base, b.base
@@ -60,7 +56,7 @@ def _classify(
     if both_objects:
         if base_a.uid != base_b.uid:
             return OffsetRelation(AliasLabel.NO)
-        return compare_offsets(a, b, single_iv_only=True, enumeration_limit=enumeration_limit)
+        return compare_offsets(a, b, single_iv_only=True)
 
     same_param = (
         isinstance(base_a, PointerParam)
@@ -69,7 +65,7 @@ def _classify(
     )
     if same_param:
         # The unknown base cancels; offsets decide.
-        return compare_offsets(a, b, single_iv_only=True, enumeration_limit=enumeration_limit)
+        return compare_offsets(a, b, single_iv_only=True)
 
     # At least one opaque pointer with a different (or unknown) base:
     # stage 1 cannot see across the call boundary.
@@ -78,8 +74,6 @@ def _classify(
 
 def analyze_stage1(
     graph: DFGraph,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     exact_pairs: "Set[Tuple[int, int]] | None" = None,
 ) -> AliasMatrix:
     """Label every pair of *graph*; optionally record exact-match pairs.
@@ -103,7 +97,7 @@ def analyze_stage1(
             op.is_store,
             base_ids.setdefault((is_object, addr.base.uid), len(base_ids)),
             is_object,
-            addr.type_tag if use_tbaa else None,
+            addr.type_tag,
             shape,
             const,
             width,
@@ -136,9 +130,7 @@ def analyze_stage1(
                 key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
                 rel = general.get(key)
                 if rel is None:
-                    rel = general[key] = _classify(
-                        a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-                    )
+                    rel = general[key] = _classify(a, b)
                 label = rel.label
                 if rel.exact and exact_pairs is not None:
                     exact_pairs.add((id_a, id_b))

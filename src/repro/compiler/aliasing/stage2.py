@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.compiler.aliasing.symbolic import (
-    DEFAULT_ENUMERATION_LIMIT,
     OffsetRelation,
     compare_offsets,
     offset_rows,
@@ -41,7 +40,6 @@ from repro.ir.graph import DFGraph
 def refine_stage2(
     graph: DFGraph,
     matrix: AliasMatrix,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     exact_pairs: "Set[Tuple[int, int]] | None" = None,
 ) -> AliasMatrix:
     """Return a refined copy of *matrix*; only MAY labels may change.
@@ -80,9 +78,7 @@ def refine_stage2(
             key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
             rel = general.get(key)
             if rel is None:
-                rel = general[key] = compare_offsets(
-                    a, b, single_iv_only=True, enumeration_limit=enumeration_limit
-                )
+                rel = general[key] = compare_offsets(a, b, single_iv_only=True)
             labels[pair] = rel.label
             if rel.exact and exact_pairs is not None:
                 exact_pairs.add(pair)

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.compiler.aliasing.symbolic import (
-    DEFAULT_ENUMERATION_LIMIT,
     OffsetRelation,
     compare_offsets,
     offset_rows,
@@ -44,7 +43,6 @@ from repro.ir.graph import DFGraph
 def refine_stage4(
     graph: DFGraph,
     matrix: AliasMatrix,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     exact_pairs: "Set[Tuple[int, int]] | None" = None,
 ) -> AliasMatrix:
     """Return a refined copy of *matrix*; only MAY labels may change.
@@ -92,9 +90,7 @@ def refine_stage4(
             key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
             rel = general.get(key)
             if rel is None:
-                rel = general[key] = compare_offsets(
-                    a, b, single_iv_only=False, enumeration_limit=enumeration_limit
-                )
+                rel = general[key] = compare_offsets(a, b, single_iv_only=False)
             labels[pair] = rel.label
             if rel.exact and exact_pairs is not None:
                 exact_pairs.add(pair)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.compiler.labels import AliasLabel, AliasMatrix
-from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
+from repro.compiler.aliasing import symbolic
 from repro.ir.address import AddressExpr, AffineExpr, MemObject, PointerParam
 from repro.ir.graph import DFGraph
 
@@ -314,16 +314,15 @@ def _window(width_a: int, width_b: int) -> Tuple[int, int]:
 def separation_verdict(
     a: AddressExpr,
     b: AddressExpr,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> OracleVerdict:
     """Separating-conjunction disjointness of two access footprints.
 
     Independent of :func:`repro.compiler.aliasing.symbolic.compare_offsets`
     by construction — this is what lets the fuzzer use it as an oracle
-    against stages 1--4.
+    against stages 1--4.  The two share only the enumeration bound,
+    ``symbolic.DEFAULT_ENUMERATION_LIMIT``, read at call time.
     """
-    if use_tbaa and (
+    if (
         a.type_tag is not None
         and b.type_tag is not None
         and a.type_tag != b.type_tag
@@ -351,7 +350,7 @@ def separation_verdict(
             return _CONSTANT_MUST
         return _CONSTANT_NO
 
-    swept = _enumerate_joint(diff, wlo, whi, enumeration_limit)
+    swept = _enumerate_joint(diff, wlo, whi, symbolic.DEFAULT_ENUMERATION_LIMIT)
     if swept is not None:
         can, always = swept
         if not can:
@@ -374,24 +373,16 @@ def oracle_verdict(
     graph: DFGraph,
     older: int,
     younger: int,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> OracleVerdict:
     """Separation-logic verdict for one (older, younger) op pair of *graph*."""
     a = graph.op(older).addr
     b = graph.op(younger).addr
     if a is None or b is None:
         raise ValueError(f"ops ({older}, {younger}) must both be memory ops")
-    return separation_verdict(
-        a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-    )
+    return separation_verdict(a, b)
 
 
-def region_verdicts(
-    graph: DFGraph,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Dict[Tuple[int, int], OracleVerdict]:
+def region_verdicts(graph: DFGraph) -> Dict[Tuple[int, int], OracleVerdict]:
     """The oracle's verdict on every ST-ST / ST-LD / LD-ST pair of *graph*.
 
     Keyed ``(older, younger)`` in program order; each verdict equals
@@ -415,7 +406,7 @@ def region_verdicts(
             op.is_store,
             heaplet_ids.setdefault(heaplet, len(heaplet_ids)),
             heaplet[0] == "obj",
-            addr.type_tag if use_tbaa else None,
+            addr.type_tag,
             shape_ids.setdefault(
                 (offset.iv_terms, offset.sym_terms), len(shape_ids)
             ),
@@ -448,9 +439,7 @@ def region_verdicts(
                 key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
                 verdict = general.get(key)
                 if verdict is None:
-                    verdict = general[key] = separation_verdict(
-                        a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-                    )
+                    verdict = general[key] = separation_verdict(a, b)
             out[(id_a, id_b)] = verdict
     return out
 
@@ -476,9 +465,7 @@ class Stage5Stats:
 def refine_stage5(
     graph: DFGraph,
     matrix: AliasMatrix,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     exact_pairs: "Set[Tuple[int, int]] | None" = None,
-    use_tbaa: bool = True,
     stats: Optional[Stage5Stats] = None,
 ) -> AliasMatrix:
     """Return a refined copy of *matrix*; only symbolic MAY labels change.
@@ -499,9 +486,7 @@ def refine_stage5(
             continue  # stages 1-4 territory; nothing new to say
         if stats is not None:
             stats.symbolic_pairs += 1
-        verdict = separation_verdict(
-            a, b, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-        )
+        verdict = separation_verdict(a, b)
         if verdict.label is AliasLabel.MAY:
             continue
         refined.set(older, younger, verdict.label)

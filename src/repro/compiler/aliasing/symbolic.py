@@ -150,7 +150,6 @@ def compare_offsets(
     a: AddressExpr,
     b: AddressExpr,
     single_iv_only: bool,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> OffsetRelation:
     """Overlap relation of two accesses with provably identical bases."""
     diff = a.offset - b.offset
@@ -172,7 +171,7 @@ def compare_offsets(
     if not _gcd_hits_window(diff, wlo, whi):
         return OffsetRelation(AliasLabel.NO)
 
-    exact_result = _enumerate(diff, wlo, whi, enumeration_limit)
+    exact_result = _enumerate(diff, wlo, whi, DEFAULT_ENUMERATION_LIMIT)
     if exact_result is None:
         return OffsetRelation(AliasLabel.MAY)
     can, always = exact_result

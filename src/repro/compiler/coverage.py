@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.compiler.aliasing.stage5 import OracleVerdict, region_verdicts
-from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
 from repro.compiler.labels import AliasLabel, PairKind, pair_kind
 from repro.compiler.verify import guaranteed_reachability
 from repro.ir.graph import DFGraph, MemoryDependencyEdge
@@ -93,11 +92,7 @@ def _op_desc(graph: DFGraph, op_id: int) -> str:
     return f"{kind}#{op_id}({name}) {op.addr!r}"
 
 
-def required_pairs(
-    graph: DFGraph,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> List[Tuple[int, int, PairKind, OracleVerdict]]:
+def required_pairs(graph: DFGraph) -> List[Tuple[int, int, PairKind, OracleVerdict]]:
     """Every pair the oracle requires a happens-before guarantee for.
 
     Enumerated from scratch over all ST-ST / ST-LD / LD-ST pairs (LD-LD
@@ -109,9 +104,7 @@ def required_pairs(
     ops = {op.op_id: op for op in graph.memory_ops}
     return [
         (older, younger, pair_kind(ops[older], ops[younger]), verdict)
-        for (older, younger), verdict in region_verdicts(
-            graph, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-        ).items()
+        for (older, younger), verdict in region_verdicts(graph).items()
         if verdict.label is not AliasLabel.NO
     ]
 
@@ -119,8 +112,6 @@ def required_pairs(
 def check_sync_coverage(
     graph: DFGraph,
     mdes: Optional[Iterable[MemoryDependencyEdge]] = None,
-    use_tbaa: bool = True,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> CoverageReport:
     """Prove the MDE set *mdes* covers every oracle-required pair of
     *graph*.
@@ -134,9 +125,7 @@ def check_sync_coverage(
     reach = guaranteed_reachability(graph, edges)
     own_edge: Set[Tuple[int, int]] = {(e.src, e.dst) for e in edges}
 
-    for older, younger, kind, verdict in required_pairs(
-        graph, use_tbaa=use_tbaa, enumeration_limit=enumeration_limit
-    ):
+    for older, younger, kind, verdict in required_pairs(graph):
         if reach.reaches(older, younger) or (older, younger) in own_edge:
             report.required += 1
             report.covered += 1

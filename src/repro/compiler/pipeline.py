@@ -14,6 +14,13 @@ ablations:
 * stage-wise figures 6/7/9   -> intermediate matrices exposed on the
   :class:`PipelineResult`.
 
+Nothing else is configurable.  TBAA is always applied (the model is
+compiled with ``-fstrict-aliasing``) and the enumeration bound is the
+module constant
+:data:`~repro.compiler.aliasing.symbolic.DEFAULT_ENUMERATION_LIMIT`, so
+the stage-5 oracle and the coverage check assume the same axiom and
+bound as the compile.
+
 Label refinement is monotone: stages 2, 4, and 5 only turn MAY into NO
 or MUST, so running refinement before pruning is equivalent to the
 paper's 1-2-3-4 presentation order (pruned MAYs that would refine to NO
@@ -35,7 +42,6 @@ from repro.compiler.aliasing.stage2 import refine_stage2
 from repro.compiler.aliasing.stage3 import EnforcementPlan, prune_stage3, retain_all
 from repro.compiler.aliasing.stage4 import refine_stage4
 from repro.compiler.aliasing.stage5 import Stage5Stats, refine_stage5
-from repro.compiler.aliasing.symbolic import DEFAULT_ENUMERATION_LIMIT
 from repro.compiler.labels import AliasMatrix
 from repro.compiler.mde import insert_mdes
 from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
@@ -48,8 +54,6 @@ class PipelineConfig:
     use_stage2: bool = True
     use_stage3: bool = True
     use_stage4: bool = True
-    use_tbaa: bool = True
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
     use_stage5: bool = True
 
     @classmethod
@@ -134,26 +138,17 @@ class AliasPipeline:
         cfg = self.config
         exact: Set[Tuple[int, int]] = set()
 
-        stage1 = analyze_stage1(
-            graph,
-            use_tbaa=cfg.use_tbaa,
-            enumeration_limit=cfg.enumeration_limit,
-            exact_pairs=exact,
-        )
+        stage1 = analyze_stage1(graph, exact_pairs=exact)
         current = stage1
 
         stage2 = None
         if cfg.use_stage2:
-            stage2 = refine_stage2(
-                graph, current, enumeration_limit=cfg.enumeration_limit, exact_pairs=exact
-            )
+            stage2 = refine_stage2(graph, current, exact_pairs=exact)
             current = stage2
 
         stage4 = None
         if cfg.use_stage4:
-            stage4 = refine_stage4(
-                graph, current, enumeration_limit=cfg.enumeration_limit, exact_pairs=exact
-            )
+            stage4 = refine_stage4(graph, current, exact_pairs=exact)
             current = stage4
 
         stage5 = None
@@ -161,12 +156,7 @@ class AliasPipeline:
         if cfg.use_stage5:
             stage5_stats = Stage5Stats()
             stage5 = refine_stage5(
-                graph,
-                current,
-                enumeration_limit=cfg.enumeration_limit,
-                exact_pairs=exact,
-                use_tbaa=cfg.use_tbaa,
-                stats=stage5_stats,
+                graph, current, exact_pairs=exact, stats=stage5_stats
             )
             current = stage5
 

@@ -39,10 +39,6 @@ class AppendixResult:
     def over_ratio_1(self) -> List[str]:
         return [r.name for r in self.rows if r.ratio > 1.0]
 
-    @property
-    def all_profitable(self) -> bool:
-        return all(r.profitable for r in self.rows)
-
 
 def run(model: DecentralizedCheckModel = DecentralizedCheckModel()) -> AppendixResult:
     rows: List[AppendixRow] = []

@@ -393,7 +393,6 @@ def _simulate(
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
     tracer=None,
-    recorder=None,
 ) -> Tuple[SimResult, bool, Tuple[MemoryDependencyEdge, ...], Placement]:
     """Simulate and golden-check ``workload.graph`` under *system*; return
     the result, its correctness, the enforced MDEs and the placement.
@@ -424,7 +423,7 @@ def _simulate(
         graph, envs, system, mdes, placement, golden,
         addr_streams=addr_streams, warm=warm, region_name=workload.name,
         hierarchy_config=hierarchy_config, lsq_config=lsq_config,
-        engine_config=engine_config, tracer=tracer, recorder=recorder,
+        engine_config=engine_config, tracer=tracer,
     )
     return sim, correct, mdes, placement
 
@@ -444,7 +443,6 @@ def simulate_region(
     lsq_config: Optional[LSQConfig] = None,
     engine_config: Optional[EngineConfig] = None,
     tracer=None,
-    recorder=None,
 ) -> Tuple[SimResult, bool]:
     """Run *graph* over *envs* under *system*, whose backend enforces
     *mdes*, and check it against *golden*; return the result and its
@@ -460,7 +458,7 @@ def simulate_region(
     backend = _backend_for(system, lsq_config)
     engine = make_engine(
         graph, placement, hierarchy, backend, config=engine_config,
-        recorder=recorder, tracer=tracer, mdes=mdes,
+        tracer=tracer, mdes=mdes,
     )
     if warm:
         mem_ops = graph.memory_ops

@@ -63,14 +63,6 @@ class MaySweepResult:
     def all_correct(self) -> bool:
         return all(p.correct for p in self.points)
 
-    @property
-    def sw_series(self) -> List[float]:
-        return [p.sw_slowdown_pct for p in self.points]
-
-    @property
-    def nachos_series(self) -> List[float]:
-        return [p.nachos_slowdown_pct for p in self.points]
-
 
 def run(
     invocations: int = 20,

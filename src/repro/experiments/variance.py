@@ -34,10 +34,6 @@ class VarianceRow:
         return mean(self.sw_samples)
 
     @property
-    def sw_spread(self) -> float:
-        return max(self.sw_samples) - min(self.sw_samples)
-
-    @property
     def nachos_mean(self) -> float:
         return mean(self.nachos_samples)
 
@@ -59,10 +55,6 @@ class VarianceResult:
     @property
     def all_correct(self) -> bool:
         return all(r.correct for r in self.rows)
-
-    @property
-    def all_sign_stable(self) -> bool:
-        return all(r.sign_stable for r in self.rows)
 
 
 def run(

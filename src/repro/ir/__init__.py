@@ -30,8 +30,6 @@ from repro.ir.opcodes import Opcode, is_compute, is_fp, is_memory, latency_of
 from repro.ir.ops import Operation
 from repro.ir.serialize import dump_graph, graph_from_dict, graph_to_dict, load_graph
 from repro.ir.lint import lint_region
-from repro.ir.dot import dump_dot, graph_to_dot
-from repro.ir.transforms import eliminate_dead_code, strip_names
 from repro.ir.dsl import DSLError, parse_region
 
 __all__ = [
@@ -50,13 +48,9 @@ __all__ = [
     "PointerParam",
     "RegionBuilder",
     "Sym",
-    "dump_dot",
     "dump_graph",
-    "eliminate_dead_code",
-    "strip_names",
     "graph_from_dict",
     "graph_to_dict",
-    "graph_to_dot",
     "lint_region",
     "is_compute",
     "is_fp",

@@ -42,7 +42,7 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.ir.address import (
     AffineExpr,
@@ -133,12 +133,6 @@ class _Parser:
         base = self.base_of(m.group(1), lineno)
         offset = self.parse_affine(m.group(2), lineno)
         return base, offset
-
-    @staticmethod
-    def parse_width(tokens: List[str], lineno: int) -> Tuple[List[str], int]:
-        if tokens and re.fullmatch(r"w\d+", tokens[-1]):
-            return tokens[:-1], int(tokens[-1][1:])
-        return tokens, 8
 
     # ------------------------------------------------------------------
     def statement(self, line: str, lineno: int) -> None:

@@ -6,8 +6,7 @@ exactly wrong for tracing — a trace needs a live engine.  A traced run
 goes through the sweep's own set-up and simulation code (compile, MDE
 choice, placement, address streams, warm-up, golden check — all
 trace-agnostic and shared through the same memos and caches), but
-always simulates fresh, with the tracer and an optional
-:class:`~repro.sim.timeline.TimelineRecorder` wired in, and never
+always simulates fresh, warmed, with a new tracer wired in, and never
 writes the traced result back to the cache.
 """
 
@@ -33,7 +32,6 @@ class TracedRun:
     mdes: Tuple[Any, ...]         # the MDEs the backend enforced
     placement: Any
     correct: bool
-    recorder: Optional[Any] = None  # repro.sim.timeline.TimelineRecorder
 
 
 def resolve_workload(name: str):
@@ -60,9 +58,6 @@ def traced_run(
     workload,
     system: str,
     invocations: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    record_timeline: bool = False,
-    warm: bool = True,
 ) -> TracedRun:
     """Compile, place, and simulate *workload* under *system*, traced.
 
@@ -71,17 +66,14 @@ def traced_run(
     """
     from repro.experiments import common
     from repro.runtime.cache import get_cache
-    from repro.sim.timeline import TimelineRecorder
 
     if invocations is None:
         invocations = common.DEFAULT_INVOCATIONS
-    tracer = tracer if tracer is not None else Tracer()
-    recorder = TimelineRecorder() if record_timeline else None
+    tracer = Tracer()
     cache = get_cache()
     envs, wfp, envs_fp = common._prepare(workload, system, invocations)
     sim, correct, mdes, placement = common._simulate(
-        workload, wfp, system, envs, envs_fp, cache, warm,
-        tracer=tracer, recorder=recorder,
+        workload, wfp, system, envs, envs_fp, cache, warm=True, tracer=tracer
     )
     return TracedRun(
         sim=sim,
@@ -90,5 +82,4 @@ def traced_run(
         mdes=mdes,
         placement=placement,
         correct=correct,
-        recorder=recorder,
     )

@@ -15,8 +15,6 @@ class EngineConfig:
     order_signal_latency: int = 1
     #: Idle cycles between region invocations (fence/token reset).
     invocation_gap: int = 1
-    #: Charge operand-network energy per hop (disable for ablations).
-    charge_network: bool = True
     #: Model mesh-link *contention*: each directed link carries one
     #: operand per cycle along its XY route, so congested paths delay
     #: deliveries.  Off by default (the paper's static network is

@@ -150,13 +150,12 @@ class DataflowEngine:
                 )
         # The common-case (no link contention) delivery plan folds the
         # per-target branches of _finish into data: the NET_LINK count is
-        # pre-multiplied (hops * mult, zero when network charging is off)
-        # so the hot loop is one charge + one delivery per target.
-        charge_net = self.config.charge_network
+        # pre-multiplied (hops * mult) so the hot loop is one charge + one
+        # delivery per target.
         self._contention = self.config.model_link_contention
         self._plans: Dict[int, List[Tuple[Operation, int, int, int, int]]] = {
             src: [
-                (user, n_addr, n_value, hops * mult if charge_net else 0, route)
+                (user, n_addr, n_value, hops * mult, route)
                 for user, n_addr, n_value, mult, hops, route in targets
             ]
             for src, targets in self._targets.items()
@@ -364,11 +363,9 @@ class DataflowEngine:
             self.backend.on_memory_complete(op, t)
 
         if self._contention:
-            charge_network = self.config.charge_network
             for user, n_addr, n_value, mult, hops, route in self._targets[op.op_id]:
-                if charge_network and hops:
-                    self.energy.charge(EnergyEvent.NET_LINK, hops * mult)
                 if hops:
+                    self.energy.charge(EnergyEvent.NET_LINK, hops * mult)
                     # One route walk (and link reservation) per operand
                     # position; the delivery lands at the first walk's
                     # arrival, matching per-position delivery order.
@@ -455,10 +452,9 @@ class DataflowEngine:
         edge = self.placement.edge_latency(op.op_id)
         result = self.hierarchy.access(addr, is_write=False, cycle=t_start + edge)
         self.energy.charge(EnergyEvent.L1_READ)
-        if self.config.charge_network:
-            hops = self.placement.edge_hops(op.op_id)
-            if hops:
-                self.energy.charge(EnergyEvent.NET_LINK, 2 * hops)
+        hops = self.placement.edge_hops(op.op_id)
+        if hops:
+            self.energy.charge(EnergyEvent.NET_LINK, 2 * hops)
         done = result.complete + edge
         self._run[op.op_id].start_time = t_start
         if self._trace is not None:
@@ -485,10 +481,9 @@ class DataflowEngine:
         edge = self.placement.edge_latency(op.op_id)
         result = self.hierarchy.access(addr, is_write=True, cycle=t_start + edge)
         self.energy.charge(EnergyEvent.L1_WRITE)
-        if self.config.charge_network:
-            hops = self.placement.edge_hops(op.op_id)
-            if hops:
-                self.energy.charge(EnergyEvent.NET_LINK, hops)
+        hops = self.placement.edge_hops(op.op_id)
+        if hops:
+            self.energy.charge(EnergyEvent.NET_LINK, hops)
         value = self.values[op.inputs[-1]]
         done = result.complete
         self._run[op.op_id].start_time = t_start

@@ -53,6 +53,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.ir.graph import DFGraph, MDEKind, MemoryDependencyEdge
 from repro.obs import tracer as obs
 from repro.sim.backends.base import ranges_exact, ranges_overlap
+from repro.sim.config import EngineConfig
 
 #: Backends whose MDE edges the ``edge-wait`` family applies to.
 MDE_BACKENDS = frozenset({"nachos-sw", "nachos"})
@@ -140,7 +141,6 @@ def sanitize_trace(
     graph: DFGraph,
     backend: str,
     region: Optional[str] = None,
-    order_signal_latency: int = 1,
     mdes: Optional[Iterable[MemoryDependencyEdge]] = None,
 ) -> SanitizerReport:
     """Check *events* (one traced run) against the ordering contract.
@@ -149,8 +149,11 @@ def sanitize_trace(
     ``spec-lsq``, ``serial-mem``, ``nachos-sw``, ``nachos``); it selects
     which rule families apply.  ``graph`` is the graph the run executed
     and ``mdes`` the edges its backend enforced — as for the engine,
-    ``None`` means the graph's own MDEs.
+    ``None`` means the graph's own MDEs.  Every traced run uses the
+    default :class:`~repro.sim.config.EngineConfig`, whose
+    ``order_signal_latency`` the edge-wait rule assumes.
     """
+    order_signal_latency = EngineConfig().order_signal_latency
     edges = graph.mdes if mdes is None else tuple(mdes)
     report = SanitizerReport(backend=backend, region=region or graph.name)
     mem_ops = {op.op_id: op for op in graph.memory_ops}

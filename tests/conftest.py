@@ -104,6 +104,19 @@ def sweep_calls():
 
 
 @pytest.fixture
+def set_enumeration_limit(monkeypatch):
+    """``set_enumeration_limit(n)``: bound the joint domains that
+    ``compare_offsets`` and the stage-5 oracle enumerate to *n* points
+    for the rest of the test (the compiler's bound is a constant)."""
+    from repro.compiler.aliasing import symbolic
+
+    def set_limit(limit: int) -> None:
+        monkeypatch.setattr(symbolic, "DEFAULT_ENUMERATION_LIMIT", limit)
+
+    return set_limit
+
+
+@pytest.fixture
 def iv():
     return IVar("i", 64)
 

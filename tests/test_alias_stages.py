@@ -130,8 +130,20 @@ class TestStage1:
         st = b.store(p, AffineExpr.constant(0), value=x, type_tag="double")
         ld = b.load(q, AffineExpr.constant(0), type_tag="int32")
         g = b.build()
-        assert analyze_stage1(g, use_tbaa=True).get(st.op_id, ld.op_id) is AliasLabel.NO
-        assert analyze_stage1(g, use_tbaa=False).get(st.op_id, ld.op_id) is AliasLabel.MAY
+        assert analyze_stage1(g).get(st.op_id, ld.op_id) is AliasLabel.NO
+
+    def test_tbaa_needs_both_tags(self):
+        """An untagged access is not separated from a tagged one: the
+        opaque-pointer pair of ``test_tbaa_disjoint_types`` stays MAY."""
+        target = MemObject("t", 4096)
+        p = PointerParam("p", runtime_object=target)
+        q = PointerParam("q", runtime_object=target)
+        b = RegionBuilder()
+        x = b.input("x")
+        st = b.store(p, AffineExpr.constant(0), value=x, type_tag="double")
+        ld = b.load(q, AffineExpr.constant(0))
+        g = b.build()
+        assert analyze_stage1(g).get(st.op_id, ld.op_id) is AliasLabel.MAY
 
     def test_multidim_stays_may_at_stage1(self):
         a = MemObject("a", 1 << 16)

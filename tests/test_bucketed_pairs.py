@@ -11,8 +11,8 @@ per-pair provenance and ``compare_offsets`` rules kept below (labels and
 ``exact_pairs``, stage 4 both after stage 2 and with stage 2 off), the
 oracle with :func:`oracle_verdict` (whole verdict objects).  The corpus is every
 ``build_suite_workloads(5)`` region, 1,000 fuzzer regions and a few
-hand-built boundary cases, with TBAA on and off, at the default
-enumeration limit and at 4.
+hand-built boundary cases, at the default enumeration limit and at 4
+(the compiler's bound is a constant, so the tests patch it).
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ from repro.verify.fuzz import build_graph, generate_spec
 from repro.workloads.suite import build_suite_workloads
 
 FUZZ_REGIONS = 1000
-SETTINGS = [
-    (use_tbaa, limit)
-    for use_tbaa in (True, False)
-    for limit in (DEFAULT_ENUMERATION_LIMIT, 4)
-]
+SETTINGS = (DEFAULT_ENUMERATION_LIMIT, 4)
 
 
 def _relevant_pairs(graph: DFGraph):
@@ -51,44 +47,38 @@ def _relevant_pairs(graph: DFGraph):
                 yield older, younger, kind
 
 
-def _per_pair_oracle(graph: DFGraph, use_tbaa: bool, limit: int):
+def _per_pair_oracle(graph: DFGraph):
     return {
         (older.op_id, younger.op_id): oracle_verdict(
-            graph, older.op_id, younger.op_id,
-            use_tbaa=use_tbaa, enumeration_limit=limit,
+            graph, older.op_id, younger.op_id
         )
         for older, younger, _kind in _relevant_pairs(graph)
     }
 
 
-def _per_pair_required(graph: DFGraph, use_tbaa: bool, limit: int):
+def _per_pair_required(graph: DFGraph):
     out = []
     for older, younger, kind in _relevant_pairs(graph):
-        verdict = oracle_verdict(
-            graph, older.op_id, younger.op_id,
-            use_tbaa=use_tbaa, enumeration_limit=limit,
-        )
+        verdict = oracle_verdict(graph, older.op_id, younger.op_id)
         if verdict.label is not AliasLabel.NO:
             out.append((older.op_id, younger.op_id, kind, verdict))
     return out
 
 
 def _per_pair_stage1(
-    graph: DFGraph, use_tbaa: bool, limit: int
+    graph: DFGraph,
 ) -> Tuple[Dict[Tuple[int, int], AliasLabel], Set[Tuple[int, int]]]:
     labels: Dict[Tuple[int, int], AliasLabel] = {}
     exact: Set[Tuple[int, int]] = set()
     for older, younger, _kind in _relevant_pairs(graph):
-        rel = _classify(
-            older.addr, younger.addr, use_tbaa=use_tbaa, enumeration_limit=limit
-        )
+        rel = _classify(older.addr, younger.addr)
         labels[(older.op_id, younger.op_id)] = rel.label
         if rel.exact:
             exact.add((older.op_id, younger.op_id))
     return labels, exact
 
 
-def _per_pair_stage2(graph: DFGraph, matrix: AliasMatrix, limit: int):
+def _per_pair_stage2(graph: DFGraph, matrix: AliasMatrix):
     """Stage 2 one MAY pair at a time: (labels, exact pairs)."""
     labels = dict(matrix.labels)
     exact: Set[Tuple[int, int]] = set()
@@ -103,14 +93,14 @@ def _per_pair_stage2(graph: DFGraph, matrix: AliasMatrix, limit: int):
         if base_a.uid != base_b.uid:
             labels[(older, younger)] = AliasLabel.NO
             continue
-        rel = compare_offsets(a, b, single_iv_only=True, enumeration_limit=limit)
+        rel = compare_offsets(a, b, single_iv_only=True)
         labels[(older, younger)] = rel.label
         if rel.exact:
             exact.add((older, younger))
     return labels, exact
 
 
-def _per_pair_stage4(graph: DFGraph, matrix: AliasMatrix, limit: int):
+def _per_pair_stage4(graph: DFGraph, matrix: AliasMatrix):
     """Stage 4 one MAY pair at a time: (labels, exact pairs)."""
     labels = dict(matrix.labels)
     exact: Set[Tuple[int, int]] = set()
@@ -127,54 +117,68 @@ def _per_pair_stage4(graph: DFGraph, matrix: AliasMatrix, limit: int):
             continue
         if a.offset.has_syms or b.offset.has_syms:
             continue
-        rel = compare_offsets(a, b, single_iv_only=False, enumeration_limit=limit)
+        rel = compare_offsets(a, b, single_iv_only=False)
         labels[(older, younger)] = rel.label
         if rel.exact:
             exact.add((older, younger))
     return labels, exact
 
 
-def _refinement_mismatches(graph: DFGraph, stage1: AliasMatrix, limit: int) -> List[str]:
+def _refinement_mismatches(graph: DFGraph, stage1: AliasMatrix) -> List[str]:
     """Where keyed stages 2 and 4 differ from their per-pair references,
     on *stage1*'s labels with stage 2 on and with it off."""
     out: List[str] = []
     exact: Set[Tuple[int, int]] = set()
-    stage2 = refine_stage2(graph, stage1, enumeration_limit=limit, exact_pairs=exact)
-    if (dict(stage2.labels), exact) != _per_pair_stage2(graph, stage1, limit):
+    stage2 = refine_stage2(graph, stage1, exact_pairs=exact)
+    if (dict(stage2.labels), exact) != _per_pair_stage2(graph, stage1):
         out.append(f"{graph.name}: refine_stage2 differs from the per-pair rule")
     for name, before in (("after stage 2", stage2), ("with stage 2 off", stage1)):
         exact = set()
-        stage4 = refine_stage4(graph, before, enumeration_limit=limit, exact_pairs=exact)
+        stage4 = refine_stage4(graph, before, exact_pairs=exact)
         if list(stage4.labels) != list(before.labels):
             out.append(f"{graph.name}: refine_stage4 reordered the pairs {name}")
-        if (dict(stage4.labels), exact) != _per_pair_stage4(graph, before, limit):
+        if (dict(stage4.labels), exact) != _per_pair_stage4(graph, before):
             out.append(f"{graph.name}: refine_stage4 differs from the per-pair rule {name}")
     return out
 
 
-def _mismatches(graph: DFGraph, use_tbaa: bool, limit: int) -> List[str]:
+def _mismatches(graph: DFGraph) -> List[str]:
     """What the bucketed paths get wrong on *graph* (empty = agree)."""
     out: List[str] = []
-    verdicts = region_verdicts(graph, use_tbaa=use_tbaa, enumeration_limit=limit)
-    reference = _per_pair_oracle(graph, use_tbaa, limit)
+    verdicts = region_verdicts(graph)
+    reference = _per_pair_oracle(graph)
     if list(verdicts.items()) != list(reference.items()):
         out.append(f"{graph.name}: region_verdicts differs from oracle_verdict")
-    required = required_pairs(graph, use_tbaa=use_tbaa, enumeration_limit=limit)
-    if required != _per_pair_required(graph, use_tbaa, limit):
+    required = required_pairs(graph)
+    if required != _per_pair_required(graph):
         out.append(f"{graph.name}: required_pairs differs from the per-pair list")
     exact: Set[Tuple[int, int]] = set()
-    matrix = analyze_stage1(
-        graph, use_tbaa=use_tbaa, enumeration_limit=limit, exact_pairs=exact
-    )
-    labels, ref_exact = _per_pair_stage1(graph, use_tbaa, limit)
+    matrix = analyze_stage1(graph, exact_pairs=exact)
+    labels, ref_exact = _per_pair_stage1(graph)
     if list(matrix.labels.items()) != list(labels.items()):
         out.append(f"{graph.name}: analyze_stage1 labels differ from _classify")
     if exact != ref_exact:
         out.append(f"{graph.name}: analyze_stage1 exact_pairs differ from _classify")
     if list(matrix.labels) != list(AliasMatrix.universe(graph).labels):
         out.append(f"{graph.name}: stage-1 pairs are not the alias universe")
-    out.extend(_refinement_mismatches(graph, matrix, limit))
+    out.extend(_refinement_mismatches(graph, matrix))
     return out
+
+
+@pytest.fixture
+def mismatches_at_each_limit(set_enumeration_limit):
+    """``mismatches_at_each_limit(graph)``: :func:`_mismatches` at every
+    limit of ``SETTINGS``; the default limit is back in place after."""
+
+    def check(graph: DFGraph) -> List[str]:
+        out: List[str] = []
+        for limit in SETTINGS:
+            set_enumeration_limit(limit)
+            out.extend(_mismatches(graph))
+        set_enumeration_limit(DEFAULT_ENUMERATION_LIMIT)
+        return out
+
+    return check
 
 
 @pytest.fixture(scope="module")
@@ -187,16 +191,18 @@ def fuzz_graphs() -> List[DFGraph]:
     return [build_graph(generate_spec(0, k)) for k in range(FUZZ_REGIONS)]
 
 
-@pytest.mark.parametrize("use_tbaa,limit", SETTINGS)
-def test_suite_regions_match_per_pair_rules(suite_graphs, use_tbaa, limit):
+@pytest.mark.parametrize("limit", SETTINGS)
+def test_suite_regions_match_per_pair_rules(suite_graphs, limit, set_enumeration_limit):
     assert len(suite_graphs) == 135
-    bad = [m for g in suite_graphs for m in _mismatches(g, use_tbaa, limit)]
+    set_enumeration_limit(limit)
+    bad = [m for g in suite_graphs for m in _mismatches(g)]
     assert bad == []
 
 
-@pytest.mark.parametrize("use_tbaa,limit", SETTINGS)
-def test_fuzz_regions_match_per_pair_rules(fuzz_graphs, use_tbaa, limit):
-    bad = [m for g in fuzz_graphs for m in _mismatches(g, use_tbaa, limit)]
+@pytest.mark.parametrize("limit", SETTINGS)
+def test_fuzz_regions_match_per_pair_rules(fuzz_graphs, limit, set_enumeration_limit):
+    set_enumeration_limit(limit)
+    bad = [m for g in fuzz_graphs for m in _mismatches(g)]
     assert bad == []
 
 
@@ -220,27 +226,32 @@ def _pair_graph(first, second) -> DFGraph:
     return b.build()
 
 
-def _decide(graph: DFGraph):
-    """(stage-1 label, stage-1 exact, oracle verdict) of the one pair,
-    after checking both bucketed paths against their references."""
-    for use_tbaa, limit in SETTINGS:
-        assert _mismatches(graph, use_tbaa, limit) == []
-    exact: Set[Tuple[int, int]] = set()
-    ((pair, label),) = analyze_stage1(graph, exact_pairs=exact).labels.items()
-    ((_, verdict),) = region_verdicts(graph).items()
-    return label, pair in exact, verdict
+@pytest.fixture
+def decide(mismatches_at_each_limit):
+    """``decide(graph)``: (stage-1 label, stage-1 exact, oracle verdict)
+    of the one pair, after checking the bucketed paths against their
+    references at every limit."""
+
+    def run(graph: DFGraph):
+        assert mismatches_at_each_limit(graph) == []
+        exact: Set[Tuple[int, int]] = set()
+        ((pair, label),) = analyze_stage1(graph, exact_pairs=exact).labels.items()
+        ((_, verdict),) = region_verdicts(graph).items()
+        return label, pair in exact, verdict
+
+    return run
 
 
 ARR = MemObject("arr", 4096)
 
 
-def test_same_shape_symbolic_offsets_differ_by_their_constants():
+def test_same_shape_symbolic_offsets_differ_by_their_constants(decide):
     s = Sym("s")
     apart = _pair_graph((ARR, _offset(0, {s: 1}), 8), (ARR, _offset(8, {s: 1}), 8))
-    assert _decide(apart)[0] is AliasLabel.NO
-    assert _decide(apart)[2].label is AliasLabel.NO
+    assert decide(apart)[0] is AliasLabel.NO
+    assert decide(apart)[2].label is AliasLabel.NO
     same = _pair_graph((ARR, _offset(0, {s: 1}), 8), (ARR, _offset(0, {s: 1}), 8))
-    label, exact, verdict = _decide(same)
+    label, exact, verdict = decide(same)
     assert label is AliasLabel.MUST and exact
     assert verdict.label is AliasLabel.MUST and verdict.exact
 
@@ -256,11 +267,11 @@ def test_same_shape_symbolic_offsets_differ_by_their_constants():
         ((0, 4), (0, 8), True),    # same start, different widths
     ],
 )
-def test_partial_width_overlap_window_edges(first, second, overlaps):
+def test_partial_width_overlap_window_edges(first, second, overlaps, decide):
     graph = _pair_graph(
         (ARR, _offset(first[0] + 64), first[1]), (ARR, _offset(second[0] + 64), second[1])
     )
-    label, exact, verdict = _decide(graph)
+    label, exact, verdict = decide(graph)
     expected = AliasLabel.MUST if overlaps else AliasLabel.NO
     assert label is expected and verdict.label is expected
     assert not exact and not verdict.exact
@@ -270,7 +281,7 @@ def test_partial_width_overlap_window_edges(first, second, overlaps):
     graph = _pair_graph(
         (p, _offset(first[0] + 64), first[1]), (ARR, _offset(second[0] + 64), second[1])
     )
-    label, _, _ = _decide(graph)
+    label, _, _ = decide(graph)
     assert label is AliasLabel.MAY
     stage1 = analyze_stage1(graph)
     for refine in (refine_stage2, refine_stage4):
@@ -279,49 +290,57 @@ def test_partial_width_overlap_window_edges(first, second, overlaps):
         assert refined is expected and not exact_pairs
 
 
-def test_same_param_pair_is_decided_by_offsets():
+def test_same_param_pair_is_decided_by_offsets(decide):
     p = PointerParam("p", runtime_object=ARR)
     q = PointerParam("q", runtime_object=ARR)
-    label, _, verdict = _decide(_pair_graph((p, _offset(0), 8), (p, _offset(4), 8)))
+    label, _, verdict = decide(_pair_graph((p, _offset(0), 8), (p, _offset(4), 8)))
     assert label is AliasLabel.MUST and verdict.label is AliasLabel.MUST
-    label, _, verdict = _decide(_pair_graph((p, _offset(0), 8), (p, _offset(16), 8)))
+    label, _, verdict = decide(_pair_graph((p, _offset(0), 8), (p, _offset(16), 8)))
     assert label is AliasLabel.NO and verdict.label is AliasLabel.NO
-    label, _, verdict = _decide(_pair_graph((p, _offset(0), 8), (q, _offset(16), 8)))
+    label, _, verdict = decide(_pair_graph((p, _offset(0), 8), (q, _offset(16), 8)))
     assert label is AliasLabel.MAY and verdict.label is AliasLabel.MAY
 
 
-def test_provenance_param_joins_its_objects_heaplet():
+def test_provenance_param_joins_its_objects_heaplet(decide):
     """Stage 1 keys a parameter by its own uid, so it stays MAY against
     the object; the oracle keys it by its provenance, so it shares the
     object's heaplet and the constant difference decides."""
     p = PointerParam("p", runtime_object=ARR, provenance=ARR)
-    label, _, verdict = _decide(_pair_graph((p, _offset(0), 8), (ARR, _offset(16), 8)))
+    label, _, verdict = decide(_pair_graph((p, _offset(0), 8), (ARR, _offset(16), 8)))
     assert label is AliasLabel.MAY
     assert verdict.label is AliasLabel.NO and verdict.decided_by == "constant"
-    label, _, verdict = _decide(_pair_graph((ARR, _offset(0), 8), (p, _offset(0), 8)))
+    label, _, verdict = decide(_pair_graph((ARR, _offset(0), 8), (p, _offset(0), 8)))
     assert label is AliasLabel.MAY
     assert verdict.label is AliasLabel.MUST and verdict.exact
     other = MemObject("other", 4096)
-    _, _, verdict = _decide(_pair_graph((p, _offset(0), 8), (other, _offset(0), 8)))
+    _, _, verdict = decide(_pair_graph((p, _offset(0), 8), (other, _offset(0), 8)))
     assert verdict.decided_by == "heaplet"
 
 
-def test_tbaa_tags_separate_before_bases():
+def test_tbaa_tags_separate_before_bases(mismatches_at_each_limit):
     b = RegionBuilder("tbaa")
     x = b.input("x")
     b.store(ARR, _offset(0), value=x, type_tag="int")
     b.load(ARR, _offset(0), type_tag="float")
     graph = b.build()
-    for use_tbaa, limit in SETTINGS:
-        assert _mismatches(graph, use_tbaa, limit) == []
+    assert mismatches_at_each_limit(graph) == []
     pair = tuple(op.op_id for op in graph.memory_ops)
     assert region_verdicts(graph)[pair].decided_by == "tbaa"
-    assert region_verdicts(graph, use_tbaa=False)[pair].exact
     assert analyze_stage1(graph).get(*pair) is AliasLabel.NO
-    assert analyze_stage1(graph, use_tbaa=False).get(*pair) is AliasLabel.MUST
+    # The axiom needs both tags: untag the load and the base and offsets
+    # decide, here an exact match.
+    b = RegionBuilder("tbaa-untagged")
+    x = b.input("x")
+    b.store(ARR, _offset(0), value=x, type_tag="int")
+    b.load(ARR, _offset(0))
+    graph = b.build()
+    assert mismatches_at_each_limit(graph) == []
+    pair = tuple(op.op_id for op in graph.memory_ops)
+    assert region_verdicts(graph)[pair].exact
+    assert analyze_stage1(graph).get(*pair) is AliasLabel.MUST
 
 
-def test_stages_2_and_4_settle_by_provenance_base():
+def test_stages_2_and_4_settle_by_provenance_base(mismatches_at_each_limit):
     """A lost provenance stays MAY in both stages; a known one joins its
     object's base, and two different known bases are NO — in stage 4
     too when stage 2 is off."""
@@ -336,8 +355,7 @@ def test_stages_2_and_4_settle_by_provenance_base():
     b.load(ARR, _offset(0))
     b.load(elsewhere, _offset(0))
     graph = b.build()
-    for use_tbaa, limit in SETTINGS:
-        assert _mismatches(graph, use_tbaa, limit) == []
+    assert mismatches_at_each_limit(graph) == []
     st_lost, st_traced, ld_arr, ld_else = (op.op_id for op in graph.memory_ops)
     stage1 = analyze_stage1(graph)
     assert set(stage1.labels.values()) == {AliasLabel.MAY}
@@ -356,14 +374,13 @@ def test_stages_2_and_4_settle_by_provenance_base():
     assert exact == {(st_traced, ld_arr)}
 
 
-def test_stage4_leaves_symbolic_pairs_that_stage2_decides():
+def test_stage4_leaves_symbolic_pairs_that_stage2_decides(mismatches_at_each_limit):
     """Offsets of one shape with a symbol differ by a constant: stage 2
     decides them, stage 4 leaves them to stage 5."""
     s = Sym("s")
     p = PointerParam("p", runtime_object=ARR, provenance=ARR)
     graph = _pair_graph((p, _offset(0, {s: 1}), 8), (ARR, _offset(64, {s: 1}), 8))
-    for use_tbaa, limit in SETTINGS:
-        assert _mismatches(graph, use_tbaa, limit) == []
+    assert mismatches_at_each_limit(graph) == []
     stage1 = analyze_stage1(graph)
     ((pair, label),) = stage1.labels.items()
     assert label is AliasLabel.MAY

@@ -59,6 +59,24 @@ def test_trace_artifacts_are_not_tracked():
     )
 
 
+def test_no_tracked_file_is_gitignored():
+    """Build metadata such as ``src/repro.egg-info/`` is regenerated by
+    every install; a tracked copy goes stale (it once missed 15 modules
+    and the ``nachos-serve`` entry point)."""
+    _tracked_files()  # skips when git or the checkout is missing
+    out = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [], (
+        "tracked files match .gitignore: " + ", ".join(out.stdout.split())
+    )
+
+
 def test_gitignore_covers_generated_artifacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("trace.json", "fuzz-repros/", "nachos-failure-report.json"):
@@ -221,6 +239,44 @@ def test_cli_rejects_retired_engine_flag(entry, argv, capsys):
     assert excinfo.value.code == 2
     flags = " ".join(a for a in argv if a not in ("fig11", "verify"))
     assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+
+
+RETIRED_OPTIONS = (
+    "PipelineConfig.use_tbaa",
+    "PipelineConfig.enumeration_limit",
+    "EngineConfig.charge_network",
+    "check_sync_coverage.use_tbaa",
+    "traced_run.record_timeline",
+)
+
+
+@pytest.mark.parametrize("option", RETIRED_OPTIONS)
+def test_retired_options_are_rejected(option):
+    """Options with one value in use are gone: the TBAA axiom and the
+    enumeration bound are fixed parts of the compiler, the oracle and
+    the coverage check, the operand network is always charged, and a
+    traced run always builds its own tracer, warms the caches and
+    records no timeline.  Passing one fails before anything runs."""
+    from repro.compiler import PipelineConfig
+    from repro.compiler.coverage import check_sync_coverage
+    from repro.obs import traced_run
+    from repro.sim.config import EngineConfig
+    from repro.workloads.micro import build_micro
+
+    workload = build_micro("gather")
+    calls = {
+        "PipelineConfig.use_tbaa": lambda: PipelineConfig(use_tbaa=False),
+        "PipelineConfig.enumeration_limit": lambda: PipelineConfig(enumeration_limit=4),
+        "EngineConfig.charge_network": lambda: EngineConfig(charge_network=False),
+        "check_sync_coverage.use_tbaa": lambda: check_sync_coverage(
+            workload.graph, use_tbaa=False
+        ),
+        "traced_run.record_timeline": lambda: traced_run(
+            workload, "nachos", record_timeline=True
+        ),
+    }
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        calls[option]()
 
 
 def _imported_roots(tree):

@@ -127,12 +127,15 @@ class TestRandomizedAgainstEnumeration:
             if v.always_overlaps is not None:
                 assert v.always_overlaps == always, (a, b, v)
 
-    def test_soundness_with_tiny_enumeration_budget(self, corpus):
+    def test_soundness_with_tiny_enumeration_budget(
+        self, corpus, set_enumeration_limit
+    ):
         # Starve the enumerator: verdicts fall back to lattice/interval
         # over-approximations, which must never contradict ground truth.
+        set_enumeration_limit(1)
         for a, b in corpus:
             can, always = _truth(a, b)
-            v = separation_verdict(a, b, enumeration_limit=1)
+            v = separation_verdict(a, b)
             if v.label is AliasLabel.NO:
                 assert not can, (a, b, v)
             elif v.label is AliasLabel.MUST:
@@ -284,17 +287,19 @@ class TestHeapletsAndAxioms:
         a = AddressExpr(obj, AffineExpr.constant(0), 8, type_tag="int")
         b = AddressExpr(obj, AffineExpr.constant(0), 8, type_tag="float")
         assert separation_verdict(a, b).decided_by == "tbaa"
-        # Without the axiom the same slot is a MUST.
-        assert (
-            separation_verdict(a, b, use_tbaa=False).label is AliasLabel.MUST
-        )
+        # The axiom needs two tags: with one side untagged the same slot
+        # is a MUST, decided over the offsets.
+        untagged = AddressExpr(obj, AffineExpr.constant(0), 8)
+        for x, y in ((a, untagged), (untagged, b)):
+            assert separation_verdict(x, y).label is AliasLabel.MUST
 
-    def test_interval_must_without_enumeration(self):
+    def test_interval_must_without_enumeration(self, set_enumeration_limit):
         obj = MemObject("buf", 64, base_addr=0)
         s = Sym("m", lo=0, hi=1)
         a = AddressExpr(obj, AffineExpr.of(syms={s: 1}), 8)
         b = AddressExpr(obj, AffineExpr.constant(0), 8)
-        v = separation_verdict(a, b, enumeration_limit=1)
+        set_enumeration_limit(1)
+        v = separation_verdict(a, b)
         assert v.label is AliasLabel.MUST and v.decided_by == "interval"
 
 

@@ -26,8 +26,8 @@ def addr(offset, width=8):
     return AddressExpr(OBJ, offset, width=width)
 
 
-def rel(a, b, single_iv_only=True, limit=1 << 16):
-    return compare_offsets(a, b, single_iv_only=single_iv_only, enumeration_limit=limit)
+def rel(a, b, single_iv_only=True):
+    return compare_offsets(a, b, single_iv_only=single_iv_only)
 
 
 class TestConstantOffsets:
@@ -84,13 +84,14 @@ class TestSingleIV:
         b = addr(AffineExpr.of(ivs={i: 8}))
         assert rel(a, b).label is AliasLabel.NO
 
-    def test_gcd_refutation(self):
+    def test_gcd_refutation(self, set_enumeration_limit):
         # diff = 16i + 4 with width-1 accesses: 16i+4 can never be 0;
         # window is [0, 0] and the lattice 4 + 16Z misses it.
         i = IVar("i", 1 << 20)  # too big to enumerate
         a = addr(AffineExpr.of(const=4, ivs={i: 16}), width=1)
         b = addr(AffineExpr.of(ivs={}), width=1)
-        assert rel(a, b, limit=4).label is AliasLabel.NO
+        set_enumeration_limit(4)
+        assert rel(a, b).label is AliasLabel.NO
 
 
 class TestMultiIV:
@@ -112,11 +113,12 @@ class TestMultiIV:
         b = addr(AffineExpr.of(ivs={j: 8}))
         assert rel(a, b, single_iv_only=False).label is AliasLabel.MAY
 
-    def test_enumeration_limit_falls_back_to_may(self):
+    def test_enumeration_limit_falls_back_to_may(self, set_enumeration_limit):
         i, j = IVar("i", 1024), IVar("j", 1024)
         a = addr(AffineExpr.of(ivs={i: 8}))
         b = addr(AffineExpr.of(ivs={j: 8}))
-        r = rel(a, b, single_iv_only=False, limit=16)
+        set_enumeration_limit(16)
+        r = rel(a, b, single_iv_only=False)
         assert r.label is AliasLabel.MAY  # conservative, not wrong
 
     def test_always_overlap_is_must(self):
@@ -159,11 +161,12 @@ def _big_repro():
 
 
 class TestLargeOffsets:
-    def test_repro_pair_is_may_not_no(self):
+    def test_repro_pair_is_may_not_no(self, set_enumeration_limit):
         a, b = _big_repro()
         assert rel(a, b, single_iv_only=False).label is AliasLabel.MAY
         # Even with enumeration starved, the lattice test must not refute.
-        assert rel(a, b, single_iv_only=False, limit=1).label is AliasLabel.MAY
+        set_enumeration_limit(1)
+        assert rel(a, b, single_iv_only=False).label is AliasLabel.MAY
 
     def test_stage4_labels_repro_pair_may(self):
         a, b = _big_repro()

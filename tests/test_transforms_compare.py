@@ -1,121 +1,4 @@
-"""Tests for DCE/strip transforms, result diffing, and variance study."""
-
-import pytest
-
-from repro.analysis.compare import compare_results
-from repro.ir import AffineExpr, MemObject, Opcode, RegionBuilder
-from repro.ir.transforms import eliminate_dead_code, strip_names
-from tests.conftest import build_simple_region
-
-
-class TestDeadCodeElimination:
-    def test_keeps_live_graph_intact(self):
-        g = build_simple_region()
-        result = eliminate_dead_code(g)
-        # input x is dead (store value comes from the add of the loads);
-        # everything else feeds the store.
-        assert result.removed == 1
-        assert len(result.graph) == len(g) - 1
-
-    def test_removes_dangling_compute(self):
-        b = RegionBuilder()
-        x = b.input("x")
-        dead = b.add(x, x)
-        dead2 = b.mul(dead, dead)
-        live = b.sub(x, x)  # last op = region result
-        g = b.build()
-        result = eliminate_dead_code(g)
-        assert result.removed == 2
-        opcodes = [op.opcode for op in result.graph.ops]
-        assert Opcode.MUL not in opcodes
-
-    def test_removes_dead_loads(self):
-        a = MemObject("a", 4096, base_addr=0x1000)
-        b = RegionBuilder()
-        x = b.input("x")
-        b.load(a, AffineExpr.constant(0))          # dead
-        b.store(a, AffineExpr.constant(8), value=x)  # live (side effect)
-        g = b.build()
-        result = eliminate_dead_code(g)
-        assert result.removed == 1
-        assert len(result.graph.loads) == 0
-        assert len(result.graph.stores) == 1
-
-    def test_stores_always_live(self):
-        g = build_simple_region()
-        result = eliminate_dead_code(g)
-        assert len(result.graph.stores) == len(g.stores)
-
-    def test_mdes_remapped(self):
-        from repro.compiler import compile_region
-
-        a = MemObject("a", 4096, base_addr=0x1000)
-        b = RegionBuilder()
-        x = b.input("x")
-        dead = b.fdiv(x, x)
-        st = b.store(a, AffineExpr.constant(0), value=x)
-        ld = b.load(a, AffineExpr.constant(4))
-        use = b.add(ld, x)
-        g = b.build()
-        compile_region(g)
-        assert g.mdes
-        result = eliminate_dead_code(g)
-        assert len(result.graph.mdes) == len(g.mdes)
-        result.graph.validate()
-
-    def test_semantics_preserved_for_live_values(self):
-        """DCE must not change the final memory image."""
-        from repro.sim import golden_execute
-
-        g = build_simple_region()
-        compact = eliminate_dead_code(g).graph
-        envs = [{"i": k} for k in range(3)]
-        assert (
-            golden_execute(g, envs).memory_image
-            == golden_execute(compact, envs).memory_image
-        )
-
-    def test_strip_names(self):
-        g = build_simple_region()
-        stripped = strip_names(g)
-        assert all(op.name == "" for op in stripped.ops)
-        assert len(stripped) == len(g)
-
-
-class TestCompareResults:
-    def test_identical_payloads_no_drift(self):
-        payload = {"experiment": "x", "result": {"rows": [{"a": 1.0}]}}
-        assert compare_results(payload, dict(payload)) == []
-
-    def test_numeric_tolerance(self):
-        old = {"v": 100.0}
-        new = {"v": 103.0}
-        assert compare_results(old, new, rel_tol=0.05) == []
-        assert len(compare_results(old, new, rel_tol=0.01)) == 1
-
-    def test_structural_changes_flagged(self):
-        old = {"rows": [1, 2], "name": "a"}
-        new = {"rows": [1, 2, 3], "name": "b"}
-        drifts = {d.path for d in compare_results(old, new)}
-        assert "$.rows.len" in drifts
-        assert "$.name" in drifts
-
-    def test_missing_keys_flagged(self):
-        drifts = compare_results({"a": 1}, {"b": 1})
-        assert len(drifts) == 2
-
-    def test_bool_not_treated_numerically(self):
-        # True vs 1.04 must not pass the numeric tolerance.
-        drifts = compare_results({"ok": True}, {"ok": False})
-        assert len(drifts) == 1
-
-    def test_real_export_round_trip_stable(self):
-        from repro.experiments import fig14
-        from repro.experiments.export import result_to_dict
-
-        a = result_to_dict("fig14", fig14.run())
-        b = result_to_dict("fig14", fig14.run())
-        assert compare_results(a, b) == []
+"""Tests for the seed-variance study."""
 
 
 class TestVarianceStudy:
