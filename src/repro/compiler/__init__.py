@@ -23,6 +23,7 @@ from repro.compiler.aliasing.stage5 import (
     separation_verdict,
 )
 from repro.compiler.coverage import (
+    CoverageError,
     CoverageGap,
     CoverageReport,
     check_sync_coverage,
@@ -49,6 +50,7 @@ from repro.compiler.verify import (
 )
 
 __all__ = [
+    "CoverageError",
     "CoverageGap",
     "CoverageReport",
     "OracleVerdict",

@@ -38,16 +38,31 @@ Two deliberately separate entry points:
   for *any* pair from the address expressions alone, sharing **no code
   path** with :mod:`repro.compiler.aliasing.symbolic`, so the
   differential fuzzer can cross-check every stage-1..4 verdict against
-  it.  :func:`region_verdicts` asks it about every ST-ST / ST-LD / LD-ST
-  pair of a region in one walk, settling pairs per bucket: differing
-  TBAA tags, two distinct heaplets, or one heaplet with offsets of the
-  same shape, whose constant difference ``c_a - c_b`` is tested
-  against the overlap window without an :class:`AffineExpr` being built.  Only the other
-  pairs go through :func:`separation_verdict`, so the two agree pair
-  for pair.  The coverage checker (:mod:`repro.compiler.coverage`) and
-  the fuzzer read it.  Its bucketing is this module's own code and,
-  like the per-pair rule, shares nothing with
-  :mod:`~repro.compiler.aliasing.symbolic`.
+  it.
+
+One oracle memo per region graph.  The oracle's state for a graph is
+built once and hung on it (``DFGraph._oracle``, dropped by ``add_op``,
+never pickled or cloned, rebuilt when the enumeration bound differs
+from the one it was built under): a row per memory op and a memo of
+:func:`separation_verdict` per (offset shapes, constant difference,
+widths) key.  A pair is settled by its rows' keys where they decide it
+(:func:`_row_verdict`): differing TBAA tags, two distinct heaplets, or
+one heaplet with offsets of the same shape, whose constant difference
+``c_a - c_b`` is tested against the overlap window without an
+:class:`AffineExpr` being built; any other pair reads the memo, so the
+per-pair rule is the one source of every memo entry and every verdict
+equals :func:`oracle_verdict`.  Two readers share the state:
+
+* stage 5 asks for each symbolic MAY pair through :func:`pair_verdict`
+  and never writes the state itself;
+* :func:`region_verdicts` answers every ST-ST / ST-LD / LD-ST pair of
+  the region, for the coverage checker (:mod:`repro.compiler.coverage`)
+  and the fuzzer's ``oracle`` check; after a compile it finds most
+  general keys already settled by stage 5.
+
+Stages 1--4 never read it: the bucketing, like the per-pair rule,
+shares nothing with :mod:`~repro.compiler.aliasing.symbolic` beyond
+``AffineExpr`` arithmetic and the enumeration bound.
 
 Verdict semantics match the pipeline's:  NO = footprints disjoint for
 every valuation; MUST = footprints intersect for every valuation;
@@ -382,65 +397,122 @@ def oracle_verdict(
     return separation_verdict(a, b)
 
 
+class _RegionOracle:
+    """The oracle's state for one op table, hung on ``DFGraph._oracle``.
+
+    ``rows`` holds one row per memory op, in program order: ``(op id,
+    is-store, heaplet id, heaplet is an allocation, TBAA tag, offset
+    shape id, constant, width, address)``, where the shape numbers the
+    offset's ``(iv_terms, sym_terms)``.  ``index`` maps an op id to its
+    row.  ``general`` memoizes :func:`separation_verdict` per ``(shape_a,
+    shape_b, c_a - c_b, w_a, w_b)``: past the tag and heaplet checks a
+    verdict depends only on the offset difference and the widths.
+    ``limit`` is the enumeration bound those verdicts were computed
+    under.
+    """
+
+    __slots__ = ("limit", "rows", "index", "general")
+
+    def __init__(self, graph: DFGraph) -> None:
+        heaplet_ids: Dict[Heaplet, int] = {}
+        shape_ids: Dict[tuple, int] = {}
+        rows = []
+        for op in graph.memory_ops:
+            addr = op.addr
+            heaplet = heaplet_of(addr)
+            offset = addr.offset
+            rows.append((
+                op.op_id,
+                op.is_store,
+                heaplet_ids.setdefault(heaplet, len(heaplet_ids)),
+                heaplet[0] == "obj",
+                addr.type_tag,
+                shape_ids.setdefault(
+                    (offset.iv_terms, offset.sym_terms), len(shape_ids)
+                ),
+                offset.const,
+                addr.width,
+                addr,
+            ))
+        self.limit = symbolic.DEFAULT_ENUMERATION_LIMIT
+        self.rows = rows
+        self.index = {row[0]: i for i, row in enumerate(rows)}
+        self.general: Dict[tuple, OracleVerdict] = {}
+
+
+def _region_oracle(graph: DFGraph) -> _RegionOracle:
+    """*graph*'s oracle state, built on first use and whenever the op
+    table or the enumeration bound has changed since."""
+    state = graph._oracle
+    if state is None or state.limit != symbolic.DEFAULT_ENUMERATION_LIMIT:
+        state = graph._oracle = _RegionOracle(graph)
+    return state
+
+
+def _row_verdict(
+    row_a: tuple, row_b: tuple, general: Dict[tuple, OracleVerdict]
+) -> OracleVerdict:
+    """The verdict on two rows (older first), settled by their keys:
+    differing TBAA tags, two distinct heaplets, or one heaplet with
+    offsets of the same shape, whose difference is the constant
+    ``c_a - c_b``.  Any other pair is one :func:`separation_verdict`
+    call per key of *general*."""
+    _, _, h_a, obj_a, tag_a, shape_a, c_a, w_a, a = row_a
+    _, _, h_b, obj_b, tag_b, shape_b, c_b, w_b, b = row_b
+    if tag_a is not None and tag_b is not None and tag_a != tag_b:
+        return _TBAA_NO
+    if h_a != h_b:
+        return _HEAPLET_NO if obj_a and obj_b else _OPAQUE_MAY
+    d = c_a - c_b
+    if shape_a == shape_b:
+        if not -w_a < d < w_b:
+            return _CONSTANT_NO
+        if d == 0 and w_a == w_b:
+            return _CONSTANT_EXACT
+        return _CONSTANT_MUST
+    key = (shape_a, shape_b, d, w_a, w_b)
+    verdict = general.get(key)
+    if verdict is None:
+        verdict = general[key] = separation_verdict(a, b)
+    return verdict
+
+
+def pair_verdict(graph: DFGraph, older: int, younger: int) -> OracleVerdict:
+    """:func:`oracle_verdict` on one pair, read through *graph*'s oracle
+    state: the rows and the per-key memo :func:`region_verdicts` reads.
+
+    This is how stage 5 asks the oracle, so a full compile leaves every
+    key it settled for the coverage check that follows it.
+    """
+    state = _region_oracle(graph)
+    index = state.index
+    return _row_verdict(
+        state.rows[index[older]], state.rows[index[younger]], state.general
+    )
+
+
 def region_verdicts(graph: DFGraph) -> Dict[Tuple[int, int], OracleVerdict]:
     """The oracle's verdict on every ST-ST / ST-LD / LD-ST pair of *graph*.
 
     Keyed ``(older, younger)`` in program order; each verdict equals
-    :func:`oracle_verdict` on the same pair.  The memory ops are walked
-    once into rows, and a pair is settled by its rows' keys where they
-    decide it: differing TBAA tags, two distinct heaplets, or one
-    heaplet with offsets of the same shape — the same IV and symbol
-    terms — whose difference is the constant ``c_a - c_b``.  Only the
-    other same-heaplet pairs reach :func:`separation_verdict`, once per
-    pair of shapes, constant difference and widths.
+    :func:`oracle_verdict` on the same pair.  The rows and the per-key
+    memo come from *graph*'s oracle state, shared with
+    :func:`pair_verdict`; the dict itself is built afresh on each call.
     """
-    heaplet_ids: Dict[Heaplet, int] = {}
-    shape_ids: Dict[tuple, int] = {}
-    rows = []
-    for op in graph.memory_ops:
-        addr = op.addr
-        heaplet = heaplet_of(addr)
-        offset = addr.offset
-        rows.append((
-            op.op_id,
-            op.is_store,
-            heaplet_ids.setdefault(heaplet, len(heaplet_ids)),
-            heaplet[0] == "obj",
-            addr.type_tag,
-            shape_ids.setdefault(
-                (offset.iv_terms, offset.sym_terms), len(shape_ids)
-            ),
-            offset.const,
-            addr.width,
-            addr,
-        ))
-    # Past the tag and heaplet checks a verdict depends only on the
-    # offset difference, i.e. on the two shapes and ``c_a - c_b``, and on
-    # the widths: one separation_verdict call per such key.
-    general: Dict[tuple, OracleVerdict] = {}
+    state = _region_oracle(graph)
+    rows, general = state.rows, state.general
+    stores = [row for row in rows if row[1]]
     out: Dict[Tuple[int, int], OracleVerdict] = {}
-    for i, (id_a, st_a, h_a, obj_a, tag_a, shape_a, c_a, w_a, a) in enumerate(rows):
-        for id_b, st_b, h_b, obj_b, tag_b, shape_b, c_b, w_b, b in rows[i + 1 :]:
-            if not (st_a or st_b):
-                continue  # LD-LD needs no ordering
-            if tag_a is not None and tag_b is not None and tag_a != tag_b:
-                verdict = _TBAA_NO
-            elif h_a != h_b:
-                verdict = _HEAPLET_NO if obj_a and obj_b else _OPAQUE_MAY
-            elif shape_a == shape_b:
-                d = c_a - c_b
-                if not -w_a < d < w_b:
-                    verdict = _CONSTANT_NO
-                elif d == 0 and w_a == w_b:
-                    verdict = _CONSTANT_EXACT
-                else:
-                    verdict = _CONSTANT_MUST
-            else:
-                key = (shape_a, shape_b, c_a - c_b, w_a, w_b)
-                verdict = general.get(key)
-                if verdict is None:
-                    verdict = general[key] = separation_verdict(a, b)
-            out[(id_a, id_b)] = verdict
+    seen_stores = 0
+    for i, row_a in enumerate(rows):
+        if row_a[1]:
+            seen_stores += 1
+            later = rows[i + 1 :]
+        else:
+            later = stores[seen_stores:]  # LD-LD needs no ordering
+        id_a = row_a[0]
+        for row_b in later:
+            out[(id_a, row_b[0])] = _row_verdict(row_a, row_b, general)
     return out
 
 
@@ -475,7 +547,8 @@ def refine_stage5(
     power, so stage 5 leaves them untouched (keeping every existing label,
     plan, and golden timeline bit-identical for symbol-free regions) and
     attacks only the pairs at least one of whose offsets mentions a
-    symbol.
+    symbol.  Their verdicts are read through :func:`pair_verdict`, from
+    the graph's oracle state, which the coverage check then reuses.
     """
     refined = matrix.copy()
     ops: Dict[int, object] = {op.op_id: op for op in graph.memory_ops}
@@ -486,7 +559,7 @@ def refine_stage5(
             continue  # stages 1-4 territory; nothing new to say
         if stats is not None:
             stats.symbolic_pairs += 1
-        verdict = separation_verdict(a, b)
+        verdict = pair_verdict(graph, older, younger)
         if verdict.label is AliasLabel.MAY:
             continue
         refined.set(older, younger, verdict.label)

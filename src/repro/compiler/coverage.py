@@ -29,8 +29,15 @@ rather than one oracle call per pair: pairs on two distinct allocations
 are settled by their heaplet keys, pairs on one heaplet whose offsets
 share their IV and symbol terms by the constant difference, and only
 the rest go through the per-pair
-:func:`~repro.compiler.aliasing.stage5.separation_verdict`.  The result
-is the same list, pair for pair and verdict for verdict.
+:func:`~repro.compiler.aliasing.stage5.separation_verdict`, once per
+key of the region's oracle memo.  That memo lives on the graph and is
+shared with stage 5, so a check that follows a full compile of the same
+graph finds most keys already settled.  The result is the same list,
+pair for pair and verdict for verdict.
+
+Every compile the experiment layer makes is certified here
+(:func:`repro.experiments.common.compile_workload`): a gap raises
+:class:`CoverageError` before any engine runs or anything is cached.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.compiler.aliasing.stage5 import OracleVerdict, region_verdicts
-from repro.compiler.labels import AliasLabel, PairKind, pair_kind
+from repro.compiler.labels import AliasLabel, PairKind
 from repro.compiler.verify import guaranteed_reachability
 from repro.ir.graph import DFGraph, MemoryDependencyEdge
 
@@ -85,11 +92,24 @@ class CoverageReport:
         return "\n".join(lines)
 
 
+class CoverageError(RuntimeError):
+    """A compile whose MDEs leave an oracle-required pair uncovered; the
+    message is the region's :meth:`CoverageReport.describe`."""
+
+
 def _op_desc(graph: DFGraph, op_id: int) -> str:
     op = graph.op(op_id)
     kind = "ld" if op.is_load else "st"
     name = op.name or f"op{op_id}"
     return f"{kind}#{op_id}({name}) {op.addr!r}"
+
+
+#: (older is a store, younger is a store) -> the pair's kind.
+_KINDS = {
+    (True, True): PairKind.ST_ST,
+    (True, False): PairKind.ST_LD,
+    (False, True): PairKind.LD_ST,
+}
 
 
 def required_pairs(graph: DFGraph) -> List[Tuple[int, int, PairKind, OracleVerdict]]:
@@ -99,11 +119,12 @@ def required_pairs(graph: DFGraph) -> List[Tuple[int, int, PairKind, OracleVerdi
     needs no ordering in single-threaded regions) — deliberately *not*
     from the compiler's label matrix, whose mistakes are exactly what
     the check must survive.  The verdicts come from one
-    :func:`~repro.compiler.aliasing.stage5.region_verdicts` walk.
+    :func:`~repro.compiler.aliasing.stage5.region_verdicts` walk, and
+    each pair's kind from its two ops' store bits.
     """
-    ops = {op.op_id: op for op in graph.memory_ops}
+    is_store = {op.op_id: op.is_store for op in graph.memory_ops}
     return [
-        (older, younger, pair_kind(ops[older], ops[younger]), verdict)
+        (older, younger, _KINDS[is_store[older], is_store[younger]], verdict)
         for (older, younger), verdict in region_verdicts(graph).items()
         if verdict.label is not AliasLabel.NO
     ]

@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.cgra.placement import Placement, place_region
+from repro.compiler.coverage import CoverageError, check_sync_coverage
 from repro.compiler.oracle_labels import compile_with_oracle
 from repro.compiler.pipeline import AliasPipeline, PipelineConfig, PipelineResult
 from repro.ir.graph import DFGraph, MemoryDependencyEdge
@@ -199,6 +200,11 @@ def compile_workload(
     ``nachos-sw`` and ``nachos`` share the same ``PipelineConfig.full()``
     result.  The disk entry is stored without its graph, and
     ``result.graph is workload.graph`` on every path.
+
+    Each fresh compile certifies its own MDE coverage
+    (:func:`~repro.compiler.coverage.check_sync_coverage`) before it is
+    cached; a gap raises :class:`~repro.compiler.coverage.CoverageError`
+    naming the uncovered pair, so no engine runs on it.
     """
     cache = cache if cache is not None else get_cache()
     wfp = workload_fingerprint(workload)
@@ -214,6 +220,12 @@ def compile_workload(
     result = cache.get(key)
     if result is ResultCache.MISS:
         result = AliasPipeline(cfg).run(workload.graph, apply_mdes=False)
+        # Only a certified compile reaches the cache or an engine.  On a
+        # full-config compile the check reads the oracle state stage 5
+        # has just hung on the graph.
+        report = check_sync_coverage(workload.graph, result.mdes)
+        if not report.ok:
+            raise CoverageError(report.describe())
         # The entry leaves the graph out: every reader has the workload.
         cache.put(key, replace(result, graph=None))
     else:

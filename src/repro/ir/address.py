@@ -33,6 +33,7 @@ pairs only the NACHOS hardware comparator can disambiguate.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -176,6 +177,35 @@ def _normalize(terms: Mapping) -> Tuple:
     return tuple(items)
 
 
+#: Distinct term combinations :func:`_combine_terms` keeps.  A compile of
+#: every suite region asks for about 1,500; the bound keeps a long-lived
+#: process (the serve daemon) from growing with the regions it has seen.
+COMBINE_MEMO_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=COMBINE_MEMO_SIZE)
+def _combine_terms(
+    iv_a: Tuple[Tuple[IVar, int], ...],
+    sym_a: Tuple[Tuple[Sym, int], ...],
+    iv_b: Tuple[Tuple[IVar, int], ...],
+    sym_b: Tuple[Tuple[Sym, int], ...],
+    sign: int,
+) -> Tuple[Tuple[Tuple[IVar, int], ...], Tuple[Tuple[Sym, int], ...]]:
+    """The normalized IV and symbol terms of ``a + sign * b``.
+
+    They depend only on the two offsets' terms, never on their
+    constants, and the compiler forms the same few differences over and
+    over, so the result is memoized (the terms are immutable tuples).
+    """
+    ivs: Dict[IVar, int] = dict(iv_a)
+    for iv, c in iv_b:
+        ivs[iv] = ivs.get(iv, 0) + sign * c
+    syms: Dict[Sym, int] = dict(sym_a)
+    for s, c in sym_b:
+        syms[s] = syms.get(s, 0) + sign * c
+    return _normalize(ivs), _normalize(syms)
+
+
 @dataclass(frozen=True)
 class AffineExpr:
     """``sum(coeff*ivar) + sum(coeff*sym) + const`` over integers."""
@@ -208,33 +238,10 @@ class AffineExpr:
     # Arithmetic
     # ------------------------------------------------------------------
     def _combine(self, other: "AffineExpr", sign: int) -> "AffineExpr":
-        if (
-            len(self.iv_terms) == 1 == len(other.iv_terms)
-            and not self.sym_terms
-            and not other.sym_terms
-        ):
-            # The dominant shape (one IV a side, no symbols), built
-            # directly: the same terms the general path below yields,
-            # without its dicts, sort and re-normalisation.
-            ((iv_a, ca),) = self.iv_terms
-            ((iv_b, cb),) = other.iv_terms
-            cb *= sign
-            if iv_a == iv_b:
-                terms: Tuple[Tuple[IVar, int], ...] = ((iv_a, ca + cb),)
-            elif iv_b.name < iv_a.name:
-                terms = ((iv_b, cb), (iv_a, ca))
-            else:
-                terms = ((iv_a, ca), (iv_b, cb))
-            return AffineExpr(
-                tuple(t for t in terms if t[1]), (), self.const + sign * other.const
-            )
-        ivs: Dict[IVar, int] = dict(self.iv_terms)
-        for iv, c in other.iv_terms:
-            ivs[iv] = ivs.get(iv, 0) + sign * c
-        syms: Dict[Sym, int] = dict(self.sym_terms)
-        for s, c in other.sym_terms:
-            syms[s] = syms.get(s, 0) + sign * c
-        return AffineExpr.of(self.const + sign * other.const, ivs, syms)
+        iv_terms, sym_terms = _combine_terms(
+            self.iv_terms, self.sym_terms, other.iv_terms, other.sym_terms, sign
+        )
+        return AffineExpr(iv_terms, sym_terms, self.const + sign * other.const)
 
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         return self._combine(other, +1)

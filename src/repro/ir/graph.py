@@ -62,12 +62,17 @@ class DFGraph:
     :attr:`loads`, :attr:`stores`) are each built on first use and kept
     in one memo, ``_views``, until :meth:`add_op`, the one op-table
     mutator, drops it.  Each query still returns a fresh list.
-    ``_views`` is never pickled, so a graph pickles to the same bytes
-    whether or not it has been queried.
+    The stage-5 oracle hangs its region state on the graph the same way,
+    as ``_oracle`` (:mod:`repro.compiler.aliasing.stage5` builds and
+    reads it; the graph only drops it).  Neither memo is pickled, so a
+    graph pickles to the same bytes whether or not it has been queried;
+    a clone copies the views and starts without oracle state.
     """
 
     #: View kind -> ops in program order; None until the first query.
     _views: Optional[Dict[str, Tuple[Operation, ...]]] = None
+    #: The stage-5 oracle's state for this op table; None until asked.
+    _oracle: Optional[object] = None
 
     def __init__(self, name: str = "region") -> None:
         self.name = name
@@ -93,6 +98,7 @@ class DFGraph:
                 )
         self._ops[op.op_id] = op
         self._views = None
+        self._oracle = None
         self._users.setdefault(op.op_id, [])
         for src in op.inputs:
             self._users[src].append(op.op_id)
@@ -134,6 +140,7 @@ class DFGraph:
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
         state.pop("_views", None)
+        state.pop("_oracle", None)
         return state
 
     def _view(self, kind: str = "") -> Tuple[Operation, ...]:

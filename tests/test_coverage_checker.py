@@ -224,3 +224,39 @@ class TestOrderingPredicateAgreement:
                 assert reach.reaches(older, younger) or (older, younger) in own, (
                     k, older, younger, label,
                 )
+
+
+class TestEveryCompileCertified:
+    """``common.compile_workload`` checks the coverage of each fresh
+    compile before anything runs or is cached."""
+
+    def test_dropped_may_edge_fails_the_task_uncached(self, fresh_store, monkeypatch):
+        import repro.compiler.pipeline as pipeline
+        from repro.compiler import CoverageError
+        from repro.experiments import common
+        from repro.obs.runner import resolve_workload
+        from repro.runtime import cache as cache_module
+
+        insert_mdes = pipeline.insert_mdes
+
+        def drop_first_may(*args, **kwargs):
+            mdes = insert_mdes(*args, **kwargs)
+            may = [e for e in mdes if e.kind is MDEKind.MAY]
+            return [e for e in mdes if e not in may[:1]]
+
+        def no_engine(*_args, **_kwargs):
+            raise AssertionError("an engine ran on an uncertified compile")
+
+        fresh_store()
+        monkeypatch.setattr(pipeline, "insert_mdes", drop_first_may)
+        monkeypatch.setattr(common, "make_engine", no_engine)
+        workload = resolve_workload("bzip2")
+        with pytest.raises(CoverageError, match=r"uncovered MAY st-st pair: st#29"):
+            common.run_system(workload, "nachos", invocations=3)
+        root = cache_module.get_cache().root
+        assert [p for p in root.rglob("*") if p.is_file()] == []
+
+        monkeypatch.undo()
+        fresh_store()
+        run = common.run_system(workload, "nachos", invocations=3)
+        assert run.correct
